@@ -92,6 +92,37 @@ class BesovProfile:
         return out
 
 
+def profile_is_exact(
+    hier: Hierarchy, p, beta: float, m: int, include_empirical: bool = False
+) -> bool:
+    """Whether ``phi_profile`` defaults to exact arithmetic for these inputs."""
+    # exact pair sums are pure Python; sensible only on small levels
+    return (
+        p_is_integer(p)
+        and float(beta) == float(hier.ratios.beta_star)
+        and not include_empirical
+        and hier.level(m).num_vertices <= 600
+    )
+
+
+def ball_energies(
+    hier: Hierarchy, u: AffineFunction, p, m: int, max_scale: int,
+    exact: bool, method: str = "auto",
+) -> tuple:
+    """I_{m,n} for n = 0..max_scale: Fractions if ``exact``, else floats.
+
+    They do not depend on beta, so one set serves every profile of (u, p).
+    """
+    level = hier.level(m)
+    if exact:
+        values = scaled_values_at(hier, u, m)
+    else:
+        values = float_values_at(hier, u, m)
+    return tuple(
+        ball_energy(level, values, p, n, method=method) for n in range(max_scale + 1)
+    )
+
+
 def phi_profile(
     hier: Hierarchy,
     u: AffineFunction,
@@ -102,30 +133,24 @@ def phi_profile(
     include_empirical: bool = False,
     method: str = "auto",
     exact: Optional[bool] = None,
+    energies: Optional[tuple] = None,
 ) -> BesovProfile:
-    """Ball-functional estimators at scales rho_0 .. rho_N on V_m vertices."""
+    """Ball-functional estimators at scales rho_0 .. rho_N on V_m vertices.
+
+    ``energies``, when given, are ``ball_energies(hier, u, p, m, max_scale,
+    ...)`` computed once for several betas; their type fixes the arithmetic.
+    """
     if m < max_scale:
         raise LevelError(f"vertex level {m} must be >= max scale {max_scale}")
     level = hier.level(m)
     ratios = hier.ratios
-    if exact is None:
-        # exact pair sums are pure Python; sensible only on small levels
-        exact = (
-            p_is_integer(p)
-            and float(beta) == float(ratios.beta_star)
-            and not include_empirical
-            and level.num_vertices <= 600
-        )
-    if exact:
-        den, ints = scaled_values_at(hier, u, m)
-        values = (den, ints)
-    else:
-        values = float_values_at(hier, u, m)
-    Is = []
+    if energies is None:
+        if exact is None:
+            exact = profile_is_exact(hier, p, beta, m, include_empirical)
+        energies = ball_energies(hier, u, p, m, max_scale, exact, method)
+    exact = isinstance(energies[0], Fraction)
     proxy = []
-    for n in range(max_scale + 1):
-        I = ball_energy(level, values, p, n, method=method)
-        Is.append(I)
+    for n, I in enumerate(energies):
         if exact:
             rho, psi, phi = scale_values(ratios, n)
             proxy.append(I / (phi * psi))
@@ -154,7 +179,7 @@ def phi_profile(
         beta_star=float(ratios.beta_star),
         vertex_level=m,
         max_scale=max_scale,
-        ball_energies=tuple(Is),
+        ball_energies=tuple(energies),
         phi_proxy=tuple(proxy),
         phi_empirical=tuple(empirical) if empirical is not None else None,
     )
@@ -505,13 +530,18 @@ def weak_monotonicity_report(
     max_scale: int,
     window: tuple[int, int],
     method: str = "auto",
+    energies: Optional[tuple] = None,
 ) -> WeakMonotonicityReport:
-    """sup_n Phi(rho_n) / min over a window: finite surrogate of sup/liminf."""
+    """sup_n Phi(rho_n) / min over a window: finite surrogate of sup/liminf.
+
+    ``energies`` are passed on to ``phi_profile`` at beta = beta*.
+    """
     lo, hi = window
     if not (0 <= lo <= hi <= max_scale):
         raise InvalidArgumentError(f"window {window} not within [0, {max_scale}]")
     prof = phi_profile(
-        hier, u, p, float(hier.ratios.beta_star), m, max_scale, method=method
+        hier, u, p, float(hier.ratios.beta_star), m, max_scale, method=method,
+        energies=energies,
     )
     phis = [float(x) for x in prof.phi_proxy]
     sup_v = max(phis)

@@ -15,7 +15,14 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .besov import bbm_curve, discrete_profiles, phi_profile, weak_monotonicity_report
+from .besov import (
+    ball_energies,
+    bbm_curve,
+    discrete_profiles,
+    phi_profile,
+    profile_is_exact,
+    weak_monotonicity_report,
+)
 from .config import ExperimentConfig, load_config
 from .energy import (
     diagonal_ramp,
@@ -255,9 +262,20 @@ def _cmd_besov(config: ExperimentConfig, out: Path, meta: str, pool: OrderedPool
         )
     hier = _hierarchy(config)
     u = diagonal_ramp()
+    m = config.vertex_level
+    energies = {}  # I_{m,n}, computed once per arithmetic the profiles use
+
+    def energies_at(beta):
+        exact = profile_is_exact(hier, config.p, beta, m)
+        if exact not in energies:
+            energies[exact] = ball_energies(hier, u, config.p, m, config.depth, exact)
+        return energies[exact]
+
     rows = []
     for beta in config.beta_grid:
-        prof = phi_profile(hier, u, config.p, beta, config.vertex_level, config.depth)
+        prof = phi_profile(
+            hier, u, config.p, beta, m, config.depth, energies=energies_at(beta)
+        )
         dprof = discrete_profiles(hier, u, config.p, beta, config.depth)
         for n in range(config.depth + 1):
             rows.append(
@@ -279,9 +297,10 @@ def _cmd_besov(config: ExperimentConfig, out: Path, meta: str, pool: OrderedPool
         hier,
         u,
         config.p,
-        config.vertex_level,
+        m,
         config.depth,
         (max(1, config.depth - 2), config.depth),
+        energies=energies_at(float(hier.ratios.beta_star)),
     )
     write_json(
         out / "weak_monotonicity.json",

@@ -5,11 +5,21 @@ Computes S = sum over ordered vertex pairs (x, y) with d(x, y) < rho_n of
 routes are provided:
 
 * a brute-force double loop, the oracle, kept deliberately simple;
-* a cell-tree route: vertices are grouped by the cell that first created
-  them (an ownership partition), cells form nested axis-aligned squares on
-  the scaled lattice, and square-vs-square distance bounds classify cell
-  pairs as all-in (closed form / moments), all-out (pruned), or straddling
-  (recursed, brute-forced on small blocks).
+* a cell-tree route in two parts.  A geometry-only dual-tree traversal
+  builds a ``PairPlan`` for (level, n): vertices are grouped by the cell
+  that first created them (an ownership partition), cells form nested
+  axis-aligned squares on the scaled lattice, and square-vs-square distance
+  bounds classify cell pairs as all-in (full blocks), all-out (pruned), or
+  straddling (split, down to leaf blocks whose pairs are tested one by
+  one).  The plan is cached on the level and shared by every value vector
+  and both arithmetics.  One small evaluator per arithmetic then sums the
+  blocks.  The float one takes the p = 2 full blocks as one gather over
+  prefix moments and every other block in sub-blocks of at most ``_CHUNK``
+  elements, so memory is bounded for every p.  Block sums are added one by
+  one in the plan's depth-first order, which keeps float results fixed.
+
+``ball_pair_sum(method="auto")`` always takes the cell tree; the oracle runs
+only when asked for by name.
 
 All geometric predicates are exact integer comparisons: at scale m the
 pair (x, y) qualifies iff (dx^2 + dy^2) * L_n^2 < 8 * L_m^2 (open ball).
@@ -20,16 +30,23 @@ can be compared bit-for-bit against the brute-force oracle.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import InvalidArgumentError, ScaleMismatchError
 from .geometry import VicsekLevel, _cell_centers
 
 _LEAF_MAX = 256
+_CHUNK = 1 << 20  # elements per float temporary in the evaluator
 
 
 class CellPairIndex:
-    """Vertices of one level grouped by owner-cell ancestry at every level."""
+    """Vertices of one level grouped by owner-cell ancestry at every level.
+
+    Cell (k, i) is row ``start[k] + i`` of the flat per-cell tables: its
+    scaled center, and the range [lo, hi) of its vertices in ``order``.
+    """
 
     def __init__(self, level: VicsekLevel):
         self.level = level
@@ -40,11 +57,7 @@ class CellPairIndex:
         owner_sorted = level.owner_word[order]
         self.xs = level.coords[order, 0].copy()
         self.ys = level.coords[order, 1].copy()
-        self.bounds: list[np.ndarray] = []
-        self.centers_x: list[np.ndarray] = []
-        self.centers_y: list[np.ndarray] = []
-        self.half: list[int] = []
-        self.children: list[int] = []  # alphabet size at each level
+        lo, hi, cx, cy, half, children = [], [], [], [], [], []
         Lm = level.L
         for k in range(m + 1):
             stride = 1
@@ -53,16 +66,22 @@ class CellPairIndex:
             num_k = ratios.num_words(k)
             starts = np.searchsorted(
                 owner_sorted, np.arange(num_k + 1, dtype=np.int64) * stride
-            )
-            self.bounds.append(starts.astype(np.int64))
+            ).astype(np.int64)
+            lo.append(starts[:-1])
+            hi.append(starts[1:])
             f = Lm // ratios.length_product(k)
-            centers = _cell_centers(ratios, k)
-            cx = np.fromiter((c[0] for c in centers), dtype=np.int64, count=num_k)
-            cy = np.fromiter((c[1] for c in centers), dtype=np.int64, count=num_k)
-            self.centers_x.append(cx * f)
-            self.centers_y.append(cy * f)
-            self.half.append(f)
-            self.children.append(2 * ratios.ratio(k + 1) - 1 if k < m else 0)
+            centers = np.array(_cell_centers(ratios, k), dtype=np.int64)
+            cx.append(centers[:, 0] * f)
+            cy.append(centers[:, 1] * f)
+            half.append(f)
+            children.append(2 * ratios.ratio(k + 1) - 1 if k < m else 0)
+        self.start = np.cumsum([0] + [len(a) for a in lo])[:-1]
+        self.lo = np.concatenate(lo)
+        self.hi = np.concatenate(hi)
+        self.cx = np.concatenate(cx)
+        self.cy = np.concatenate(cy)
+        self.half = np.array(half, dtype=np.int64)
+        self.children = np.array(children, dtype=np.int64)
         self.max_level = m
 
 
@@ -165,7 +184,124 @@ def ball_row_stats(level: VicsekLevel, values, p, n: int):
 
 
 # ---------------------------------------------------------------------------
-# cell-tree route
+# cell-tree route: geometry-only plan
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class PairPlan:
+    """The blocks of one (level, n) pair sum, independent of the values.
+
+    Each row of ``blocks`` is (lo_a, hi_a, lo_b, hi_b, weight): the ordered
+    pairs between vertex ranges [lo_a, hi_a) and [lo_b, hi_b) of
+    ``CellPairIndex.order``, counted ``weight`` times.  Every pair of a full
+    block lies in the ball; a pair of a leaf block (``is_leaf``) lies in it
+    iff dx^2 + dy^2 <= radius2.  Rows are in depth-first traversal order,
+    the order float evaluation sums them in.
+    """
+
+    blocks: np.ndarray
+    is_leaf: np.ndarray
+    radius2: int
+
+
+def pair_plan(level: VicsekLevel, n: int, leaf_max: int = _LEAF_MAX) -> PairPlan:
+    """The plan for (level, n), built on first use and cached on the level."""
+    cache = getattr(level, "_pair_plan_cache", None)
+    if cache is None:
+        cache = level._pair_plan_cache = {}
+    plan = cache.get((n, leaf_max))
+    if plan is None:
+        Ln2, T = _qualify_threshold(level, n)
+        # ds2 * Ln2 < T  <=>  ds2 <= (T - 1) // Ln2, with no int64 overflow
+        plan = _build_plan(_pair_index(level), (T - 1) // Ln2, leaf_max)
+        cache[(n, leaf_max)] = plan
+    return plan
+
+
+_OPEN, _FULL, _LEAF = 0, 1, 2
+
+
+def _build_plan(idx: CellPairIndex, R: int, leaf_max: int) -> PairPlan:
+    """Dual-tree traversal of cell pairs, one tree depth per numpy pass.
+
+    The frontier holds cell pairs (ka, ia, kb, ib) with weight w; the
+    unordered pair {A, B} with A != B stands for both orders.  An open pair
+    is pruned (no pair in the ball, or an empty cell), closed as a full or
+    leaf block, or replaced in place by its children: all child pairs of a
+    self pair, else the children of its larger non-leaf side.  Closed blocks
+    stay in place, so the final frontier is in depth-first order; children
+    are laid out in the order a last-in-first-out stack visits them.
+    """
+    c = idx.children
+    # child pairs (i, j), i <= j, of a self pair at level k, in visiting
+    # order: rows tri_off[k] .. tri_off[k] + c_k (c_k + 1) / 2 of tri_a/tri_b
+    tri = [np.triu_indices(int(ck)) for ck in c]
+    tri_a = np.concatenate([t[0][::-1] for t in tri]).astype(np.int64)
+    tri_b = np.concatenate([t[1][::-1] for t in tri]).astype(np.int64)
+    tri_off = np.cumsum([0] + [t[0].size for t in tri])[:-1]
+    z = np.zeros(1, dtype=np.int64)
+    ka, ia, kb, ib, w = z, z, z, z, z + 1
+    kind = np.full(1, _OPEN, dtype=np.int8)
+    while True:
+        op = np.flatnonzero(kind == _OPEN)
+        if not op.size:
+            break
+        a = idx.start[ka[op]] + ia[op]
+        b = idx.start[kb[op]] + ib[op]
+        hh = idx.half[ka[op]] + idx.half[kb[op]]
+        dx = np.abs(idx.cx[a] - idx.cx[b])
+        dy = np.abs(idx.cy[a] - idx.cy[b])
+        sa = idx.hi[a] - idx.lo[a]
+        sb = idx.hi[b] - idx.lo[b]
+        near = np.maximum(dx - hh, 0) ** 2 + np.maximum(dy - hh, 0) ** 2 <= R
+        near &= (sa > 0) & (sb > 0)
+        inside = near & ((dx + hh) ** 2 + (dy + hh) ** 2 <= R)
+        a_leaf = (ka[op] == idx.max_level) | (sa <= leaf_max)
+        b_leaf = (kb[op] == idx.max_level) | (sb <= leaf_max)
+        at_leaf = near & ~inside & a_leaf & b_leaf
+        split = near & ~inside & ~at_leaf
+        same = split & (a == b)
+        split_a = split & ~same & ~a_leaf & (b_leaf | (sa >= sb))
+        split_b = split & ~same & ~split_a
+        kind[op[inside]] = _FULL
+        kind[op[at_leaf]] = _LEAF
+        ca = c[ka[op]]
+        count = np.ones(ka.size, dtype=np.int64)
+        count[op] = np.select(
+            [~near, same, split_a, split_b],
+            [0, ca * (ca + 1) // 2, ca, c[kb[op]]],
+            1,
+        )
+        how = np.zeros(ka.size, dtype=np.int8)  # 1 self, 2 a, 3 b split
+        how[op] = np.select([same, split_a, split_b], [1, 2, 3], 0)
+        src = np.repeat(np.arange(ka.size), count)
+        rank = np.arange(src.size) - np.repeat(np.cumsum(count) - count, count)
+        ka, ia, kb, ib, w, kind, how = (
+            x[src] for x in (ka, ia, kb, ib, w, kind, how)
+        )
+        s = how == 1
+        t = tri_off[ka[s]] + rank[s]
+        base = ia[s] * c[ka[s]]
+        ia[s] = base + tri_a[t]
+        ib[s] = base + tri_b[t]
+        w[s] *= np.where(tri_a[t] == tri_b[t], 1, 2)
+        ka[s] += 1
+        kb[s] += 1
+        s = how == 2
+        ia[s] = (ia[s] + 1) * c[ka[s]] - 1 - rank[s]
+        ka[s] += 1
+        s = how == 3
+        ib[s] = (ib[s] + 1) * c[kb[s]] - 1 - rank[s]
+        kb[s] += 1
+    a = idx.start[ka] + ia
+    b = idx.start[kb] + ib
+    blocks = np.stack((idx.lo[a], idx.hi[a], idx.lo[b], idx.hi[b], w), axis=1)
+    return PairPlan(blocks, kind == _LEAF, R)
+
+
+# ---------------------------------------------------------------------------
+# cell-tree route: evaluators
 # ---------------------------------------------------------------------------
 
 
@@ -174,231 +310,156 @@ def ball_pair_sum_indexed(
 ):
     """Cell-tree pair sum; same contract as the brute-force route.
 
-    Identical summands, different organization: the traversal classifies
-    square pairs by exact min/max distance bounds, takes closed forms on
-    fully-inside blocks, and only enumerates pairs near the critical sphere.
+    Identical summands, different organization: the plan takes closed forms
+    or plain sums on fully-inside blocks, and only tests pairs near the
+    critical sphere.
     """
-    Ln2, T = _qualify_threshold(level, n)
+    plan = pair_plan(level, n, leaf_max)
     idx = _pair_index(level)
     if isinstance(values, tuple):
         den, ints = values
-        return _indexed_exact(idx, ints, int(p), Ln2, T, leaf_max)
+        return _evaluate_exact(plan, idx, ints, int(p))
     vals = np.asarray(values, dtype=np.float64)
     squeeze = vals.ndim == 1
     if squeeze:
         vals = vals[:, None]
-    out = _indexed_float(idx, vals, float(p), Ln2, T, leaf_max)
+    out = _evaluate_float(plan, idx, vals, float(p))
     return float(out[0]) if squeeze else out
 
 
-def _box_bounds(idx: CellPairIndex, ka, ia, kb, ib):
-    ax = int(idx.centers_x[ka][ia])
-    ay = int(idx.centers_y[ka][ia])
-    bx = int(idx.centers_x[kb][ib])
-    by = int(idx.centers_y[kb][ib])
-    hh = idx.half[ka] + idx.half[kb]
-    dx = abs(ax - bx)
-    dy = abs(ay - by)
-    dx_min = dx - hh if dx > hh else 0
-    dy_min = dy - hh if dy > hh else 0
-    dx_max = dx + hh
-    dy_max = dy + hh
-    return dx_min * dx_min + dy_min * dy_min, dx_max * dx_max + dy_max * dy_max
-
-
-def _indexed_float(idx, vals, pf, Ln2, T, leaf_max):
-    F = vals.shape[1]
-    vs = vals[idx.order]
-    P1 = np.zeros((vs.shape[0] + 1, F))
-    np.cumsum(vs, axis=0, out=P1[1:])
-    if pf == 2.0:
-        P2 = np.zeros_like(P1)
-        np.cumsum(vs * vs, axis=0, out=P2[1:])
-    xs = idx.xs
-    ys = idx.ys
-    total = np.zeros(F)
-
-    def full_block(loa, hia, lob, hib, w):
-        cnta = hia - loa
-        cntb = hib - lob
-        if pf == 2.0:
-            Sa = P1[hia] - P1[loa]
-            Sb = P1[hib] - P1[lob]
-            Qa = P2[hia] - P2[loa]
-            Qb = P2[hib] - P2[lob]
-            return w * (cntb * Qa - 2.0 * Sa * Sb + cnta * Qb)
-        dv = np.abs(vs[loa:hia, None, :] - vs[None, lob:hib, :]) ** pf
-        return w * dv.sum(axis=(0, 1))
-
-    def leaf_block(loa, hia, lob, hib, w):
-        dx = xs[loa:hia, None] - xs[None, lob:hib]
-        dy = ys[loa:hia, None] - ys[None, lob:hib]
-        mask = (dx * dx + dy * dy) * Ln2 < T
-        if not mask.any():
-            return None
-        if pf == 2.0:
-            # masked sum of (vi - vj)^2 via matrix products
-            M = mask.astype(np.float64)
-            va = vs[loa:hia]
-            vb = vs[lob:hib]
-            rows = M.sum(axis=1)
-            cols = M.sum(axis=0)
-            cross = (va * (M @ vb)).sum(axis=0)
-            return w * (rows @ (va * va) + cols @ (vb * vb) - 2.0 * cross)
-        dv = np.abs(vs[loa:hia, None, :] - vs[None, lob:hib, :]) ** pf
-        return w * np.einsum("ij,ijf->f", mask, dv)
-
-    bounds = idx.bounds
-    children = idx.children
-    mlev = idx.max_level
-    stack = [(0, 0, 0, 0, 1)]
-    while stack:
-        ka, ia, kb, ib, w = stack.pop()
-        dmin2, dmax2 = _box_bounds(idx, ka, ia, kb, ib)
-        if dmin2 * Ln2 >= T:
-            continue
-        loa, hia = int(bounds[ka][ia]), int(bounds[ka][ia + 1])
-        lob, hib = int(bounds[kb][ib]), int(bounds[kb][ib + 1])
-        if dmax2 * Ln2 < T:
-            total += full_block(loa, hia, lob, hib, w)
-            continue
-        same = ka == kb and ia == ib
-        sa = hia - loa
-        sb = hib - lob
-        if same:
-            if ka == mlev or sa <= leaf_max:
-                out = leaf_block(loa, hia, lob, hib, w)
-                if out is not None:
-                    total += out
-                continue
-            c = children[ka]
-            base = ia * c
-            for i in range(c):
-                stack.append((ka + 1, base + i, ka + 1, base + i, w))
-                for j in range(i + 1, c):
-                    stack.append((ka + 1, base + i, ka + 1, base + j, 2 * w))
-            continue
-        a_leaf = ka == mlev or sa <= leaf_max
-        b_leaf = kb == mlev or sb <= leaf_max
-        if a_leaf and b_leaf:
-            out = leaf_block(loa, hia, lob, hib, w)
-            if out is not None:
-                total += out
-            continue
-        if not a_leaf and (b_leaf or sa >= sb):
-            c = children[ka]
-            base = ia * c
-            for i in range(c):
-                stack.append((ka + 1, base + i, kb, ib, w))
-        else:
-            c = children[kb]
-            base = ib * c
-            for i in range(c):
-                stack.append((ka, ia, kb + 1, base + i, w))
-    return total
-
-
-def _indexed_exact(idx, ints, p, Ln2, T, leaf_max):
-    order = idx.order.tolist()
-    vs = [ints[i] for i in order]
-    V = len(vs)
-    P1 = [0] * (V + 1)
-    P2 = [0] * (V + 1)
-    acc1 = 0
-    acc2 = 0
-    for i, v in enumerate(vs):
-        acc1 += v
-        acc2 += v * v
-        P1[i + 1] = acc1
-        P2[i + 1] = acc2
+def _evaluate_exact(plan: PairPlan, idx: CellPairIndex, ints, p: int) -> int:
+    """Integer sum over the plan's blocks; pure Python arithmetic."""
+    vs = [ints[i] for i in idx.order.tolist()]
     xs = idx.xs.tolist()
     ys = idx.ys.tolist()
+    R = plan.radius2
+    P1 = [0]
+    P2 = [0]
+    if p == 2:
+        for v in vs:
+            P1.append(P1[-1] + v)
+            P2.append(P2[-1] + v * v)
     total = 0
-    bounds = [b.tolist() for b in idx.bounds]
-    children = idx.children
-    mlev = idx.max_level
-
-    def full_block(loa, hia, lob, hib):
-        cnta = hia - loa
-        cntb = hib - lob
-        if p == 2:
+    for (loa, hia, lob, hib, w), leaf in zip(plan.blocks.tolist(), plan.is_leaf.tolist()):
+        if p == 2 and not leaf:
             Sa = P1[hia] - P1[loa]
             Sb = P1[hib] - P1[lob]
             Qa = P2[hia] - P2[loa]
             Qb = P2[hib] - P2[lob]
-            return cntb * Qa - 2 * Sa * Sb + cnta * Qb
-        return sum(
-            abs(vs[i] - vs[j]) ** p
-            for i in range(loa, hia)
-            for j in range(lob, hib)
-        )
-
-    def leaf_block(loa, hia, lob, hib):
+            total += w * ((hib - lob) * Qa - 2 * Sa * Sb + (hia - loa) * Qb)
+            continue
         out = 0
         for i in range(loa, hia):
             xi = xs[i]
             yi = ys[i]
             vi = vs[i]
             for j in range(lob, hib):
-                dx = xi - xs[j]
-                dy = yi - ys[j]
-                if (dx * dx + dy * dy) * Ln2 < T:
-                    d = vi - vs[j]
-                    out += d * d if p == 2 else abs(d) ** p
-        return out
-
-    stack = [(0, 0, 0, 0, 1)]
-    while stack:
-        ka, ia, kb, ib, w = stack.pop()
-        dmin2, dmax2 = _box_bounds(idx, ka, ia, kb, ib)
-        if dmin2 * Ln2 >= T:
-            continue
-        loa, hia = bounds[ka][ia], bounds[ka][ia + 1]
-        lob, hib = bounds[kb][ib], bounds[kb][ib + 1]
-        if dmax2 * Ln2 < T:
-            total += w * full_block(loa, hia, lob, hib)
-            continue
-        same = ka == kb and ia == ib
-        sa = hia - loa
-        sb = hib - lob
-        if same:
-            if ka == mlev or sa <= leaf_max:
-                total += w * leaf_block(loa, hia, lob, hib)
-                continue
-            c = children[ka]
-            base = ia * c
-            for i in range(c):
-                stack.append((ka + 1, base + i, ka + 1, base + i, w))
-                for j in range(i + 1, c):
-                    stack.append((ka + 1, base + i, ka + 1, base + j, 2 * w))
-            continue
-        a_leaf = ka == mlev or sa <= leaf_max
-        b_leaf = kb == mlev or sb <= leaf_max
-        if a_leaf and b_leaf:
-            total += w * leaf_block(loa, hia, lob, hib)
-            continue
-        if not a_leaf and (b_leaf or sa >= sb):
-            c = children[ka]
-            base = ia * c
-            for i in range(c):
-                stack.append((ka + 1, base + i, kb, ib, w))
-        else:
-            c = children[kb]
-            base = ib * c
-            for i in range(c):
-                stack.append((ka, ia, kb + 1, base + i, w))
+                if leaf:
+                    dx = xi - xs[j]
+                    dy = yi - ys[j]
+                    if dx * dx + dy * dy > R:
+                        continue
+                d = vi - vs[j]
+                out += d * d if p == 2 else abs(d) ** p
+        total += w * out
     return total
 
 
+def _evaluate_float(
+    plan: PairPlan, idx: CellPairIndex, vals: np.ndarray, pf: float
+) -> np.ndarray:
+    """Float sum over the plan's blocks, added one by one in plan order.
+
+    Blocks go in chunks of consecutive rows; p = 2 full blocks take the
+    prefix-moment closed form, all others ``_pair_block``.
+    """
+    F = vals.shape[1]
+    vs = vals[idx.order]
+    if pf == 2.0:
+        P1 = np.zeros((vs.shape[0] + 1, F))
+        P2 = np.zeros_like(P1)
+        np.cumsum(vs, axis=0, out=P1[1:])
+        np.cumsum(vs * vs, axis=0, out=P2[1:])
+    total = np.zeros(F)
+    step = max(1, _CHUNK // (4 * F))
+    for s in range(0, len(plan.blocks), step):
+        blocks = plan.blocks[s : s + step]
+        leaf = plan.is_leaf[s : s + step]
+        terms = np.zeros((len(blocks), F))
+        pairwise = leaf if pf == 2.0 else np.ones_like(leaf)
+        if pf == 2.0:
+            loa, hia, lob, hib, w = blocks[~leaf].T
+            Sa = P1[hia] - P1[loa]
+            Sb = P1[hib] - P1[lob]
+            Qa = P2[hia] - P2[loa]
+            Qb = P2[hib] - P2[lob]
+            cnta = (hia - loa)[:, None]
+            cntb = (hib - lob)[:, None]
+            terms[~leaf] = w[:, None] * (cntb * Qa - 2.0 * Sa * Sb + cnta * Qb)
+        for row in np.flatnonzero(pairwise).tolist():
+            xy = (idx.xs, idx.ys) if leaf[row] else None
+            terms[row] = _pair_block(vs, xy, plan.radius2, pf, *blocks[row].tolist())
+        terms[0] += total
+        total = terms.cumsum(axis=0)[-1]
+    return total
+
+
+def _pair_block(vs, xy, R, pf, loa, hia, lob, hib, w):
+    """w * sum of |v_i - v_j|^pf over one block's pairs, restricted to the
+    ball when ``xy`` holds the coordinates, in sub-blocks of at most
+    ``_CHUNK`` elements."""
+    F = vs.shape[1]
+    cols = max(1, min(hib - lob, _CHUNK // F))
+    rows = max(1, _CHUNK // (cols * F))
+    out = np.zeros(F)
+    for j0 in range(lob, hib, cols):
+        j1 = min(j0 + cols, hib)
+        vb = vs[j0:j1]
+        for i0 in range(loa, hia, rows):
+            i1 = min(i0 + rows, hia)
+            va = vs[i0:i1]
+            mask = None
+            if xy is not None:
+                xs, ys = xy
+                dx = xs[i0:i1, None] - xs[None, j0:j1]
+                dy = ys[i0:i1, None] - ys[None, j0:j1]
+                dx *= dx
+                dy *= dy
+                dx += dy
+                mask = dx <= R
+                if not mask.any():
+                    continue
+                if pf == 2.0:
+                    # masked sum of (vi - vj)^2 via matrix products
+                    M = mask.astype(np.float64)
+                    out += M.sum(axis=1) @ (va * va) + M.sum(axis=0) @ (vb * vb)
+                    out -= 2.0 * (va * (M @ vb)).sum(axis=0)
+                    continue
+            dv = va[:, None, :] - vb[None, :, :]
+            _abs_pow(dv, pf)
+            if mask is None:
+                out += dv.sum(axis=(0, 1))
+            else:
+                out += np.einsum("ij,ijf->f", mask, dv)
+    return w * out
+
+
+def _abs_pow(d: np.ndarray, pf: float) -> None:
+    """d <- |d|^pf in place; small integer pf by repeated products."""
+    np.abs(d, out=d)
+    if pf == 2.0:
+        d *= d
+    elif pf.is_integer() and pf <= 8.0:
+        base = d.copy()
+        for _ in range(int(pf) - 1):
+            d *= base
+    else:
+        d **= pf
+
+
 def ball_pair_sum(level: VicsekLevel, values, p, n: int, method: str = "auto"):
-    """Dispatch between the indexed route and the brute-force oracle."""
-    if method == "auto":
-        if isinstance(values, tuple):
-            method = "indexed"
-        else:
-            pf = float(p)
-            method = "indexed" if pf == 2.0 or level.num_vertices <= 3000 else "bruteforce"
-    if method == "indexed":
+    """Pair sum by the cell tree (``auto``/``indexed``) or the brute-force oracle."""
+    if method in ("auto", "indexed"):
         return ball_pair_sum_indexed(level, values, p, n)
     if method == "bruteforce":
         return ball_pair_sum_bruteforce(level, values, p, n)

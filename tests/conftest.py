@@ -18,3 +18,15 @@ def hier35() -> Hierarchy:
     from vicsek_lab.ratios import alternating_ratios
 
     return Hierarchy(alternating_ratios(3, 5, 10), 4)
+
+
+try:
+    from hypothesis import settings
+except ImportError:  # property tests skip themselves
+    pass
+else:
+    # fixed examples and no example database: the suite stays deterministic
+    settings.register_profile(
+        "vicsek", derandomize=True, max_examples=30, deadline=None, database=None
+    )
+    settings.load_profile("vicsek")

@@ -5,9 +5,13 @@ from pathlib import Path
 
 import pytest
 
+from vicsek_lab import besov
 from vicsek_lab.cli import main
-from vicsek_lab.config import config_from_dict
+from vicsek_lab.config import config_from_dict, load_config
+from vicsek_lab.energy import diagonal_ramp
 from vicsek_lab.errors import ConfigError
+from vicsek_lab.geometry import Hierarchy
+from vicsek_lab.io import config_hash, write_csv, write_json
 
 BASE_CONFIG = {
     "ratios": {"generator": "constant", "l": 3},
@@ -138,3 +142,53 @@ def test_config_hash_stamps_artifacts(tmp_path):
     head1 = (out1 / "scale_table.csv").read_text().splitlines()[0]
     head2 = (out2 / "scale_table.csv").read_text().splitlines()[0]
     assert head1 != head2  # different config, different stamp
+
+
+@pytest.mark.parametrize(
+    "overrides, arithmetics",
+    [
+        ({}, 1),  # 2501 vertices: every profile is float
+        ({"depth": 1, "vertex_level": 3}, 2),  # 501 vertices: exact at beta*
+    ],
+)
+def test_besov_computes_each_ball_energy_once(tmp_path, monkeypatch, overrides, arithmetics):
+    calls = []
+    pair_sum = besov.ball_pair_sum
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return pair_sum(*args, **kwargs)
+
+    monkeypatch.setattr(besov, "ball_pair_sum", counting)
+    path = write_config(tmp_path, overrides)
+    out = tmp_path / "art"
+    assert main(["besov", "--config", str(path), "--out", str(out)]) == 0
+    monkeypatch.undo()
+    config = load_config(path)
+    N, m = config.depth, config.vertex_level
+    assert sorted(calls) == sorted(list(range(N + 1)) * arithmetics)
+
+    # the same artifacts from independent per-beta profiles
+    hier = Hierarchy(config.ratio_sequence(), m)
+    u = diagonal_ramp()
+    rows = []
+    for beta in config.beta_grid:
+        prof = besov.phi_profile(hier, u, config.p, beta, m, N)
+        dprof = besov.discrete_profiles(hier, u, config.p, beta, N)
+        for n in range(N + 1):
+            rows.append((beta, n, float(prof.ball_energies[n]),
+                         float(prof.phi_proxy[n]), float(dprof.beta_energies[n])))
+    wm = besov.weak_monotonicity_report(hier, u, config.p, m, N, (max(1, N - 2), N))
+    ref = tmp_path / "ref"
+    meta = config_hash(config.to_canonical_dict())
+    write_csv(ref / "besov_profiles.csv",
+              ("beta", "n", "ball_energy", "phi_proxy", "beta_energy"), rows, meta)
+    write_json(ref / "weak_monotonicity.json", {
+        "phi_values": list(wm.phi_values),
+        "sup": wm.sup_value,
+        "window_min": wm.window_min,
+        "ratio": wm.ratio,
+        "degenerate": wm.degenerate,
+    }, meta)
+    for name in ("besov_profiles.csv", "weak_monotonicity.json"):
+        assert (out / name).read_bytes() == (ref / name).read_bytes(), name
