@@ -11,10 +11,9 @@ arithmetic: the true squared distance of two points at common scale n is
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -40,6 +39,7 @@ DEFAULT_CELL_BUDGET = 5_000_000
 # diagonal direction j.
 _SLOT_DX = (0, 1, -1, -1, 1)
 _SLOT_DY = (0, 1, 1, -1, -1)
+_SLOTS = np.column_stack((_SLOT_DX, _SLOT_DY)).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -140,60 +140,49 @@ class VicsekLevel:
         self.L = ratios.length_product(n)
         self.num_cells = num_cells
 
-        centers = _cell_centers(ratios, n)
-
         Lpad = self.L + 1
         stride = 2 * self.L + 3
-        coord_to_id: dict[int, int] = {}
-        xs: list[int] = []
-        ys: list[int] = []
-        owner: list[int] = []
-        mult: list[int] = []
-        cell_vertices = np.empty((num_cells, 5), dtype=np.int64)
-        get = coord_to_id.get
-        for w in range(num_cells):
-            cx, cy = centers[w]
-            row = cell_vertices[w]
-            for slot in range(5):
-                px = cx + _SLOT_DX[slot]
-                py = cy + _SLOT_DY[slot]
-                key = (px + Lpad) * stride + (py + Lpad)
-                vid = get(key)
-                if vid is None:
-                    vid = len(xs)
-                    coord_to_id[key] = vid
-                    xs.append(px)
-                    ys.append(py)
-                    owner.append(w)
-                    mult.append(1)
-                else:
-                    mult[vid] += 1
-                row[slot] = vid
-
-        self.coords = np.column_stack(
-            (np.asarray(xs, dtype=np.int64), np.asarray(ys, dtype=np.int64))
+        # The 5 slot points of every cell, cell-major (point 5w + s is slot s
+        # of cell w), packed into one int64 key each; keys are distinct for
+        # points with |x|, |y| <= L + 1.  Vertex ids number the distinct
+        # points in order of first appearance.
+        pts = (_cell_centers(ratios, n)[:, None, :] + _SLOTS[None]).reshape(-1, 2)
+        keys = (pts[:, 0] + Lpad) * stride + (pts[:, 1] + Lpad)
+        sorted_keys, first, inverse, counts = np.unique(
+            keys, return_index=True, return_inverse=True, return_counts=True
         )
-        self.owner_word = np.asarray(owner, dtype=np.int64)
-        self.multiplicity = np.asarray(mult, dtype=np.int64)
-        self.cell_vertices = cell_vertices
-        self._coord_to_id = coord_to_id
+        is_first = np.zeros(len(keys), dtype=bool)
+        is_first[first] = True
+        rank = (np.cumsum(is_first) - 1)[first]  # id of each sorted key
+        V = len(first)
+        first = np.flatnonzero(is_first)  # slot point of each id
+
+        self.coords = pts[first]
+        self.owner_word = first // 5
+        self.multiplicity = np.empty(V, dtype=np.int64)
+        self.multiplicity[rank] = counts
+        self.cell_vertices = rank[inverse].reshape(num_cells, 5)
+        self._keys = sorted_keys
+        self._key_ids = rank
         self._pack_pad = Lpad
         self._pack_stride = stride
 
-        V = len(xs)
         self.num_vertices = V
         E = 4 * num_cells
-        center_ids = np.repeat(cell_vertices[:, 0], 4)
-        corner_ids = cell_vertices[:, 1:5].reshape(-1)
+        center_ids = np.repeat(self.cell_vertices[:, 0], 4)
+        corner_ids = self.cell_vertices[:, 1:5].reshape(-1)
 
-        self.origin = coord_to_id[Lpad * stride + Lpad]
+        self.origin = self.vertex_id(0, 0)
 
-        nbr_offsets, nbr = _csr_adjacency(V, center_ids, corner_ids)
-        self._nbr_offsets = nbr_offsets
-        self._nbr = nbr
-        depth, parent = _bfs_tree(V, self.origin, nbr_offsets, nbr)
+        self._nbr_offsets, self._nbr = _csr_adjacency(V, center_ids, corner_ids)
+
+        # Tree depths come from the cell structure; shared corners must agree.
+        slot_depth = _slot_depths(ratios, n)
+        depth = np.empty(V, dtype=np.int64)
+        depth[self.cell_vertices] = slot_depth
+        if not np.array_equal(depth[self.cell_vertices], slot_depth):
+            raise AssertionError("cells disagree on the depth of a shared corner")
         self.depth = depth
-        self.parent = parent
 
         d_a = depth[center_ids]
         d_b = depth[corner_ids]
@@ -205,14 +194,38 @@ class VicsekLevel:
         self.edge_word = np.arange(E, dtype=np.int64) // 4
         self.num_edges = E
 
+        # If every vertex but the origin is the head of exactly one edge, then
+        # stepping to the tail lowers the depth by 1 and can only stop at the
+        # origin: the graph is a tree and ``depth`` is the distance from it.
+        heads = np.bincount(self.edge_head, minlength=V)
+        heads[self.origin] += 1
+        if depth[self.origin] != 0 or not np.all(heads == 1):
+            raise AssertionError("graph is not connected")
+        self.parent = np.full(V, -1, dtype=np.int64)
+        self.parent[self.edge_head] = self.edge_tail
+
     # -- lookups -----------------------------------------------------------
 
     def vertex_id(self, x: int, y: int) -> int:
-        key = (x + self._pack_pad) * self._pack_stride + (y + self._pack_pad)
-        vid = self._coord_to_id.get(key)
-        if vid is None:
-            raise LookupError_(f"no vertex at scaled coordinates ({x}, {y})")
-        return vid
+        return int(self._ids_of(np.array([x]), np.array([y]))[0])
+
+    def _ids_of(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Vertex ids of the scaled points (xs, ys), elementwise.
+
+        A point is found only if it lies in the packing box and its key is
+        equal to a vertex key, so a miss never yields a neighbouring id.
+        """
+        pad = self._pack_pad
+        keys = (xs + pad) * self._pack_stride + (ys + pad)
+        pos = np.searchsorted(self._keys, keys)
+        found = (abs(xs) <= pad) & (abs(ys) <= pad) & (pos < len(self._keys))
+        found[found] = self._keys[pos[found]] == keys[found]
+        if not found.all():
+            i = np.flatnonzero(~found)[0]
+            raise LookupError_(
+                f"no vertex at scaled coordinates ({xs.flat[i]}, {ys.flat[i]})"
+            )
+        return self._key_ids[pos]
 
     def vertex_point(self, vid: int) -> LatticePoint:
         if not 0 <= vid < self.num_vertices:
@@ -305,35 +318,38 @@ class VicsekLevel:
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
+        """The level as a JSON document; arrays are written as nested lists."""
         return {
             "level": self.n,
             "ratios": list(self.ratios.prefix(self.n)),
             "length_product": self.L,
             "num_cells": self.num_cells,
-            "vertices": self.coords.tolist(),
-            "edges": np.column_stack(
-                (self.edge_tail, self.edge_head, self.edge_word)
-            ).tolist(),
-            "cell_vertices": self.cell_vertices.tolist(),
+            "vertices": self.coords,
+            "edges": np.column_stack((self.edge_tail, self.edge_head, self.edge_word)),
+            "cell_vertices": self.cell_vertices,
             "origin": int(self.origin),
-            "geodesic_edge_counts": self.depth.tolist(),
+            "geodesic_edge_counts": self.depth,
         }
 
 
-def _cell_centers(ratios: RatioSequence, n: int) -> list[tuple[int, int]]:
-    """Scaled centers of all level-n cells in lexicographic word order."""
-    centers = [(0, 0)]
-    for k in range(1, n + 1):
-        l = ratios.ratio(k)
-        offsets = [letter_offset(s) for s in enumerate_letters(l)]
-        new: list[tuple[int, int]] = []
-        append = new.append
-        for cx, cy in centers:
-            bx = cx * l
-            by = cy * l
-            for ox, oy in offsets:
-                append((bx + ox, by + oy))
-        centers = new
+def _cell_centers(ratios: RatioSequence, n: int) -> np.ndarray:
+    """Scaled centers of all level-n cells in lexicographic word order.
+
+    A read-only (C, 2) int64 table, cached per ratio prefix and shared by
+    every caller.
+    """
+    return _prefix_centers(ratios.prefix(n))
+
+
+@lru_cache(maxsize=64)
+def _prefix_centers(prefix: tuple[int, ...]) -> np.ndarray:
+    if prefix:
+        l = prefix[-1]
+        offsets = np.array([letter_offset(s) for s in enumerate_letters(l)], dtype=np.int64)
+        centers = (_prefix_centers(prefix[:-1])[:, None] * l + offsets[None]).reshape(-1, 2)
+    else:
+        centers = np.zeros((1, 2), dtype=np.int64)
+    centers.flags.writeable = False
     return centers
 
 
@@ -350,33 +366,77 @@ def _csr_adjacency(
     return offsets, nbr
 
 
-def _bfs_tree(
-    V: int, root: int, offsets: np.ndarray, nbr: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    depth = np.full(V, -1, dtype=np.int64)
-    parent = np.full(V, -1, dtype=np.int64)
-    depth_l = depth.tolist()
-    parent_l = parent.tolist()
-    off = offsets.tolist()
-    nb = nbr.tolist()
-    depth_l[root] = 0
-    queue = deque([root])
-    pop = queue.popleft
-    push = queue.append
-    while queue:
-        v = pop()
-        dv = depth_l[v] + 1
-        for i in range(off[v], off[v + 1]):
-            u = nb[i]
-            if depth_l[u] < 0:
-                depth_l[u] = dv
-                parent_l[u] = v
-                push(u)
-    depth = np.asarray(depth_l, dtype=np.int64)
-    parent = np.asarray(parent_l, dtype=np.int64)
-    if depth.min() < 0:
+def _bfs_waves(
+    offsets: np.ndarray, nbr: np.ndarray, seen: np.ndarray, sources: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Breadth-first search from ``sources``, one frontier at a time.
+
+    Returns (vertices, discoverers) per wave, in the order of a FIFO search
+    that takes the sources in the given order and scans each vertex's CSR
+    neighbours in order.  ``seen`` marks the sources on entry and is updated
+    in place.  The graph must be a tree: then no vertex can be reached from
+    two vertices of one frontier, so the first discoverer is the only one.
+    The count check below makes sure of that and of connectivity.
+    """
+    unseen = len(seen) - int(np.count_nonzero(seen))
+    waves = []
+    frontier = sources
+    while frontier.size:
+        lo = offsets[frontier]
+        counts = offsets[frontier + 1] - lo
+        ends = np.cumsum(counts)
+        found = nbr[np.arange(ends[-1]) + np.repeat(lo - ends + counts, counts)]
+        new = ~seen[found]
+        discoverers = np.repeat(frontier, counts)[new]
+        frontier = found[new]
+        seen[frontier] = True
+        if frontier.size:
+            waves.append((frontier, discoverers))
+    if not seen.all():
         raise AssertionError("graph is not connected")
-    return depth, parent
+    if sum(len(w) for w, _ in waves) != unseen:
+        raise AssertionError("graph is not a tree")
+    return waves
+
+
+def _slot_depths(ratios: RatioSequence, n: int) -> np.ndarray:
+    """Tree distance from the origin of the 5 slot points of every level-n cell.
+
+    Within a cell the graph is the cross of its two diagonals, one edge per
+    unit step, and a refined cell is a chain of subcells along each arm
+    joined by the center subcell.  So the shortest path from the origin
+    enters each cell at one slot, its entry: the center for the cells that
+    contain the origin, a corner for all others.  Refining a cell with entry
+    ``e`` at depth ``D`` (parent scale) gives, at the child scale, where the
+    parent center has depth ``b = D l + l [e != 0]``:
+
+    - the center subcell: entry ``e``, depth ``b - [e != 0]``
+    - arm ``e``, step ``m``: entry ``e`` (its outer corner), depth ``b - 2m - 1``
+    - arm ``j != e``, step ``m``: entry ``opposite(j)``, depth ``b + 2m - 1``
+
+    From the entry, the center lies one edge further (unless it is the
+    entry) and every other corner one edge beyond the center.
+    """
+    entry = np.zeros(1, dtype=np.int64)
+    depth = np.zeros(1, dtype=np.int64)
+    for k in range(1, n + 1):
+        l = ratios.ratio(k)
+        letters = enumerate_letters(l)
+        j = np.array([s.direction for s in letters], dtype=np.int64)[None]
+        m = np.array([s.step for s in letters], dtype=np.int64)[None]
+        e = entry[:, None]
+        cornered = e != 0
+        base = depth[:, None] * l + l * cornered
+        inward = (j == 0) | (j == e)
+        entry = np.where(inward, e, (j + 1) % 4 + 1).reshape(-1)
+        depth = np.where(
+            j == 0, base - cornered, np.where(j == e, base - 2 * m - 1, base + 2 * m - 1)
+        ).reshape(-1)
+    center = depth + (entry != 0)
+    slots = np.arange(5, dtype=np.int64)[None]
+    return np.where(
+        slots == 0, center[:, None], center[:, None] + 1 - 2 * (slots == entry[:, None])
+    )
 
 
 def build_level(
@@ -458,52 +518,28 @@ class Hierarchy:
         fine = self.levels[k + 1]
         l = self.ratios.ratio(k + 1)
 
-        lift = np.empty(coarse.num_vertices, dtype=np.int64)
-        cx = coarse.coords[:, 0].tolist()
-        cy = coarse.coords[:, 1].tolist()
-        pad = fine._pack_pad
-        stride = fine._pack_stride
-        lookup = fine._coord_to_id
-        for i in range(coarse.num_vertices):
-            lift[i] = lookup[(cx[i] * l + pad) * stride + (cy[i] * l + pad)]
+        lift = fine._ids_of(coarse.coords[:, 0] * l, coarse.coords[:, 1] * l)
 
-        tails = coarse.edge_tail.tolist()
-        heads = coarse.edge_head.tolist()
-        interior = np.empty((coarse.num_edges, l - 1), dtype=np.int64)
-        for e in range(coarse.num_edges):
-            t = tails[e]
-            h = heads[e]
-            tx, ty = cx[t], cy[t]
-            sx, sy = cx[h] - tx, cy[h] - ty
-            bx, by = tx * l, ty * l
-            row = interior[e]
-            for i in range(1, l):
-                row[i - 1] = lookup[(bx + i * sx + pad) * stride + (by + i * sy + pad)]
+        # the l - 1 points strictly inside each coarse edge, tail to head
+        tail = coarse.coords[coarse.edge_tail]
+        step = coarse.coords[coarse.edge_head] - tail
+        i = np.arange(1, l, dtype=np.int64)[None, :, None]
+        pts = tail[:, None, :] * l + i * step[:, None, :]
+        interior = fine._ids_of(pts[..., 0], pts[..., 1])
 
-        assigned = np.zeros(fine.num_vertices, dtype=bool)
-        assigned[lift] = True
-        assigned[interior.reshape(-1)] = True
-        hang_rows: list[tuple[int, int]] = []
-        dists: list[int] = []
-        sources = np.flatnonzero(assigned).tolist()
-        queue = deque((v, 0) for v in sources)
-        off = fine._nbr_offsets.tolist()
-        nb = fine._nbr.tolist()
-        seen = assigned.tolist()
-        while queue:
-            v, d = queue.popleft()
-            for i in range(off[v], off[v + 1]):
-                u = nb[i]
-                if not seen[u]:
-                    seen[u] = True
-                    hang_rows.append((u, v))
-                    dists.append(d + 1)
-                    queue.append((u, d + 1))
-        hang = np.asarray(hang_rows, dtype=np.int64).reshape(-1, 2)
+        # hanging vertices attach by a multi-source search from every valued
+        # vertex in ascending id order; each wave depends only on earlier ones
+        seen = np.zeros(fine.num_vertices, dtype=bool)
+        seen[lift] = True
+        seen[interior.reshape(-1)] = True
+        found = _bfs_waves(fine._nbr_offsets, fine._nbr, seen, np.flatnonzero(seen))
+        hang = np.empty((sum(len(v) for v, _ in found), 2), dtype=np.int64)
         waves: list[tuple[int, int]] = []
         start = 0
-        for i in range(1, len(dists) + 1):
-            if i == len(dists) or dists[i] != dists[i - 1]:
-                waves.append((start, i))
-                start = i
+        for vertices, discoverers in found:
+            stop = start + len(vertices)
+            hang[start:stop, 0] = vertices
+            hang[start:stop, 1] = discoverers
+            waves.append((start, stop))
+            start = stop
         return lift, interior, hang, waves

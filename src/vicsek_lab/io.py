@@ -10,8 +10,11 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Sequence
+
+import numpy as np
 
 
 def canonical_json(obj: Any) -> str:
@@ -52,5 +55,62 @@ def write_csv(path: Path, columns: Sequence[str], rows: Iterable[Sequence], meta
 
 def write_json(path: Path, obj: Any, meta: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    doc = {"config": meta, "data": obj}
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True, default=_jsonify) + "\n")
+    path.write_text(json_text({"config": meta, "data": obj}) + "\n")
+
+
+def json_text(obj: Any, depth: int = 0) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True, default=_jsonify)``, byte for byte.
+
+    The standard encoder takes its pure-Python path whenever it indents.
+    Here int arrays, lists of ints and rectangular lists of int lists, which
+    make up the geometry dumps, are rendered with one join or one format each.
+    """
+    if isinstance(obj, np.ndarray) and obj.dtype.kind in "iu" and obj.size and 1 <= obj.ndim <= 2:
+        return _int_rows(obj.ravel().tolist(), obj.shape[1] if obj.ndim == 2 else 0, depth)
+    pad = "\n" + "  " * (depth + 1)
+    end = "\n" + "  " * depth
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        width = _int_width(obj)
+        if width is not None:
+            return _int_rows(list(chain.from_iterable(obj)) if width else obj, width, depth)
+        items = (json_text(v, depth + 1) for v in obj)
+        return "[" + pad + ("," + pad).join(items) + end + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = (f"{_json_key(k)}: {json_text(v, depth + 1)}" for k, v in sorted(obj.items()))
+        return "{" + pad + ("," + pad).join(items) + end + "}"
+    if obj is None or isinstance(obj, (str, int, float)):
+        return json.dumps(obj)
+    return json_text(_jsonify(obj), depth)
+
+
+def _json_key(k) -> str:
+    if not (k is None or isinstance(k, (str, int, float))):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+    return json.dumps(k if isinstance(k, str) else json.dumps(k))
+
+
+def _int_width(obj: list | tuple) -> int | None:
+    """0 for a list of ints, the row length for a rectangular list of
+    non-empty int lists, else None.  Bools do not count as ints."""
+    if set(map(type, obj)) == {int}:
+        return 0
+    width = len(obj[0]) if isinstance(obj[0], (list, tuple)) else 0
+    if width and all(isinstance(r, (list, tuple)) and len(r) == width for r in obj):
+        if set(map(type, chain.from_iterable(obj))) == {int}:
+            return width
+    return None
+
+
+def _int_rows(flat: Sequence[int], width: int, depth: int) -> str:
+    """Indented JSON of ``flat`` as a list (width 0) or as rows of ``width``."""
+    pad = "\n" + "  " * (depth + 1)
+    end = "\n" + "  " * depth + "]"
+    if not width:
+        return "[" + pad + ("," + pad).join(map(str, flat)) + end
+    cell = "\n" + "  " * (depth + 2)
+    row = "[" + cell + ("," + cell).join(["%d"] * width) + pad + "]"
+    return ("[" + pad + ("," + pad).join([row] * (len(flat) // width)) + end) % tuple(flat)

@@ -120,7 +120,8 @@ def _classify_cells(
     rd2 = rd * rd
     inside = 0
     straddle = 0
-    for cx, cy in _cell_centers(ratios, d):
+    # Python ints: the exact products below overflow int64
+    for cx, cy in _cell_centers(ratios, d).tolist():
         bx = cx * h
         by = cy * h
         # nearest point of the square to the center

@@ -70,7 +70,7 @@ class CellPairIndex:
             lo.append(starts[:-1])
             hi.append(starts[1:])
             f = Lm // ratios.length_product(k)
-            centers = np.array(_cell_centers(ratios, k), dtype=np.int64)
+            centers = _cell_centers(ratios, k)
             cx.append(centers[:, 0] * f)
             cy.append(centers[:, 1] * f)
             half.append(f)

@@ -221,3 +221,19 @@ def test_cell_edges_and_index(hier3):
         for j in range(1, 5):
             d = lv.coords[ids[j]] - c
             assert tuple(d) == DIRECTION_VECTORS[j]
+
+
+def test_hierarchy_memory_is_bounded():
+    """Peak traced memory of Hierarchy(l=3, 7): 79 MB measured, capped at 120 MB."""
+    import tracemalloc
+
+    from vicsek_lab import geometry
+
+    geometry._prefix_centers.cache_clear()  # count the center tables too
+    tracemalloc.start()
+    try:
+        geometry.Hierarchy(constant_ratios(3, 12), 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 120 * 2**20, f"peak {peak / 2**20:.1f} MB"
