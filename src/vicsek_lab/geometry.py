@@ -144,8 +144,8 @@ class VicsekLevel:
         stride = 2 * self.L + 3
         # The 5 slot points of every cell, cell-major (point 5w + s is slot s
         # of cell w), packed into one int64 key each; keys are distinct for
-        # points with |x|, |y| <= L + 1.  Vertex ids number the distinct
-        # points in order of first appearance.
+        # points with |x|, |y| <= L + 1, and fit int64 because L <= num_cells.
+        # Vertex ids number the distinct points in order of first appearance.
         pts = (_cell_centers(ratios, n)[:, None, :] + _SLOTS[None]).reshape(-1, 2)
         keys = (pts[:, 0] + Lpad) * stride + (pts[:, 1] + Lpad)
         sorted_keys, first, inverse, counts = np.unique(
@@ -428,7 +428,7 @@ def _slot_depths(ratios: RatioSequence, n: int) -> np.ndarray:
         cornered = e != 0
         base = depth[:, None] * l + l * cornered
         inward = (j == 0) | (j == e)
-        entry = np.where(inward, e, (j + 1) % 4 + 1).reshape(-1)
+        entry = np.where(inward, e, (j + 1) % 4 + 1).reshape(-1)  # opposite(j)
         depth = np.where(
             j == 0, base - cornered, np.where(j == e, base - 2 * m - 1, base + 2 * m - 1)
         ).reshape(-1)

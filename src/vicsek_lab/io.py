@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
-from itertools import chain
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -62,19 +61,16 @@ def json_text(obj: Any, depth: int = 0) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True, default=_jsonify)``, byte for byte.
 
     The standard encoder takes its pure-Python path whenever it indents.
-    Here int arrays, lists of ints and rectangular lists of int lists, which
-    make up the geometry dumps, are rendered with one join or one format each.
+    Integer arrays, which make up the geometry dumps, are rendered here with
+    one format call each.
     """
     if isinstance(obj, np.ndarray) and obj.dtype.kind in "iu" and obj.size and 1 <= obj.ndim <= 2:
-        return _int_rows(obj.ravel().tolist(), obj.shape[1] if obj.ndim == 2 else 0, depth)
+        return _int_rows(obj, depth)
     pad = "\n" + "  " * (depth + 1)
     end = "\n" + "  " * depth
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        width = _int_width(obj)
-        if width is not None:
-            return _int_rows(list(chain.from_iterable(obj)) if width else obj, width, depth)
         items = (json_text(v, depth + 1) for v in obj)
         return "[" + pad + ("," + pad).join(items) + end + "]"
     if isinstance(obj, dict):
@@ -93,24 +89,12 @@ def _json_key(k) -> str:
     return json.dumps(k if isinstance(k, str) else json.dumps(k))
 
 
-def _int_width(obj: list | tuple) -> int | None:
-    """0 for a list of ints, the row length for a rectangular list of
-    non-empty int lists, else None.  Bools do not count as ints."""
-    if set(map(type, obj)) == {int}:
-        return 0
-    width = len(obj[0]) if isinstance(obj[0], (list, tuple)) else 0
-    if width and all(isinstance(r, (list, tuple)) and len(r) == width for r in obj):
-        if set(map(type, chain.from_iterable(obj))) == {int}:
-            return width
-    return None
-
-
-def _int_rows(flat: Sequence[int], width: int, depth: int) -> str:
-    """Indented JSON of ``flat`` as a list (width 0) or as rows of ``width``."""
+def _int_rows(a: np.ndarray, depth: int) -> str:
+    """Indented JSON of a non-empty 1-D or 2-D integer array."""
     pad = "\n" + "  " * (depth + 1)
-    end = "\n" + "  " * depth + "]"
-    if not width:
-        return "[" + pad + ("," + pad).join(map(str, flat)) + end
-    cell = "\n" + "  " * (depth + 2)
-    row = "[" + cell + ("," + cell).join(["%d"] * width) + pad + "]"
-    return ("[" + pad + ("," + pad).join([row] * (len(flat) // width)) + end) % tuple(flat)
+    item = "%d"
+    if a.ndim == 2:
+        cell = "\n" + "  " * (depth + 2)
+        item = "[" + cell + ("," + cell).join([item] * a.shape[1]) + pad + "]"
+    text = "[" + pad + ("," + pad).join([item] * len(a)) + "\n" + "  " * depth + "]"
+    return text % tuple(a.ravel().tolist())
