@@ -29,8 +29,7 @@ from .measure import derived_constants, scale_values
 from .ratios import RatioSequence, p_is_integer
 from .energy import (
     AffineFunction,
-    discrete_energy_exact,
-    discrete_energy_float,
+    energy_levels_multi,
     float_values_at,
     scaled_values_at,
 )
@@ -221,17 +220,17 @@ def besov_seminorm(
 # ---------------------------------------------------------------------------
 
 
-def _edge_power_sums(hier: Hierarchy, u: AffineFunction, p, max_scale: int, exact: bool):
-    """E_{p,n} for n = 0..N (exact Fractions when possible, else floats)."""
-    out = []
-    for n in range(max_scale + 1):
-        level = hier.level(n)
-        if exact:
-            den, ints = scaled_values_at(hier, u, n)
-            out.append(discrete_energy_exact(level, den, ints, int(p)))
-        else:
-            out.append(discrete_energy_float(level, float_values_at(hier, u, n), float(p)))
-    return out
+def base_energies(
+    hier: Hierarchy, u: AffineFunction, p, max_scale: int, exact: Optional[bool] = None
+) -> list:
+    """E_{p,n} = E_n^{beta*} for n = 0..N: Fractions if ``exact``, else floats.
+
+    They do not depend on beta, so one set serves every profile of (u, p).
+    ``exact`` defaults to exact arithmetic for integer p.
+    """
+    if exact is None:
+        exact = p_is_integer(p)
+    return energy_levels_multi(hier, u, (p,), max_scale, exact)[p]
 
 
 def _log_phi(ratios: RatioSequence, n: int) -> float:
@@ -265,6 +264,7 @@ def discrete_profiles(
     max_scale: int,
     tail: Optional[str] = None,
     exact: Optional[bool] = None,
+    energies: Optional[Sequence] = None,
 ) -> DiscreteBetaProfile:
     """E_n^beta for n <= N plus the sup and sum aggregates.
 
@@ -272,6 +272,8 @@ def discrete_profiles(
     phi(rho_n)^{1-beta/beta*} * E_plateau, valid because the base energies
     of an affine function are exactly constant beyond the base level; it
     requires beta < beta* and a ratio sequence extendable beyond the prefix.
+    ``energies``, when given, are ``base_energies(hier, u, p, max_scale,
+    ...)`` computed once for several betas; their type fixes the arithmetic.
     """
     if beta < 0:
         raise InvalidArgumentError(f"beta must be >= 0, got {beta}")
@@ -279,10 +281,10 @@ def discrete_profiles(
         raise InvalidArgumentError(f"unknown tail mode {tail!r}")
     ratios = hier.ratios
     beta_star = float(ratios.beta_star)
-    exactable = p_is_integer(p)
-    if exact is None:
-        exact = exactable
-    base = _edge_power_sums(hier, u, p, max_scale, exact)
+    if energies is None:
+        energies = base_energies(hier, u, p, max_scale, exact)
+    base = list(energies)
+    exact = isinstance(base[0], Fraction)
     at_star = float(beta) == beta_star
     if at_star:
         beta_energies = list(base)
@@ -350,18 +352,13 @@ def jump_kernel_energy(
     ratios = hier.ratios
     at_star = float(beta) == float(ratios.beta_star)
     if at_star and p_is_integer(p):
+        # sum |du|^p over the level-n edges is E_{p,n} / L_n^{p-1}
+        pi = int(p)
+        scales = ratios.with_p(pi)
         total = Fraction(0)
-        for n in range(max_scale + 1):
-            level = hier.level(n)
-            den, ints = scaled_values_at(hier, u, n)
-            tails, heads = level._edge_lists()
-            s = sum(
-                (ints[heads[e]] - ints[tails[e]]) ** 2
-                if int(p) == 2
-                else abs(ints[heads[e]] - ints[tails[e]]) ** int(p)
-                for e in range(level.num_edges)
-            )
-            total += Fraction(level.L ** (int(p) - 1) * s, den ** int(p))
+        for n, e in enumerate(base_energies(hier, u, pi, max_scale, exact=True)):
+            rho, psi, phi = scale_values(scales, n)
+            total += 2 ** (pi - 1) * psi / phi * e / hier.level(n).L ** (pi - 1)
         return total
     pf = float(p)
     total = 0.0
@@ -408,6 +405,7 @@ def bbm_curve(
     max_scale: int,
     tail: Optional[str] = "plateau",
     bracket_tol: float = 1e-9,
+    exact: Optional[bool] = None,
 ) -> BBMCurve:
     """(beta* - beta) E_{p,p}^beta for beta = beta* - epsilon, with brackets.
 
@@ -416,7 +414,8 @@ def bbm_curve(
     the plateau level, the value lies in
     [eps E phi(rho_n0)^delta / (1 - sup_t^-delta),
      eps E phi(rho_0)^delta / (1 - inf_t^-delta)].
-    As eps -> 0 both ends converge to E beta* / log t.
+    As eps -> 0 both ends converge to E beta* / log t.  The energies
+    E_{p,n} are computed once, exact by default for integer p.
     """
     ratios = hier.ratios
     beta_star = float(ratios.beta_star)
@@ -426,13 +425,13 @@ def bbm_curve(
                 f"epsilon must lie in (0, beta_star), got {eps}"
             )
     consts = derived_constants(ratios.with_p(p))
-    base = _edge_power_sums(hier, u, p, max_scale, p_is_integer(p))
+    base = base_energies(hier, u, p, max_scale, exact)
     E = float(base[max_scale])
     n0 = u.base_level
     points = []
     for eps in epsilons:
         beta = beta_star - eps
-        prof = discrete_profiles(hier, u, p, beta, max_scale, tail=tail)
+        prof = discrete_profiles(hier, u, p, beta, max_scale, tail=tail, energies=base)
         value = eps * float(prof.sum_energy)
         delta = eps / beta_star
         lo = (
@@ -480,9 +479,10 @@ def critical_sweep(
 ) -> list[SweepRow]:
     """Classify E_n^beta trends across a beta grid around beta*."""
     beta_star = float(hier.ratios.beta_star)
+    base = base_energies(hier, u, p, max_scale)
     rows = []
     for beta in beta_grid:
-        prof = discrete_profiles(hier, u, p, beta, max_scale)
+        prof = discrete_profiles(hier, u, p, beta, max_scale, energies=base)
         vals = [float(x) for x in prof.beta_energies]
         growth = tuple(
             math.exp((1.0 - beta / beta_star) * _log_phi(hier.ratios, n))

@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .besov import (
     ball_energies,
+    base_energies,
     bbm_curve,
     discrete_profiles,
     phi_profile,
@@ -191,6 +192,11 @@ def _hierarchy(config: ExperimentConfig) -> Hierarchy:
     return Hierarchy(ratios, max(config.vertex_level, config.depth + 1), budget=config.cell_budget)
 
 
+def _rational(config: ExperimentConfig) -> bool:
+    """Whether exact arithmetic is allowed: rational mode and integer p."""
+    return config.mode == "rational" and p_is_integer(config.p)
+
+
 def _suite(config: ExperimentConfig, hier: Hierarchy):
     funcs = [("ramp", diagonal_ramp())]
     funcs += [(f"seed{{{s}}}", random_affine(hier, s)) for s in config.seeds]
@@ -223,7 +229,7 @@ def _cmd_energy(config: ExperimentConfig, out: Path, meta: str, pool: OrderedPoo
 
 def _cmd_energy_measure(config: ExperimentConfig, out: Path, meta: str, pool: OrderedPool) -> int:
     hier = _hierarchy(config)
-    exact = config.mode == "rational" and p_is_integer(config.p)
+    exact = _rational(config)
     u = diagonal_ramp()
     depth = min(config.depth, 3)
     gm = gamma_cells(hier, u, config.p, 1, exact=exact)
@@ -263,20 +269,22 @@ def _cmd_besov(config: ExperimentConfig, out: Path, meta: str, pool: OrderedPool
     hier = _hierarchy(config)
     u = diagonal_ramp()
     m = config.vertex_level
+    rational = _rational(config)
     energies = {}  # I_{m,n}, computed once per arithmetic the profiles use
 
     def energies_at(beta):
-        exact = profile_is_exact(hier, config.p, beta, m)
+        exact = rational and profile_is_exact(hier, config.p, beta, m)
         if exact not in energies:
             energies[exact] = ball_energies(hier, u, config.p, m, config.depth, exact)
         return energies[exact]
 
+    base = base_energies(hier, u, config.p, config.depth, exact=rational)
     rows = []
     for beta in config.beta_grid:
         prof = phi_profile(
             hier, u, config.p, beta, m, config.depth, energies=energies_at(beta)
         )
-        dprof = discrete_profiles(hier, u, config.p, beta, config.depth)
+        dprof = discrete_profiles(hier, u, config.p, beta, config.depth, energies=base)
         for n in range(config.depth + 1):
             rows.append(
                 (
@@ -319,7 +327,10 @@ def _cmd_besov(config: ExperimentConfig, out: Path, meta: str, pool: OrderedPool
 def _cmd_bbm(config: ExperimentConfig, out: Path, meta: str, pool: OrderedPool) -> int:
     hier = _hierarchy(config)
     u = diagonal_ramp()
-    curve = bbm_curve(hier, u, config.p, list(config.epsilons), config.depth, tail="plateau")
+    curve = bbm_curve(
+        hier, u, config.p, list(config.epsilons), config.depth, tail="plateau",
+        exact=_rational(config),
+    )
     rows = [
         (pt.epsilon, pt.beta, pt.value, pt.bracket_low, pt.bracket_high, pt.within_bracket)
         for pt in curve.points
@@ -414,7 +425,7 @@ def _cmd_selftest(config: ExperimentConfig, out: Path, meta: str, pool: OrderedP
     write_csv(out / "selftest_report.csv", ("check", "ok", "detail"), rows, meta)
     failed = [name for name, ok, _ in checks if not ok]
     for name, ok, detail in checks:
-        print(f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  [{detail}]" if detail and not ok else ""))
+        print(f"{'PASS' if ok else 'FAIL'}  {name}" + (f"  [{detail}]" if detail else ""))
     if failed:
         print(f"{len(failed)} selftest check(s) failed: {failed}", file=sys.stderr)
         return 1

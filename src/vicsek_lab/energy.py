@@ -120,61 +120,88 @@ def _check_function(hier: Hierarchy, u: AffineFunction) -> None:
         )
 
 
+# Exact values are int64 while every value is below 2^62 in magnitude, so
+# every edge difference fits too; larger ones are Python ints in object
+# arrays, through the same code.
+_INT64_BOUND = 2**62
+
+
+def _int_array(ints: Sequence[int], growth: int = 1) -> np.ndarray:
+    """Integers as an array: int64 if max |v| * growth < 2^62, else object."""
+    bound = max(map(abs, ints), default=0) * growth
+    return np.array(ints, dtype=np.int64 if bound < _INT64_BOUND else object)
+
+
+def _level_values(hier: Hierarchy, u: AffineFunction, start: int, stop: int, exact: bool):
+    """(n, values of u on V_n) for n = start..stop, extending one level at a time.
+
+    Exact values are (den, integer array), with the dtype chosen once for
+    the deepest level; float values are float64 arrays.  Below the base
+    level the values are restrictions through the lift maps.
+    """
+    _check_function(hier, u)
+    base = u.base_level
+    if exact:
+        den, ints = u.scaled()
+        growth = hier.ratios.length_product(max(stop, base)) // hier.ratios.length_product(base)
+        vals = _int_array(ints, growth)
+    else:
+        den, vals = None, np.array([float(v) for v in u.values], dtype=np.float64)
+    cur, cur_den, k = vals, den, base
+    for n in range(start, stop + 1):
+        if n < base:
+            idx = np.arange(hier.level(n).num_vertices, dtype=np.int64)
+            for j in range(n, base):
+                idx = hier.lift_ids(j)[idx]
+            out, out_den = vals[idx], den
+        else:
+            while k < n:
+                if exact:
+                    cur, cur_den = _extend_exact(hier, cur, cur_den, k)
+                else:
+                    cur = _extend_float_step(hier, cur, k)
+                k += 1
+            out, out_den = cur, cur_den
+        yield n, ((out_den, out) if exact else out)
+
+
+def _exact_values(hier: Hierarchy, u: AffineFunction, n: int) -> tuple[int, np.ndarray]:
+    """(den, integer array) of u on V_n."""
+    return next(_level_values(hier, u, n, n, exact=True))[1]
+
+
 def scaled_values_at(hier: Hierarchy, u: AffineFunction, n: int) -> tuple[int, list[int]]:
     """Exact values on V_n as integers over a common denominator."""
-    _check_function(hier, u)
-    den, ints = u.scaled()
-    base = u.base_level
-    if n <= base:
-        idx = list(range(hier.level(n).num_vertices))
-        for k in range(n, base):
-            lift = hier.lift_ids(k)
-            idx = [int(lift[i]) for i in idx]
-        return den, [ints[i] for i in idx]
-    vals = ints
-    for k in range(base, n):
-        vals, den = _extend_exact(hier, vals, den, k)
-    return den, vals
+    den, vals = _exact_values(hier, u, n)
+    return den, vals.tolist()
 
 
-def _extend_exact(hier: Hierarchy, vals: list[int], den: int, k: int):
-    ratios = hier.ratios
-    l = ratios.ratio(k + 1)
-    fine = hier.level(k + 1)
-    lift, interior, hang = hier._lift[k], hier._interior[k], hier._hang[k]
+def _extend_exact(hier: Hierarchy, vals, den: int, k: int):
+    """Integer values on V_k over ``den`` -> values on V_{k+1} over den * l.
+
+    The pass of ``_extend_float_step`` in integers.  An int64 array must
+    keep max |v| * l below 2^62; a list gets int64 or object by that rule.
+    """
+    l = hier.ratios.ratio(k + 1)
+    if not isinstance(vals, np.ndarray):
+        vals = _int_array(vals, l)
+    t = hier.transition(k)
     coarse = hier.level(k)
-    new = [0] * fine.num_vertices
-    lift_l = hier._lists(k, "lift")
-    for i, nid in enumerate(lift_l):
-        new[nid] = vals[i] * l
-    tails = hier._lists(k, "tails")
-    heads = hier._lists(k, "heads")
-    interior_l = hier._lists(k, "interior")
-    for e in range(coarse.num_edges):
-        vt = vals[tails[e]]
-        d = vals[heads[e]] - vt
-        base_v = vt * l
-        row = interior_l[e]
-        for i in range(1, l):
-            new[row[i - 1]] = base_v + i * d
-    for v, par in hier._lists(k, "hang"):
-        new[v] = new[par]
+    new = np.empty(hier.level(k + 1).num_vertices, dtype=vals.dtype)
+    new[t.lift] = vals * l
+    vt = vals[coarse.edge_tail]
+    d = vals[coarse.edge_head] - vt
+    vt = vt * l
+    for i in range(1, l):
+        new[t.interior[:, i - 1]] = vt + i * d
+    for lo, hi in t.waves:
+        new[t.hang[lo:hi, 0]] = new[t.hang[lo:hi, 1]]
     return new, den * l
 
 
 def float_values_at(hier: Hierarchy, u: AffineFunction, n: int) -> np.ndarray:
     """Values on V_n as float64 (exact for dyadic inputs at shallow depth)."""
-    _check_function(hier, u)
-    base = u.base_level
-    vals = np.array([float(v) for v in u.values], dtype=np.float64)
-    if n <= base:
-        idx = np.arange(hier.level(n).num_vertices, dtype=np.int64)
-        for k in range(n, base):
-            idx = hier.lift_ids(k)[idx]
-        return vals[idx]
-    for k in range(base, n):
-        vals = _extend_float_step(hier, vals, k)
-    return vals
+    return next(_level_values(hier, u, n, n, exact=False))[1]
 
 
 def exact_values_at(hier: Hierarchy, u: AffineFunction, n: int) -> list[Fraction]:
@@ -188,8 +215,8 @@ def evaluate_affine(hier: Hierarchy, u: AffineFunction, n: int, vertex_id: int) 
         raise LevelError(
             f"evaluation level {n} below the base level {u.base_level}"
         )
-    den, ints = scaled_values_at(hier, u, n)
-    return Fraction(ints[vertex_id], den)
+    den, vals = _exact_values(hier, u, n)
+    return Fraction(int(vals[vertex_id]), den)
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +255,29 @@ def _region_edge_indices(
     return np.flatnonzero(np.isin(anc, np.asarray(sorted(set(idx)), dtype=np.int64)))
 
 
-def _int_power_sum(diffs: Iterable[int], p: int) -> int:
-    if p == 2:
-        return sum(d * d for d in diffs)
-    return sum(abs(d) ** p for d in diffs)
+def _power_sums(d: np.ndarray, ps: Sequence[int]) -> list[int]:
+    """sum |d|^p over an integer array, exactly, for each p in ``ps``.
+
+    Equal |d| are grouped first and each power is taken once per distinct
+    value in Python ints, so no power can overflow.
+    """
+    values, counts = np.unique(np.abs(d), return_counts=True)
+    pairs = list(zip(values.tolist(), counts.tolist()))
+    return [sum(c * v**p for v, c in pairs) for p in ps]
+
+
+def _exact_energies(
+    level: VicsekLevel, den: int, vals: np.ndarray, ps: Sequence[int], sel=None
+) -> list[Fraction]:
+    """(1/2) (prod l_j^{p-1}) * sum over ordered adjacent pairs |du|^p, per p.
+
+    ``vals`` are integer values over ``den``; ``sel`` picks a subset of edges.
+    """
+    tails, heads = level.edge_tail, level.edge_head
+    if sel is not None:
+        tails, heads = tails[sel], heads[sel]
+    sums = _power_sums(vals[heads] - vals[tails], ps)
+    return [Fraction(level.L ** (p - 1) * s, den**p) for p, s in zip(ps, sums)]
 
 
 def discrete_energy_exact(
@@ -242,17 +288,12 @@ def discrete_energy_exact(
     region: Optional[Iterable] = None,
     region_level: Optional[int] = None,
 ) -> Fraction:
-    """(1/2) (prod l_j^{p-1}) * sum over ordered adjacent pairs |du|^p, exact."""
+    """The exact level energy of integer values over ``den`` (list or array)."""
     if not (isinstance(p, int) and p > 1):
         raise InvalidArgumentError(f"exact energies need integer p > 1, got {p}")
     sel = _region_edge_indices(level, region, region_level)
-    tails, heads = level._edge_lists()
-    if sel is None:
-        diffs = (ints[heads[e]] - ints[tails[e]] for e in range(level.num_edges))
-    else:
-        diffs = (ints[heads[e]] - ints[tails[e]] for e in sel.tolist())
-    s = _int_power_sum(diffs, p)
-    return Fraction(level.L ** (p - 1) * s, den**p)
+    vals = ints if isinstance(ints, np.ndarray) else _int_array(ints)
+    return _exact_energies(level, den, vals, (p,), sel)[0]
 
 
 def discrete_energy_float(
@@ -319,9 +360,8 @@ def gradient_field(hier: Hierarchy, u: AffineFunction, n: int, exact: bool = Tru
         )
     level = hier.level(n)
     if exact:
-        den, ints = scaled_values_at(hier, u, n)
-        tails, heads = level._edge_lists()
-        diffs = tuple(ints[heads[e]] - ints[tails[e]] for e in range(level.num_edges))
+        den, vals = _exact_values(hier, u, n)
+        diffs = tuple((vals[level.edge_head] - vals[level.edge_tail]).tolist())
         return GradientField(n, level.L, den=den, ints=diffs)
     vals = float_values_at(hier, u, n)
     return GradientField(
@@ -334,7 +374,7 @@ def energy_of_gradient(g: GradientField, p) -> Fraction | float:
     L = g.length_product
     if g.ints is not None and p_is_integer(p):
         pi = int(p)
-        s = _int_power_sum(g.ints, pi)
+        s = _power_sums(_int_array(g.ints), (pi,))[0]
         # |i * L / den|^p * (1/L) summed
         return Fraction(s * L ** (pi - 1), g.den**pi)
     slopes = g.array * float(L) if g.array is not None else [float(x) for x in g.slopes()]
@@ -377,52 +417,19 @@ def energy_levels_multi(
     Values are extended level by level once; per-level edge differences are
     shared across exponents.  Exact mode needs integer exponents.
     """
-    _check_function(hier, u)
-    base = u.base_level
-    out = {p: [] for p in ps}
     if exact:
-        den, ints = u.scaled()
         for p in ps:
             if not (isinstance(p, int) or (isinstance(p, float) and p.is_integer())):
                 raise InvalidArgumentError(f"exact sweep needs integer p, got {p}")
-        cur_den, cur = den, ints
-        cur_level = base
-        for n in range(max_level + 1):
-            if n < base:
-                idx = list(range(hier.level(n).num_vertices))
-                for k in range(n, base):
-                    lift = hier._lists(k, "lift")
-                    idx = [lift[i] for i in idx]
-                vals_n, den_n = [ints[i] for i in idx], den
-            else:
-                while cur_level < n:
-                    cur, cur_den = _extend_exact(hier, cur, cur_den, cur_level)
-                    cur_level += 1
-                vals_n, den_n = cur, cur_den
-            level = hier.level(n)
-            tails, heads = level._edge_lists()
-            diffs = [vals_n[heads[e]] - vals_n[tails[e]] for e in range(level.num_edges)]
-            for p in ps:
-                pi = int(p)
-                s = _int_power_sum(diffs, pi)
-                out[p].append(Fraction(level.L ** (pi - 1) * s, den_n**pi))
-        return out
-    vals_f = np.array([float(v) for v in u.values], dtype=np.float64)
-    cur = vals_f
-    cur_level = base
-    for n in range(max_level + 1):
-        if n < base:
-            idx = np.arange(hier.level(n).num_vertices, dtype=np.int64)
-            for k in range(n, base):
-                idx = hier.lift_ids(k)[idx]
-            vals_n = vals_f[idx]
-        else:
-            while cur_level < n:
-                cur = _extend_float_step(hier, cur, cur_level)
-                cur_level += 1
-            vals_n = cur
+    out = {p: [] for p in ps}
+    int_ps = [int(p) for p in ps] if exact else None
+    for n, values in _level_values(hier, u, 0, max_level, exact):
         level = hier.level(n)
-        d = np.abs(vals_n[level.edge_head] - vals_n[level.edge_tail])
+        if exact:
+            for p, e in zip(ps, _exact_energies(level, *values, int_ps)):
+                out[p].append(e)
+            continue
+        d = np.abs(values[level.edge_head] - values[level.edge_tail])
         for p in ps:
             pf = float(p)
             out[p].append(
@@ -433,18 +440,16 @@ def energy_levels_multi(
 
 def _extend_float_step(hier: Hierarchy, vals: np.ndarray, k: int) -> np.ndarray:
     l = hier.ratios.ratio(k + 1)
-    fine = hier.level(k + 1)
+    t = hier.transition(k)
     coarse = hier.level(k)
-    new = np.empty(fine.num_vertices, dtype=np.float64)
-    new[hier._lift[k]] = vals
+    new = np.empty(hier.level(k + 1).num_vertices, dtype=np.float64)
+    new[t.lift] = vals
     vt = vals[coarse.edge_tail]
     dh = vals[coarse.edge_head] - vt
-    interior = hier._interior[k]
     for i in range(1, l):
-        new[interior[:, i - 1]] = vt + (i / l) * dh
-    hang = hier._hang[k]
-    for lo, hi in hier.hang_waves(k):
-        new[hang[lo:hi, 0]] = new[hang[lo:hi, 1]]
+        new[t.interior[:, i - 1]] = vt + (i / l) * dh
+    for lo, hi in t.waves:
+        new[t.hang[lo:hi, 0]] = new[t.hang[lo:hi, 1]]
     return new
 
 
@@ -472,18 +477,15 @@ def energy_limit(
     if start > max_level:
         raise RegionError("region level exceeds max level")
     energies = []
-    for n in range(start, max_level + 1):
+    for n, values in _level_values(hier, u, start, max_level, exact):
         level = hier.level(n)
         if exact:
-            den, ints = scaled_values_at(hier, u, n)
             energies.append(
-                discrete_energy_exact(level, den, ints, int(p), region_words, region_level)
+                discrete_energy_exact(level, *values, int(p), region_words, region_level)
             )
         else:
             energies.append(
-                discrete_energy_float(
-                    level, float_values_at(hier, u, n), p, region_words, region_level
-                )
+                discrete_energy_float(level, values, p, region_words, region_level)
             )
     plateau = None
     for i in range(len(energies) - 1):
@@ -654,8 +656,8 @@ def morrey_constant(hier: Hierarchy, u: AffineFunction, p, n: int, energy=None) 
     """
     p = float(p)
     if energy is None:
-        den, ints = scaled_values_at(hier, u, max(n, u.base_level))
-        energy = discrete_energy_exact(hier.level(max(n, u.base_level)), den, ints, int(p))
+        den, vals = _exact_values(hier, u, max(n, u.base_level))
+        energy = discrete_energy_exact(hier.level(max(n, u.base_level)), den, vals, int(p))
     E = float(energy)
     if E == 0.0:
         return 0.0
@@ -695,27 +697,29 @@ def spectral_gap_constant(hier: Hierarchy, u: AffineFunction, p, n: int, energy=
     return lhs / (2.0 ** (p - 1.0) * E)
 
 
-def clarkson_residual(hier: Hierarchy, f: AffineFunction, g: AffineFunction, p, n: int):
+def clarkson_residual(
+    hier: Hierarchy, f: AffineFunction, g: AffineFunction, p, n: int, energies=None
+):
     """Signed residual of the p-Clarkson inequality at level n.
 
     Returns (residual, ok): residual = E(f+g) + E(f-g) - 2 (E(f)^{1/(p-1)}
     + E(g)^{1/(p-1)})^{p-1}; 'ok' checks the sign required by the case
-    split (>= 0 for p <= 2, <= 0 for p >= 2; both at p = 2).
+    split (>= 0 for p <= 2, <= 0 for p >= 2; both at p = 2).  ``energies``,
+    when given, are (E(f), E(g)) at level n.
     """
     pf = float(p)
     fs = add(hier, f, g)
     fd = subtract(hier, f, g)
     if p_is_integer(p):
         E = lambda w: float(
-            discrete_energy_exact(
-                hier.level(n), *scaled_values_at(hier, w, n), int(p)
-            )
+            discrete_energy_exact(hier.level(n), *_exact_values(hier, w, n), int(p))
         )
     else:
         E = lambda w: discrete_energy_float(hier.level(n), float_values_at(hier, w, n), pf)
     lhs = E(fs) + E(fd)
     q = 1.0 / (pf - 1.0)
-    rhs = 2.0 * (E(f) ** q + E(g) ** q) ** (pf - 1.0)
+    Ef, Eg = (E(f), E(g)) if energies is None else map(float, energies)
+    rhs = 2.0 * (Ef ** q + Eg ** q) ** (pf - 1.0)
     residual = lhs - rhs
     slack = 1e-9 * max(1.0, abs(lhs), abs(rhs))
     if pf < 2.0:
@@ -775,8 +779,7 @@ def energy_property_checks(
 
     def E_of(w: AffineFunction):
         if exact:
-            den, ints = scaled_values_at(hier, w, n)
-            return discrete_energy_exact(level, den, ints, int(p))
+            return discrete_energy_exact(level, *_exact_values(hier, w, n), int(p))
         return discrete_energy_float(level, float_values_at(hier, w, n), float(p))
 
     Eu = E_of(u)
@@ -817,7 +820,7 @@ def energy_property_checks(
         loc_lhs == loc_rhs if exact else abs(loc_lhs - loc_rhs) <= 1e-12 * max(1.0, abs(loc_rhs))
     )
 
-    res, ok = clarkson_residual(hier, u, v, p, n)
+    res, ok = clarkson_residual(hier, u, v, p, n, energies=(Eu, Ev))
     return PropertyCheckReport(
         p=p,
         level=n,

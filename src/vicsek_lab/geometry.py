@@ -11,9 +11,11 @@ arithmetic: the true squared distance of two points at common scale n is
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -448,6 +450,21 @@ def build_level(
     return VicsekLevel(ratios, n, budget)
 
 
+class Transition(NamedTuple):
+    """How values on V_k extend to V_{k+1}.
+
+    ``lift[i]`` is the level-(k+1) id of level-k vertex i; row e of
+    ``interior`` holds the l - 1 points strictly inside coarse edge e, tail
+    to head; ``hang`` has rows (vertex, parent) in search order, and
+    ``waves`` the row ranges of ``hang`` whose parents are all already valued.
+    """
+
+    lift: np.ndarray
+    interior: np.ndarray
+    hang: np.ndarray
+    waves: list[tuple[int, int]]
+
+
 class Hierarchy:
     """Levels 0..N of one ratio sequence plus the refinement maps between them.
 
@@ -457,65 +474,62 @@ class Hierarchy:
     how the remaining hanging vertices attach to the already-valued set.
     Value extension then reduces to table-driven passes, shared by exact and
     floating-point arithmetic.
+
+    The constructor only checks the cell budget of every level; a level and
+    a transition are built on first use and then kept.
     """
 
     def __init__(self, ratios: RatioSequence, max_level: int, budget: int = DEFAULT_CELL_BUDGET):
+        for k in range(max_level + 1):
+            num_cells = ratios.num_words(k)
+            if num_cells > budget:
+                raise DepthBudgetError(k, num_cells, budget)
         self.ratios = ratios
         self.max_level = max_level
-        self.levels = [build_level(ratios, k, budget) for k in range(max_level + 1)]
-        self._lift: list[np.ndarray] = []
-        self._interior: list[np.ndarray] = []
-        self._hang: list[np.ndarray] = []  # rows (vertex, parent) in BFS order
-        self._hang_waves: list[list[tuple[int, int]]] = []
-        self._list_cache: dict[tuple[int, str], list] = {}
-        for k in range(max_level):
-            lift, interior, hang, waves = self._transition_maps(k)
-            self._lift.append(lift)
-            self._interior.append(interior)
-            self._hang.append(hang)
-            self._hang_waves.append(waves)
+        self.budget = budget
+        self._levels: dict[int, VicsekLevel] = {}
+        self._transitions: dict[int, Transition] = {}
+        self._build_lock = threading.RLock()  # one build per level across threads
 
     def level(self, k: int) -> VicsekLevel:
         if not 0 <= k <= self.max_level:
             raise LevelError(f"level {k} not built (max {self.max_level})")
-        return self.levels[k]
+        with self._build_lock:
+            lv = self._levels.get(k)
+            if lv is None:
+                lv = self._levels[k] = build_level(self.ratios, k, self.budget)
+        return lv
+
+    @property
+    def levels(self) -> list[VicsekLevel]:
+        """Every level 0..max_level, building those not built yet."""
+        return [self.level(k) for k in range(self.max_level + 1)]
+
+    def transition(self, k: int) -> Transition:
+        """The refinement maps k -> k+1, built on first use."""
+        if not 0 <= k < self.max_level:
+            raise LevelError(f"transition {k} -> {k + 1} not in 0..{self.max_level}")
+        with self._build_lock:
+            t = self._transitions.get(k)
+            if t is None:
+                # build both levels first, so the maps' own time stands alone
+                self.level(k)
+                self.level(k + 1)
+                t = self._transitions[k] = Transition(*self._transition_maps(k))
+        return t
 
     def lift_ids(self, k: int) -> np.ndarray:
         """Id at level k+1 of each level-k vertex (same geometric point)."""
-        return self._lift[k]
+        return self.transition(k).lift
 
     def vertex_id_at(self, k_from: int, vid: int, k_to: int) -> int:
         for k in range(k_from, k_to):
-            vid = int(self._lift[k][vid])
+            vid = int(self.lift_ids(k)[vid])
         return vid
 
-    def hang_waves(self, k: int) -> list[tuple[int, int]]:
-        """Row ranges of the hang table whose parents are all already valued."""
-        return self._hang_waves[k]
-
-    def _lists(self, k: int, name: str) -> list:
-        """Cached plain-list views of the transition tables (exact-mode loops)."""
-        key = (k, name)
-        out = self._list_cache.get(key)
-        if out is None:
-            if name == "lift":
-                out = self._lift[k].tolist()
-            elif name == "interior":
-                out = self._interior[k].tolist()
-            elif name == "hang":
-                out = self._hang[k].tolist()
-            elif name == "tails":
-                out = self.levels[k].edge_tail.tolist()
-            elif name == "heads":
-                out = self.levels[k].edge_head.tolist()
-            else:
-                raise KeyError(name)
-            self._list_cache[key] = out
-        return out
-
     def _transition_maps(self, k: int):
-        coarse = self.levels[k]
-        fine = self.levels[k + 1]
+        coarse = self.level(k)
+        fine = self.level(k + 1)
         l = self.ratios.ratio(k + 1)
 
         lift = fine._ids_of(coarse.coords[:, 0] * l, coarse.coords[:, 1] * l)

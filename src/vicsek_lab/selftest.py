@@ -16,6 +16,7 @@ import numpy as np
 
 from .besov import (
     _log_phi,
+    base_energies,
     bbm_curve,
     discrete_profiles,
     jump_kernel_energy,
@@ -179,8 +180,9 @@ def run_selftest(config: ExperimentConfig, pool: OrderedPool) -> tuple[list[Chec
     # -- besov identities ---------------------------------------------------
     profiles = {}
     ok = True
+    base = base_energies(hier, u_star, p, N)
     for beta in config.beta_grid:
-        prof = discrete_profiles(hier, u_star, p, beta, N)
+        prof = discrete_profiles(hier, u_star, p, beta, N, energies=base)
         profiles[beta] = prof
         for n, (eb, estar) in enumerate(zip(prof.beta_energies, prof.base_energies)):
             expo = 1.0 - float(beta) / float(ratios.beta_star)

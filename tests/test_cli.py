@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
@@ -192,3 +193,81 @@ def test_besov_computes_each_ball_energy_once(tmp_path, monkeypatch, overrides, 
     }, meta)
     for name in ("besov_profiles.csv", "weak_monotonicity.json"):
         assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+
+def test_energy_budget_exceeded_exit_code(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"depth": 9, "vertex_level": 9, "cell_budget": 1000})
+    assert main(["energy", "--config", str(cfg), "--out", str(tmp_path / "art")]) == 2
+    assert "level 5 needs 3125 cells, budget is 1000" in capsys.readouterr().err
+
+
+def test_selftest_prints_details_on_pass(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    out = tmp_path / "art"
+    assert main(["selftest", "--config", str(cfg), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    # the detail is the rest of the line, commas included
+    rows = [
+        line.split(",", 2)
+        for line in (out / "selftest_report.csv").read_text().splitlines()[2:]
+    ]
+    assert any(detail for _, _, detail in rows)
+    for name, ok, detail in rows:
+        assert ok == "true"
+        assert f"PASS  {name}" + (f"  [{detail}]" if detail else "") in printed
+
+
+def _float_table(path: Path) -> list[list[float]]:
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return [
+        [1.0 if x == "true" else 0.0 if x == "false" else float(x) for x in row]
+        for row in list(csv.reader(lines))[1:]
+    ]
+
+
+def test_besov_and_bbm_honour_float_mode(tmp_path, monkeypatch):
+    # 501 vertices at the vertex level: rational mode is exact at beta*
+    path = write_config(tmp_path, {"depth": 1, "vertex_level": 3})
+    calls, seen = [], {}
+    pair_sum, multi = besov.ball_pair_sum, besov.energy_levels_multi
+
+    def spy_pairs(level, values, *args, **kwargs):
+        calls.append(("ball", isinstance(values, tuple)))
+        return pair_sum(level, values, *args, **kwargs)
+
+    def spy_levels(hier, u, ps, max_level, exact=True):
+        calls.append(("levels", exact))
+        return multi(hier, u, ps, max_level, exact)
+
+    monkeypatch.setattr(besov, "ball_pair_sum", spy_pairs)
+    monkeypatch.setattr(besov, "energy_levels_multi", spy_levels)
+    for mode in ("rational", "float"):
+        for cmd in ("besov", "bbm"):
+            calls.clear()
+            args = [cmd, "--config", str(path), "--out", str(tmp_path / mode)]
+            assert main(args + ["--mode", mode]) == 0
+            seen[mode, cmd] = list(calls)
+    # one sweep of the E_{p,n} per command, in the mode's arithmetic
+    for mode, exact in (("rational", True), ("float", False)):
+        for cmd in ("besov", "bbm"):
+            assert [c for c in seen[mode, cmd] if c[0] == "levels"] == [("levels", exact)]
+    assert {c for c in seen["rational", "besov"] if c[0] == "ball"} == {
+        ("ball", True), ("ball", False)
+    }
+    assert {c for c in seen["float", "besov"] if c[0] == "ball"} == {("ball", False)}
+
+    for name in ("besov_profiles.csv", "bbm_curve.csv"):
+        want = _float_table(tmp_path / "rational" / name)
+        got = _float_table(tmp_path / "float" / name)
+        assert len(got) == len(want) > 0
+        for a, b in zip(got, want):
+            assert a == pytest.approx(b, rel=1e-12, abs=1e-300), name
+    for name in ("weak_monotonicity.json", "bbm_summary.json"):
+        want = json.loads((tmp_path / "rational" / name).read_text())["data"]
+        got = json.loads((tmp_path / "float" / name).read_text())["data"]
+        assert got.keys() == want.keys(), name
+        for key, value in want.items():
+            if isinstance(value, bool):
+                assert got[key] is value, (name, key)
+            else:
+                assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-300), (name, key)

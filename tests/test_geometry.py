@@ -17,6 +17,7 @@ import pytest
 from vicsek_lab.errors import (
     DepthBudgetError,
     InvalidArgumentError,
+    LevelError,
     LookupError_,
     ScaleMismatchError,
 )
@@ -224,7 +225,8 @@ def test_cell_edges_and_index(hier3):
 
 
 def test_hierarchy_memory_is_bounded():
-    """Peak traced memory of Hierarchy(l=3, 7): 79 MB measured, capped at 120 MB."""
+    """Peak traced memory of every level and transition of Hierarchy(l=3, 7):
+    79 MB measured, capped at 120 MB."""
     import tracemalloc
 
     from vicsek_lab import geometry
@@ -232,8 +234,86 @@ def test_hierarchy_memory_is_bounded():
     geometry._prefix_centers.cache_clear()  # count the center tables too
     tracemalloc.start()
     try:
-        geometry.Hierarchy(constant_ratios(3, 12), 7)
+        hier = geometry.Hierarchy(constant_ratios(3, 12), 7)
+        for k in range(7):
+            hier.transition(k)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 120 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_hierarchy_builds_levels_on_first_use(monkeypatch):
+    from vicsek_lab import geometry
+    from vicsek_lab.energy import diagonal_ramp, energy_limit
+
+    built = []
+    real = geometry.build_level
+
+    def counting(ratios, n, budget=geometry.DEFAULT_CELL_BUDGET):
+        built.append(n)
+        return real(ratios, n, budget)
+
+    monkeypatch.setattr(geometry, "build_level", counting)
+    hier = geometry.Hierarchy(constant_ratios(3, 12), 8)
+    assert built == []
+    rep = energy_limit(hier, diagonal_ramp(), 2, 7)
+    assert rep.limit == Fraction(1, 2)
+    assert sorted(built) == list(range(8))  # each level once, none above 7
+    assert hier.level(7) is hier.level(7)
+    assert hier.transition(6) is hier.transition(6)
+    assert sorted(built) == list(range(8))
+
+    small = geometry.Hierarchy(constant_ratios(3, 12), 2)
+    assert [lv.n for lv in small.levels] == [0, 1, 2]
+
+
+def test_hierarchy_budget_checked_at_construction():
+    from vicsek_lab.geometry import Hierarchy
+
+    ratios = constant_ratios(3, 12)
+    with pytest.raises(DepthBudgetError) as lazy:
+        Hierarchy(ratios, 9, budget=1000)
+    with pytest.raises(DepthBudgetError) as eager:
+        build_level(ratios, 5, budget=1000)
+    assert str(lazy.value) == str(eager.value) == "level 5 needs 3125 cells, budget is 1000"
+    hier = Hierarchy(ratios, 4, budget=1000)
+    with pytest.raises(LevelError):
+        hier.level(5)
+    with pytest.raises(LevelError):
+        hier.transition(4)
+
+
+def test_hierarchy_builds_each_level_once_across_threads(monkeypatch):
+    import sys
+    import threading
+
+    from vicsek_lab import geometry
+
+    built = []
+    real = geometry.build_level
+
+    def counting(ratios, n, budget=geometry.DEFAULT_CELL_BUDGET):
+        built.append(n)
+        return real(ratios, n, budget)
+
+    monkeypatch.setattr(geometry, "build_level", counting)
+    hier = geometry.Hierarchy(constant_ratios(3, 12), 4)
+    got = []
+
+    def work():
+        got.append([hier.level(k) for k in range(5)] + [hier.transition(k) for k in range(4)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(built) == list(range(5))
+    assert len(got) == 6 and all(all(a is b for a, b in zip(g, got[0])) for g in got)

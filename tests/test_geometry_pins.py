@@ -39,13 +39,9 @@ def digest(a) -> str:
 
 
 def transition_table(hier: Hierarchy, name: str, k: int):
-    if name == "lift":
-        return hier.lift_ids(k)
-    if name == "interior":
-        return hier._interior[k]
-    if name == "hang":
-        return hier._hang[k]
-    return np.asarray(hier.hang_waves(k), dtype=np.int64).reshape(-1, 2)
+    if name == "hang_waves":
+        return np.asarray(hier.transition(k).waves, dtype=np.int64).reshape(-1, 2)
+    return getattr(hier.transition(k), name)
 
 
 @pytest.fixture(scope="module")

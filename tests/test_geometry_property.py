@@ -65,10 +65,11 @@ def test_levels_and_transitions_match_oracle(hier):
         lift, interior, hang, waves = oracle_transition(
             oracles[k], oracles[k + 1], hier.ratios.ratio(k + 1)
         )
-        assert np.array_equal(hier.lift_ids(k), lift)
-        assert np.array_equal(hier._interior[k], interior)
-        assert np.array_equal(hier._hang[k], hang)
-        assert hier.hang_waves(k) == waves
+        t = hier.transition(k)
+        assert np.array_equal(t.lift, lift)
+        assert np.array_equal(t.interior, interior)
+        assert np.array_equal(t.hang, hang)
+        assert t.waves == waves
 
 
 @given(hierarchies(), st.integers(0, 2**32 - 1))
