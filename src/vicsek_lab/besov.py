@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import InvalidArgumentError, LevelError, ScaleMismatchError
 from .geometry import Hierarchy, VicsekLevel
 from .measure import derived_constants, scale_values
@@ -346,31 +344,28 @@ def jump_kernel_energy(
 
     Each adjacent pair at level n carries kernel weight
     phi(rho_n)^(-beta/beta*) * 2^{p-1} * psi(rho_n); summing over levels
-    0..N reproduces sum_{n<=N} E_n^beta.  Exact at beta = beta* with
-    integer p (the weight reduces to L_n^{p-1}).
+    0..N reproduces sum_{n<=N} E_n^beta.  The sum of |du|^p over the
+    level-n edges is E_{p,n} / L_n^{p-1}, so the form is one pass over the
+    base energies.  Exact at beta = beta* with integer p, where the weight
+    is the exact 2^{p-1} psi / phi, so the identity checks the scale
+    constants rather than a sum against itself.
     """
     ratios = hier.ratios
-    at_star = float(beta) == float(ratios.beta_star)
-    if at_star and p_is_integer(p):
-        # sum |du|^p over the level-n edges is E_{p,n} / L_n^{p-1}
-        pi = int(p)
-        scales = ratios.with_p(pi)
-        total = Fraction(0)
-        for n, e in enumerate(base_energies(hier, u, pi, max_scale, exact=True)):
-            rho, psi, phi = scale_values(scales, n)
-            total += 2 ** (pi - 1) * psi / phi * e / hier.level(n).L ** (pi - 1)
-        return total
+    exact = float(beta) == float(ratios.beta_star) and p_is_integer(p)
+    # the exact weight takes phi at this p, the float one at the hierarchy's p
+    scales = ratios.with_p(p) if exact else ratios
     pf = float(p)
-    total = 0.0
-    for n in range(max_scale + 1):
-        level = hier.level(n)
-        vals = float_values_at(hier, u, n)
-        d = np.abs(vals[level.edge_head] - vals[level.edge_tail]) ** pf
-        rho, psi, phi = scale_values(ratios, n)
-        w = float(phi) ** (-float(beta) / float(ratios.beta_star)) * (
-            2.0 ** (pf - 1.0)
-        ) * float(psi)
-        total += w * math.fsum(d.tolist())
+    total = Fraction(0) if exact else 0.0
+    for n, e in enumerate(base_energies(hier, u, p, max_scale, exact)):
+        rho, psi, phi = scale_values(scales, n)
+        L = ratios.length_product(n)
+        if exact:
+            w = 2 ** (int(p) - 1) * psi / phi / L ** (int(p) - 1)
+        else:
+            w = float(phi) ** (-float(beta) / float(ratios.beta_star)) * (
+                2.0 ** (pf - 1.0)
+            ) * float(psi) / float(L) ** (pf - 1.0)
+        total += w * e
     return total
 
 

@@ -205,7 +205,7 @@ def _suite(config: ExperimentConfig, hier: Hierarchy):
 
 def _cmd_energy(config: ExperimentConfig, out: Path, meta: str, pool: OrderedPool) -> int:
     hier = _hierarchy(config)
-    exact = config.mode == "rational"
+    exact = _rational(config)
     funcs = _suite(config, hier)
 
     def one(item):
@@ -222,7 +222,7 @@ def _cmd_energy(config: ExperimentConfig, out: Path, meta: str, pool: OrderedPoo
 
     v1 = restrict_to_arm(hier, random_affine(hier, config.seeds[0]), 1)
     v3 = restrict_to_arm(hier, random_affine(hier, config.seeds[0]), 3)
-    checks = energy_property_checks(hier, v1, v3, config.p, config.depth)
+    checks = energy_property_checks(hier, v1, v3, config.p, config.depth, exact=exact)
     write_json(out / "property_checks.json", checks.to_json_dict(), meta)
     return 0
 
@@ -239,7 +239,7 @@ def _cmd_energy_measure(config: ExperimentConfig, out: Path, meta: str, pool: Or
         for i in range(len(gm.masses))
     ]
     write_csv(out / "cell_measures.csv", ("word", "gradient_mass", "word_mass"), rows, meta)
-    dev = coincidence_check(hier, u, config.p, depth)
+    dev = coincidence_check(hier, u, config.p, depth, exact=exact)
     hist = pushforward_profile(hier, u, config.p, config.bins, exact=exact)
     write_csv(
         out / "pushforward_histogram.csv",

@@ -165,9 +165,14 @@ def _level_values(hier: Hierarchy, u: AffineFunction, start: int, stop: int, exa
         yield n, ((out_den, out) if exact else out)
 
 
+def _values_at(hier: Hierarchy, u: AffineFunction, n: int, exact: bool):
+    """u on V_n: (den, integer array) if ``exact``, else a float64 array."""
+    return next(_level_values(hier, u, n, n, exact))[1]
+
+
 def _exact_values(hier: Hierarchy, u: AffineFunction, n: int) -> tuple[int, np.ndarray]:
     """(den, integer array) of u on V_n."""
-    return next(_level_values(hier, u, n, n, exact=True))[1]
+    return _values_at(hier, u, n, exact=True)
 
 
 def scaled_values_at(hier: Hierarchy, u: AffineFunction, n: int) -> tuple[int, list[int]]:
@@ -201,7 +206,7 @@ def _extend_exact(hier: Hierarchy, vals, den: int, k: int):
 
 def float_values_at(hier: Hierarchy, u: AffineFunction, n: int) -> np.ndarray:
     """Values on V_n as float64 (exact for dyadic inputs at shallow depth)."""
-    return next(_level_values(hier, u, n, n, exact=False))[1]
+    return _values_at(hier, u, n, exact=False)
 
 
 def exact_values_at(hier: Hierarchy, u: AffineFunction, n: int) -> list[Fraction]:
@@ -251,33 +256,85 @@ def _region_edge_indices(
         else:
             idx.append(int(w))
     stride = ancestor_index_stride(level.ratios, level.n, region_level)
-    anc = level.edge_word // stride
-    return np.flatnonzero(np.isin(anc, np.asarray(sorted(set(idx)), dtype=np.int64)))
+    # edge words ascend (edge_word[e] = e // 4), so the edges of one region
+    # word are a contiguous run
+    starts = np.asarray(sorted(set(idx)), dtype=np.int64) * stride
+    lo = np.searchsorted(level.edge_word, starts).tolist()
+    hi = np.searchsorted(level.edge_word, starts + stride).tolist()
+    return np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
 
 
-def _power_sums(d: np.ndarray, ps: Sequence[int]) -> list[int]:
-    """sum |d|^p over an integer array, exactly, for each p in ``ps``.
+def _exact_exponent(p) -> int:
+    """p as an int for exact arithmetic; a non-integer p is rejected."""
+    if not p_is_integer(p):
+        raise InvalidArgumentError(f"exact energies need integer p, got {p}")
+    return int(p)
 
-    Equal |d| are grouped first and each power is taken once per distinct
-    value in Python ints, so no power can overflow.
+
+def _power_sums(
+    d: np.ndarray, ps: Sequence[int], group: Optional[np.ndarray] = None, num_groups: int = 1
+) -> list[list[int]]:
+    """sum |d|^p over an integer array, exactly, per group, for each p in ``ps``.
+
+    Equal (group, |d|) pairs are counted first and each power is taken once
+    per distinct |d| in Python ints, so no power can overflow.  Without
+    ``group`` every entry is in group 0.
     """
-    values, counts = np.unique(np.abs(d), return_counts=True)
-    pairs = list(zip(values.tolist(), counts.tolist()))
-    return [sum(c * v**p for v, c in pairs) for p in ps]
+    if group is None:
+        values, counts = np.unique(np.abs(d), return_counts=True)
+        groups, which = [0] * values.size, range(values.size)
+    else:
+        values, inverse = np.unique(np.abs(d), return_inverse=True)
+        keys, counts = np.unique(group * values.size + inverse, return_counts=True)
+        groups, which = (keys // values.size).tolist(), (keys % values.size).tolist()
+    values, counts = values.tolist(), counts.tolist()
+    out = []
+    for p in ps:
+        powers = [v**p for v in values]
+        acc = [0] * num_groups
+        for g, i, c in zip(groups, which, counts):
+            acc[g] += c * powers[i]
+        out.append(acc)
+    return out
 
 
-def _exact_energies(
-    level: VicsekLevel, den: int, vals: np.ndarray, ps: Sequence[int], sel=None
-) -> list[Fraction]:
-    """(1/2) (prod l_j^{p-1}) * sum over ordered adjacent pairs |du|^p, per p.
+def _edge_energies(
+    level: VicsekLevel,
+    values,
+    ps: Sequence,
+    sel: Optional[np.ndarray] = None,
+    group: Optional[np.ndarray] = None,
+    num_groups: int = 1,
+) -> list:
+    """L^{p-1} * sum over the level's edges of |du|^p, for each p in ``ps``.
 
-    ``vals`` are integer values over ``den``; ``sel`` picks a subset of edges.
+    ``values`` are exact ``(den, integer array)`` (Fractions out, integer p
+    only) or a float64 array (floats out).  ``sel`` picks a subset of
+    edges.  With ``group``, one id below ``num_groups`` per edge, each
+    result is the list of per-group sums instead of the total.
     """
     tails, heads = level.edge_tail, level.edge_head
     if sel is not None:
         tails, heads = tails[sel], heads[sel]
-    sums = _power_sums(vals[heads] - vals[tails], ps)
-    return [Fraction(level.L ** (p - 1) * s, den**p) for p, s in zip(ps, sums)]
+    if isinstance(values, tuple):
+        den, vals = values
+        ps = [_exact_exponent(p) for p in ps]
+        sums = _power_sums(vals[heads] - vals[tails], ps, group, num_groups)
+        out = [
+            [Fraction(level.L ** (p - 1) * s, den**p) for s in acc]
+            for p, acc in zip(ps, sums)
+        ]
+        return out if group is not None else [acc[0] for acc in out]
+    d = np.abs(values[heads] - values[tails])
+    out = []
+    for p in ps:
+        coef = float(level.L) ** (float(p) - 1.0)
+        terms = d ** float(p)
+        if group is None:
+            out.append(coef * math.fsum(terms.tolist()))
+        else:
+            out.append(np.bincount(group, terms * coef, num_groups).tolist())
+    return out
 
 
 def discrete_energy_exact(
@@ -293,7 +350,7 @@ def discrete_energy_exact(
         raise InvalidArgumentError(f"exact energies need integer p > 1, got {p}")
     sel = _region_edge_indices(level, region, region_level)
     vals = ints if isinstance(ints, np.ndarray) else _int_array(ints)
-    return _exact_energies(level, den, vals, (p,), sel)[0]
+    return _edge_energies(level, (den, vals), (p,), sel)[0]
 
 
 def discrete_energy_float(
@@ -304,11 +361,7 @@ def discrete_energy_float(
     region_level: Optional[int] = None,
 ) -> float:
     sel = _region_edge_indices(level, region, region_level)
-    tails = level.edge_tail if sel is None else level.edge_tail[sel]
-    heads = level.edge_head if sel is None else level.edge_head[sel]
-    d = np.abs(values[heads] - values[tails])
-    terms = d ** float(p)
-    return float(level.L) ** (float(p) - 1.0) * math.fsum(terms.tolist())
+    return _edge_energies(level, values, (p,), sel)[0]
 
 
 def discrete_energy(
@@ -318,17 +371,15 @@ def discrete_energy(
     region: Optional[Iterable] = None,
     region_level: Optional[int] = None,
 ):
-    """Dispatch on the value container: (den, ints) exact or float array."""
-    if isinstance(values, tuple) and len(values) == 2:
-        den, ints = values
-        return discrete_energy_exact(level, den, ints, int(p), region, region_level)
+    """Dispatch on the value container: float array, (den, ints) or rationals.
+
+    The exact containers need an integer p.
+    """
     if isinstance(values, np.ndarray):
         return discrete_energy_float(level, values, float(p), region, region_level)
-    # a plain sequence of rationals
-    u = [Fraction(v) for v in values]
-    den = math.lcm(*(v.denominator for v in u)) if u else 1
-    ints = [int(v * den) for v in u]
-    return discrete_energy_exact(level, den, ints, int(p), region, region_level)
+    if not (isinstance(values, tuple) and len(values) == 2):
+        values = AffineFunction(level.n, values).scaled()  # a plain sequence of rationals
+    return discrete_energy_exact(level, *values, _exact_exponent(p), region, region_level)
 
 
 @dataclass(frozen=True)
@@ -374,7 +425,7 @@ def energy_of_gradient(g: GradientField, p) -> Fraction | float:
     L = g.length_product
     if g.ints is not None and p_is_integer(p):
         pi = int(p)
-        s = _power_sums(_int_array(g.ints), (pi,))[0]
+        s = _power_sums(_int_array(g.ints), (pi,))[0][0]
         # |i * L / den|^p * (1/L) summed
         return Fraction(s * L ** (pi - 1), g.den**pi)
     slopes = g.array * float(L) if g.array is not None else [float(x) for x in g.slopes()]
@@ -417,24 +468,10 @@ def energy_levels_multi(
     Values are extended level by level once; per-level edge differences are
     shared across exponents.  Exact mode needs integer exponents.
     """
-    if exact:
-        for p in ps:
-            if not (isinstance(p, int) or (isinstance(p, float) and p.is_integer())):
-                raise InvalidArgumentError(f"exact sweep needs integer p, got {p}")
     out = {p: [] for p in ps}
-    int_ps = [int(p) for p in ps] if exact else None
     for n, values in _level_values(hier, u, 0, max_level, exact):
-        level = hier.level(n)
-        if exact:
-            for p, e in zip(ps, _exact_energies(level, *values, int_ps)):
-                out[p].append(e)
-            continue
-        d = np.abs(values[level.edge_head] - values[level.edge_tail])
-        for p in ps:
-            pf = float(p)
-            out[p].append(
-                float(level.L) ** (pf - 1.0) * math.fsum((d**pf).tolist())
-            )
+        for p, e in zip(ps, _edge_energies(hier.level(n), values, ps)):
+            out[p].append(e)
     return out
 
 
@@ -476,17 +513,10 @@ def energy_limit(
     start = region_level if region_words is not None else 0
     if start > max_level:
         raise RegionError("region level exceeds max level")
-    energies = []
-    for n, values in _level_values(hier, u, start, max_level, exact):
-        level = hier.level(n)
-        if exact:
-            energies.append(
-                discrete_energy_exact(level, *values, int(p), region_words, region_level)
-            )
-        else:
-            energies.append(
-                discrete_energy_float(level, values, p, region_words, region_level)
-            )
+    energies = [
+        discrete_energy(hier.level(n), values, p, region_words, region_level)
+        for n, values in _level_values(hier, u, start, max_level, exact)
+    ]
     plateau = None
     for i in range(len(energies) - 1):
         a, b = energies[i], energies[i + 1]
@@ -654,10 +684,10 @@ def morrey_constant(hier: Hierarchy, u: AffineFunction, p, n: int, energy=None) 
     large-separation maximizers) plus all level-n adjacent pairs (the
     small-separation ones).  Euclidean distance in the denominator.
     """
-    p = float(p)
     if energy is None:
-        den, vals = _exact_values(hier, u, max(n, u.base_level))
-        energy = discrete_energy_exact(hier.level(max(n, u.base_level)), den, vals, int(p))
+        k = max(n, u.base_level)
+        energy = discrete_energy(hier.level(k), _exact_values(hier, u, k), p)
+    p = float(p)
     E = float(energy)
     if E == 0.0:
         return 0.0
@@ -698,25 +728,28 @@ def spectral_gap_constant(hier: Hierarchy, u: AffineFunction, p, n: int, energy=
 
 
 def clarkson_residual(
-    hier: Hierarchy, f: AffineFunction, g: AffineFunction, p, n: int, energies=None
+    hier: Hierarchy,
+    f: AffineFunction,
+    g: AffineFunction,
+    p,
+    n: int,
+    energies=None,
+    exact: Optional[bool] = None,
 ):
     """Signed residual of the p-Clarkson inequality at level n.
 
     Returns (residual, ok): residual = E(f+g) + E(f-g) - 2 (E(f)^{1/(p-1)}
     + E(g)^{1/(p-1)})^{p-1}; 'ok' checks the sign required by the case
     split (>= 0 for p <= 2, <= 0 for p >= 2; both at p = 2).  ``energies``,
-    when given, are (E(f), E(g)) at level n.
+    when given, are (E(f), E(g)) at level n.  The energies are exact when
+    ``exact`` (default: for integer p), else float.
     """
+    if exact is None:
+        exact = p_is_integer(p)
     pf = float(p)
-    fs = add(hier, f, g)
-    fd = subtract(hier, f, g)
-    if p_is_integer(p):
-        E = lambda w: float(
-            discrete_energy_exact(hier.level(n), *_exact_values(hier, w, n), int(p))
-        )
-    else:
-        E = lambda w: discrete_energy_float(hier.level(n), float_values_at(hier, w, n), pf)
-    lhs = E(fs) + E(fd)
+    level = hier.level(n)
+    E = lambda w: float(discrete_energy(level, _values_at(hier, w, n, exact), p))
+    lhs = E(add(hier, f, g)) + E(subtract(hier, f, g))
     q = 1.0 / (pf - 1.0)
     Ef, Eg = (E(f), E(g)) if energies is None else map(float, energies)
     rhs = 2.0 * (Ef ** q + Eg ** q) ** (pf - 1.0)
@@ -765,6 +798,7 @@ def energy_property_checks(
     p,
     n: int,
     lipschitz_maps: Sequence[Callable] = (abs,),
+    exact: Optional[bool] = None,
 ) -> PropertyCheckReport:
     """Structural checks of the energy form at one truncation level.
 
@@ -772,43 +806,27 @@ def energy_property_checks(
     booleans are rigorous; the spectral-gap and Morrey constants are
     empirical values to be tracked across levels, not asserted against any
     particular constant.  The locality comparison is exact and meaningful
-    when the caller supplies functions with separated supports.
+    when the caller supplies functions with separated supports.  Energies
+    are exact when ``exact`` (default: for integer p), else float.
     """
-    exact = p_is_integer(p)
+    if exact is None:
+        exact = p_is_integer(p)
     level = hier.level(n)
 
     def E_of(w: AffineFunction):
-        if exact:
-            return discrete_energy_exact(level, *_exact_values(hier, w, n), int(p))
-        return discrete_energy_float(level, float_values_at(hier, w, n), float(p))
+        return discrete_energy(level, _values_at(hier, w, n, exact), p)
 
     Eu = E_of(u)
     Ev = E_of(v)
 
-    uv = multiply(hier, u, v)
-    lhs = E_of(uv)
-    if exact:
-        pi = int(p)
-        rhs = Fraction(2) ** (pi - 1) * (
-            u.sup_norm() ** pi * Ev + v.sup_norm() ** pi * Eu
-        )
-        product_ok = lhs <= rhs
-    else:
-        pf = float(p)
-        rhs = 2.0 ** (pf - 1.0) * (
-            float(u.sup_norm()) ** pf * float(Ev)
-            + float(v.sup_norm()) ** pf * float(Eu)
-        )
-        product_ok = float(lhs) <= rhs * (1 + 1e-12)
+    def at_most(a, b) -> bool:
+        return a <= b if exact else a <= b * (1 + 1e-12)
 
-    contraction = []
-    for fn in lipschitz_maps:
-        w = compose(u, fn)
-        Ew = E_of(w)
-        if exact:
-            contraction.append(Ew <= Eu)
-        else:
-            contraction.append(float(Ew) <= float(Eu) * (1 + 1e-12))
+    num, q = (Fraction, int(p)) if exact else (float, float(p))
+    lhs = E_of(multiply(hier, u, v))
+    rhs = num(2) ** (q - 1) * (num(u.sup_norm()) ** q * Ev + num(v.sup_norm()) ** q * Eu)
+    product_ok = at_most(lhs, rhs)
+    contraction = [at_most(E_of(compose(u, fn)), Eu) for fn in lipschitz_maps]
 
     sg = spectral_gap_constant(hier, u, p, n, energy=Eu)
     mc = morrey_constant(hier, u, p, n, energy=Eu)
@@ -820,7 +838,7 @@ def energy_property_checks(
         loc_lhs == loc_rhs if exact else abs(loc_lhs - loc_rhs) <= 1e-12 * max(1.0, abs(loc_rhs))
     )
 
-    res, ok = clarkson_residual(hier, u, v, p, n, energies=(Eu, Ev))
+    res, ok = clarkson_residual(hier, u, v, p, n, energies=(Eu, Ev), exact=exact)
     return PropertyCheckReport(
         p=p,
         level=n,

@@ -21,7 +21,15 @@ from .errors import InvalidArgumentError, LevelError
 from .geometry import Hierarchy
 from .ratios import p_is_integer
 from .words import ancestor_index_stride
-from .energy import AffineFunction, add, float_values_at, scaled_values_at
+from .energy import (
+    AffineFunction,
+    _edge_energies,
+    _exact_values,
+    _values_at,
+    add,
+    discrete_energy,
+    float_values_at,
+)
 
 
 @dataclass(frozen=True)
@@ -51,22 +59,6 @@ class CellMeasure:
         return worst
 
 
-def _per_edge_int_powers(hier: Hierarchy, u: AffineFunction, p: int, n_eval: int):
-    """|du|^p per level-n_eval edge as integers over den^p, plus den."""
-    den, ints = scaled_values_at(hier, u, n_eval)
-    level = hier.level(n_eval)
-    tails, heads = level._edge_lists()
-    if p == 2:
-        powers = [
-            (ints[heads[e]] - ints[tails[e]]) ** 2 for e in range(level.num_edges)
-        ]
-    else:
-        powers = [
-            abs(ints[heads[e]] - ints[tails[e]]) ** p for e in range(level.num_edges)
-        ]
-    return den, powers
-
-
 def gamma_cells(
     hier: Hierarchy, u: AffineFunction, p, m: int, exact: Optional[bool] = None
 ) -> CellMeasure:
@@ -80,24 +72,13 @@ def gamma_cells(
         exact = p_is_integer(p)
     n_eval = max(m, u.base_level)
     level = hier.level(n_eval)
-    stride = ancestor_index_stride(hier.ratios, n_eval, m)
-    num_cells = hier.ratios.num_words(m)
-    if exact:
-        pi = int(p)
-        den, powers = _per_edge_int_powers(hier, u, pi, n_eval)
-        acc = [0] * num_cells
-        words = level.edge_word.tolist()
-        for e, val in enumerate(powers):
-            acc[words[e] // stride] += val
-        # |slope|^p * len = |d * L / den|^p / L = d^p L^{p-1} / den^p
-        scale = Fraction(level.L ** (pi - 1), den**pi)
-        return CellMeasure(m, tuple(v * scale for v in acc))
-    vals = float_values_at(hier, u, n_eval)
-    d = np.abs(vals[level.edge_head] - vals[level.edge_tail]) ** float(p)
-    anc = level.edge_word // stride
-    acc = np.zeros(num_cells)
-    np.add.at(acc, anc, d * float(level.L) ** (float(p) - 1.0))
-    return CellMeasure(m, tuple(float(x) for x in acc))
+    # |slope|^p * len = |du * L|^p / L = L^{p-1} |du|^p, summed per ancestor cell
+    cells = level.edge_word // ancestor_index_stride(hier.ratios, n_eval, m)
+    masses = _edge_energies(
+        level, _values_at(hier, u, n_eval, exact), (p,),
+        group=cells, num_groups=hier.ratios.num_words(m),
+    )[0]
+    return CellMeasure(m, tuple(masses))
 
 
 def word_energy_measure(
@@ -110,10 +91,13 @@ def word_energy_measure(
 ) -> CellMeasure:
     """Masses via region-restricted discrete energies at their plateau.
 
-    For each level-n word the restricted energy is computed at level
-    max(n, base) and, when ``verify_plateau``, recomputed one level deeper
-    and required to agree (exactly in rational mode), which is the finite
-    certificate that the restricted energies have reached their supremum.
+    For each level-n word w the mass is ``discrete_energy(..., region=[w],
+    region_level=n)`` at level max(n, base): the edges inside the cell are
+    selected first and then summed, independently of the per-cell grouping
+    of ``gamma_cells``.  When ``verify_plateau``, the masses are recomputed
+    one level deeper and required to agree (exactly in rational mode),
+    which is the finite certificate that the restricted energies have
+    reached their supremum.
     """
     if exact is None:
         exact = p_is_integer(p)
@@ -123,9 +107,18 @@ def word_energy_measure(
             f"plateau verification needs level {n_eval + 1}; hierarchy stops at "
             f"{hier.max_level}"
         )
-    masses = _restricted_energies(hier, u, p, n, n_eval, exact)
+
+    def restricted(k: int) -> list:
+        level = hier.level(k)
+        values = _values_at(hier, u, k, exact)
+        return [
+            discrete_energy(level, values, p, region=[w], region_level=n)
+            for w in range(hier.ratios.num_words(n))
+        ]
+
+    masses = restricted(n_eval)
     if verify_plateau:
-        finer = _restricted_energies(hier, u, p, n, n_eval + 1, exact)
+        finer = restricted(n_eval + 1)
         for w, (a, b) in enumerate(zip(masses, finer)):
             if exact:
                 agree = a == b
@@ -138,33 +131,19 @@ def word_energy_measure(
     return CellMeasure(n, tuple(masses))
 
 
-def _restricted_energies(hier, u, p, n, n_eval, exact):
-    level = hier.level(n_eval)
-    stride = ancestor_index_stride(hier.ratios, n_eval, n)
-    num_cells = hier.ratios.num_words(n)
-    if exact:
-        pi = int(p)
-        den, powers = _per_edge_int_powers(hier, u, pi, n_eval)
-        acc = [0] * num_cells
-        words = level.edge_word.tolist()
-        for e, val in enumerate(powers):
-            acc[words[e] // stride] += val
-        scale = Fraction(level.L ** (pi - 1), den**pi)
-        return [v * scale for v in acc]
-    vals = float_values_at(hier, u, n_eval)
-    d = np.abs(vals[level.edge_head] - vals[level.edge_tail]) ** float(p)
-    anc = level.edge_word // stride
-    acc = np.zeros(num_cells)
-    np.add.at(acc, anc, d * float(level.L) ** (float(p) - 1.0))
-    return [float(x) for x in acc]
+def coincidence_check(
+    hier: Hierarchy, u: AffineFunction, p, depth: int, exact: Optional[bool] = None
+) -> Fraction | float:
+    """max relative discrepancy between the two constructions, levels 1..depth.
 
-
-def coincidence_check(hier: Hierarchy, u: AffineFunction, p, depth: int) -> Fraction | float:
-    """max relative discrepancy between the two constructions, levels 1..depth."""
-    worst: Fraction | float = Fraction(0) if p_is_integer(p) else 0.0
+    Exact when ``exact`` (default: for integer p), else float.
+    """
+    if exact is None:
+        exact = p_is_integer(p)
+    worst: Fraction | float = Fraction(0) if exact else 0.0
     for m in range(1, depth + 1):
-        g = gamma_cells(hier, u, p, m)
-        w = word_energy_measure(hier, u, p, m, verify_plateau=False)
+        g = gamma_cells(hier, u, p, m, exact)
+        w = word_energy_measure(hier, u, p, m, exact, verify_plateau=False)
         total = g.total
         if total == 0:
             continue
@@ -213,15 +192,13 @@ def chain_rule_check(
     """
     pf = float(p)
     level_n = hier.level(n)
-    stride_n = ancestor_index_stride(hier.ratios, n, cell_level)
+    cells = level_n.edge_word // ancestor_index_stride(hier.ratios, n, cell_level)
     num_cells = hier.ratios.num_words(cell_level)
 
-    vals_n = float_values_at(hier, u, n)
-    fw = np.array([f(v) for v in vals_n.tolist()])
-    d = np.abs(fw[level_n.edge_head] - fw[level_n.edge_tail]) ** pf
-    anc = level_n.edge_word // stride_n
-    discrete = np.zeros(num_cells)
-    np.add.at(discrete, anc, d * float(level_n.L) ** (pf - 1.0))
+    fw = np.array([f(v) for v in float_values_at(hier, u, n).tolist()])
+    discrete = np.array(
+        _edge_energies(level_n, fw, (pf,), group=cells, num_groups=num_cells)[0]
+    )
 
     # quadrature on the coarse edges where u is affine
     n_q = max(cell_level, u.base_level)
@@ -347,59 +324,38 @@ def pushforward_profile(
     hi = max(u.values)
     if lo == hi:
         raise InvalidArgumentError("constant function: the value range is empty")
-    pi = int(p) if exact else None
-    den, ints = scaled_values_at(hier, u, base)
-    tails, heads = level._edge_lists()
-    L = level.L
+    den, ints = _exact_values(hier, u, base)
+    values = (den, ints) if exact else float_values_at(hier, u, base)
+    # each edge its own group: the per-edge mass |slope|^p * length
+    edge_masses = _edge_energies(
+        level, values, (p,), group=np.arange(level.num_edges), num_groups=level.num_edges
+    )[0]
+    ints = ints.tolist()
+    tails, heads = level.edge_tail.tolist(), level.edge_head.tolist()
 
-    if exact:
-        width = Fraction(hi - lo, bins)
-        edges = tuple(lo + k * width for k in range(bins + 1))
-        masses = [Fraction(0)] * bins
-    else:
-        width = (float(hi) - float(lo)) / bins
-        edges = tuple(float(lo) + k * width for k in range(bins + 1))
-        masses = [0.0] * bins
-
+    num = Fraction if exact else float
+    width = (num(hi) - num(lo)) / bins
+    edges = tuple(num(lo) + k * width for k in range(bins + 1))
+    masses = [num(0)] * bins
     flags = []
-    for e in range(level.num_edges):
-        vt = Fraction(ints[tails[e]], den)
-        vh = Fraction(ints[heads[e]], den)
-        if exact:
-            mass = Fraction(abs(ints[heads[e]] - ints[tails[e]])) ** pi * Fraction(
-                L ** (pi - 1), den**pi
-            )
-        else:
-            mass = abs(float(vh) - float(vt)) ** float(p) * float(L) ** (float(p) - 1.0)
+    for e, mass in enumerate(edge_masses):
         if mass == 0:
             continue
-        a, b = (vt, vh) if vt <= vh else (vh, vt)
+        a, b = sorted(num(Fraction(ints[v], den)) for v in (tails[e], heads[e]))
+        k0 = max(0, min(int((a - edges[0]) / width), bins - 1))
         if a == b:
             # positive mass on a flat edge: would contradict absolute continuity
             flags.append(e)
-            k = min(int((Fraction(a) - lo) / width) if exact else int((float(a) - edges[0]) / width), bins - 1)
-            masses[k] += mass
+            masses[k0] += mass
             continue
-        span = b - a
-        if exact:
-            k0 = int((a - lo) / width)
-            k1 = min(int((b - lo) / width), bins - 1) if b < edges[-1] else bins - 1
-            for k in range(k0, k1 + 1):
-                seg_lo = max(a, edges[k])
-                seg_hi = min(b, edges[k + 1])
-                if seg_hi > seg_lo:
-                    masses[k] += mass * (seg_hi - seg_lo) / span
-        else:
-            af, bf = float(a), float(b)
-            k0 = max(0, min(int((af - edges[0]) / width), bins - 1))
-            k1 = max(0, min(int((bf - edges[0]) / width), bins - 1))
-            for k in range(k0, k1 + 1):
-                seg_lo = max(af, edges[k])
-                seg_hi = min(bf, edges[k + 1])
-                if seg_hi > seg_lo:
-                    masses[k] += mass * (seg_hi - seg_lo) / (bf - af)
+        k1 = max(0, min(int((b - edges[0]) / width), bins - 1))
+        for k in range(k0, k1 + 1):
+            seg_lo = max(a, edges[k])
+            seg_hi = min(b, edges[k + 1])
+            if seg_hi > seg_lo:
+                masses[k] += mass * (seg_hi - seg_lo) / (b - a)
 
-    total = sum(masses) if not exact else sum(masses, Fraction(0))
+    total = sum(masses, num(0))
     return PushforwardHistogram(
         bin_edges=edges,
         masses=tuple(masses),

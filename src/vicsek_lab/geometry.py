@@ -245,14 +245,6 @@ class VicsekLevel:
     def neighbors(self, vid: int) -> np.ndarray:
         return self._nbr[self._nbr_offsets[vid] : self._nbr_offsets[vid + 1]]
 
-    def _edge_lists(self) -> tuple[list[int], list[int]]:
-        """Plain-list views of (tails, heads), cached for exact-mode loops."""
-        cached = getattr(self, "_edge_lists_cache", None)
-        if cached is None:
-            cached = (self.edge_tail.tolist(), self.edge_head.tolist())
-            self._edge_lists_cache = cached
-        return cached
-
     @cached_property
     def vertex_cells(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR map vertex id -> indices of the cells it belongs to."""

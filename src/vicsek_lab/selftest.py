@@ -180,7 +180,7 @@ def run_selftest(config: ExperimentConfig, pool: OrderedPool) -> tuple[list[Chec
     # -- besov identities ---------------------------------------------------
     profiles = {}
     ok = True
-    base = base_energies(hier, u_star, p, N)
+    base = base_energies(hier, u_star, p, N, exact)
     for beta in config.beta_grid:
         prof = discrete_profiles(hier, u_star, p, beta, N, energies=base)
         profiles[beta] = prof
@@ -213,7 +213,9 @@ def run_selftest(config: ExperimentConfig, pool: OrderedPool) -> tuple[list[Chec
 
     # -- BBM ---------------------------------------------------------------
     distinct = ratios.distinct_ratios()
-    curve = bbm_curve(hier, u_star, p, list(config.epsilons), N, tail="plateau")
+    curve = bbm_curve(
+        hier, u_star, p, list(config.epsilons), N, tail="plateau", exact=exact
+    )
     artifacts["bbm"] = curve
     ok = all(pt.within_bracket for pt in curve.points)
     vals = [pt.value for pt in sorted(curve.points, key=lambda q: q.epsilon)]

@@ -4,7 +4,8 @@ This is the pure-Python route the library used before exact values became
 integer arrays: one Python loop per vertex and per edge, every sum in Python
 ints.  It reads only the hierarchy's transition tables and edge lists, so it
 checks the array route's arithmetic, dtype choice and power sums, not the
-geometry.
+geometry.  ``cell_sums`` and ``pushforward_masses`` are the per-edge loops
+the energy measures used before they shared one edge primitive.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ def _extend_exact(hier: Hierarchy, vals: list[int], den: int, k: int):
     new = [0] * hier.level(k + 1).num_vertices
     for i, nid in enumerate(t.lift.tolist()):
         new[nid] = vals[i] * l
-    tails, heads = coarse._edge_lists()
+    tails, heads = coarse.edge_tail.tolist(), coarse.edge_head.tolist()
     interior = t.interior.tolist()
     for e in range(coarse.num_edges):
         vt = vals[tails[e]]
@@ -67,7 +68,53 @@ def energies(hier: Hierarchy, u: AffineFunction, p: int, n: int) -> list[Fractio
         else:
             ints, den = _extend_exact(hier, ints, den, k - 1)
         level = hier.level(k)
-        tails, heads = level._edge_lists()
+        tails, heads = level.edge_tail.tolist(), level.edge_head.tolist()
         s = _int_power_sum((ints[heads[e]] - ints[tails[e]] for e in range(level.num_edges)), p)
         out.append(Fraction(level.L ** (p - 1) * s, den**p))
+    return out
+
+
+def cell_sums(hier: Hierarchy, vals, p, n: int, m: int) -> list:
+    """Per level-m cell, sum of |du|^p over the level-n edges inside it.
+
+    ``vals`` are the values on V_n as a list: Python ints give exact sums,
+    floats give float sums in edge order.  An edge belongs to the ancestor
+    of its cell word, whose index is the word index divided by the number
+    of level-n words per level-m word.
+    """
+    level = hier.level(n)
+    per_cell = hier.ratios.num_words(n) // hier.ratios.num_words(m)
+    acc = [0] * hier.ratios.num_words(m)
+    for t, h, w in zip(
+        level.edge_tail.tolist(), level.edge_head.tolist(), level.edge_word.tolist()
+    ):
+        acc[w // per_cell] += abs(vals[h] - vals[t]) ** p
+    return acc
+
+
+def cell_masses(hier: Hierarchy, u: AffineFunction, p: int, m: int) -> list[Fraction]:
+    """Exact energy-measure mass of every level-m cell, on level max(m, base)."""
+    n = max(m, u.base_level)
+    den, ints = scaled_values(hier, u, n)
+    L = hier.level(n).L
+    return [Fraction(L ** (p - 1) * s, den**p) for s in cell_sums(hier, ints, p, n, m)]
+
+
+def pushforward_masses(hier: Hierarchy, u: AffineFunction, p: int, bins: int) -> list[Fraction]:
+    """Exact push-forward histogram: each base edge's mass spread uniformly
+    over its value interval, bin by bin."""
+    level = hier.level(u.base_level)
+    den, ints = scaled_values(hier, u, u.base_level)
+    lo, hi = min(u.values), max(u.values)
+    width = (hi - lo) / bins
+    out = [Fraction(0)] * bins
+    for t, h in zip(level.edge_tail.tolist(), level.edge_head.tolist()):
+        a, b = sorted((Fraction(ints[t], den), Fraction(ints[h], den)))
+        if a == b:
+            continue
+        mass = Fraction(level.L ** (p - 1) * abs(ints[h] - ints[t]) ** p, den**p)
+        for k in range(bins):
+            overlap = min(b, lo + (k + 1) * width) - max(a, lo + k * width)
+            if overlap > 0:
+                out[k] += mass * overlap / (b - a)
     return out

@@ -164,7 +164,7 @@ def _ramp_golden_and_gradient(hier: Hierarchy, max_level: int):
             e_direct = discrete_energy_exact(level, cur_den, cur, p)
             assert e_direct == golden, (p, n)
             # gradient identity: sum |slope|^p * length from the same values
-            tails, heads = level._edge_lists()
+            tails, heads = level.edge_tail.tolist(), level.edge_head.tolist()
             s = sum(
                 abs(cur[heads[e]] - cur[tails[e]]) ** p for e in range(level.num_edges)
             )

@@ -2,14 +2,21 @@ from __future__ import annotations
 
 import csv
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from vicsek_lab import besov
+from vicsek_lab import besov, energy, energy_measure, selftest
 from vicsek_lab.cli import main
 from vicsek_lab.config import config_from_dict, load_config
-from vicsek_lab.energy import diagonal_ramp
+from vicsek_lab.energy import (
+    diagonal_ramp,
+    energy_property_checks,
+    random_affine,
+    restrict_to_arm,
+)
+from vicsek_lab.energy_measure import coincidence_check
 from vicsek_lab.errors import ConfigError
 from vicsek_lab.geometry import Hierarchy
 from vicsek_lab.io import config_hash, write_csv, write_json
@@ -271,3 +278,59 @@ def test_besov_and_bbm_honour_float_mode(tmp_path, monkeypatch):
                 assert got[key] is value, (name, key)
             else:
                 assert got[key] == pytest.approx(value, rel=1e-12, abs=1e-300), (name, key)
+
+
+def test_energy_commands_honour_float_mode(tmp_path, monkeypatch):
+    """Under --mode float, energy and energy-measure compute no exact energy:
+    neither the form checks nor the coincidence check."""
+    path = write_config(tmp_path)
+    calls = []
+    primitive = energy._edge_energies
+
+    def spy(level, values, *args, **kwargs):
+        calls.append(isinstance(values, tuple))
+        return primitive(level, values, *args, **kwargs)
+
+    monkeypatch.setattr(energy, "_edge_energies", spy)
+    monkeypatch.setattr(energy_measure, "_edge_energies", spy)
+    for mode, exact in (("rational", True), ("float", False)):
+        for cmd in ("energy", "energy-measure"):
+            calls.clear()
+            args = [cmd, "--config", str(path), "--out", str(tmp_path / mode)]
+            assert main(args + ["--mode", mode]) == 0
+            assert set(calls) == {exact}, (mode, cmd)
+    summary = json.loads((tmp_path / "float" / "energy_measure_summary.json").read_text())
+    assert isinstance(summary["data"]["coincidence_max_relative_discrepancy"], float)
+
+    # the same through direct calls
+    config = load_config(path)
+    hier = Hierarchy(config.ratio_sequence(), config.depth + 1)
+    u = random_affine(hier, config.seeds[0])
+    v1, v3 = restrict_to_arm(hier, u, 1), restrict_to_arm(hier, u, 3)
+    for exact, kind in ((True, Fraction), (False, float)):
+        rep = energy_property_checks(hier, v1, v3, 2, config.depth, exact=exact)
+        assert isinstance(rep.product_lhs, kind) and isinstance(rep.locality_lhs, kind)
+        assert isinstance(coincidence_check(hier, diagonal_ramp(), 2, 2, exact=exact), kind)
+
+
+def test_selftest_honours_float_mode(tmp_path, monkeypatch):
+    """selftest passes its arithmetic to the base energies and the BBM curve."""
+    path = write_config(tmp_path)
+    seen = []
+    base, curve = selftest.base_energies, selftest.bbm_curve
+
+    def spy_base(hier, u, p, max_scale, exact=None):
+        seen.append(("base", exact))
+        return base(hier, u, p, max_scale, exact)
+
+    def spy_curve(*args, exact=None, **kwargs):
+        seen.append(("bbm", exact))
+        return curve(*args, exact=exact, **kwargs)
+
+    monkeypatch.setattr(selftest, "base_energies", spy_base)
+    monkeypatch.setattr(selftest, "bbm_curve", spy_curve)
+    for mode, exact in (("rational", True), ("float", False)):
+        seen.clear()
+        args = ["selftest", "--config", str(path), "--out", str(tmp_path / mode)]
+        assert main(args + ["--mode", mode]) == 0
+        assert seen == [("base", exact), ("bbm", exact)], mode

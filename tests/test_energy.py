@@ -24,6 +24,7 @@ from vicsek_lab.energy import (
     exact_values_at,
     float_values_at,
     gradient_field,
+    morrey_constant,
     multiply,
     random_affine,
     resistance,
@@ -32,7 +33,7 @@ from vicsek_lab.energy import (
     scaled_values_at,
     sup_norm,
 )
-from vicsek_lab.errors import LevelError, RegionError
+from vicsek_lab.errors import InvalidArgumentError, LevelError, RegionError
 from vicsek_lab.words import CENTER, Letter
 
 
@@ -327,3 +328,20 @@ def test_multiply_is_pointwise_at_common_base(hier3):
     uu = exact_values_at(hier3, u, base)
     vv = exact_values_at(hier3, v, base)
     assert list(w.values) == [a * b for a, b in zip(uu, vv)]
+
+
+def test_exact_routes_reject_non_integer_p(hier3):
+    """Exact energies need an integer p; a fractional one is never truncated."""
+    u = random_affine(hier3, 9)
+    n = max(3, u.base_level)
+    with pytest.raises(InvalidArgumentError):
+        energy_limit(hier3, u, 2.5, n, exact=True)
+    with pytest.raises(InvalidArgumentError):
+        discrete_energy(hier3.level(n), scaled_values_at(hier3, u, n), 2.5)
+    with pytest.raises(InvalidArgumentError):
+        morrey_constant(hier3, u, 2.5, n)
+    # the float routes take it, and differ from the p = 2 energy
+    e = energy_limit(hier3, u, 2.5, n).limit
+    assert isinstance(e, float)
+    assert e != pytest.approx(float(energy_limit(hier3, u, 2, n).limit), rel=1e-6)
+    assert discrete_energy(hier3.level(n), float_values_at(hier3, u, n), 2.5) == e

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from vicsek_lab import energy_measure
 from vicsek_lab.energy import (
     AffineFunction,
     add,
@@ -11,6 +13,7 @@ from vicsek_lab.energy import (
     corner_indicator,
     energy_limit,
     exact_values_at,
+    float_values_at,
     random_affine,
 )
 from vicsek_lab.energy_measure import (
@@ -84,6 +87,33 @@ def test_coincidence_exact(hier3):
     for seed in (31, 32):
         assert coincidence_check(hier3, random_affine(hier3, seed), 2, 2) == 0
         assert coincidence_check(hier3, random_affine(hier3, seed), 3, 2) == 0
+
+
+def test_coincidence_detects_a_misplaced_edge(hier3, monkeypatch):
+    """The gradient route and the word route are separate computations.
+
+    The patched stride sends one edge of the gradient route (the first edge
+    with mass outside the center cell) to the center cell; the word route
+    selects its edges without it, so the check must see the difference.
+    """
+    u = diagonal_ramp()
+    stride = energy_measure.ancestor_index_stride
+
+    def misplace_one(ratios, n, m):
+        level = hier3.level(n)
+        cells = level.edge_word // stride(ratios, n, m)
+        vals = float_values_at(hier3, u, n)
+        mass = vals[level.edge_head] != vals[level.edge_tail]
+        e = int(np.flatnonzero(mass & (cells != 0))[0])
+        strides = np.full(level.num_edges, stride(ratios, n, m))
+        strides[e] = level.edge_word[e] + 1  # edge_word[e] // strides[e] == 0
+        return strides
+
+    assert coincidence_check(hier3, u, 2, 2) == 0
+    monkeypatch.setattr(energy_measure, "ancestor_index_stride", misplace_one)
+    assert coincidence_check(hier3, u, 2.5, 2) > 0
+    assert coincidence_check(hier3, u, 2, 2) > 0
+    assert gamma_cells(hier3, u, 2, 1).total == Fraction(1, 2)  # only moved
 
 
 def test_coincidence_float_mode(hier3):

@@ -22,13 +22,20 @@ from vicsek_lab.energy import (  # noqa: E402
     _exact_values,
     add,
     discrete_energy_exact,
+    discrete_energy_float,
     energy_levels_multi,
     energy_limit,
     energy_of_gradient,
+    float_values_at,
     gradient_field,
     multiply,
     random_affine,
     scaled_values_at,
+)
+from vicsek_lab.energy_measure import (  # noqa: E402
+    gamma_cells,
+    pushforward_profile,
+    word_energy_measure,
 )
 from vicsek_lab.geometry import Hierarchy  # noqa: E402
 from vicsek_lab.ratios import (  # noqa: E402
@@ -109,3 +116,57 @@ def test_int64_bound_is_sharp(n):
         for p in (2, 3, 8):
             want = oracle.energies(hier, u, p, n)[n]
             assert energy_limit(hier, u, p, n, exact=True).limit == want
+
+
+@st.composite
+def measure_cases(draw):
+    """A function, a cell level m and a level one deeper than max(m, base)."""
+    ratios = draw(sequences)
+    top = max(k for k in range(6) if ratios.num_vertices(k) <= MAX_VERTICES)
+    hier = Hierarchy(ratios, top)
+    m = draw(st.integers(1, top - 1))
+    max_base = draw(st.integers(0, min(2, top - 1)))
+    seeds = draw(st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2))
+    u, v = (random_affine(hier, s, max_base_level=max_base) for s in seeds)
+    kind = draw(st.sampled_from(("seeded", "multiply", "huge")))
+    if kind == "multiply":
+        u = multiply(hier, u, v)
+    elif kind == "huge":
+        u = u.shift(HUGE_SHIFT)
+    return hier, u, m
+
+
+@settings(max_examples=40)
+@given(measure_cases(), st.sampled_from((2, 3, 5, 8)), st.integers(1, 8))
+def test_energy_measures_match_list_oracle(case, p, bins):
+    """Gradient-route, word-route and push-forward masses, exact and float.
+
+    Exact masses equal the list oracle's Fractions.  Float cell masses are
+    within rel 1e-12 of the oracle's edge loop over the same float values;
+    float histogram bins within rel 1e-12 of the exact ones, with an
+    absolute floor of 1e-12 of the total for bins that a float boundary
+    cuts to a sliver.
+    """
+    hier, u, m = case
+    want = oracle.cell_masses(hier, u, p, m)
+    assert list(gamma_cells(hier, u, p, m).masses) == want
+    assert list(word_energy_measure(hier, u, p, m).masses) == want
+
+    n = max(m, u.base_level)
+    level = hier.level(n)
+    vals = float_values_at(hier, u, n)
+    coef = float(level.L) ** (p - 1.0)
+    want_float = [coef * s for s in oracle.cell_sums(hier, vals.tolist(), float(p), n, m)]
+    for route in (gamma_cells, word_energy_measure):
+        got = route(hier, u, p, m, exact=False).masses
+        assert got == pytest.approx(want_float, rel=1e-12, abs=1e-300), route.__name__
+    total = gamma_cells(hier, u, p, m, exact=False).total
+    assert total == pytest.approx(discrete_energy_float(level, vals, p), rel=1e-12)
+
+    if min(u.values) == max(u.values):
+        return
+    want_hist = oracle.pushforward_masses(hier, u, p, bins)
+    assert list(pushforward_profile(hier, u, p, bins).masses) == want_hist
+    got = pushforward_profile(hier, u, p, bins, exact=False).masses
+    floor = 1e-12 * float(sum(want_hist))
+    assert got == pytest.approx([float(x) for x in want_hist], rel=1e-12, abs=floor)
