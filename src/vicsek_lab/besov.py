@@ -140,7 +140,7 @@ def phi_profile(
     if m < max_scale:
         raise LevelError(f"vertex level {m} must be >= max scale {max_scale}")
     level = hier.level(m)
-    ratios = hier.ratios
+    ratios = hier.ratios.with_p(p)  # phi at this p
     if energies is None:
         if exact is None:
             exact = profile_is_exact(hier, p, beta, m, include_empirical)
@@ -277,7 +277,7 @@ def discrete_profiles(
         raise InvalidArgumentError(f"beta must be >= 0, got {beta}")
     if tail not in (None, "plateau"):
         raise InvalidArgumentError(f"unknown tail mode {tail!r}")
-    ratios = hier.ratios
+    ratios = hier.ratios.with_p(p)  # phi at this p
     beta_star = float(ratios.beta_star)
     if energies is None:
         energies = base_energies(hier, u, p, max_scale, exact)
@@ -338,26 +338,39 @@ def discrete_profiles(
 
 
 def jump_kernel_energy(
-    hier: Hierarchy, u: AffineFunction, p, beta: float, max_scale: int
+    hier: Hierarchy,
+    u: AffineFunction,
+    p,
+    beta: float,
+    max_scale: int,
+    exact: Optional[bool] = None,
+    energies: Optional[Sequence] = None,
 ) -> Fraction | float:
     """The non-local pair-sum form: levelwise weighted sums of |du|^p.
 
     Each adjacent pair at level n carries kernel weight
-    phi(rho_n)^(-beta/beta*) * 2^{p-1} * psi(rho_n); summing over levels
-    0..N reproduces sum_{n<=N} E_n^beta.  The sum of |du|^p over the
-    level-n edges is E_{p,n} / L_n^{p-1}, so the form is one pass over the
-    base energies.  Exact at beta = beta* with integer p, where the weight
-    is the exact 2^{p-1} psi / phi, so the identity checks the scale
-    constants rather than a sum against itself.
+    phi(rho_n)^(-beta/beta*) * 2^{p-1} * psi(rho_n), with phi taken at this
+    p; summing over levels 0..N reproduces sum_{n<=N} E_n^beta.  The sum of
+    |du|^p over the level-n edges is E_{p,n} / L_n^{p-1}, so the form is one
+    pass over the base energies.  Exact at beta = beta* with exact base
+    energies, where the weight is the exact 2^{p-1} psi / phi, so the
+    identity checks the scale constants rather than a sum against itself.
+    ``exact`` defaults to exact arithmetic at beta* for integer p;
+    ``energies``, when given, are ``base_energies(hier, u, p, max_scale,
+    ...)`` and their type fixes the arithmetic of the base energies.
     """
-    ratios = hier.ratios
-    exact = float(beta) == float(ratios.beta_star) and p_is_integer(p)
-    # the exact weight takes phi at this p, the float one at the hierarchy's p
-    scales = ratios.with_p(p) if exact else ratios
+    ratios = hier.ratios.with_p(p)  # phi at this p, in both arithmetics
+    at_star = float(beta) == float(ratios.beta_star)
+    if energies is None:
+        if exact is None:
+            exact = at_star and p_is_integer(p)
+        energies = base_energies(hier, u, p, max_scale, exact)
+    base = list(energies)
+    exact = at_star and isinstance(base[0], Fraction)
     pf = float(p)
     total = Fraction(0) if exact else 0.0
-    for n, e in enumerate(base_energies(hier, u, p, max_scale, exact)):
-        rho, psi, phi = scale_values(scales, n)
+    for n, e in enumerate(base):
+        rho, psi, phi = scale_values(ratios, n)
         L = ratios.length_product(n)
         if exact:
             w = 2 ** (int(p) - 1) * psi / phi / L ** (int(p) - 1)
@@ -365,7 +378,7 @@ def jump_kernel_energy(
             w = float(phi) ** (-float(beta) / float(ratios.beta_star)) * (
                 2.0 ** (pf - 1.0)
             ) * float(psi) / float(L) ** (pf - 1.0)
-        total += w * e
+        total += w * (e if exact else float(e))
     return total
 
 
@@ -412,14 +425,14 @@ def bbm_curve(
     As eps -> 0 both ends converge to E beta* / log t.  The energies
     E_{p,n} are computed once, exact by default for integer p.
     """
-    ratios = hier.ratios
+    ratios = hier.ratios.with_p(p)  # phi and t_l at this p
     beta_star = float(ratios.beta_star)
     for eps in epsilons:
         if not 0 < eps < beta_star:
             raise InvalidArgumentError(
                 f"epsilon must lie in (0, beta_star), got {eps}"
             )
-    consts = derived_constants(ratios.with_p(p))
+    consts = derived_constants(ratios)
     base = base_energies(hier, u, p, max_scale, exact)
     E = float(base[max_scale])
     n0 = u.base_level
@@ -473,14 +486,15 @@ def critical_sweep(
     max_scale: int,
 ) -> list[SweepRow]:
     """Classify E_n^beta trends across a beta grid around beta*."""
-    beta_star = float(hier.ratios.beta_star)
+    ratios = hier.ratios.with_p(p)  # phi at this p
+    beta_star = float(ratios.beta_star)
     base = base_energies(hier, u, p, max_scale)
     rows = []
     for beta in beta_grid:
         prof = discrete_profiles(hier, u, p, beta, max_scale, energies=base)
         vals = [float(x) for x in prof.beta_energies]
         growth = tuple(
-            math.exp((1.0 - beta / beta_star) * _log_phi(hier.ratios, n))
+            math.exp((1.0 - beta / beta_star) * _log_phi(ratios, n))
             for n in range(max_scale + 1)
         )
         if beta > beta_star:

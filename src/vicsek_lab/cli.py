@@ -1,8 +1,8 @@
 """Batch command-line front end.
 
 Every command reads one JSON configuration document, runs deterministically
-(fixed seeds, ordered reductions independent of thread count), and writes
-CSV/JSON artifacts stamped with the configuration hash.
+on one thread (fixed seeds, ordered reductions), and writes CSV/JSON
+artifacts stamped with the configuration hash.
 
 Exit codes: 0 success, 1 failed assertion or selftest check, 2 usage,
 configuration, or resource errors.
@@ -51,7 +51,6 @@ from .measure import (
     regularized_scales,
     scale_table,
 )
-from .parallel import OrderedPool, default_threads
 from .ratios import example_ratio, p_is_integer
 from .selftest import run_selftest
 from .words import word_from_index, word_string
@@ -83,20 +82,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = load_config(args.config)
-        if args.mode is not None:
-            raw = config.to_canonical_dict()
-            raw["mode"] = args.mode
-            from .config import config_from_dict
-
-            config = config_from_dict(raw)
+        config = load_config(args.config, mode=args.mode)
+        threads = args.threads if args.threads is not None else config.threads
+        if threads is not None and threads < 1:
+            raise ConfigError("threads must be >= 1")
+        if threads is not None and threads > 1:
+            print(f"note: vicsek-lab runs on one thread; threads={threads} has no effect",
+                  file=sys.stderr)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         meta = config_hash(config.to_canonical_dict())
-        threads = args.threads or config.threads or default_threads()
-        pool = OrderedPool(threads)
         handler = _HANDLERS[args.command]
-        return handler(config, out, meta, pool)
+        return handler(config, out, meta)
     except (ConfigError, DepthBudgetError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -105,7 +102,7 @@ def main(argv=None) -> int:
         return 2
 
 
-def _cmd_build(config: ExperimentConfig, out: Path, meta: str, pool: OrderedPool) -> int:
+def _cmd_build(config: ExperimentConfig, out: Path, meta: str) -> int:
     ratios = config.ratio_sequence()
     level = build_level(ratios, config.depth, budget=config.cell_budget)
     write_json(out / f"geometry_level{config.depth}.json", level.to_json_dict(), meta)
@@ -113,7 +110,7 @@ def _cmd_build(config: ExperimentConfig, out: Path, meta: str, pool: OrderedPool
     return 0
 
 
-def _cmd_measure(config: ExperimentConfig, out: Path, meta: str, pool: OrderedPool) -> int:
+def _cmd_measure(config: ExperimentConfig, out: Path, meta: str) -> int:
     ratios = config.ratio_sequence()
     rows = scale_table(ratios, config.depth)
     write_csv(out / "scale_table.csv", ("n", "rho", "psi", "phi"), rows, meta)
@@ -158,7 +155,7 @@ def _cmd_measure(config: ExperimentConfig, out: Path, meta: str, pool: OrderedPo
     return 0
 
 
-def _cmd_hausdorff(config: ExperimentConfig, out: Path, meta: str, pool: OrderedPool) -> int:
+def _cmd_hausdorff(config: ExperimentConfig, out: Path, meta: str) -> int:
     h = config.hausdorff
     prefix = [example_ratio(h.a, h.b, k) for k in range(1, h.prefix_len + 1)]
     report = hausdorff_report(
@@ -203,22 +200,14 @@ def _suite(config: ExperimentConfig, hier: Hierarchy):
     return funcs
 
 
-def _cmd_energy(config: ExperimentConfig, out: Path, meta: str, pool: OrderedPool) -> int:
+def _cmd_energy(config: ExperimentConfig, out: Path, meta: str) -> int:
     hier = _hierarchy(config)
     exact = _rational(config)
-    funcs = _suite(config, hier)
-
-    def one(item):
-        name, u = item
-        rep = energy_limit(hier, u, config.p, config.depth, exact=exact)
-        return name, rep
-
-    reports = pool.map(one, funcs)
-    write_json(
-        out / "energy_report.json",
-        {name: rep.to_json_dict() for name, rep in reports},
-        meta,
-    )
+    reports = {
+        name: energy_limit(hier, u, config.p, config.depth, exact=exact).to_json_dict()
+        for name, u in _suite(config, hier)
+    }
+    write_json(out / "energy_report.json", reports, meta)
 
     v1 = restrict_to_arm(hier, random_affine(hier, config.seeds[0]), 1)
     v3 = restrict_to_arm(hier, random_affine(hier, config.seeds[0]), 3)
@@ -227,7 +216,7 @@ def _cmd_energy(config: ExperimentConfig, out: Path, meta: str, pool: OrderedPoo
     return 0
 
 
-def _cmd_energy_measure(config: ExperimentConfig, out: Path, meta: str, pool: OrderedPool) -> int:
+def _cmd_energy_measure(config: ExperimentConfig, out: Path, meta: str) -> int:
     hier = _hierarchy(config)
     exact = _rational(config)
     u = diagonal_ramp()
@@ -260,7 +249,7 @@ def _cmd_energy_measure(config: ExperimentConfig, out: Path, meta: str, pool: Or
     return 0
 
 
-def _cmd_besov(config: ExperimentConfig, out: Path, meta: str, pool: OrderedPool) -> int:
+def _cmd_besov(config: ExperimentConfig, out: Path, meta: str) -> int:
     if config.vertex_level < config.depth + 2:
         raise ConfigError(
             "besov profiles need vertex_level >= depth + 2 as a discretization "
@@ -324,7 +313,7 @@ def _cmd_besov(config: ExperimentConfig, out: Path, meta: str, pool: OrderedPool
     return 0
 
 
-def _cmd_bbm(config: ExperimentConfig, out: Path, meta: str, pool: OrderedPool) -> int:
+def _cmd_bbm(config: ExperimentConfig, out: Path, meta: str) -> int:
     hier = _hierarchy(config)
     u = diagonal_ramp()
     curve = bbm_curve(
@@ -357,7 +346,7 @@ def _cmd_bbm(config: ExperimentConfig, out: Path, meta: str, pool: OrderedPool) 
     return 0
 
 
-def _cmd_resistance(config: ExperimentConfig, out: Path, meta: str, pool: OrderedPool) -> int:
+def _cmd_resistance(config: ExperimentConfig, out: Path, meta: str) -> int:
     ratios = config.ratio_sequence()
     level = build_level(ratios, min(config.depth, 2), budget=config.cell_budget)
     L = level.L
@@ -387,8 +376,8 @@ def _cmd_resistance(config: ExperimentConfig, out: Path, meta: str, pool: Ordere
     return 0 if oracle_ok else 1
 
 
-def _cmd_selftest(config: ExperimentConfig, out: Path, meta: str, pool: OrderedPool) -> int:
-    checks, artifacts = run_selftest(config, pool)
+def _cmd_selftest(config: ExperimentConfig, out: Path, meta: str) -> int:
+    checks, artifacts = run_selftest(config)
     # determinism-bearing artifacts
     ratios = config.ratio_sequence()
     write_csv(

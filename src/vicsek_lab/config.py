@@ -39,7 +39,7 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (1, 2, 3, 4)
     bins: int = 16
     mode: str = "rational"
-    threads: Optional[int] = None  # None: fall back to the env default
+    threads: Optional[int] = None  # validated, no effect: the library is single-threaded
     cell_budget: int = 5_000_000
     hausdorff: HausdorffConfig = field(default_factory=HausdorffConfig)
 
@@ -116,13 +116,17 @@ class ExperimentConfig:
         }
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def load_config(path: str | Path, mode: Optional[str] = None) -> ExperimentConfig:
+    """The config in the JSON file; ``mode``, when given, replaces the file's
+    mode before the config is validated."""
     try:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
+    if mode is not None and isinstance(raw, dict):
+        raw["mode"] = mode
     return config_from_dict(raw)
 
 

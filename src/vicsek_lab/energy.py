@@ -255,13 +255,14 @@ def _region_edge_indices(
             idx.append(word_index(level.ratios, w))
         else:
             idx.append(int(w))
+    if not all(0 <= i < level.ratios.num_words(region_level) for i in idx):
+        raise RegionError(f"region word index out of range at level {region_level}")
     stride = ancestor_index_stride(level.ratios, level.n, region_level)
-    # edge words ascend (edge_word[e] = e // 4), so the edges of one region
-    # word are a contiguous run
-    starts = np.asarray(sorted(set(idx)), dtype=np.int64) * stride
-    lo = np.searchsorted(level.edge_word, starts).tolist()
-    hi = np.searchsorted(level.edge_word, starts + stride).tolist()
-    return np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
+    # cell w holds edges 4w .. 4w + 3, so the edges of one region word are
+    # the contiguous run [4 start, 4 (start + stride))
+    return np.concatenate(
+        [np.arange(4 * s, 4 * (s + stride)) for s in sorted(set(i * stride for i in idx))]
+    )
 
 
 def _exact_exponent(p) -> int:

@@ -142,18 +142,15 @@ class VicsekLevel:
         self.L = ratios.length_product(n)
         self.num_cells = num_cells
 
-        Lpad = self.L + 1
-        stride = 2 * self.L + 3
         # The 5 slot points of every cell, cell-major (point 5w + s is slot s
-        # of cell w), packed into one int64 key each; keys are distinct for
-        # points with |x|, |y| <= L + 1, and fit int64 because L <= num_cells.
-        # Vertex ids number the distinct points in order of first appearance.
+        # of cell w), deduplicated by packed key.  Vertex ids number the
+        # distinct points in order of first appearance.
         pts = (_cell_centers(ratios, n)[:, None, :] + _SLOTS[None]).reshape(-1, 2)
-        keys = (pts[:, 0] + Lpad) * stride + (pts[:, 1] + Lpad)
-        sorted_keys, first, inverse, counts = np.unique(
-            keys, return_index=True, return_inverse=True, return_counts=True
+        _, first, inverse, counts = np.unique(
+            self._pack(pts[:, 0], pts[:, 1]),
+            return_index=True, return_inverse=True, return_counts=True,
         )
-        is_first = np.zeros(len(keys), dtype=bool)
+        is_first = np.zeros(len(pts), dtype=bool)
         is_first[first] = True
         rank = (np.cumsum(is_first) - 1)[first]  # id of each sorted key
         V = len(first)
@@ -164,19 +161,14 @@ class VicsekLevel:
         self.multiplicity = np.empty(V, dtype=np.int64)
         self.multiplicity[rank] = counts
         self.cell_vertices = rank[inverse].reshape(num_cells, 5)
-        self._keys = sorted_keys
-        self._key_ids = rank
-        self._pack_pad = Lpad
-        self._pack_stride = stride
 
         self.num_vertices = V
         E = 4 * num_cells
         center_ids = np.repeat(self.cell_vertices[:, 0], 4)
         corner_ids = self.cell_vertices[:, 1:5].reshape(-1)
 
-        self.origin = self.vertex_id(0, 0)
-
-        self._nbr_offsets, self._nbr = _csr_adjacency(V, center_ids, corner_ids)
+        # cell 0 is the all-center word, whose center is (0, 0)
+        self.origin = int(self.cell_vertices[0, 0])
 
         # Tree depths come from the cell structure; shared corners must agree.
         slot_depth = _slot_depths(ratios, n)
@@ -193,7 +185,6 @@ class VicsekLevel:
         swap = d_a > d_b
         self.edge_tail = np.where(swap, corner_ids, center_ids)
         self.edge_head = np.where(swap, center_ids, corner_ids)
-        self.edge_word = np.arange(E, dtype=np.int64) // 4
         self.num_edges = E
 
         # If every vertex but the origin is the head of exactly one edge, then
@@ -206,10 +197,28 @@ class VicsekLevel:
         self.parent = np.full(V, -1, dtype=np.int64)
         self.parent[self.edge_head] = self.edge_tail
 
+    @property
+    def edge_word(self) -> np.ndarray:
+        """Index of the cell whose interior contains each edge: e // 4."""
+        return np.arange(self.num_edges, dtype=np.int64) // 4
+
     # -- lookups -----------------------------------------------------------
 
     def vertex_id(self, x: int, y: int) -> int:
         return int(self._ids_of(np.array([x]), np.array([y]))[0])
+
+    def _pack(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """One int64 key per point: distinct for points with |x|, |y| <= L + 1,
+        and within int64 because L <= num_cells."""
+        pad = self.L + 1
+        return (xs + pad) * (2 * self.L + 3) + (ys + pad)
+
+    @cached_property
+    def _lookup(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted vertex keys and the id of each, built on the first lookup."""
+        keys = self._pack(self.coords[:, 0], self.coords[:, 1])
+        order = np.argsort(keys)
+        return keys[order], order
 
     def _ids_of(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """Vertex ids of the scaled points (xs, ys), elementwise.
@@ -217,17 +226,18 @@ class VicsekLevel:
         A point is found only if it lies in the packing box and its key is
         equal to a vertex key, so a miss never yields a neighbouring id.
         """
-        pad = self._pack_pad
-        keys = (xs + pad) * self._pack_stride + (ys + pad)
-        pos = np.searchsorted(self._keys, keys)
-        found = (abs(xs) <= pad) & (abs(ys) <= pad) & (pos < len(self._keys))
-        found[found] = self._keys[pos[found]] == keys[found]
+        sorted_keys, ids = self._lookup
+        pad = self.L + 1
+        keys = self._pack(xs, ys)
+        pos = np.searchsorted(sorted_keys, keys)
+        found = (abs(xs) <= pad) & (abs(ys) <= pad) & (pos < len(sorted_keys))
+        found[found] = sorted_keys[pos[found]] == keys[found]
         if not found.all():
             i = np.flatnonzero(~found)[0]
             raise LookupError_(
                 f"no vertex at scaled coordinates ({xs.flat[i]}, {ys.flat[i]})"
             )
-        return self._key_ids[pos]
+        return ids[pos]
 
     def vertex_point(self, vid: int) -> LatticePoint:
         if not 0 <= vid < self.num_vertices:
@@ -243,7 +253,11 @@ class VicsekLevel:
         return Fraction(1, self.L)
 
     def neighbors(self, vid: int) -> np.ndarray:
-        return self._nbr[self._nbr_offsets[vid] : self._nbr_offsets[vid + 1]]
+        """Ids adjacent to ``vid`` in the tree, ascending."""
+        adjacent = self.parent == vid
+        if self.parent[vid] >= 0:
+            adjacent[self.parent[vid]] = True
+        return np.flatnonzero(adjacent)
 
     @cached_property
     def vertex_cells(self) -> tuple[np.ndarray, np.ndarray]:
@@ -347,52 +361,6 @@ def _prefix_centers(prefix: tuple[int, ...]) -> np.ndarray:
     return centers
 
 
-def _csr_adjacency(
-    V: int, a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    src = np.concatenate((a, b))
-    dst = np.concatenate((b, a))
-    order = np.argsort(src, kind="stable")
-    nbr = dst[order]
-    counts = np.bincount(src, minlength=V)
-    offsets = np.zeros(V + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return offsets, nbr
-
-
-def _bfs_waves(
-    offsets: np.ndarray, nbr: np.ndarray, seen: np.ndarray, sources: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Breadth-first search from ``sources``, one frontier at a time.
-
-    Returns (vertices, discoverers) per wave, in the order of a FIFO search
-    that takes the sources in the given order and scans each vertex's CSR
-    neighbours in order.  ``seen`` marks the sources on entry and is updated
-    in place.  The graph must be a tree: then no vertex can be reached from
-    two vertices of one frontier, so the first discoverer is the only one.
-    The count check below makes sure of that and of connectivity.
-    """
-    unseen = len(seen) - int(np.count_nonzero(seen))
-    waves = []
-    frontier = sources
-    while frontier.size:
-        lo = offsets[frontier]
-        counts = offsets[frontier + 1] - lo
-        ends = np.cumsum(counts)
-        found = nbr[np.arange(ends[-1]) + np.repeat(lo - ends + counts, counts)]
-        new = ~seen[found]
-        discoverers = np.repeat(frontier, counts)[new]
-        frontier = found[new]
-        seen[frontier] = True
-        if frontier.size:
-            waves.append((frontier, discoverers))
-    if not seen.all():
-        raise AssertionError("graph is not connected")
-    if sum(len(w) for w, _ in waves) != unseen:
-        raise AssertionError("graph is not a tree")
-    return waves
-
-
 def _slot_depths(ratios: RatioSequence, n: int) -> np.ndarray:
     """Tree distance from the origin of the 5 slot points of every level-n cell.
 
@@ -447,8 +415,10 @@ class Transition(NamedTuple):
 
     ``lift[i]`` is the level-(k+1) id of level-k vertex i; row e of
     ``interior`` holds the l - 1 points strictly inside coarse edge e, tail
-    to head; ``hang`` has rows (vertex, parent) in search order, and
-    ``waves`` the row ranges of ``hang`` whose parents are all already valued.
+    to head; ``hang`` has rows (vertex, parent) ordered by parent, and
+    ``waves`` the row ranges of ``hang`` whose parents are all already valued
+    (a single range: every parent is a child center on a coarse diagonal,
+    valued by ``lift`` or ``interior``).
     """
 
     lift: np.ndarray
@@ -523,29 +493,49 @@ class Hierarchy:
         coarse = self.level(k)
         fine = self.level(k + 1)
         l = self.ratios.ratio(k + 1)
+        h = (l - 1) // 2
 
-        lift = fine._ids_of(coarse.coords[:, 0] * l, coarse.coords[:, 1] * l)
+        # Point i of the segment from a coarse center to its corner j is, at
+        # the fine level, slot 0 of arm child i/2 for even i (the center
+        # child for i = 0) and slot j of arm child (i-1)/2 for odd i (the
+        # center child for i = 1), where arm child m >= 1 on arm j is letter
+        # 1 + (j-1) h + (m-1) of the cell's children.
+        i = np.arange(l + 1)
+        j = np.arange(1, 5)[:, None]
+        m = i // 2
+        child = np.where(m > 0, 1 + (j - 1) * h + m - 1, 0)
+        slot = np.where(i % 2 == 1, j, 0)
+        fine_cells = fine.cell_vertices.reshape(coarse.num_cells, 2 * l - 1, 5)
+        seg = fine_cells[:, child, slot]  # (cells, arm j, point i)
+
+        lift = np.empty(coarse.num_vertices, dtype=np.int64)
+        lift[coarse.cell_vertices[:, 0]] = seg[:, 0, 0]
+        lift[coarse.cell_vertices[:, 1:]] = seg[:, :, l]
 
         # the l - 1 points strictly inside each coarse edge, tail to head
-        tail = coarse.coords[coarse.edge_tail]
-        step = coarse.coords[coarse.edge_head] - tail
-        i = np.arange(1, l, dtype=np.int64)[None, :, None]
-        pts = tail[:, None, :] * l + i * step[:, None, :]
-        interior = fine._ids_of(pts[..., 0], pts[..., 1])
+        interior = seg[:, :, 1:l].reshape(coarse.num_edges, l - 1)
+        outward = coarse.edge_tail == np.repeat(coarse.cell_vertices[:, 0], 4)
+        interior[~outward] = interior[~outward, ::-1]
 
-        # hanging vertices attach by a multi-source search from every valued
-        # vertex in ascending id order; each wave depends only on earlier ones
-        seen = np.zeros(fine.num_vertices, dtype=bool)
-        seen[lift] = True
-        seen[interior.reshape(-1)] = True
-        found = _bfs_waves(fine._nbr_offsets, fine._nbr, seen, np.flatnonzero(seen))
-        hang = np.empty((sum(len(v) for v, _ in found), 2), dtype=np.int64)
-        waves: list[tuple[int, int]] = []
-        start = 0
-        for vertices, discoverers in found:
-            stop = start + len(vertices)
-            hang[start:stop, 0] = vertices
-            hang[start:stop, 1] = discoverers
-            waves.append((start, stop))
-            start = stop
+        # every other fine vertex is an off-diagonal corner of an arm child,
+        # adjacent only to that child's center, which lies on a diagonal;
+        # rows are in cell order, which is ascending parent order (a center,
+        # at even coordinates, is no other cell's corner, so it is numbered
+        # in its own cell), and in slot order within a cell
+        valued = np.zeros(fine.num_vertices, dtype=bool)
+        valued[lift] = True
+        valued[interior] = True
+        corners = fine.cell_vertices[:, 1:]
+        hanging = ~valued[corners]
+        hang = np.column_stack(
+            (corners[hanging], np.repeat(fine.cell_vertices[:, 0], hanging.sum(axis=1)))
+        )
+
+        seen = np.bincount(
+            np.concatenate((lift, interior.reshape(-1), hang[:, 0])),
+            minlength=fine.num_vertices,
+        )
+        if not np.all(seen == 1) or not valued[hang[:, 1]].all():
+            raise AssertionError("refinement maps do not cover the fine level once")
+        waves = [(0, len(hang))] if len(hang) else []
         return lift, interior, hang, waves

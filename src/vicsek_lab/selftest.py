@@ -37,14 +37,13 @@ from .energy import (
 from .energy_measure import coincidence_check, gamma_cells, pushforward_profile
 from .geometry import Hierarchy
 from .measure import mu_ball_bounds, psi_of, regularized_scales, scale_values
-from .parallel import OrderedPool
 from .pairsum import ball_pair_sum_bruteforce, ball_pair_sum_indexed
 from .ratios import p_is_integer
 
 Check = tuple[str, bool, str]
 
 
-def run_selftest(config: ExperimentConfig, pool: OrderedPool) -> tuple[list[Check], dict]:
+def run_selftest(config: ExperimentConfig) -> tuple[list[Check], dict]:
     ratios = config.ratio_sequence()
     N = config.depth
     m = config.vertex_level
@@ -130,7 +129,6 @@ def run_selftest(config: ExperimentConfig, pool: OrderedPool) -> tuple[list[Chec
     ok = (eg == rep.limit) if exact else abs(eg - rep.limit) <= 1e-12
     record("gradient_energy_identity", ok)
 
-    seeds = list(config.seeds)
     def seed_mono(seed: int) -> bool:
         u = random_affine(hier, seed)
         r = energy_limit(hier, u, p, min(N, 4), exact=exact)
@@ -138,7 +136,7 @@ def run_selftest(config: ExperimentConfig, pool: OrderedPool) -> tuple[list[Chec
         if exact:
             return all(a <= b for a, b in zip(es, es[1:]))
         return all(a <= b * (1 + 1e-12) for a, b in zip(es, es[1:]))
-    record("seeded_monotonicity", all(pool.map(seed_mono, seeds)))
+    record("seeded_monotonicity", all(seed_mono(s) for s in config.seeds))
 
     if float(p) <= 8:
         lvr = hier.level(min(2, N))
@@ -199,7 +197,7 @@ def run_selftest(config: ExperimentConfig, pool: OrderedPool) -> tuple[list[Chec
 
     ok = True
     for beta in config.beta_grid:
-        jk = jump_kernel_energy(hier, u_star, p, beta, N)
+        jk = jump_kernel_energy(hier, u_star, p, beta, N, exact=exact, energies=base)
         ssum = (
             sum(profiles[beta].beta_energies, Fraction(0))
             if exact and float(beta) == float(ratios.beta_star)

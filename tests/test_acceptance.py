@@ -11,6 +11,7 @@ import gc
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -380,6 +381,8 @@ def test_criterion_14_determinism(tmp_path):
             ],
             capture_output=True,
             text=True,
+            # the child imports vicsek_lab from wherever this process does
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)},
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         blobs = {p.name: p.read_bytes() for p in sorted(out.iterdir())}

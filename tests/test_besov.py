@@ -219,6 +219,53 @@ def test_jump_kernel_identity(hier3):
     assert jump_kernel_energy(hier3, const, 2, 1.0, 3) == 0
 
 
+def test_jump_kernel_takes_phi_at_the_call_p(hier3):
+    """hier3 carries p = 2; a call at p = 3 weighs with phi at p = 3 in both
+    arithmetics, as a hierarchy built with p = 3 does."""
+    from vicsek_lab.geometry import Hierarchy
+    from vicsek_lab.ratios import constant_ratios
+
+    hier_p3 = Hierarchy(constant_ratios(3, 12, p=3), 4)
+    u = random_affine(hier3, 1)  # the same function on either hierarchy
+    exact = jump_kernel_energy(hier3, u, 3, 1.0, 4)
+    assert isinstance(exact, Fraction)
+    assert exact == jump_kernel_energy(hier_p3, u, 3, 1.0, 4)
+    assert jump_kernel_energy(hier3, u, 3, 1.0, 4, exact=False) == pytest.approx(
+        float(exact), rel=1e-12
+    )
+    got = jump_kernel_energy(hier3, u, 3, 0.8, 4)
+    assert got == pytest.approx(72.5953043909, rel=1e-10)
+    assert got == pytest.approx(jump_kernel_energy(hier_p3, u, 3, 0.8, 4), rel=1e-12)
+    prof = discrete_profiles(hier3, u, 3, 0.8, 4)
+    assert got == pytest.approx(math.fsum(prof.beta_energies), rel=1e-12)
+
+
+def test_jump_kernel_uses_given_energies(hier3, monkeypatch):
+    from vicsek_lab import besov
+
+    u = random_affine(hier3, 7)
+    exact_base = besov.base_energies(hier3, u, 2, 4, exact=True)
+    float_base = besov.base_energies(hier3, u, 2, 4, exact=False)
+    want = {
+        (beta, kind): jump_kernel_energy(hier3, u, 2, beta, 4, exact=kind is Fraction)
+        for beta in (0.8, 1.0)
+        for kind in (Fraction, float)
+    }
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("energies were given")
+
+    monkeypatch.setattr(besov, "base_energies", no_sweep)
+    for beta in (0.8, 1.0):
+        # the energies' type fixes the arithmetic; exact only at beta*
+        got = jump_kernel_energy(hier3, u, 2, beta, 4, exact=True, energies=float_base)
+        assert type(got) is float and got == want[beta, float]
+        got = jump_kernel_energy(hier3, u, 2, beta, 4, energies=exact_base)
+        assert type(got) is (Fraction if beta == 1.0 else float)
+        assert got == pytest.approx(want[beta, Fraction], rel=1e-12)
+    assert jump_kernel_energy(hier3, u, 2, 1.0, 4, energies=exact_base) == want[1.0, Fraction]
+
+
 def test_partial_sum_bracket(hier3):
     # sum_{k>=n} phi(rho_k)^delta within the two-sided geometric estimate
     from vicsek_lab.besov import _log_phi

@@ -334,3 +334,60 @@ def test_selftest_honours_float_mode(tmp_path, monkeypatch):
         args = ["selftest", "--config", str(path), "--out", str(tmp_path / mode)]
         assert main(args + ["--mode", mode]) == 0
         assert seen == [("base", exact), ("bbm", exact)], mode
+
+
+def test_threads_is_validated_and_has_no_effect(tmp_path, capsys):
+    """The library is single-threaded: a thread count above 1 is noted on
+    stderr once and changes no artifact; a count below 1 is rejected."""
+    outs = {}
+    for flag, key in ((None, 1), (None, 4), ("1", 1), ("3", 1)):
+        cfg = write_config(tmp_path, {"threads": key})
+        out = tmp_path / f"art-{flag}-{key}"
+        args = ["energy", "--config", str(cfg), "--out", str(out)]
+        assert main(args + (["--threads", flag] if flag else [])) == 0
+        threads = int(flag) if flag else key
+        notes = [line for line in capsys.readouterr().err.splitlines() if "threads" in line]
+        assert notes == ([f"note: vicsek-lab runs on one thread; threads={threads} has no effect"]
+                         if threads > 1 else [])
+        outs[flag, key] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    first = outs[None, 1]
+    assert first and all(blobs == first for blobs in outs.values())
+
+    for flag, key in (("0", 1), ("-2", 1), (None, 0)):
+        cfg = write_config(tmp_path, {"threads": key})
+        args = ["energy", "--config", str(cfg), "--out", str(tmp_path / "bad")]
+        assert main(args + (["--threads", flag] if flag else [])) == 2
+        assert "threads must be >= 1" in capsys.readouterr().err
+
+
+def test_mode_override_applies_before_validation(tmp_path, capsys):
+    """--mode float rescues a rational-mode file whose p is not an integer."""
+    cfg = write_config(tmp_path, {"p": 2.5, "mode": "rational"})
+    args = ["energy", "--config", str(cfg), "--out", str(tmp_path / "art")]
+    assert main(args) == 2
+    assert "rational mode requires an integer p" in capsys.readouterr().err
+    assert main(args + ["--mode", "float"]) == 0
+    float_cfg = write_config(tmp_path, {"p": 2.5, "mode": "float"})
+    assert main(["energy", "--config", str(float_cfg), "--out", str(tmp_path / "want")]) == 0
+    for name in ("energy_report.json", "property_checks.json"):
+        assert (tmp_path / "art" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
+    assert main(args + ["--mode", "rational"]) == 2
+
+
+def test_selftest_sweeps_only_in_its_arithmetic(tmp_path, monkeypatch):
+    """Every E_{p,n} sweep of selftest is in the mode's arithmetic: one for
+    the suite (shared by the profiles and the jump kernel), one for BBM."""
+    path = write_config(tmp_path)
+    flags = []
+    multi = besov.energy_levels_multi
+
+    def spy_levels(hier, u, ps, max_level, exact=True):
+        flags.append(exact)
+        return multi(hier, u, ps, max_level, exact)
+
+    monkeypatch.setattr(besov, "energy_levels_multi", spy_levels)
+    for mode, exact in (("rational", True), ("float", False)):
+        flags.clear()
+        args = ["selftest", "--config", str(path), "--out", str(tmp_path / mode)]
+        assert main(args + ["--mode", mode]) == 0
+        assert flags == [exact, exact], mode

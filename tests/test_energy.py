@@ -90,6 +90,14 @@ def test_discrete_energy_region(hier3):
     assert e_all == Fraction(1, 2)
     with pytest.raises(RegionError):
         discrete_energy_exact(lv1, den, ints, 2, region=[(Letter(1, 1), CENTER)])
+    # index words: the region's edges are sliced by index, so a word outside
+    # the level would select edges of no cell or wrap around
+    lv2 = hier3.level(2)
+    den2, ints2 = scaled_values_at(hier3, u, 2)
+    assert discrete_energy_exact(lv2, den2, ints2, 2, region=[1], region_level=1) == e_arm1
+    for bad in (-1, lv1.num_cells):
+        with pytest.raises(RegionError):
+            discrete_energy_exact(lv2, den2, ints2, 2, region=[bad], region_level=1)
 
 
 def test_gradient_field_slopes(hier3):
@@ -279,6 +287,17 @@ def test_contraction_abs_and_clamp(hier3):
     assert all(rep.contraction_ok)
     w = compose(u, abs)
     assert energy_limit(hier3, w, 2, 3).limit <= energy_limit(hier3, u, 2, 3).limit
+
+
+def test_exact_contraction_has_no_slack(hier3):
+    """A map that stretches by 1 + 1e-15 raises the energy by about 2e-15,
+    inside the float slack of 1e-12 but not an exact contraction."""
+    u = random_affine(hier3, 5)
+    stretch = lambda t: t * Fraction(10**15 + 1, 10**15)  # noqa: E731
+    exact = energy_property_checks(hier3, u, u, 2, 3, lipschitz_maps=(stretch,), exact=True)
+    assert exact.contraction_ok == (False,)
+    loose = energy_property_checks(hier3, u, u, 2, 3, lipschitz_maps=(stretch,), exact=False)
+    assert loose.contraction_ok == (True,)
 
 
 def test_strong_locality_exact(hier3):

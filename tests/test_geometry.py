@@ -224,9 +224,32 @@ def test_cell_edges_and_index(hier3):
             assert tuple(d) == DIRECTION_VECTORS[j]
 
 
+def test_level_keeps_no_lookup_or_adjacency_tables():
+    """The vertex lookup is built on the first lookup; edge words and
+    neighbours are derived from the cell numbering and the parent array."""
+    lv = build_level(constant_ratios(3, 6), 3)
+    held = {name for name, value in vars(lv).items() if isinstance(value, np.ndarray)}
+    assert held == {
+        "coords", "owner_word", "multiplicity", "cell_vertices",
+        "depth", "edge_tail", "edge_head", "parent",
+    }
+    assert "_lookup" not in vars(lv)
+    assert lv.origin == lv.cell_vertices[0, 0] == lv.vertex_id(0, 0)
+    assert "_lookup" in vars(lv)
+    assert np.array_equal(lv.edge_word, np.arange(lv.num_edges) // 4)
+
+    adjacent = [set() for _ in range(lv.num_vertices)]
+    for a, b in zip(lv.edge_tail.tolist(), lv.edge_head.tolist()):
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+    for vid in range(lv.num_vertices):
+        assert lv.neighbors(vid).tolist() == sorted(adjacent[vid])
+
+
 def test_hierarchy_memory_is_bounded():
-    """Peak traced memory of every level and transition of Hierarchy(l=3, 7):
-    79 MB measured, capped at 120 MB."""
+    """Traced memory of every level and transition of Hierarchy(l=3, 7):
+    peak 64 MB measured, capped at 120 MB; 33 MB still held once all are
+    built, capped at 40 MB."""
     import tracemalloc
 
     from vicsek_lab import geometry
@@ -237,10 +260,11 @@ def test_hierarchy_memory_is_bounded():
         hier = geometry.Hierarchy(constant_ratios(3, 12), 7)
         for k in range(7):
             hier.transition(k)
-        _, peak = tracemalloc.get_traced_memory()
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 120 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert held <= 40 * 2**20, f"held {held / 2**20:.1f} MB"
 
 
 def test_hierarchy_builds_levels_on_first_use(monkeypatch):

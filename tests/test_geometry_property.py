@@ -3,8 +3,8 @@
 ``_geometry_oracle`` builds each level with a dict of coordinates and a FIFO
 breadth-first search, and each transition with one dict lookup per point.
 The library builds the same arrays from sorted packed keys, the depth
-recursion over cells and ``searchsorted``; every array, vertex ids included,
-must be equal.
+recursion over cells and gathers from known child slots; every array,
+vertex ids included, must be equal.
 """
 
 from __future__ import annotations
