@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from vicsek_lab import pairsum
+from vicsek_lab.besov import weak_monotonicity_report
 from vicsek_lab.energy import diagonal_ramp, float_values_at, random_affine, scaled_values_at
 from vicsek_lab.geometry import Hierarchy
 from vicsek_lab.pairsum import (
@@ -65,3 +66,26 @@ def test_plan_is_built_once_per_level_and_radius(monkeypatch):
     assert len(built) == 2
     ball_pair_sum_indexed(lv, fa, 2, 2)
     assert len(built) == 2
+
+
+def test_float_pair_sum_bits_are_pinned(hier3, hier35):
+    """Float pair sums and the weak-monotonicity ratio, pinned by repr.
+
+    Any change in summation order shows here before it reaches an artifact
+    compared as text.
+    """
+    u = diagonal_ramp()
+    vals = float_values_at(hier3, u, 6)
+    got = [repr(ball_pair_sum_indexed(hier3.level(6), vals, 2, n)) for n in range(5)]
+    assert got == [
+        "372061020.6101766",
+        "30714988.116696395",
+        "483255.0054777939",
+        "6758.3498265626195",
+        "90.1805223910252",
+    ]
+    vals35 = float_values_at(hier35, u, 4)
+    assert repr(ball_pair_sum_indexed(hier35.level(4), vals35, 3, 1)) == "122679.57027371347"
+    # the README config: l = 3, p = 2, depth 4, vertex_level 6
+    wm = weak_monotonicity_report(hier3, u, 2, 6, 4, (2, 4))
+    assert repr(wm.ratio) == "1.0496848096751399"
