@@ -93,7 +93,7 @@ def profile_is_exact(
     hier: Hierarchy, p, beta: float, m: int, include_empirical: bool = False
 ) -> bool:
     """Whether ``phi_profile`` defaults to exact arithmetic for these inputs."""
-    # exact pair sums are pure Python; sensible only on small levels
+    # exact pair sums cost far more than float ones; sensible only on small levels
     return (
         p_is_integer(p)
         and float(beta) == float(hier.ratios.beta_star)
@@ -414,6 +414,7 @@ def bbm_curve(
     tail: Optional[str] = "plateau",
     bracket_tol: float = 1e-9,
     exact: Optional[bool] = None,
+    energies: Optional[tuple] = None,
 ) -> BBMCurve:
     """(beta* - beta) E_{p,p}^beta for beta = beta* - epsilon, with brackets.
 
@@ -423,7 +424,8 @@ def bbm_curve(
     [eps E phi(rho_n0)^delta / (1 - sup_t^-delta),
      eps E phi(rho_0)^delta / (1 - inf_t^-delta)].
     As eps -> 0 both ends converge to E beta* / log t.  The energies
-    E_{p,n} are computed once, exact by default for integer p.
+    E_{p,n} are computed once, exact by default for integer p; ``energies``,
+    when given, are ``base_energies(hier, u, p, max_scale, ...)``.
     """
     ratios = hier.ratios.with_p(p)  # phi and t_l at this p
     beta_star = float(ratios.beta_star)
@@ -433,7 +435,7 @@ def bbm_curve(
                 f"epsilon must lie in (0, beta_star), got {eps}"
             )
     consts = derived_constants(ratios)
-    base = base_energies(hier, u, p, max_scale, exact)
+    base = energies if energies is not None else base_energies(hier, u, p, max_scale, exact)
     E = float(base[max_scale])
     n0 = u.base_level
     points = []
@@ -540,17 +542,19 @@ def weak_monotonicity_report(
     window: tuple[int, int],
     method: str = "auto",
     energies: Optional[tuple] = None,
+    exact: Optional[bool] = None,
 ) -> WeakMonotonicityReport:
     """sup_n Phi(rho_n) / min over a window: finite surrogate of sup/liminf.
 
-    ``energies`` are passed on to ``phi_profile`` at beta = beta*.
+    ``energies`` and ``exact`` are passed on to ``phi_profile`` at
+    beta = beta*.
     """
     lo, hi = window
     if not (0 <= lo <= hi <= max_scale):
         raise InvalidArgumentError(f"window {window} not within [0, {max_scale}]")
     prof = phi_profile(
         hier, u, p, float(hier.ratios.beta_star), m, max_scale, method=method,
-        energies=energies,
+        exact=exact, energies=energies,
     )
     phis = [float(x) for x in prof.phi_proxy]
     sup_v = max(phis)

@@ -11,10 +11,13 @@ routes are provided:
   axis-aligned squares on the scaled lattice, and square-vs-square distance
   bounds classify cell pairs as all-in (full blocks), all-out (pruned), or
   straddling (split, down to leaf blocks whose pairs are tested one by
-  one).  The plan is cached on the level and shared by every value vector
-  and both arithmetics.  One small evaluator per arithmetic then sums the
-  blocks.  The float one takes the p = 2 full blocks as one gather over
-  prefix moments and every other block in sub-blocks of at most ``_CHUNK``
+  one).  Ratios depend only on depth, so a leaf block's in-ball mask
+  depends only on the vertex layouts of its two cells and their offset:
+  the plan groups leaf blocks into classes with one mask each.  The plan is
+  cached on the level and shared by every value vector and both
+  arithmetics.  One small evaluator per arithmetic then sums the blocks.
+  The float one takes the p = 2 full blocks as one gather over prefix
+  moments and every other block in sub-blocks of at most ``_CHUNK``
   elements, so memory is bounded for every p.  Block sums are added one by
   one in the plan's depth-first order, which keeps float results fixed.
 
@@ -31,9 +34,11 @@ can be compared bit-for-bit against the brute-force oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
+from .energy import _int_array, _power_sums
 from .errors import InvalidArgumentError, ScaleMismatchError
 from .geometry import VicsekLevel, _cell_centers
 
@@ -45,7 +50,9 @@ class CellPairIndex:
     """Vertices of one level grouped by owner-cell ancestry at every level.
 
     Cell (k, i) is row ``start[k] + i`` of the flat per-cell tables: its
-    scaled center, and the range [lo, hi) of its vertices in ``order``.
+    scaled center, the range [lo, hi) of its vertices in ``order``, and its
+    layout type: two cells have the same type iff their vertices, in
+    ``order``, have the same coordinates relative to the cell center.
     """
 
     def __init__(self, level: VicsekLevel):
@@ -83,6 +90,39 @@ class CellPairIndex:
         self.half = np.array(half, dtype=np.int64)
         self.children = np.array(children, dtype=np.int64)
         self.max_level = m
+        self.cell_type = self._cell_types()
+
+    def _cell_types(self) -> np.ndarray:
+        """Layout type per cell, level by level from the root.
+
+        A child's vertices are a sub-range of its parent's, shifted to the
+        child's center, so (parent type, child index, sub-range) fixes the
+        child's layout.  Candidates with equal layouts are merged by
+        comparing one representative cell each.
+        """
+        types = np.zeros(self.lo.size, dtype=np.int64)
+        count = 1
+        for k in range(self.max_level):
+            c = int(self.children[k])
+            cells = np.arange(self.start[k], self.start[k + 1])
+            par = np.repeat(cells, c)
+            kid = np.arange(self.start[k + 1], self.start[k + 1] + par.size)
+            key = np.stack((
+                types[par],
+                np.tile(np.arange(c), cells.size),
+                self.lo[kid] - self.lo[par],
+                self.hi[kid] - self.lo[par],
+            ), axis=1)
+            _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+            seen: dict[bytes, int] = {}
+            ids = []
+            for r in kid[first].tolist():
+                lo, hi = self.lo[r], self.hi[r]
+                layout = np.stack((self.xs[lo:hi] - self.cx[r], self.ys[lo:hi] - self.cy[r]))
+                ids.append(seen.setdefault(layout.tobytes(), count + len(seen)))
+            count += len(seen)
+            types[kid] = np.array(ids, dtype=np.int64)[inverse.ravel()]
+        return types
 
 
 def _pair_index(level: VicsekLevel) -> CellPairIndex:
@@ -195,13 +235,16 @@ class PairPlan:
     Each row of ``blocks`` is (lo_a, hi_a, lo_b, hi_b, weight): the ordered
     pairs between vertex ranges [lo_a, hi_a) and [lo_b, hi_b) of
     ``CellPairIndex.order``, counted ``weight`` times.  Every pair of a full
-    block lies in the ball; a pair of a leaf block (``is_leaf``) lies in it
-    iff dx^2 + dy^2 <= radius2.  Rows are in depth-first traversal order,
-    the order float evaluation sums them in.
+    block lies in the ball; a pair of a leaf block lies in it iff
+    dx^2 + dy^2 <= radius2.  ``leaf_class`` is -1 on full blocks and a class
+    id on leaf blocks: blocks of one class join cells of the same two layout
+    types at the same center offset, so they share one in-ball mask.  Rows
+    are in depth-first traversal order, the order float evaluation sums
+    them in.
     """
 
     blocks: np.ndarray
-    is_leaf: np.ndarray
+    leaf_class: np.ndarray
     radius2: int
 
 
@@ -297,7 +340,14 @@ def _build_plan(idx: CellPairIndex, R: int, leaf_max: int) -> PairPlan:
     a = idx.start[ka] + ia
     b = idx.start[kb] + ib
     blocks = np.stack((idx.lo[a], idx.hi[a], idx.lo[b], idx.hi[b], w), axis=1)
-    return PairPlan(blocks, kind == _LEAF, R)
+    leaf = kind == _LEAF
+    a, b = a[leaf], b[leaf]
+    key = np.stack((
+        idx.cell_type[a], idx.cell_type[b], idx.cx[a] - idx.cx[b], idx.cy[a] - idx.cy[b]
+    ), axis=1)
+    leaf_class = np.full(kind.size, -1, dtype=np.int64)
+    leaf_class[leaf] = np.unique(key, axis=0, return_inverse=True)[1].ravel()
+    return PairPlan(blocks, leaf_class, R)
 
 
 # ---------------------------------------------------------------------------
@@ -328,40 +378,39 @@ def ball_pair_sum_indexed(
 
 
 def _evaluate_exact(plan: PairPlan, idx: CellPairIndex, ints, p: int) -> int:
-    """Integer sum over the plan's blocks; pure Python arithmetic."""
-    vs = [ints[i] for i in idx.order.tolist()]
-    xs = idx.xs.tolist()
-    ys = idx.ys.tolist()
-    R = plan.radius2
-    P1 = [0]
-    P2 = [0]
-    if p == 2:
-        for v in vs:
-            P1.append(P1[-1] + v)
-            P2.append(P2[-1] + v * v)
+    """Integer sum over the plan's blocks.
+
+    p = 2 full blocks take the prefix-moment closed form in Python ints.
+    Every other block sums |v_i - v_j|^p with ``_power_sums`` in the values'
+    dtype (int64 below 2^62, object past it): all pairs of a full block, row
+    chunk by row chunk, and the in-ball pairs of a leaf block, taken from
+    its class mask.
+    """
+    vs = _int_array(ints)[idx.order]
+    blocks = plan.blocks.tolist()
     total = 0
-    for (loa, hia, lob, hib, w), leaf in zip(plan.blocks.tolist(), plan.is_leaf.tolist()):
-        if p == 2 and not leaf:
+    if p == 2:
+        P1 = [0, *accumulate(vs.tolist())]
+        P2 = [0, *accumulate(v * v for v in vs.tolist())]
+    for row in np.flatnonzero(plan.leaf_class < 0).tolist():
+        loa, hia, lob, hib, w = blocks[row]
+        if p == 2:
             Sa = P1[hia] - P1[loa]
             Sb = P1[hib] - P1[lob]
             Qa = P2[hia] - P2[loa]
             Qb = P2[hib] - P2[lob]
             total += w * ((hib - lob) * Qa - 2 * Sa * Sb + (hia - loa) * Qb)
             continue
-        out = 0
-        for i in range(loa, hia):
-            xi = xs[i]
-            yi = ys[i]
-            vi = vs[i]
-            for j in range(lob, hib):
-                if leaf:
-                    dx = xi - xs[j]
-                    dy = yi - ys[j]
-                    if dx * dx + dy * dy > R:
-                        continue
-                d = vi - vs[j]
-                out += d * d if p == 2 else abs(d) ** p
-        total += w * out
+        rows = max(1, _CHUNK // (hib - lob))
+        for i0 in range(loa, hia, rows):
+            d = vs[i0 : min(i0 + rows, hia), None] - vs[None, lob:hib]
+            total += w * _power_sums(d.ravel(), (p,))[0][0]
+    for group in _class_rows(plan.leaf_class):
+        loa, hia, lob, hib, _ = blocks[group[0]]
+        ii, jj = np.nonzero(_in_ball(idx, plan.radius2, loa, hia, lob, hib))
+        for row in group.tolist():
+            loa, _, lob, _, w = blocks[row]
+            total += w * _power_sums(vs[loa + ii] - vs[lob + jj], (p,))[0][0]
     return total
 
 
@@ -371,7 +420,8 @@ def _evaluate_float(
     """Float sum over the plan's blocks, added one by one in plan order.
 
     Blocks go in chunks of consecutive rows; p = 2 full blocks take the
-    prefix-moment closed form, all others ``_pair_block``.
+    prefix-moment closed form, all others ``_pair_block``.  The leaf blocks
+    of one class in a chunk share one mask, built once.
     """
     F = vals.shape[1]
     vs = vals[idx.order]
@@ -384,63 +434,102 @@ def _evaluate_float(
     step = max(1, _CHUNK // (4 * F))
     for s in range(0, len(plan.blocks), step):
         blocks = plan.blocks[s : s + step]
-        leaf = plan.is_leaf[s : s + step]
+        leaf_class = plan.leaf_class[s : s + step]
+        full = leaf_class < 0
         terms = np.zeros((len(blocks), F))
-        pairwise = leaf if pf == 2.0 else np.ones_like(leaf)
         if pf == 2.0:
-            loa, hia, lob, hib, w = blocks[~leaf].T
+            loa, hia, lob, hib, w = blocks[full].T
             Sa = P1[hia] - P1[loa]
             Sb = P1[hib] - P1[lob]
             Qa = P2[hia] - P2[loa]
             Qb = P2[hib] - P2[lob]
             cnta = (hia - loa)[:, None]
             cntb = (hib - lob)[:, None]
-            terms[~leaf] = w[:, None] * (cntb * Qa - 2.0 * Sa * Sb + cnta * Qb)
-        for row in np.flatnonzero(pairwise).tolist():
-            xy = (idx.xs, idx.ys) if leaf[row] else None
-            terms[row] = _pair_block(vs, xy, plan.radius2, pf, *blocks[row].tolist())
+            terms[full] = w[:, None] * (cntb * Qa - 2.0 * Sa * Sb + cnta * Qb)
+        else:
+            for row in np.flatnonzero(full).tolist():
+                loa, hia, lob, hib, w = blocks[row].tolist()
+                subs = [(*box, None) for box in _sub_blocks(hia - loa, hib - lob, F)]
+                terms[row] = _pair_block(vs, subs, pf, loa, lob, w)
+        for group in _class_rows(leaf_class):
+            subs = _class_mask(idx, plan.radius2, F, pf, *blocks[group[0], :4].tolist())
+            for row in group.tolist():
+                loa, _, lob, _, w = blocks[row].tolist()
+                terms[row] = _pair_block(vs, subs, pf, loa, lob, w)
         terms[0] += total
         total = terms.cumsum(axis=0)[-1]
     return total
 
 
-def _pair_block(vs, xy, R, pf, loa, hia, lob, hib, w):
-    """w * sum of |v_i - v_j|^pf over one block's pairs, restricted to the
-    ball when ``xy`` holds the coordinates, in sub-blocks of at most
-    ``_CHUNK`` elements."""
-    F = vs.shape[1]
-    cols = max(1, min(hib - lob, _CHUNK // F))
+def _class_rows(leaf_class: np.ndarray) -> list[np.ndarray]:
+    """Rows of each leaf class, one ascending array per class."""
+    rows = np.flatnonzero(leaf_class >= 0)
+    rows = rows[np.argsort(leaf_class[rows], kind="stable")]
+    return np.split(rows, np.flatnonzero(np.diff(leaf_class[rows])) + 1) if rows.size else []
+
+
+def _in_ball(idx: CellPairIndex, R: int, i0: int, i1: int, j0: int, j1: int) -> np.ndarray:
+    """Mask of the pairs of [i0, i1) x [j0, j1) with dx^2 + dy^2 <= R."""
+    dx = idx.xs[i0:i1, None] - idx.xs[None, j0:j1]
+    dy = idx.ys[i0:i1, None] - idx.ys[None, j0:j1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx <= R
+
+
+def _sub_blocks(na: int, nb: int, F: int) -> list[tuple[int, int, int, int]]:
+    """(i0, i1, j0, j1) of the sub-blocks of an na x nb block, each of at
+    most ``_CHUNK`` elements over F columns, in evaluation order."""
+    cols = max(1, min(nb, _CHUNK // F))
     rows = max(1, _CHUNK // (cols * F))
-    out = np.zeros(F)
-    for j0 in range(lob, hib, cols):
-        j1 = min(j0 + cols, hib)
-        vb = vs[j0:j1]
-        for i0 in range(loa, hia, rows):
-            i1 = min(i0 + rows, hia)
-            va = vs[i0:i1]
-            mask = None
-            if xy is not None:
-                xs, ys = xy
-                dx = xs[i0:i1, None] - xs[None, j0:j1]
-                dy = ys[i0:i1, None] - ys[None, j0:j1]
-                dx *= dx
-                dy *= dy
-                dx += dy
-                mask = dx <= R
-                if not mask.any():
-                    continue
-                if pf == 2.0:
-                    # masked sum of (vi - vj)^2 via matrix products
-                    M = mask.astype(np.float64)
-                    out += M.sum(axis=1) @ (va * va) + M.sum(axis=0) @ (vb * vb)
-                    out -= 2.0 * (va * (M @ vb)).sum(axis=0)
-                    continue
-            dv = va[:, None, :] - vb[None, :, :]
-            _abs_pow(dv, pf)
-            if mask is None:
-                out += dv.sum(axis=(0, 1))
-            else:
-                out += np.einsum("ij,ijf->f", mask, dv)
+    return [
+        (i0, min(i0 + rows, na), j0, min(j0 + cols, nb))
+        for j0 in range(0, nb, cols)
+        for i0 in range(0, na, rows)
+    ]
+
+
+def _class_mask(idx: CellPairIndex, R: int, F: int, pf: float, loa, hia, lob, hib):
+    """The sub-blocks of one leaf class from a representative block, each
+    with its in-ball mask; sub-blocks with no pair in the ball are left out.
+
+    For p = 2 the mask is kept as (float mask, row counts, column counts)
+    for the matrix-product form of the masked sum.
+    """
+    subs = []
+    for i0, i1, j0, j1 in _sub_blocks(hia - loa, hib - lob, F):
+        mask = _in_ball(idx, R, loa + i0, loa + i1, lob + j0, lob + j1)
+        if not mask.any():
+            continue
+        if pf == 2.0:
+            M = mask.astype(np.float64)
+            mask = (M, M.sum(axis=1), M.sum(axis=0))
+        subs.append((i0, i1, j0, j1, mask))
+    return subs
+
+
+def _pair_block(vs, subs, pf, loa, lob, w):
+    """w * sum of |v_i - v_j|^pf over one block's pairs, sub-block by
+    sub-block: ``subs`` holds (i0, i1, j0, j1, mask) with offsets from
+    (loa, lob) and mask None (every pair), bool, or as ``_class_mask``
+    keeps it for p = 2."""
+    out = np.zeros(vs.shape[1])
+    for i0, i1, j0, j1, mask in subs:
+        va = vs[loa + i0 : loa + i1]
+        vb = vs[lob + j0 : lob + j1]
+        if isinstance(mask, tuple):
+            # masked sum of (vi - vj)^2 via matrix products
+            M, rows, cols = mask
+            out += rows @ (va * va) + cols @ (vb * vb)
+            out -= 2.0 * (va * (M @ vb)).sum(axis=0)
+            continue
+        dv = va[:, None, :] - vb[None, :, :]
+        _abs_pow(dv, pf)
+        if mask is None:
+            out += dv.sum(axis=(0, 1))
+        else:
+            out += np.einsum("ij,ijf->f", mask, dv)
     return w * out
 
 

@@ -20,6 +20,7 @@ from .besov import (
     bbm_curve,
     discrete_profiles,
     jump_kernel_energy,
+    profile_is_exact,
     weak_monotonicity_report,
 )
 from .config import ExperimentConfig
@@ -212,7 +213,8 @@ def run_selftest(config: ExperimentConfig) -> tuple[list[Check], dict]:
     # -- BBM ---------------------------------------------------------------
     distinct = ratios.distinct_ratios()
     curve = bbm_curve(
-        hier, u_star, p, list(config.epsilons), N, tail="plateau", exact=exact
+        hier, u_star, p, list(config.epsilons), N, tail="plateau", exact=exact,
+        energies=base,
     )
     artifacts["bbm"] = curve
     ok = all(pt.within_bracket for pt in curve.points)
@@ -234,8 +236,11 @@ def run_selftest(config: ExperimentConfig) -> tuple[list[Check], dict]:
     record("bbm_curve", ok)
 
     # -- weak monotonicity surrogate ----------------------------------------
+    wm_exact = config.mode == "rational" and profile_is_exact(
+        hier, p, float(ratios.beta_star), m
+    )
     wm = weak_monotonicity_report(
-        hier, u_star, p, m, N, (max(1, N - 2), N)
+        hier, u_star, p, m, N, (max(1, N - 2), N), exact=wm_exact
     )
     record("weak_monotonicity_finite", wm.ratio is not None and math.isfinite(wm.ratio),
            f"ratio={wm.ratio}")

@@ -1,0 +1,94 @@
+"""Per-block float evaluation of a pair plan, the differential oracle.
+
+Every leaf block builds its in-ball mask from the vertex coordinates, and
+every block is summed with the same sub-block split and the same numpy
+operations the library's class-mask evaluator uses, so the two results are
+equal bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from vicsek_lab.pairsum import _CHUNK, _LEAF_MAX, _abs_pow, _pair_index, pair_plan
+
+
+def ball_pair_sum_per_block(level, values, p, n: int, leaf_max: int = _LEAF_MAX):
+    """Float pair sum over the plan of (level, n), one block at a time."""
+    plan = pair_plan(level, n, leaf_max)
+    idx = _pair_index(level)
+    vals = np.asarray(values, dtype=np.float64)
+    squeeze = vals.ndim == 1
+    if squeeze:
+        vals = vals[:, None]
+    pf = float(p)
+    F = vals.shape[1]
+    vs = vals[idx.order]
+    if pf == 2.0:
+        P1 = np.zeros((vs.shape[0] + 1, F))
+        P2 = np.zeros_like(P1)
+        np.cumsum(vs, axis=0, out=P1[1:])
+        np.cumsum(vs * vs, axis=0, out=P2[1:])
+    is_leaf = plan.leaf_class >= 0
+    total = np.zeros(F)
+    step = max(1, _CHUNK // (4 * F))
+    for s in range(0, len(plan.blocks), step):
+        blocks = plan.blocks[s : s + step]
+        leaf = is_leaf[s : s + step]
+        terms = np.zeros((len(blocks), F))
+        pairwise = leaf if pf == 2.0 else np.ones_like(leaf)
+        if pf == 2.0:
+            loa, hia, lob, hib, w = blocks[~leaf].T
+            Sa = P1[hia] - P1[loa]
+            Sb = P1[hib] - P1[lob]
+            Qa = P2[hia] - P2[loa]
+            Qb = P2[hib] - P2[lob]
+            cnta = (hia - loa)[:, None]
+            cntb = (hib - lob)[:, None]
+            terms[~leaf] = w[:, None] * (cntb * Qa - 2.0 * Sa * Sb + cnta * Qb)
+        for row in np.flatnonzero(pairwise).tolist():
+            xy = (idx.xs, idx.ys) if leaf[row] else None
+            terms[row] = _pair_block(vs, xy, plan.radius2, pf, *blocks[row].tolist())
+        terms[0] += total
+        total = terms.cumsum(axis=0)[-1]
+    return float(total[0]) if squeeze else total
+
+
+def _pair_block(vs, xy, R, pf, loa, hia, lob, hib, w):
+    """w * sum of |v_i - v_j|^pf over one block's pairs, restricted to the
+    ball when ``xy`` holds the coordinates, in sub-blocks of at most
+    ``_CHUNK`` elements."""
+    F = vs.shape[1]
+    cols = max(1, min(hib - lob, _CHUNK // F))
+    rows = max(1, _CHUNK // (cols * F))
+    out = np.zeros(F)
+    for j0 in range(lob, hib, cols):
+        j1 = min(j0 + cols, hib)
+        vb = vs[j0:j1]
+        for i0 in range(loa, hia, rows):
+            i1 = min(i0 + rows, hia)
+            va = vs[i0:i1]
+            mask = None
+            if xy is not None:
+                xs, ys = xy
+                dx = xs[i0:i1, None] - xs[None, j0:j1]
+                dy = ys[i0:i1, None] - ys[None, j0:j1]
+                dx *= dx
+                dy *= dy
+                dx += dy
+                mask = dx <= R
+                if not mask.any():
+                    continue
+                if pf == 2.0:
+                    # masked sum of (vi - vj)^2 via matrix products
+                    M = mask.astype(np.float64)
+                    out += M.sum(axis=1) @ (va * va) + M.sum(axis=0) @ (vb * vb)
+                    out -= 2.0 * (va * (M @ vb)).sum(axis=0)
+                    continue
+            dv = va[:, None, :] - vb[None, :, :]
+            _abs_pow(dv, pf)
+            if mask is None:
+                out += dv.sum(axis=(0, 1))
+            else:
+                out += np.einsum("ij,ijf->f", mask, dv)
+    return w * out

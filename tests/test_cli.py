@@ -375,8 +375,8 @@ def test_mode_override_applies_before_validation(tmp_path, capsys):
 
 
 def test_selftest_sweeps_only_in_its_arithmetic(tmp_path, monkeypatch):
-    """Every E_{p,n} sweep of selftest is in the mode's arithmetic: one for
-    the suite (shared by the profiles and the jump kernel), one for BBM."""
+    """selftest makes one E_{p,n} sweep, in the mode's arithmetic, shared by
+    the suite, the profiles, the jump kernel and the BBM curve."""
     path = write_config(tmp_path)
     flags = []
     multi = besov.energy_levels_multi
@@ -390,4 +390,24 @@ def test_selftest_sweeps_only_in_its_arithmetic(tmp_path, monkeypatch):
         flags.clear()
         args = ["selftest", "--config", str(path), "--out", str(tmp_path / mode)]
         assert main(args + ["--mode", mode]) == 0
-        assert flags == [exact, exact], mode
+        assert flags == [exact], mode
+
+
+def test_selftest_weak_monotonicity_honours_float_mode(tmp_path, monkeypatch):
+    """Under --mode float the weak-monotonicity profile sums balls in floats,
+    even on a level small enough for exact sums; under rational it is exact
+    there."""
+    path = write_config(tmp_path, {"depth": 1, "vertex_level": 3})
+    exact_calls = []
+    pair_sum = besov.ball_pair_sum
+
+    def spy(level, values, p, n, method="auto"):
+        exact_calls.append(isinstance(values, tuple))
+        return pair_sum(level, values, p, n, method=method)
+
+    monkeypatch.setattr(besov, "ball_pair_sum", spy)
+    for mode, exact in (("rational", True), ("float", False)):
+        exact_calls.clear()
+        args = ["selftest", "--config", str(path), "--out", str(tmp_path / mode)]
+        assert main(args + ["--mode", mode]) == 0
+        assert exact_calls and set(exact_calls) == {exact}, mode

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import tracemalloc
 
+import numpy as np
 import pytest
+from _pairsum_oracle import ball_pair_sum_per_block
 
 from vicsek_lab import pairsum
 from vicsek_lab.besov import weak_monotonicity_report
@@ -89,3 +91,70 @@ def test_float_pair_sum_bits_are_pinned(hier3, hier35):
     # the README config: l = 3, p = 2, depth 4, vertex_level 6
     wm = weak_monotonicity_report(hier3, u, 2, 6, 4, (2, 4))
     assert repr(wm.ratio) == "1.0496848096751399"
+
+
+def test_leaf_classes_share_relative_coordinates(hier3):
+    """Every leaf block of a class has byte-equal coordinates relative to
+    its first vertex, and cell types are exactly the partition by relative
+    coordinates."""
+    lv = hier3.level(6)
+    idx = pairsum._pair_index(lv)
+    xy = np.stack((idx.xs, idx.ys), axis=1)
+    seen = {}
+    for k in range(lv.n + 1):
+        rows = range(idx.start[k], idx.start[k] + lv.ratios.num_words(k))
+        for r in rows:
+            cell = xy[idx.lo[r] : idx.hi[r]] - (idx.cx[r], idx.cy[r])
+            assert seen.setdefault((k, cell.tobytes()), idx.cell_type[r]) == idx.cell_type[r]
+    assert len(set(seen.values())) == len(seen) == 41
+    for n, want in ((1, 1736), (4, 31)):
+        plan = pair_plan(lv, n)
+        layouts = {}
+        for (loa, hia, lob, hib, _), c in zip(plan.blocks.tolist(), plan.leaf_class.tolist()):
+            if c < 0:
+                continue
+            rel = np.concatenate((xy[loa:hia], xy[lob:hib])) - xy[loa]
+            assert layouts.setdefault(c, (hia - loa, rel.tobytes())) == (hia - loa, rel.tobytes())
+        assert len(layouts) == plan.leaf_class.max() + 1 == want
+
+
+def test_split_leaf_blocks_match_per_block_oracle():
+    """At F = 20, 500 x 500 leaf blocks (leaf_max 1024) split into
+    sub-blocks; the class masks keep every bit of the per-block route."""
+    hier = Hierarchy(constant_ratios(3, 6), 4)
+    lv = hier.level(4)
+    plan = pair_plan(lv, 1, 1024)
+    b = plan.blocks[plan.leaf_class >= 0]
+    assert ((b[:, 1] - b[:, 0]) * (b[:, 3] - b[:, 2]) * 20 > pairsum._CHUNK).any()
+    vals = np.random.default_rng(7).standard_normal((lv.num_vertices, 20))
+    for p in (2, 3):
+        got = ball_pair_sum_indexed(lv, vals, p, 1, 1024)
+        assert np.array_equal(got, ball_pair_sum_per_block(lv, vals, p, 1, 1024)), p
+
+
+def test_class_masks_keep_memory_small(hier3):
+    """With the plan cached, a p = 2 sum at m = 6, n = 1 holds one class
+    mask at a time."""
+    lv = hier3.level(6)
+    vals = float_values_at(hier3, diagonal_ramp(), 6)
+    ball_pair_sum_indexed(lv, vals, 2, 1)
+    tracemalloc.start()
+    try:
+        ball_pair_sum_indexed(lv, vals, 2, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_indexed_exact_past_int64_is_bruteforce():
+    """Values past 2^62 take object arrays through the same exact route."""
+    hier = Hierarchy(alternating_ratios(3, 5, 6), 3)
+    lv = hier.level(2)
+    den, ints = scaled_values_at(hier, random_affine(hier, 5), 2)
+    big = (den, [v * 3**45 for v in ints])
+    for p in (2, 3):
+        for n in range(3):
+            want = ball_pair_sum_bruteforce(lv, big, p, n)
+            assert ball_pair_sum_indexed(lv, big, p, n) == want
+            assert want == ball_pair_sum_bruteforce(lv, (den, ints), p, n) * 3 ** (45 * p)

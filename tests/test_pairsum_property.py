@@ -1,11 +1,15 @@
-"""Differential property tests: the cell-tree route against brute force."""
+"""Differential property tests: the cell-tree route against brute force
+and the float route against the per-block oracle."""
 
 from __future__ import annotations
 
 import pytest
 
 pytest.importorskip("hypothesis")
+import numpy as np  # noqa: E402
 from hypothesis import given, strategies as st  # noqa: E402
+
+from _pairsum_oracle import ball_pair_sum_per_block  # noqa: E402
 
 from vicsek_lab.energy import float_values_at, random_affine, scaled_values_at  # noqa: E402
 from vicsek_lab.geometry import Hierarchy  # noqa: E402
@@ -57,3 +61,28 @@ def test_indexed_float_matches_bruteforce(case):
         got = ball_pair_sum_indexed(lv, vals, p, n)
         want = ball_pair_sum_bruteforce(lv, vals, p, n)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
+
+
+@st.composite
+def float_cases(draw):
+    ratios = draw(sequences)
+    hier = Hierarchy(ratios, 4)
+    top = max(k for k in range(5) if hier.level(k).num_vertices <= 2 * MAX_VERTICES)
+    m = draw(st.integers(0, top))
+    n = draw(st.integers(0, m))
+    F = draw(st.sampled_from((1, 3, 20)))
+    leaf_max = draw(st.sampled_from((64, 256, 1024)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (hier.level(m).num_vertices,) + ((F,) if F > 1 else ())
+    return hier.level(m), rng.standard_normal(shape), n, leaf_max
+
+
+@given(float_cases())
+def test_indexed_float_is_per_block_oracle(case):
+    """Class masks change no bit: the float route equals the per-block
+    evaluation, which builds every leaf mask from coordinates."""
+    lv, vals, n, leaf_max = case
+    for p in (1.5, 2, 3):
+        got = ball_pair_sum_indexed(lv, vals, p, n, leaf_max)
+        want = ball_pair_sum_per_block(lv, vals, p, n, leaf_max)
+        assert np.array_equal(got, want), (p, got, want)
