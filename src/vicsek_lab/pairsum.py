@@ -107,22 +107,30 @@ class CellPairIndex:
             cells = np.arange(self.start[k], self.start[k + 1])
             par = np.repeat(cells, c)
             kid = np.arange(self.start[k + 1], self.start[k + 1] + par.size)
-            key = np.stack((
+            cand = _row_ids(
                 types[par],
                 np.tile(np.arange(c), cells.size),
                 self.lo[kid] - self.lo[par],
                 self.hi[kid] - self.lo[par],
-            ), axis=1)
-            _, first, inverse = np.unique(key, axis=0, return_index=True, return_inverse=True)
+            )
             seen: dict[bytes, int] = {}
             ids = []
-            for r in kid[first].tolist():
+            for r in kid[np.unique(cand, return_index=True)[1]].tolist():
                 lo, hi = self.lo[r], self.hi[r]
                 layout = np.stack((self.xs[lo:hi] - self.cx[r], self.ys[lo:hi] - self.cy[r]))
                 ids.append(seen.setdefault(layout.tobytes(), count + len(seen)))
             count += len(seen)
-            types[kid] = np.array(ids, dtype=np.int64)[inverse.ravel()]
+            types[kid] = np.array(ids, dtype=np.int64)[cand]
         return types
+
+
+def _row_ids(*cols: np.ndarray) -> np.ndarray:
+    """Ids 0..K-1 of the distinct rows of equal-length integer columns."""
+    ids = np.zeros(cols[0].size, dtype=np.int64)
+    for col in cols:
+        col = np.unique(col, return_inverse=True)[1]
+        ids = np.unique(ids * (col.size + 1) + col, return_inverse=True)[1]
+    return ids
 
 
 def _pair_index(level: VicsekLevel) -> CellPairIndex:
@@ -342,11 +350,10 @@ def _build_plan(idx: CellPairIndex, R: int, leaf_max: int) -> PairPlan:
     blocks = np.stack((idx.lo[a], idx.hi[a], idx.lo[b], idx.hi[b], w), axis=1)
     leaf = kind == _LEAF
     a, b = a[leaf], b[leaf]
-    key = np.stack((
-        idx.cell_type[a], idx.cell_type[b], idx.cx[a] - idx.cx[b], idx.cy[a] - idx.cy[b]
-    ), axis=1)
     leaf_class = np.full(kind.size, -1, dtype=np.int64)
-    leaf_class[leaf] = np.unique(key, axis=0, return_inverse=True)[1].ravel()
+    leaf_class[leaf] = _row_ids(
+        idx.cell_type[a], idx.cell_type[b], idx.cx[a] - idx.cx[b], idx.cy[a] - idx.cy[b]
+    )
     return PairPlan(blocks, leaf_class, R)
 
 
@@ -382,9 +389,9 @@ def _evaluate_exact(plan: PairPlan, idx: CellPairIndex, ints, p: int) -> int:
 
     p = 2 full blocks take the prefix-moment closed form in Python ints.
     Every other block sums |v_i - v_j|^p with ``_power_sums`` in the values'
-    dtype (int64 below 2^62, object past it): all pairs of a full block, row
-    chunk by row chunk, and the in-ball pairs of a leaf block, taken from
-    its class mask.
+    dtype (int64 below 2^62, object past it): all pairs of a full block,
+    sub-block by sub-block, and the in-ball pairs of a leaf block, taken
+    from its class mask.
     """
     vs = _int_array(ints)[idx.order]
     blocks = plan.blocks.tolist()
@@ -401,9 +408,8 @@ def _evaluate_exact(plan: PairPlan, idx: CellPairIndex, ints, p: int) -> int:
             Qb = P2[hib] - P2[lob]
             total += w * ((hib - lob) * Qa - 2 * Sa * Sb + (hia - loa) * Qb)
             continue
-        rows = max(1, _CHUNK // (hib - lob))
-        for i0 in range(loa, hia, rows):
-            d = vs[i0 : min(i0 + rows, hia), None] - vs[None, lob:hib]
+        for i0, i1, j0, j1 in _sub_blocks(hia - loa, hib - lob, 1):
+            d = vs[loa + i0 : loa + i1, None] - vs[None, lob + j0 : lob + j1]
             total += w * _power_sums(d.ravel(), (p,))[0][0]
     for group in _class_rows(plan.leaf_class):
         loa, hia, lob, hib, _ = blocks[group[0]]

@@ -66,14 +66,15 @@ def test_indexed_float_matches_bruteforce(case):
 @st.composite
 def float_cases(draw):
     ratios = draw(sequences)
+    # V_k has 4 * #words + 1 vertices; levels are built only when drawn
+    top = max(k for k in range(5) if 4 * ratios.num_words(k) + 1 <= 2 * MAX_VERTICES)
     hier = Hierarchy(ratios, 4)
-    top = max(k for k in range(5) if hier.level(k).num_vertices <= 2 * MAX_VERTICES)
     m = draw(st.integers(0, top))
     n = draw(st.integers(0, m))
     F = draw(st.sampled_from((1, 3, 20)))
     leaf_max = draw(st.sampled_from((64, 256, 1024)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shape = (hier.level(m).num_vertices,) + ((F,) if F > 1 else ())
+    shape = (hier.level(m).num_vertices,) + ((F,) if F > 1 else ())  # F = 1: a vector
     return hier.level(m), rng.standard_normal(shape), n, leaf_max
 
 
