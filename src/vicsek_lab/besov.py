@@ -542,19 +542,17 @@ def weak_monotonicity_report(
     window: tuple[int, int],
     method: str = "auto",
     energies: Optional[tuple] = None,
-    exact: Optional[bool] = None,
 ) -> WeakMonotonicityReport:
     """sup_n Phi(rho_n) / min over a window: finite surrogate of sup/liminf.
 
-    ``energies`` and ``exact`` are passed on to ``phi_profile`` at
-    beta = beta*.
+    ``energies`` are passed on to ``phi_profile`` at beta = beta*.
     """
     lo, hi = window
     if not (0 <= lo <= hi <= max_scale):
         raise InvalidArgumentError(f"window {window} not within [0, {max_scale}]")
     prof = phi_profile(
         hier, u, p, float(hier.ratios.beta_star), m, max_scale, method=method,
-        exact=exact, energies=energies,
+        energies=energies,
     )
     phis = [float(x) for x in prof.phi_proxy]
     sup_v = max(phis)

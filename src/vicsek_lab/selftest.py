@@ -16,6 +16,7 @@ import numpy as np
 
 from .besov import (
     _log_phi,
+    ball_energies,
     base_energies,
     bbm_curve,
     discrete_profiles,
@@ -236,11 +237,10 @@ def run_selftest(config: ExperimentConfig) -> tuple[list[Check], dict]:
     record("bbm_curve", ok)
 
     # -- weak monotonicity surrogate ----------------------------------------
-    wm_exact = config.mode == "rational" and profile_is_exact(
-        hier, p, float(ratios.beta_star), m
-    )
+    wm_exact = exact and profile_is_exact(hier, p, float(ratios.beta_star), m)
     wm = weak_monotonicity_report(
-        hier, u_star, p, m, N, (max(1, N - 2), N), exact=wm_exact
+        hier, u_star, p, m, N, (max(1, N - 2), N),
+        energies=ball_energies(hier, u_star, p, m, N, wm_exact),
     )
     record("weak_monotonicity_finite", wm.ratio is not None and math.isfinite(wm.ratio),
            f"ratio={wm.ratio}")

@@ -74,7 +74,13 @@ def test_float_pair_sum_bits_are_pinned(hier3, hier35):
     """Float pair sums and the weak-monotonicity ratio, pinned by repr.
 
     Any change in summation order shows here before it reaches an artifact
-    compared as text.
+    compared as text.  The p = 2 sums and the ratio go through BLAS
+    matrix-vector products, so their reprs hold for the BLAS kernel they
+    were recorded with: numpy 2.4.6 with its bundled OpenBLAS 0.3.31
+    (DYNAMIC_ARCH) on an x86-64 Xeon with AVX-512 and FMA.  A failure here
+    on another CPU or BLAS alone is BLAS drift;
+    ``test_indexed_float_is_per_block_oracle`` checks summation order on
+    any host.  The p = 3 sum makes no BLAS call.
     """
     u = diagonal_ramp()
     vals = float_values_at(hier3, u, 6)
