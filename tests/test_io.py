@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from vicsek_lab.cli import main
 from vicsek_lab.geometry import build_level
 from vicsek_lab.io import _jsonify, json_text, write_json
 from vicsek_lab.ratios import alternating_ratios, constant_ratios
@@ -60,3 +62,30 @@ def test_mixed_documents_are_byte_identical(obj):
 def test_bad_key_raises():
     with pytest.raises(TypeError):
         json_text({(1, 2): 0})
+
+
+# sha256 of the file ``vicsek-lab build`` writes, recorded before the writer
+# was last rewritten; the config hash in the file is part of what is pinned.
+BUILD_PINS = [
+    (
+        {"generator": "constant", "l": 3},
+        5,
+        "7906f04066c36634adc6b8adf3e5e2333352204b265c4909b602d13de352fb6d",
+    ),
+    (
+        {"generator": "alternating", "a": 3, "b": 5},
+        4,
+        "8d0d875184029f2585b10f796d9b317a955b927465a55ff1b0f6710535e2981d",
+    ),
+]
+
+
+@pytest.mark.parametrize("ratios,depth,sha", BUILD_PINS)
+def test_build_dump_bytes_are_pinned(ratios, depth, sha, tmp_path, capsys):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"ratios": ratios, "depth": depth}))
+    out = tmp_path / "out"
+    assert main(["build", "--config", str(cfg), "--out", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == [f"geometry_level{depth}.json"]
+    data = (out / f"geometry_level{depth}.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == sha
