@@ -9,11 +9,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
+
+# Rows of an integer array rendered per format call.
+_CHUNK_ROWS = 2**14
 
 
 def canonical_json(obj: Any) -> str:
@@ -35,6 +40,8 @@ def _jsonify(x):
 
 
 def format_cell(x) -> str:
+    if isinstance(x, np.generic):
+        x = x.item()
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, float):
@@ -45,56 +52,76 @@ def format_cell(x) -> str:
 
 
 def write_csv(path: Path, columns: Sequence[str], rows: Iterable[Sequence], meta: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [f"# config={meta}", ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(format_cell(x) for x in row))
-    path.write_text("\n".join(lines) + "\n")
+    head = [f"# config={meta}", ",".join(columns)]
+    lines = chain(head, (",".join(map(format_cell, row)) for row in rows))
+    _write_chunks(path, (line.encode() + b"\n" for line in lines))
 
 
 def write_json(path: Path, obj: Any, meta: str) -> None:
+    _write_chunks(path, chain(_json_chunks({"config": meta, "data": obj}, 0), [b"\n"]))
+
+
+def _write_chunks(path: Path, chunks: Iterable[bytes]) -> None:
+    """Write the chunks to a temporary file beside ``path``, then move it
+    onto ``path``: an error while rendering leaves the old file, if any."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json_text({"config": meta, "data": obj}) + "\n")
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.writelines(chunks)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
-def json_text(obj: Any, depth: int = 0) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True, default=_jsonify)``, byte for byte.
+def json_text(obj: Any) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True, default=_jsonify)``, byte for byte."""
+    return b"".join(_json_chunks(obj, 0)).decode()
+
+
+def _json_chunks(obj: Any, depth: int) -> Iterator[bytes]:
+    """The indented JSON of ``obj`` as ASCII chunks.
 
     The standard encoder takes its pure-Python path whenever it indents.
-    Integer arrays, which make up the geometry dumps, are rendered here with
-    one format call each.
+    Integer arrays, which make up the geometry dumps, are rendered here
+    ``_CHUNK_ROWS`` rows per format call, so memory stays bounded by one
+    chunk however large the array.
     """
+    pad = b"\n" + b"  " * (depth + 1)
+    end = b"\n" + b"  " * depth
     if isinstance(obj, np.ndarray) and obj.dtype.kind in "iu" and obj.size and 1 <= obj.ndim <= 2:
-        return _int_rows(obj, depth)
-    pad = "\n" + "  " * (depth + 1)
-    end = "\n" + "  " * depth
-    if isinstance(obj, (list, tuple)):
+        item = b"%d"
+        if obj.ndim == 2:
+            cell = pad + b"  "
+            item = b"[" + cell + (b"," + cell).join([item] * obj.shape[1]) + pad + b"]"
+        for i in range(0, len(obj), _CHUNK_ROWS):
+            rows = obj[i : i + _CHUNK_ROWS]
+            text = (b"," + pad).join([item] * len(rows)) % tuple(rows.ravel().tolist())
+            yield (b"," if i else b"[") + pad + text
+        yield end + b"]"
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
-        items = (json_text(v, depth + 1) for v in obj)
-        return "[" + pad + ("," + pad).join(items) + end + "]"
-    if isinstance(obj, dict):
+            yield b"[]"
+            return
+        for i, v in enumerate(obj):
+            yield (b"," if i else b"[") + pad
+            yield from _json_chunks(v, depth + 1)
+        yield end + b"]"
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
-        items = (f"{_json_key(k)}: {json_text(v, depth + 1)}" for k, v in sorted(obj.items()))
-        return "{" + pad + ("," + pad).join(items) + end + "}"
-    if obj is None or isinstance(obj, (str, int, float)):
-        return json.dumps(obj)
-    return json_text(_jsonify(obj), depth)
+            yield b"{}"
+            return
+        for i, (k, v) in enumerate(sorted(obj.items())):
+            yield (b"," if i else b"{") + pad + _json_key(k) + b": "
+            yield from _json_chunks(v, depth + 1)
+        yield end + b"}"
+    elif obj is None or isinstance(obj, (str, int, float)):
+        yield json.dumps(obj).encode()
+    else:
+        yield from _json_chunks(_jsonify(obj), depth)
 
 
-def _json_key(k) -> str:
+def _json_key(k) -> bytes:
     if not (k is None or isinstance(k, (str, int, float))):
         raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
-    return json.dumps(k if isinstance(k, str) else json.dumps(k))
-
-
-def _int_rows(a: np.ndarray, depth: int) -> str:
-    """Indented JSON of a non-empty 1-D or 2-D integer array."""
-    pad = "\n" + "  " * (depth + 1)
-    item = "%d"
-    if a.ndim == 2:
-        cell = "\n" + "  " * (depth + 2)
-        item = "[" + cell + ("," + cell).join([item] * a.shape[1]) + pad + "]"
-    text = "[" + pad + ("," + pad).join([item] * len(a)) + "\n" + "  " * depth + "]"
-    return text % tuple(a.ravel().tolist())
+    return json.dumps(k if isinstance(k, str) else json.dumps(k)).encode()

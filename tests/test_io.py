@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from vicsek_lab.cli import main
 from vicsek_lab.geometry import build_level
-from vicsek_lab.io import _jsonify, json_text, write_json
+from vicsek_lab.io import _CHUNK_ROWS, _jsonify, format_cell, json_text, write_json
 from vicsek_lab.ratios import alternating_ratios, constant_ratios
 
 
@@ -57,6 +58,52 @@ MIXED = {
 )
 def test_mixed_documents_are_byte_identical(obj):
     assert json_text(obj) == reference(obj)
+
+
+def int_arrays(rows: int):
+    rng = np.random.default_rng(rows)
+    wide = rng.integers(-(10**6), 10**6, size=(rows, 3))
+    wide[0, 0] = np.iinfo(np.int64).min
+    wide[-1, -1] = np.iinfo(np.int64).max
+    return [wide, wide[:, 1].copy(), np.arange(2 * rows, dtype=np.uint8).reshape(rows, 2)]
+
+
+@pytest.mark.parametrize("rows", [_CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS])
+def test_int_arrays_across_chunk_boundaries(rows, tmp_path):
+    doc = {"arrays": int_arrays(rows), "tail": [int_arrays(1)]}
+    assert json_text(doc) == reference(doc)
+    write_json(tmp_path / "a.json", doc, "cafe")
+    want = reference({"config": "cafe", "data": doc}) + "\n"
+    assert (tmp_path / "a.json").read_bytes() == want.encode()
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    doc = {"big": int_arrays(3 * _CHUNK_ROWS)[0], "z": object()}
+    path = tmp_path / "doc.json"
+    with pytest.raises(TypeError):
+        write_json(path, doc, "cafe")
+    assert list(tmp_path.iterdir()) == []
+    path.write_bytes(b"old")
+    with pytest.raises(TypeError):
+        write_json(path, doc, "cafe")
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == b"old"
+
+
+def test_geometry_dump_memory_is_bounded(tmp_path):
+    doc = build_level(constant_ratios(3, 7), 6).to_json_dict()
+    tracemalloc.start()
+    try:
+        write_json(tmp_path / "geometry_level6.json", doc, "cafe")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_format_cell_renders_numpy_scalars_as_python_values():
+    cells = [np.float64(0.1), np.float32(0.5), np.bool_(True), np.bool_(False), np.int64(-3)]
+    assert [format_cell(x) for x in cells] == ["0.1", "0.5", "true", "false", "-3"]
 
 
 def test_bad_key_raises():
