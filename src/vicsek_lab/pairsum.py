@@ -33,6 +33,7 @@ can be compared bit-for-bit against the brute-force oracle.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -90,6 +91,7 @@ class CellPairIndex:
         self.half = np.array(half, dtype=np.int64)
         self.children = np.array(children, dtype=np.int64)
         self.max_level = m
+        del owner_sorted, lo, hi, cx, cy  # the type pass below sets the peak
         self.cell_type = self._cell_types()
 
     def _cell_types(self) -> np.ndarray:
@@ -97,39 +99,47 @@ class CellPairIndex:
 
         A child's vertices are a sub-range of its parent's, shifted to the
         child's center, so (parent type, child index, sub-range) fixes the
-        child's layout.  Candidates with equal layouts are merged by
-        comparing one representative cell each.
+        child's layout.  Candidates with equal layouts are merged: each
+        representative is keyed by a hash of its layout, and a hit counts
+        only if the representative's recomputed layout is equal, so no
+        layout is held past its comparison.
         """
         types = np.zeros(self.lo.size, dtype=np.int64)
         count = 1
         for k in range(self.max_level):
             c = int(self.children[k])
-            cells = np.arange(self.start[k], self.start[k + 1])
-            par = np.repeat(cells, c)
-            kid = np.arange(self.start[k + 1], self.start[k + 1] + par.size)
-            cand = _row_ids(
-                types[par],
-                np.tile(np.arange(c), cells.size),
-                self.lo[kid] - self.lo[par],
-                self.hi[kid] - self.lo[par],
-            )
-            seen: dict[bytes, int] = {}
+            par = slice(self.start[k], self.start[k + 1])
+            kid = slice(par.stop, par.stop + c * (par.stop - par.start))
+            base = self.lo[par, None]
+            sub = (self.lo[kid].reshape(-1, c) - base) * (self.xs.size + 1)
+            sub += self.hi[kid].reshape(-1, c) - base
+            cand = _row_ids((types[par, None] * c + np.arange(c)).ravel(), sub.ravel())
+            reps: dict[bytes, list[tuple[int, int]]] = {}
             ids = []
-            for r in kid[np.unique(cand, return_index=True)[1]].tolist():
-                lo, hi = self.lo[r], self.hi[r]
-                layout = np.stack((self.xs[lo:hi] - self.cx[r], self.ys[lo:hi] - self.cy[r]))
-                ids.append(seen.setdefault(layout.tobytes(), count + len(seen)))
-            count += len(seen)
+            for r in (kid.start + np.unique(cand, return_index=True)[1]).tolist():
+                layout = self._layout(r)
+                bucket = reps.setdefault(hashlib.sha256(layout).digest(), [])
+                t = next((t for q, t in bucket if np.array_equal(self._layout(q), layout)), count)
+                if t == count:
+                    bucket.append((r, t))
+                    count += 1
+                ids.append(t)
             types[kid] = np.array(ids, dtype=np.int64)[cand]
         return types
+
+    def _layout(self, r: int) -> np.ndarray:
+        """Coordinates of cell ``r``'s vertices relative to its center, in ``order``."""
+        lo, hi = self.lo[r], self.hi[r]
+        return np.stack((self.xs[lo:hi] - self.cx[r], self.ys[lo:hi] - self.cy[r]))
 
 
 def _row_ids(*cols: np.ndarray) -> np.ndarray:
     """Ids 0..K-1 of the distinct rows of equal-length integer columns."""
-    ids = np.zeros(cols[0].size, dtype=np.int64)
-    for col in cols:
-        col = np.unique(col, return_inverse=True)[1]
-        ids = np.unique(ids * (col.size + 1) + col, return_inverse=True)[1]
+    ids = np.unique(cols[0], return_inverse=True)[1]
+    for col in cols[1:]:
+        ids *= ids.size + 1
+        ids += np.unique(col, return_inverse=True)[1]
+        ids = np.unique(ids, return_inverse=True)[1]
     return ids
 
 

@@ -153,6 +153,20 @@ def test_class_masks_keep_memory_small(hier3):
     assert peak <= 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
+def test_cell_types_keep_memory_small(hier3):
+    """The type pass holds no layout past its comparison and no per-child
+    table beyond its candidate keys."""
+    lv = hier3.level(6)
+    pairsum.CellPairIndex(lv)
+    tracemalloc.start()
+    try:
+        pairsum.CellPairIndex(lv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * 2**20, f"peak {peak / 2**20:.2f} MB"
+
+
 def test_indexed_exact_past_int64_is_bruteforce():
     """Values past 2^62 take object arrays through the same exact route."""
     hier = Hierarchy(alternating_ratios(3, 5, 6), 3)
