@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
@@ -17,8 +16,7 @@ from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
-# Rows of an integer array rendered per format call.
-_CHUNK_ROWS = 2**14
+_CHUNK_ROWS = 2**14  # rows of an integer array per format call
 
 
 def canonical_json(obj: Any) -> str:
@@ -42,8 +40,6 @@ def _jsonify(x):
 def format_cell(x) -> str:
     if isinstance(x, np.generic):
         x = x.item()
-    if isinstance(x, Fraction):
-        return str(x)
     if isinstance(x, float):
         return repr(x)
     if isinstance(x, bool):
@@ -52,9 +48,8 @@ def format_cell(x) -> str:
 
 
 def write_csv(path: Path, columns: Sequence[str], rows: Iterable[Sequence], meta: str) -> None:
-    head = [f"# config={meta}", ",".join(columns)]
-    lines = chain(head, (",".join(map(format_cell, row)) for row in rows))
-    _write_chunks(path, (line.encode() + b"\n" for line in lines))
+    lines = chain([[f"# config={meta}"], columns], rows)
+    _write_chunks(path, ((",".join(map(format_cell, row)) + "\n").encode() for row in lines))
 
 
 def write_json(path: Path, obj: Any, meta: str) -> None:
@@ -62,14 +57,13 @@ def write_json(path: Path, obj: Any, meta: str) -> None:
 
 
 def _write_chunks(path: Path, chunks: Iterable[bytes]) -> None:
-    """Write the chunks to a temporary file beside ``path``, then move it
-    onto ``path``: an error while rendering leaves the old file, if any."""
+    """Write to a temporary file beside ``path``, then move it onto ``path``."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as f:
             f.writelines(chunks)
-        os.replace(tmp, path)
+        tmp.replace(path)
     finally:
         tmp.unlink(missing_ok=True)
 
@@ -82,10 +76,9 @@ def json_text(obj: Any) -> str:
 def _json_chunks(obj: Any, depth: int) -> Iterator[bytes]:
     """The indented JSON of ``obj`` as ASCII chunks.
 
-    The standard encoder takes its pure-Python path whenever it indents.
-    Integer arrays, which make up the geometry dumps, are rendered here
-    ``_CHUNK_ROWS`` rows per format call, so memory stays bounded by one
-    chunk however large the array.
+    The standard encoder takes its pure-Python path whenever it indents, so
+    integer arrays, which make up the geometry dumps, are rendered here with
+    one format call per ``_CHUNK_ROWS`` rows: memory is bounded by one chunk.
     """
     pad = b"\n" + b"  " * (depth + 1)
     end = b"\n" + b"  " * depth
@@ -100,21 +93,15 @@ def _json_chunks(obj: Any, depth: int) -> Iterator[bytes]:
             yield (b"," if i else b"[") + pad + text
         yield end + b"]"
     elif isinstance(obj, (list, tuple)):
-        if not obj:
-            yield b"[]"
-            return
         for i, v in enumerate(obj):
             yield (b"," if i else b"[") + pad
             yield from _json_chunks(v, depth + 1)
-        yield end + b"]"
+        yield end + b"]" if obj else b"[]"
     elif isinstance(obj, dict):
-        if not obj:
-            yield b"{}"
-            return
         for i, (k, v) in enumerate(sorted(obj.items())):
             yield (b"," if i else b"{") + pad + _json_key(k) + b": "
             yield from _json_chunks(v, depth + 1)
-        yield end + b"}"
+        yield end + b"}" if obj else b"{}"
     elif obj is None or isinstance(obj, (str, int, float)):
         yield json.dumps(obj).encode()
     else:

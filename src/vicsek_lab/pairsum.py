@@ -99,10 +99,8 @@ class CellPairIndex:
 
         A child's vertices are a sub-range of its parent's, shifted to the
         child's center, so (parent type, child index, sub-range) fixes the
-        child's layout.  Candidates with equal layouts are merged: each
-        representative is keyed by a hash of its layout, and a hit counts
-        only if the representative's recomputed layout is equal, so no
-        layout is held past its comparison.
+        child's layout.  Candidates are merged by a hash of the layout; a
+        hit counts only if the representative's recomputed layout is equal.
         """
         types = np.zeros(self.lo.size, dtype=np.int64)
         count = 1
@@ -114,15 +112,13 @@ class CellPairIndex:
             sub = (self.lo[kid].reshape(-1, c) - base) * (self.xs.size + 1)
             sub += self.hi[kid].reshape(-1, c) - base
             cand = _row_ids((types[par, None] * c + np.arange(c)).ravel(), sub.ravel())
-            reps: dict[bytes, list[tuple[int, int]]] = {}
+            reps: dict[bytes, tuple[int, int]] = {}
             ids = []
             for r in (kid.start + np.unique(cand, return_index=True)[1]).tolist():
                 layout = self._layout(r)
-                bucket = reps.setdefault(hashlib.sha256(layout).digest(), [])
-                t = next((t for q, t in bucket if np.array_equal(self._layout(q), layout)), count)
-                if t == count:
-                    bucket.append((r, t))
-                    count += 1
+                q, t = reps.setdefault(hashlib.sha256(layout).digest(), (r, count))
+                if t == count or not np.array_equal(self._layout(q), layout):
+                    t, count = count, count + 1
                 ids.append(t)
             types[kid] = np.array(ids, dtype=np.int64)[cand]
         return types
