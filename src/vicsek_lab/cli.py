@@ -6,6 +6,9 @@ artifacts stamped with the configuration hash.
 
 Exit codes: 0 success, 1 failed assertion or selftest check, 2 usage,
 configuration, or resource errors.
+
+Each handler imports the modules it runs, so a command loads no more of the
+package than it needs (``build`` loads ``config``, ``geometry`` and ``io``).
 """
 
 from __future__ import annotations
@@ -15,45 +18,11 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .besov import (
-    ball_energies,
-    base_energies,
-    bbm_curve,
-    discrete_profiles,
-    phi_profile,
-    profile_is_exact,
-    weak_monotonicity_report,
-)
 from .config import ExperimentConfig, load_config
-from .energy import (
-    diagonal_ramp,
-    energy_limit,
-    energy_property_checks,
-    random_affine,
-    resistance,
-    resistance_oracle,
-    restrict_to_arm,
-)
-from .energy_measure import (
-    coincidence_check,
-    gamma_cells,
-    pushforward_profile,
-    word_energy_measure,
-)
 from .errors import ConfigError, DepthBudgetError, VicsekError
 from .geometry import Hierarchy, build_level
 from .io import config_hash, write_csv, write_json
-from .measure import (
-    derived_constants,
-    hausdorff_report,
-    mu_ball_bounds,
-    psi_ratio_bounds,
-    regularized_scales,
-    scale_table,
-)
-from .ratios import example_ratio, p_is_integer
-from .selftest import run_selftest
-from .words import word_from_index, word_string
+from .ratios import example_prefix, p_is_integer
 
 COMMANDS = (
     "build",
@@ -111,6 +80,9 @@ def _cmd_build(config: ExperimentConfig, out: Path, meta: str) -> int:
 
 
 def _cmd_measure(config: ExperimentConfig, out: Path, meta: str) -> int:
+    from .measure import (derived_constants, mu_ball_bounds, psi_ratio_bounds,
+                          regularized_scales, scale_table)
+
     ratios = config.ratio_sequence()
     rows = scale_table(ratios, config.depth)
     write_csv(out / "scale_table.csv", ("n", "rho", "psi", "phi"), rows, meta)
@@ -156,8 +128,10 @@ def _cmd_measure(config: ExperimentConfig, out: Path, meta: str) -> int:
 
 
 def _cmd_hausdorff(config: ExperimentConfig, out: Path, meta: str) -> int:
+    from .measure import hausdorff_report
+
     h = config.hausdorff
-    prefix = [example_ratio(h.a, h.b, k) for k in range(1, h.prefix_len + 1)]
+    prefix = list(example_prefix(h.a, h.b, h.prefix_len))
     report = hausdorff_report(
         h.a, h.b, prefix, h.theta, liminf_eta=h.liminf_eta, limsup_eta=h.limsup_eta
     )
@@ -195,12 +169,16 @@ def _rational(config: ExperimentConfig) -> bool:
 
 
 def _suite(config: ExperimentConfig, hier: Hierarchy):
+    from .energy import diagonal_ramp, random_affine
+
     funcs = [("ramp", diagonal_ramp())]
     funcs += [(f"seed{{{s}}}", random_affine(hier, s)) for s in config.seeds]
     return funcs
 
 
 def _cmd_energy(config: ExperimentConfig, out: Path, meta: str) -> int:
+    from .energy import energy_limit, energy_property_checks, random_affine, restrict_to_arm
+
     hier = _hierarchy(config)
     exact = _rational(config)
     reports = {
@@ -217,6 +195,11 @@ def _cmd_energy(config: ExperimentConfig, out: Path, meta: str) -> int:
 
 
 def _cmd_energy_measure(config: ExperimentConfig, out: Path, meta: str) -> int:
+    from .energy import diagonal_ramp
+    from .energy_measure import (coincidence_check, gamma_cells, pushforward_profile,
+                                 word_energy_measure)
+    from .words import word_from_index, word_string
+
     hier = _hierarchy(config)
     exact = _rational(config)
     u = diagonal_ramp()
@@ -250,6 +233,10 @@ def _cmd_energy_measure(config: ExperimentConfig, out: Path, meta: str) -> int:
 
 
 def _cmd_besov(config: ExperimentConfig, out: Path, meta: str) -> int:
+    from .besov import (ball_energies, base_energies, discrete_profiles, phi_profile,
+                        profile_is_exact, weak_monotonicity_report)
+    from .energy import diagonal_ramp
+
     if config.vertex_level < config.depth + 2:
         raise ConfigError(
             "besov profiles need vertex_level >= depth + 2 as a discretization "
@@ -314,6 +301,9 @@ def _cmd_besov(config: ExperimentConfig, out: Path, meta: str) -> int:
 
 
 def _cmd_bbm(config: ExperimentConfig, out: Path, meta: str) -> int:
+    from .besov import bbm_curve
+    from .energy import diagonal_ramp
+
     hier = _hierarchy(config)
     u = diagonal_ramp()
     curve = bbm_curve(
@@ -347,6 +337,7 @@ def _cmd_bbm(config: ExperimentConfig, out: Path, meta: str) -> int:
 
 
 def _cmd_resistance(config: ExperimentConfig, out: Path, meta: str) -> int:
+    from .energy import resistance, resistance_oracle
     ratios = config.ratio_sequence()
     level = build_level(ratios, min(config.depth, 2), budget=config.cell_budget)
     L = level.L
@@ -377,6 +368,9 @@ def _cmd_resistance(config: ExperimentConfig, out: Path, meta: str) -> int:
 
 
 def _cmd_selftest(config: ExperimentConfig, out: Path, meta: str) -> int:
+    from .measure import scale_table
+    from .selftest import run_selftest
+
     checks, artifacts = run_selftest(config)
     # determinism-bearing artifacts
     ratios = config.ratio_sequence()

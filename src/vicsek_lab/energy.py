@@ -125,6 +125,10 @@ def _check_function(hier: Hierarchy, u: AffineFunction) -> None:
 # arrays, through the same code.
 _INT64_BOUND = 2**62
 
+# Elements per float temporary (512 KB of float64): every dense pairwise
+# array of this package is built in tiles of at most this many elements.
+_CHUNK = 1 << 16
+
 
 def _int_array(ints: Sequence[int], growth: int = 1) -> np.ndarray:
     """Integers as an array: int64 if max |v| * growth < 2^62, else object."""
@@ -696,14 +700,16 @@ def morrey_constant(hier: Hierarchy, u: AffineFunction, p, n: int, energy=None) 
     lvK = hier.level(K)
     vals = float_values_at(hier, u, K)
     coords = lvK.coords.astype(np.float64) / (math.sqrt(2.0) * lvK.L)
-    dx = coords[:, 0][:, None] - coords[:, 0][None, :]
-    dy = coords[:, 1][:, None] - coords[:, 1][None, :]
-    dist = np.sqrt(dx * dx + dy * dy)
-    dv = np.abs(vals[:, None] - vals[None, :])
-    mask = dist > 0
-    ratios_sq = np.zeros_like(dist)
-    ratios_sq[mask] = dv[mask] ** p / (dist[mask] ** (p - 1.0) * E)
-    best = float(ratios_sq.max())
+    best = 0.0
+    step = max(1, _CHUNK // vals.size)
+    for i in range(0, vals.size, step):  # row tiles of at most _CHUNK pairs
+        dx = coords[i : i + step, 0][:, None] - coords[:, 0][None, :]
+        dy = coords[i : i + step, 1][:, None] - coords[:, 1][None, :]
+        dist = np.sqrt(dx * dx + dy * dy)
+        dv = np.abs(vals[i : i + step, None] - vals[None, :])
+        mask = dist > 0
+        if mask.any():
+            best = max(best, float((dv[mask] ** p / (dist[mask] ** (p - 1.0) * E)).max()))
 
     lvN = hier.level(n)
     valsN = float_values_at(hier, u, n)

@@ -17,9 +17,10 @@ routes are provided:
   cached on the level and shared by every value vector and both
   arithmetics.  One small evaluator per arithmetic then sums the blocks.
   The float one takes the p = 2 full blocks as one gather over prefix
-  moments and every other block in sub-blocks of at most ``_CHUNK``
-  elements, so memory is bounded for every p.  Block sums are added one by
-  one in the plan's depth-first order, which keeps float results fixed.
+  moments, the p = 2 leaf blocks of a class in batches, and every other
+  block in sub-blocks; no temporary holds more than ``_CHUNK`` elements, so
+  memory is bounded for every p.  Block sums are added one by one in the
+  plan's depth-first order, which keeps float results fixed.
 
 ``ball_pair_sum(method="auto")`` always takes the cell tree; the oracle runs
 only when asked for by name.
@@ -39,12 +40,11 @@ from itertools import accumulate
 
 import numpy as np
 
-from .energy import _int_array, _power_sums
+from .energy import _CHUNK, _int_array, _power_sums
 from .errors import InvalidArgumentError, ScaleMismatchError
 from .geometry import VicsekLevel, _cell_centers
 
 _LEAF_MAX = 256
-_CHUNK = 1 << 20  # elements per float temporary in the evaluator
 
 
 class CellPairIndex:
@@ -432,8 +432,9 @@ def _evaluate_float(
     """Float sum over the plan's blocks, added one by one in plan order.
 
     Blocks go in chunks of consecutive rows; p = 2 full blocks take the
-    prefix-moment closed form, all others ``_pair_block``.  The leaf blocks
-    of one class in a chunk share one mask, built once.
+    prefix-moment closed form, p = 2 leaf blocks ``_square_sums``, all
+    others ``_pair_block``.  The leaf blocks of one class in a chunk share
+    one mask, built once.
     """
     F = vals.shape[1]
     vs = vals[idx.order]
@@ -464,7 +465,10 @@ def _evaluate_float(
                 subs = [(*box, None) for box in _sub_blocks(hia - loa, hib - lob, F)]
                 terms[row] = _pair_block(vs, subs, pf, loa, lob, w)
         for group in _class_rows(leaf_class):
-            subs = _class_mask(idx, plan.radius2, F, pf, *blocks[group[0], :4].tolist())
+            subs = _class_mask(idx, plan.radius2, F, *blocks[group[0], :4].tolist())
+            if pf == 2.0:
+                terms[group] = _square_sums(vs, subs, blocks[group])
+                continue
             for row in group.tolist():
                 loa, _, lob, _, w = blocks[row].tolist()
                 terms[row] = _pair_block(vs, subs, pf, loa, lob, w)
@@ -502,40 +506,53 @@ def _sub_blocks(na: int, nb: int, F: int) -> list[tuple[int, int, int, int]]:
     ]
 
 
-def _class_mask(idx: CellPairIndex, R: int, F: int, pf: float, loa, hia, lob, hib):
+def _class_mask(idx: CellPairIndex, R: int, F: int, loa, hia, lob, hib):
     """The sub-blocks of one leaf class from a representative block, each
-    with its in-ball mask; sub-blocks with no pair in the ball are left out.
-
-    For p = 2 the mask is kept as (float mask, row counts, column counts)
-    for the matrix-product form of the masked sum.
-    """
+    with its bool in-ball mask; sub-blocks with no pair in the ball are left
+    out."""
     subs = []
     for i0, i1, j0, j1 in _sub_blocks(hia - loa, hib - lob, F):
         mask = _in_ball(idx, R, loa + i0, loa + i1, lob + j0, lob + j1)
-        if not mask.any():
-            continue
-        if pf == 2.0:
-            M = mask.astype(np.float64)
-            mask = (M, M.sum(axis=1), M.sum(axis=0))
-        subs.append((i0, i1, j0, j1, mask))
+        if mask.any():
+            subs.append((i0, i1, j0, j1, mask))
     return subs
+
+
+def _square_sums(vs, subs, blocks):
+    """w * sum of (v_i - v_j)^2 over the in-ball pairs of each block of one
+    leaf class, as one row per block.
+
+    Per sub-block, K blocks at a time are gathered into (K, na, F) and
+    (K, nb, F) arrays of at most ``_CHUNK`` elements, and the masked sum
+    takes the matrix-product form rows.va^2 + cols.vb^2 - 2 va.(M vb): the
+    stacked products make one BLAS call per block, the one a single block
+    makes, so each row keeps the bits of a block-by-block sum.
+    """
+    loa, lob, w = blocks[:, 0, None], blocks[:, 2, None], blocks[:, 4, None]
+    out = np.zeros((len(blocks), vs.shape[1]))
+    for i0, i1, j0, j1, mask in subs:
+        M = mask.astype(np.float64)
+        rows = np.count_nonzero(mask, axis=1).astype(np.float64)
+        cols = np.count_nonzero(mask, axis=0).astype(np.float64)
+        ia, jb = np.arange(i0, i1), np.arange(j0, j1)
+        K = max(1, _CHUNK // (max(i1 - i0, j1 - j0) * vs.shape[1]))
+        for k in range(0, len(blocks), K):
+            va = vs[loa[k : k + K] + ia]
+            vb = vs[lob[k : k + K] + jb]
+            o = out[k : k + K]
+            o += rows @ (va * va) + cols @ (vb * vb)
+            o -= 2.0 * (va * (M @ vb)).sum(axis=1)
+    return w * out
 
 
 def _pair_block(vs, subs, pf, loa, lob, w):
     """w * sum of |v_i - v_j|^pf over one block's pairs, sub-block by
     sub-block: ``subs`` holds (i0, i1, j0, j1, mask) with offsets from
-    (loa, lob) and mask None (every pair), bool, or as ``_class_mask``
-    keeps it for p = 2."""
+    (loa, lob) and mask None (every pair) or bool (the in-ball pairs)."""
     out = np.zeros(vs.shape[1])
     for i0, i1, j0, j1, mask in subs:
         va = vs[loa + i0 : loa + i1]
         vb = vs[lob + j0 : lob + j1]
-        if isinstance(mask, tuple):
-            # masked sum of (vi - vj)^2 via matrix products
-            M, rows, cols = mask
-            out += rows @ (va * va) + cols @ (vb * vb)
-            out -= 2.0 * (va * (M @ vb)).sum(axis=0)
-            continue
         dv = va[:, None, :] - vb[None, :, :]
         _abs_pow(dv, pf)
         if mask is None:

@@ -44,6 +44,18 @@ def example_ratio(a: int, b: int, k: int) -> int:
     return a if offset <= j + 2 else b
 
 
+def example_prefix(a: int, b: int, n: int) -> tuple[int, ...]:
+    """The first n ratios of the block sequence of ``example_ratio``, in O(n)."""
+    _check_ratio(a)
+    _check_ratio(b)
+    out: list[int] = []
+    j = 1
+    while len(out) < n:
+        out += [a] * (j + 1) + [b] * j
+        j += 1
+    return tuple(out[:n])
+
+
 @dataclass(frozen=True)
 class RatioSequence:
     """A finite prefix of the contraction ratios plus p and beta_star.
@@ -156,7 +168,7 @@ def periodic_ratios(block: Sequence[int], depth: int, p=2, beta_star: float = 1.
 
 def example_sequence_ratios(a: int, b: int, depth: int, p=2, beta_star: float = 1.0) -> RatioSequence:
     """The block sequence a^2 b a^3 b^2 a^4 b^3 ... as a RatioSequence."""
-    seq = tuple(example_ratio(a, b, k) for k in range(1, depth + 1))
+    seq = example_prefix(a, b, depth)
     return RatioSequence(seq, p, beta_star, extend=lambda k: example_ratio(a, b, k))
 
 

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,6 +44,29 @@ def write_config(tmp_path: Path, overrides=None) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def test_build_loads_only_what_it_runs(tmp_path):
+    """A fresh ``build`` process never imports the energy, pair-sum or
+    Besov layers."""
+    cfg = write_config(tmp_path)
+    script = (
+        "import sys\n"
+        "from vicsek_lab.cli import main\n"
+        f"assert main(['build', '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)},
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "vicsek_lab.geometry" in loaded and "vicsek_lab.io" in loaded
+    for name in ("besov", "energy", "pairsum", "selftest"):
+        assert f"vicsek_lab.{name}" not in loaded, name
 
 
 def test_config_validation_errors():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -337,6 +338,42 @@ def test_morrey_constant_stability(hier3):
     c6 = energy_property_checks(hier3, u, u, 2, 6).morrey_constant
     assert c4 > 0 and c6 > 0
     assert 0.5 <= c4 / c6 <= 2.0
+
+
+def _dense_morrey(hier, u, p, n, E):
+    """The pair-set maximum of ``morrey_constant`` from whole V_K x V_K arrays."""
+    p = float(p)
+    lvK = hier.level(min(3, n))
+    vals = float_values_at(hier, u, lvK.n)
+    coords = lvK.coords.astype(np.float64) / (math.sqrt(2.0) * lvK.L)
+    dx = coords[:, 0][:, None] - coords[:, 0][None, :]
+    dy = coords[:, 1][:, None] - coords[:, 1][None, :]
+    dist = np.sqrt(dx * dx + dy * dy)
+    dv = np.abs(vals[:, None] - vals[None, :])
+    mask = dist > 0
+    ratios_sq = np.zeros_like(dist)
+    ratios_sq[mask] = dv[mask] ** p / (dist[mask] ** (p - 1.0) * E)
+    best = float(ratios_sq.max())
+    lvN = hier.level(n)
+    valsN = float_values_at(hier, u, n)
+    dv_e = np.abs(valsN[lvN.edge_head] - valsN[lvN.edge_tail])
+    return max(best, float((dv_e**p).max()) / ((1.0 / lvN.L) ** (p - 1.0) * E))
+
+
+def test_morrey_constant_tiles_keep_the_dense_maximum(hier3, hier35):
+    """Row tiles give the dense maximum bit for bit and bound the memory."""
+    for hier in (hier3, hier35):
+        u = random_affine(hier, 9)
+        for p in (2, 3, 1.5):
+            E = float(discrete_energy(hier.level(4), float_values_at(hier, u, 4), p))
+            assert morrey_constant(hier, u, p, 4, energy=E) == _dense_morrey(hier, u, p, 4, E)
+        tracemalloc.start()
+        try:
+            morrey_constant(hier, u, 3, 4, energy=E)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_multiply_is_pointwise_at_common_base(hier3):

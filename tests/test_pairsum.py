@@ -138,6 +138,76 @@ def test_split_leaf_blocks_match_per_block_oracle():
         assert np.array_equal(got, ball_pair_sum_per_block(lv, vals, p, 1, 1024)), p
 
 
+def test_batched_classes_and_tiled_full_blocks_match_oracles():
+    """At F = 256 and n = 2 a p = 2 leaf class holds more blocks than one
+    batch; at n = 0 full blocks span several tiles.  Both keep every bit of
+    the per-block route, and a column agrees with brute force."""
+    hier = Hierarchy(constant_ratios(3, 6), 4)
+    lv = hier.level(4)
+    chunk = pairsum._CHUNK
+    F = 256
+    plan = pair_plan(lv, 2, 128)
+    b, lc = plan.blocks, plan.leaf_class
+    over = False
+    step = chunk // (4 * F)  # plan rows per evaluation chunk
+    for s in range(0, len(b), step):
+        for c in np.unique(lc[s : s + step][lc[s : s + step] >= 0]):
+            rows = b[s : s + step][lc[s : s + step] == c]
+            # a batch holds at most chunk // (cols * F) blocks of sub-block width cols
+            cols = min(rows[0, 3] - rows[0, 2], chunk // F)
+            over |= len(rows) > chunk // (cols * F)
+    assert over
+    full = pair_plan(lv, 0).blocks[pair_plan(lv, 0).leaf_class < 0]
+    assert ((full[:, 1] - full[:, 0]) * (full[:, 3] - full[:, 2]) * 2 > 4 * chunk).any()
+    vals = np.random.default_rng(11).standard_normal((lv.num_vertices, F))
+    for p, n, leaf_max, cols in ((2, 2, 128, F), (3, 0, 256, 2), (1.5, 0, 256, 2)):
+        v = vals[:, :cols]
+        got = ball_pair_sum_indexed(lv, v, p, n, leaf_max)
+        assert np.array_equal(got, ball_pair_sum_per_block(lv, v, p, n, leaf_max)), (p, n)
+        want = ball_pair_sum_bruteforce(lv, v[:, 0], p, n)
+        assert got[0] == pytest.approx(want, rel=1e-12, abs=1e-300), (p, n)
+
+
+def test_class_batches_take_each_blocks_weight(monkeypatch):
+    """Weights that differ inside a leaf class are each applied to their own
+    block."""
+    build = pairsum._build_plan
+
+    def reweighted(*args):
+        plan = build(*args)
+        blocks = plan.blocks.copy()
+        blocks[:, 4] = 1 + np.arange(len(blocks)) % 3
+        return pairsum.PairPlan(blocks, plan.leaf_class, plan.radius2)
+
+    monkeypatch.setattr(pairsum, "_build_plan", reweighted)
+    hier = Hierarchy(constant_ratios(3, 6), 4)
+    lv = hier.level(4)
+    plan = pair_plan(lv, 2, 64)
+    sizes = np.bincount(plan.leaf_class[plan.leaf_class >= 0])
+    assert (sizes >= 3).any()
+    vals = np.random.default_rng(12).standard_normal((lv.num_vertices, 3))
+    for p in (2, 3):
+        got = ball_pair_sum_indexed(lv, vals, p, 2, 64)
+        assert np.array_equal(got, ball_pair_sum_per_block(lv, vals, p, 2, 64)), p
+
+
+def test_irregular_sums_keep_memory_small(hier35):
+    """The three p = 3 ball sums of the alternating(3, 5) config at m = 4,
+    with their plans cached, hold no more than a few tiles at a time."""
+    lv = hier35.level(4)
+    vals = float_values_at(hier35, diagonal_ramp(), 4)
+    for n in range(3):
+        pair_plan(lv, n)
+    tracemalloc.start()
+    try:
+        for n in range(3):
+            ball_pair_sum_indexed(lv, vals, 3, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
 def test_class_masks_keep_memory_small(hier3):
     """With the plan cached, a p = 2 sum at m = 6, n = 1 holds one class
     mask at a time."""

@@ -6,6 +6,7 @@ from vicsek_lab.errors import InvalidRatioError, LevelError
 from vicsek_lab.ratios import (
     RatioSequence,
     constant_ratios,
+    example_prefix,
     example_ratio,
     example_sequence_ratios,
 )
@@ -78,6 +79,13 @@ def test_example_sequence_blocks():
     assert rs.prefix(6) == (3, 3, 5, 3, 3, 3)
     # generator-backed extension beyond the stored prefix
     assert rs.ratio(8) == 5
+
+
+@pytest.mark.parametrize("a, b", [(3, 5), (5, 3), (7, 3)])
+def test_example_prefix_is_example_ratio(a, b):
+    for n in (0, 1, 2, 3, 10_000):
+        assert example_prefix(a, b, n) == tuple(example_ratio(a, b, k) for k in range(1, n + 1))
+    assert example_sequence_ratios(a, b, 40).ratios == example_prefix(a, b, 40)
 
 
 def test_constant_ratio_products():
