@@ -125,8 +125,9 @@ def _check_function(hier: Hierarchy, u: AffineFunction) -> None:
 # arrays, through the same code.
 _INT64_BOUND = 2**62
 
-# Elements per float temporary (512 KB of float64): every dense pairwise
-# array of this package is built in tiles of at most this many elements.
+# Elements per temporary (512 KB of float64, so a tile stays in L2 cache):
+# ``morrey_constant`` and the pair-sum evaluators build their pairwise arrays
+# in tiles of at most this many elements.
 _CHUNK = 1 << 16
 
 
@@ -708,8 +709,7 @@ def morrey_constant(hier: Hierarchy, u: AffineFunction, p, n: int, energy=None) 
         dist = np.sqrt(dx * dx + dy * dy)
         dv = np.abs(vals[i : i + step, None] - vals[None, :])
         mask = dist > 0
-        if mask.any():
-            best = max(best, float((dv[mask] ** p / (dist[mask] ** (p - 1.0) * E)).max()))
+        best = float((dv[mask] ** p / (dist[mask] ** (p - 1.0) * E)).max(initial=best))
 
     lvN = hier.level(n)
     valsN = float_values_at(hier, u, n)
