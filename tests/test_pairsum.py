@@ -144,24 +144,24 @@ def test_batched_classes_and_tiled_full_blocks_match_oracles():
     the per-block route, and a column agrees with brute force."""
     hier = Hierarchy(constant_ratios(3, 6), 4)
     lv = hier.level(4)
-    chunk = pairsum._CHUNK
-    F = 256
+    chunk, F = pairsum._CHUNK, 256
     plan = pair_plan(lv, 2, 128)
-    b, lc = plan.blocks, plan.leaf_class
     over = False
     step = chunk // (4 * F)  # plan rows per evaluation chunk
-    for s in range(0, len(b), step):
-        for c in np.unique(lc[s : s + step][lc[s : s + step] >= 0]):
-            rows = b[s : s + step][lc[s : s + step] == c]
-            # a batch holds at most chunk // (cols * F) blocks of sub-block width cols
-            cols = min(rows[0, 3] - rows[0, 2], chunk // F)
-            over |= len(rows) > chunk // (cols * F)
+    for s in range(0, len(plan.blocks), step):
+        b, lc = plan.blocks[s : s + step], plan.leaf_class[s : s + step]
+        for c in np.unique(lc[lc >= 0]):
+            rows = b[lc == c]
+            # a batch holds at most chunk // (width * F) blocks of sub-block width `width`
+            width = min(rows[0, 3] - rows[0, 2], chunk // F)
+            over |= len(rows) > chunk // (width * F)
     assert over
-    full = pair_plan(lv, 0).blocks[pair_plan(lv, 0).leaf_class < 0]
+    plan = pair_plan(lv, 0)
+    full = plan.blocks[plan.leaf_class < 0]
     assert ((full[:, 1] - full[:, 0]) * (full[:, 3] - full[:, 2]) * 2 > 4 * chunk).any()
     vals = np.random.default_rng(11).standard_normal((lv.num_vertices, F))
-    for p, n, leaf_max, cols in ((2, 2, 128, F), (3, 0, 256, 2), (1.5, 0, 256, 2)):
-        v = vals[:, :cols]
+    for p, n, leaf_max, f in ((2, 2, 128, F), (3, 0, 256, 2), (1.5, 0, 256, 2)):
+        v = vals[:, :f]
         got = ball_pair_sum_indexed(lv, v, p, n, leaf_max)
         assert np.array_equal(got, ball_pair_sum_per_block(lv, v, p, n, leaf_max)), (p, n)
         want = ball_pair_sum_bruteforce(lv, v[:, 0], p, n)
