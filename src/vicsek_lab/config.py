@@ -8,6 +8,7 @@ from pathlib import Path
 from typing import Any, Optional
 
 from .errors import ConfigError
+from .geometry import MAX_CELL_BUDGET
 from .ratios import (
     RatioSequence,
     alternating_ratios,
@@ -56,6 +57,10 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be rational or float, got {self.mode!r}")
         if self.threads is not None and self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if self.cell_budget > MAX_CELL_BUDGET:
+            raise ConfigError(
+                f"cell_budget {self.cell_budget} exceeds the limit of {MAX_CELL_BUDGET} cells"
+            )
         if self.mode == "rational" and float(self.p) != int(float(self.p)):
             raise ConfigError(
                 "rational mode requires an integer p; use mode=float"

@@ -27,15 +27,12 @@ from .errors import (
     ScaleMismatchError,
 )
 from .ratios import RatioSequence
-from .words import (
-    Word,
-    enumerate_letters,
-    letter_offset,
-    validate_word,
-    word_from_index,
-)
+from .words import Word, enumerate_letters, letter_offset, validate_word
 
 DEFAULT_CELL_BUDGET = 5_000_000
+# A level has at most 5 points per cell, so with this many cells every
+# vertex id, cell id, coordinate and depth fits the int32 tables.
+MAX_CELL_BUDGET = 400_000_000
 
 # Corner slots of a cell: slot 0 is the center, slot j is the corner in
 # diagonal direction j.
@@ -135,6 +132,7 @@ class VicsekLevel:
 
     def __init__(self, ratios: RatioSequence, n: int, budget: int = DEFAULT_CELL_BUDGET):
         num_cells = ratios.num_words(n)
+        budget = min(budget, MAX_CELL_BUDGET)
         if num_cells > budget:
             raise DepthBudgetError(n, num_cells, budget)
         self.ratios = ratios
@@ -144,58 +142,74 @@ class VicsekLevel:
 
         # The 5 slot points of every cell, cell-major (point 5w + s is slot s
         # of cell w), deduplicated by packed key.  Vertex ids number the
-        # distinct points in order of first appearance.
-        pts = (_cell_centers(ratios, n)[:, None, :] + _SLOTS[None]).reshape(-1, 2)
-        _, first, inverse, counts = np.unique(
-            self._pack(pts[:, 0], pts[:, 1]),
-            return_index=True, return_inverse=True, return_counts=True,
-        )
-        is_first = np.zeros(len(pts), dtype=bool)
+        # distinct points in order of first appearance, which a stable sort
+        # puts at the head of each run of equal keys.
+        centers = _cell_centers(ratios, n)
+        slot_keys = _SLOTS @ (2 * self.L + 3, 1)  # key of each slot relative to its center
+        keys = (self._pack(centers[:, 0], centers[:, 1])[:, None] + slot_keys).reshape(-1)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        head = np.empty(keys.size, dtype=bool)
+        head[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=head[1:])
+        del keys
+        first = order[head]  # first appearance of each distinct key
+        is_first = np.zeros(head.size, dtype=bool)
         is_first[first] = True
-        rank = (np.cumsum(is_first) - 1)[first]  # id of each sorted key
-        V = len(first)
+        ids = (np.cumsum(is_first, dtype=np.int32) - 1)[first]  # id of each distinct key
+        cells = np.empty(head.size, dtype=np.int32)
+        cells[order] = ids[np.cumsum(head, dtype=np.int32) - 1]
+        del order, head, first, ids
+        self.cell_vertices = cells.reshape(num_cells, 5)
+
         first = np.flatnonzero(is_first)  # slot point of each id
-
-        self.coords = pts[first]
-        self.owner_word = first // 5
-        self.multiplicity = np.empty(V, dtype=np.int64)
-        self.multiplicity[rank] = counts
-        self.cell_vertices = rank[inverse].reshape(num_cells, 5)
-
-        self.num_vertices = V
-        E = 4 * num_cells
-        center_ids = np.repeat(self.cell_vertices[:, 0], 4)
-        corner_ids = self.cell_vertices[:, 1:5].reshape(-1)
+        del is_first
+        V = self.num_vertices = first.size
+        self.owner_word = (first // 5).astype(np.int32)
+        slot = first - 5 * self.owner_word
+        del first
+        self.coords = np.empty((V, 2), dtype=np.int32)
+        for axis in (0, 1):
+            np.add(centers[self.owner_word, axis], _SLOTS[slot, axis], out=self.coords[:, axis])
+        del slot
 
         # cell 0 is the all-center word, whose center is (0, 0)
         self.origin = int(self.cell_vertices[0, 0])
 
         # Tree depths come from the cell structure; shared corners must agree.
         slot_depth = _slot_depths(ratios, n)
-        depth = np.empty(V, dtype=np.int64)
-        depth[self.cell_vertices] = slot_depth
-        if not np.array_equal(depth[self.cell_vertices], slot_depth):
+        self.depth = np.empty(V, dtype=np.int32)
+        self.depth[self.cell_vertices] = slot_depth
+        if not np.array_equal(self.depth[self.cell_vertices], slot_depth):
             raise AssertionError("cells disagree on the depth of a shared corner")
-        self.depth = depth
 
-        d_a = depth[center_ids]
-        d_b = depth[corner_ids]
-        if not np.all(np.abs(d_a - d_b) == 1):
+        # each cell's 4 edges join its center to its corners, tail nearer the origin
+        center, corner = slot_depth[:, :1], slot_depth[:, 1:]
+        if not np.all(np.abs(corner - center) == 1):
             raise AssertionError("orientation tie: endpoint depths do not differ by 1")
-        swap = d_a > d_b
-        self.edge_tail = np.where(swap, corner_ids, center_ids)
-        self.edge_head = np.where(swap, center_ids, corner_ids)
-        self.num_edges = E
+        swap = center > corner
+        del slot_depth, center, corner
+        cv = self.cell_vertices
+        self.edge_tail = np.where(swap, cv[:, 1:], cv[:, :1]).reshape(-1)
+        self.edge_head = np.where(swap, cv[:, :1], cv[:, 1:]).reshape(-1)
+        del swap
+        self.num_edges = 4 * num_cells
 
         # If every vertex but the origin is the head of exactly one edge, then
         # stepping to the tail lowers the depth by 1 and can only stop at the
         # origin: the graph is a tree and ``depth`` is the distance from it.
         heads = np.bincount(self.edge_head, minlength=V)
         heads[self.origin] += 1
-        if depth[self.origin] != 0 or not np.all(heads == 1):
+        if self.depth[self.origin] != 0 or not np.all(heads == 1):
             raise AssertionError("graph is not connected")
-        self.parent = np.full(V, -1, dtype=np.int64)
+        del heads
+        self.parent = np.full(V, -1, dtype=np.int32)
         self.parent[self.edge_head] = self.edge_tail
+
+    @property
+    def multiplicity(self) -> np.ndarray:
+        """Number of cells each vertex belongs to."""
+        return np.bincount(self.cell_vertices.reshape(-1), minlength=self.num_vertices)
 
     @property
     def edge_word(self) -> np.ndarray:
@@ -211,6 +225,9 @@ class VicsekLevel:
         """One int64 key per point: distinct for points with |x|, |y| <= L + 1,
         and within int64 because L <= num_cells."""
         pad = self.L + 1
+        # int64 (object stays object), so int32 coordinates cannot overflow
+        xs = xs.astype(np.promote_types(xs.dtype, np.int64), copy=False)
+        ys = ys.astype(np.promote_types(ys.dtype, np.int64), copy=False)
         return (xs + pad) * (2 * self.L + 3) + (ys + pad)
 
     @cached_property
@@ -244,11 +261,6 @@ class VicsekLevel:
             raise LookupError_(f"vertex id {vid} out of range")
         return LatticePoint(int(self.coords[vid, 0]), int(self.coords[vid, 1]), self.n)
 
-    def word_of(self, word_id: int) -> Word:
-        if not 0 <= word_id < self.num_cells:
-            raise LookupError_(f"cell index {word_id} out of range")
-        return word_from_index(self.ratios, self.n, word_id)
-
     def edge_length(self) -> Fraction:
         return Fraction(1, self.L)
 
@@ -270,11 +282,6 @@ class VicsekLevel:
         return offsets, (order // 5).astype(np.int64)
 
     # -- metrics -----------------------------------------------------------
-
-    def geodesic_from_origin(self, vid: int) -> Fraction:
-        if not 0 <= vid < self.num_vertices:
-            raise LookupError_(f"vertex id {vid} out of range")
-        return Fraction(int(self.depth[vid]), self.L)
 
     def path_edge_count(self, a: int, b: int) -> int:
         """Number of edges on the unique tree path between two vertices."""
@@ -379,15 +386,15 @@ def _slot_depths(ratios: RatioSequence, n: int) -> np.ndarray:
     From the entry, the center lies one edge further (unless it is the
     entry) and every other corner one edge beyond the center.
     """
-    entry = np.zeros(1, dtype=np.int64)
-    depth = np.zeros(1, dtype=np.int64)
+    entry = np.zeros(1, dtype=np.int32)
+    depth = np.zeros(1, dtype=np.int32)
     for k in range(1, n + 1):
         l = ratios.ratio(k)
         letters = enumerate_letters(l)
-        j = np.array([s.direction for s in letters], dtype=np.int64)[None]
-        m = np.array([s.step for s in letters], dtype=np.int64)[None]
+        j = np.array([s.direction for s in letters], dtype=np.int32)[None]
+        m = np.array([s.step for s in letters], dtype=np.int32)[None]
         e = entry[:, None]
-        cornered = e != 0
+        cornered = (e != 0).astype(np.int32)
         base = depth[:, None] * l + l * cornered
         inward = (j == 0) | (j == e)
         entry = np.where(inward, e, (j + 1) % 4 + 1).reshape(-1)  # opposite(j)
@@ -395,10 +402,12 @@ def _slot_depths(ratios: RatioSequence, n: int) -> np.ndarray:
             j == 0, base - cornered, np.where(j == e, base - 2 * m - 1, base + 2 * m - 1)
         ).reshape(-1)
     center = depth + (entry != 0)
-    slots = np.arange(5, dtype=np.int64)[None]
-    return np.where(
-        slots == 0, center[:, None], center[:, None] + 1 - 2 * (slots == entry[:, None])
-    )
+    slots = np.empty((center.size, 5), dtype=np.int32)
+    slots[:, 0] = center
+    slots[:, 1:] = (center + 1)[:, None]
+    cornered = np.flatnonzero(entry)
+    slots[cornered, entry[cornered]] -= 2  # the entry corner lies before the center
+    return slots
 
 
 def build_level(
@@ -506,9 +515,12 @@ class Hierarchy:
         child = np.where(m > 0, 1 + (j - 1) * h + m - 1, 0)
         slot = np.where(i % 2 == 1, j, 0)
         fine_cells = fine.cell_vertices.reshape(coarse.num_cells, 2 * l - 1, 5)
-        seg = fine_cells[:, child, slot]  # (cells, arm j, point i)
+        # (cells, arm j, point i); the maps stay intp, since numpy converts
+        # an index of any other dtype on every use, and extension gathers
+        # and scatters with them at every level
+        seg = fine_cells[:, child, slot].astype(np.intp)
 
-        lift = np.empty(coarse.num_vertices, dtype=np.int64)
+        lift = np.empty(coarse.num_vertices, dtype=np.intp)
         lift[coarse.cell_vertices[:, 0]] = seg[:, 0, 0]
         lift[coarse.cell_vertices[:, 1:]] = seg[:, :, l]
 
@@ -529,7 +541,7 @@ class Hierarchy:
         hanging = ~valued[corners]
         hang = np.column_stack(
             (corners[hanging], np.repeat(fine.cell_vertices[:, 0], hanging.sum(axis=1)))
-        )
+        ).astype(np.intp)
 
         seen = np.bincount(
             np.concatenate((lift, interior.reshape(-1), hang[:, 0])),

@@ -4,7 +4,8 @@ Computes S = sum over ordered vertex pairs (x, y) with d(x, y) < rho_n of
 |u(x) - u(y)|^p, the kernel behind every discrete Besov functional.  Two
 routes are provided:
 
-* a brute-force double loop, the oracle, kept deliberately simple;
+* a brute-force pass over every vertex pair in tiles, the oracle, kept
+  deliberately simple;
 * a cell-tree route in two parts.  A geometry-only dual-tree traversal
   builds a ``PairPlan`` for (level, n): vertices are grouped by the cell
   that first created them (an ownership partition), cells form nested
@@ -60,11 +61,12 @@ class CellPairIndex:
         self.level = level
         ratios = level.ratios
         m = level.n
-        order = np.argsort(level.owner_word, kind="stable").astype(np.int64)
+        order = np.argsort(level.owner_word, kind="stable").astype(np.int32)
         self.order = order
         owner_sorted = level.owner_word[order]
-        self.xs = level.coords[order, 0].copy()
-        self.ys = level.coords[order, 1].copy()
+        # int64, so squared distances cannot overflow
+        self.xs = level.coords[order, 0].astype(np.int64)
+        self.ys = level.coords[order, 1].astype(np.int64)
         lo, hi, cx, cy, half, children = [], [], [], [], [], []
         Lm = level.L
         for k in range(m + 1):
@@ -72,9 +74,10 @@ class CellPairIndex:
             for j in range(k + 1, m + 1):
                 stride *= 2 * ratios.ratio(j) - 1
             num_k = ratios.num_words(k)
+            # owner_sorted's dtype: num_k * stride is the level's cell count
             starts = np.searchsorted(
-                owner_sorted, np.arange(num_k + 1, dtype=np.int64) * stride
-            ).astype(np.int64)
+                owner_sorted, np.arange(num_k + 1, dtype=owner_sorted.dtype) * stride
+            )
             lo.append(starts[:-1])
             hi.append(starts[1:])
             f = Lm // ratios.length_product(k)
@@ -83,6 +86,7 @@ class CellPairIndex:
             cy.append(centers[:, 1] * f)
             half.append(f)
             children.append(2 * ratios.ratio(k + 1) - 1 if k < m else 0)
+        del owner_sorted
         self.start = np.cumsum([0] + [len(a) for a in lo])[:-1]
         self.lo = np.concatenate(lo)
         self.hi = np.concatenate(hi)
@@ -91,7 +95,7 @@ class CellPairIndex:
         self.half = np.array(half, dtype=np.int64)
         self.children = np.array(children, dtype=np.int64)
         self.max_level = m
-        del owner_sorted, lo, hi, cx, cy  # the type pass below sets the peak
+        del lo, hi, cx, cy  # the type pass below sets the peak
         self.cell_type = self._cell_types()
 
     def _cell_types(self) -> np.ndarray:
@@ -112,6 +116,7 @@ class CellPairIndex:
             sub = (self.lo[kid].reshape(-1, c) - base) * (self.xs.size + 1)
             sub += self.hi[kid].reshape(-1, c) - base
             cand = _row_ids((types[par, None] * c + np.arange(c)).ravel(), sub.ravel())
+            del sub
             reps: dict[bytes, tuple[int, int]] = {}
             ids = []
             for r in (kid.start + np.unique(cand, return_index=True)[1]).tolist():
@@ -121,6 +126,7 @@ class CellPairIndex:
                     t, count = count, count + 1
                 ids.append(t)
             types[kid] = np.array(ids, dtype=np.int64)[cand]
+            del cand
         return types
 
     def _layout(self, r: int) -> np.ndarray:
@@ -164,77 +170,74 @@ def _qualify_threshold(level: VicsekLevel, n: int) -> tuple[int, int]:
 
 
 def ball_pair_sum_bruteforce(level: VicsekLevel, values, p, n: int):
-    """O(V^2) double loop; exact when given (den, ints), float on arrays.
+    """Every ordered vertex pair, tile by tile; exact when given (den, ints),
+    float on arrays.
 
     Exact mode returns the integer sum of |di - dj|^p over qualifying pairs
-    (denominators are applied by the caller); float mode returns a float.
+    (denominators are applied by the caller), in int64 while every
+    |di - dj|^p fits it and in Python ints past that; float mode returns a
+    float.  It uses no plan, cell tree or shared power sum, so it checks the
+    cell-tree route independently.
     """
-    Ln2, T = _qualify_threshold(level, n)
     if isinstance(values, tuple):
-        den, ints = values
+        _, ints = values
         p = int(p)
-        xs = level.coords[:, 0].tolist()
-        ys = level.coords[:, 1].tolist()
-        V = level.num_vertices
+        bound = 2 * int(max(map(abs, ints), default=0))
+        vals = np.array(ints, dtype=np.int64 if bound**p < 2**63 else object)
         total = 0
-        for i in range(V):
-            xi = xs[i]
-            yi = ys[i]
-            vi = ints[i]
-            for j in range(i + 1, V):
-                dx = xi - xs[j]
-                dy = yi - ys[j]
-                if (dx * dx + dy * dy) * Ln2 < T:
-                    d = vi - ints[j]
-                    total += d * d if p == 2 else abs(d) ** p
-        return 2 * total
+        for i0, j0, mask in _ball_tiles(level, n, 1):
+            i, j = np.nonzero(mask)
+            total += _exact_total(np.abs(vals[i0 + i] - vals[j0 + j]) ** p)
+        return total
     vals = np.asarray(values, dtype=np.float64)
     squeeze = vals.ndim == 1
     if squeeze:
         vals = vals[:, None]
-    xs = level.coords[:, 0]
-    ys = level.coords[:, 1]
-    V = level.num_vertices
-    pf = float(p)
-    chunk = max(1, min(V, 8_000_000 // max(V, 1)))
-    partials = []
-    for lo in range(0, V, chunk):
-        hi = min(lo + chunk, V)
-        dx = xs[lo:hi, None] - xs[None, :]
-        dy = ys[lo:hi, None] - ys[None, :]
-        mask = (dx * dx + dy * dy) * Ln2 < T
-        dv = np.abs(vals[lo:hi, None, :] - vals[None, :, :])
-        if pf == 2.0:
-            dv *= dv
-        else:
-            dv **= pf
-        partials.append(np.einsum("ij,ijf->f", mask, dv))
     total = np.zeros(vals.shape[1])
-    for part in partials:
-        total += part
+    for i0, j0, mask in _ball_tiles(level, n, vals.shape[1]):
+        va = vals[i0 : i0 + mask.shape[0], None]
+        vb = vals[None, j0 : j0 + mask.shape[1]]
+        total += np.einsum("ij,ijf->f", mask, np.abs(va - vb) ** float(p))
     return float(total[0]) if squeeze else total
 
 
 def ball_row_stats(level: VicsekLevel, values, p, n: int):
     """Per-vertex ball counts and |du|^p row sums (brute force, float)."""
-    Ln2, T = _qualify_threshold(level, n)
     vals = np.asarray(values, dtype=np.float64)
-    xs = level.coords[:, 0]
-    ys = level.coords[:, 1]
-    V = level.num_vertices
-    pf = float(p)
-    counts = np.zeros(V, dtype=np.int64)
-    sums = np.zeros(V)
-    chunk = max(1, min(V, 8_000_000 // max(V, 1)))
-    for lo in range(0, V, chunk):
-        hi = min(lo + chunk, V)
-        dx = xs[lo:hi, None] - xs[None, :]
-        dy = ys[lo:hi, None] - ys[None, :]
-        mask = (dx * dx + dy * dy) * Ln2 < T
-        dv = np.abs(vals[lo:hi, None] - vals[None, :]) ** pf
-        counts[lo:hi] = mask.sum(axis=1)
-        sums[lo:hi] = (dv * mask).sum(axis=1)
+    counts = np.zeros(level.num_vertices, dtype=np.int64)
+    sums = np.zeros(level.num_vertices)
+    for i0, j0, mask in _ball_tiles(level, n, 1):
+        i1 = i0 + mask.shape[0]
+        dv = np.abs(vals[i0:i1, None] - vals[None, j0 : j0 + mask.shape[1]]) ** float(p)
+        counts[i0:i1] += mask.sum(axis=1)
+        sums[i0:i1] += (dv * mask).sum(axis=1)
     return counts, sums
+
+
+def _ball_tiles(level: VicsekLevel, n: int, F: int):
+    """(i0, j0, mask) over tiles of the V x V vertex pairs, whole rows when
+    they fit, each of at most ``_CHUNK`` elements over F columns; ``mask``
+    marks the tile's pairs in the open ball of radius rho_n."""
+    Ln2, T = _qualify_threshold(level, n)
+    xs = level.coords[:, 0].astype(np.int64)
+    ys = level.coords[:, 1].astype(np.int64)
+    V = level.num_vertices
+    cols = max(1, min(V, _CHUNK // F))
+    rows = max(1, _CHUNK // (cols * F))
+    for i0 in range(0, V, rows):
+        for j0 in range(0, V, cols):
+            dx = xs[i0 : i0 + rows, None] - xs[None, j0 : j0 + cols]
+            dy = ys[i0 : i0 + rows, None] - ys[None, j0 : j0 + cols]
+            yield i0, j0, (dx * dx + dy * dy) * Ln2 < T
+
+
+def _exact_total(t: np.ndarray) -> int:
+    """Exact sum of a non-negative integer array of at most ``_CHUNK``
+    entries: int64 entries are split into 32-bit halves, whose sums cannot
+    overflow."""
+    if t.dtype == object:
+        return sum(t.tolist())
+    return (int((t >> 32).sum()) << 32) + int((t & 0xFFFFFFFF).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +356,10 @@ def _build_plan(idx: CellPairIndex, R: int, leaf_max: int) -> PairPlan:
         kb[s] += 1
     a = idx.start[ka] + ia
     b = idx.start[kb] + ib
-    blocks = np.stack((idx.lo[a], idx.hi[a], idx.lo[b], idx.hi[b], w), axis=1)
+    blocks = np.stack((idx.lo[a], idx.hi[a], idx.lo[b], idx.hi[b], w), axis=1, dtype=np.int32)
     leaf = kind == _LEAF
     a, b = a[leaf], b[leaf]
-    leaf_class = np.full(kind.size, -1, dtype=np.int64)
+    leaf_class = np.full(kind.size, -1, dtype=np.int32)
     leaf_class[leaf] = _row_ids(
         idx.cell_type[a], idx.cell_type[b], idx.cx[a] - idx.cx[b], idx.cy[a] - idx.cy[b]
     )
@@ -431,49 +434,50 @@ def _evaluate_float(
 ) -> np.ndarray:
     """Float sum over the plan's blocks, added one by one in plan order.
 
-    Blocks go in chunks of consecutive rows; p = 2 full blocks take the
-    prefix-moment closed form, p = 2 leaf blocks ``_square_sums``, all
-    others ``_pair_block``.  The leaf blocks of one class in a chunk share
-    one mask, built once.
+    Each block's sum goes to its row of ``terms``: p = 2 full blocks by the
+    prefix-moment closed form, in chunks of rows, p = 2 leaf blocks by
+    ``_square_sums``, all others by ``_pair_block``.  Leaf blocks go class
+    by class, so each class mask is built once per call.
     """
     F = vals.shape[1]
     vs = vals[idx.order]
+    terms = np.zeros((len(plan.blocks), F))
+    step = max(1, _CHUNK // (4 * F))
+    full = np.flatnonzero(plan.leaf_class < 0)
     if pf == 2.0:
         P1 = np.zeros((vs.shape[0] + 1, F))
         P2 = np.zeros_like(P1)
         np.cumsum(vs, axis=0, out=P1[1:])
         np.cumsum(vs * vs, axis=0, out=P2[1:])
-    total = np.zeros(F)
-    step = max(1, _CHUNK // (4 * F))
-    for s in range(0, len(plan.blocks), step):
-        blocks = plan.blocks[s : s + step]
-        leaf_class = plan.leaf_class[s : s + step]
-        full = leaf_class < 0
-        terms = np.zeros((len(blocks), F))
-        if pf == 2.0:
-            loa, hia, lob, hib, w = blocks[full].T
+        for s in range(0, full.size, step):
+            rows = full[s : s + step]
+            loa, hia, lob, hib, w = plan.blocks[rows].T
             Sa = P1[hia] - P1[loa]
             Sb = P1[hib] - P1[lob]
             Qa = P2[hia] - P2[loa]
             Qb = P2[hib] - P2[lob]
             cnta = (hia - loa)[:, None]
             cntb = (hib - lob)[:, None]
-            terms[full] = w[:, None] * (cntb * Qa - 2.0 * Sa * Sb + cnta * Qb)
-        else:
-            for row in np.flatnonzero(full).tolist():
-                loa, hia, lob, hib, w = blocks[row].tolist()
-                subs = [(*box, None) for box in _sub_blocks(hia - loa, hib - lob, F)]
-                terms[row] = _pair_block(vs, subs, pf, loa, lob, w)
-        for group in _class_rows(leaf_class):
-            subs = _class_mask(idx, plan.radius2, F, *blocks[group[0], :4].tolist())
-            if pf == 2.0:
-                terms[group] = _square_sums(vs, subs, blocks[group])
-                continue
-            for row in group.tolist():
-                loa, _, lob, _, w = blocks[row].tolist()
-                terms[row] = _pair_block(vs, subs, pf, loa, lob, w)
-        terms[0] += total
-        total = terms.cumsum(axis=0)[-1]
+            terms[rows] = w[:, None] * (cntb * Qa - 2.0 * Sa * Sb + cnta * Qb)
+        del P1, P2
+    else:
+        for row in full.tolist():
+            loa, hia, lob, hib, w = plan.blocks[row].tolist()
+            subs = [(*box, None) for box in _sub_blocks(hia - loa, hib - lob, F)]
+            terms[row] = _pair_block(vs, subs, pf, loa, lob, w)
+    for group in _class_rows(plan.leaf_class):
+        subs = _class_mask(idx, plan.radius2, F, *plan.blocks[group[0], :4].tolist())
+        if pf == 2.0:
+            terms[group] = _square_sums(vs, subs, plan.blocks[group])
+            continue
+        for row in group.tolist():
+            loa, _, lob, _, w = plan.blocks[row].tolist()
+            terms[row] = _pair_block(vs, subs, pf, loa, lob, w)
+    total = np.zeros(F)
+    for s in range(0, len(terms), step):
+        chunk = terms[s : s + step]
+        chunk[0] += total
+        total = chunk.cumsum(axis=0)[-1]
     return total
 
 

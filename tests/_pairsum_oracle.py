@@ -1,9 +1,11 @@
-"""Per-block float evaluation of a pair plan, the differential oracle.
+"""Oracles of the ball pair sums.
 
-Every leaf block builds its in-ball mask from the vertex coordinates, and
-every block is summed with the same sub-block split and the same numpy
-operations the library's class-mask evaluator uses, so the two results are
-equal bit for bit.
+``ball_pair_sum_per_block`` evaluates a pair plan block by block: every
+leaf block builds its in-ball mask from the vertex coordinates, and every
+block is summed with the same sub-block split and the same numpy operations
+the library's class-mask evaluator uses, so the two results are equal bit
+for bit.  ``ball_rows_double_loop`` is a pure-Python double loop over every
+vertex pair, the reference of the library's tiled brute-force route.
 """
 
 from __future__ import annotations
@@ -92,3 +94,23 @@ def _pair_block(vs, xy, R, pf, loa, hia, lob, hib, w):
             else:
                 out += np.einsum("ij,ijf->f", mask, dv)
     return w * out
+
+
+def ball_rows_double_loop(level, values, p, n: int):
+    """Per-vertex ball counts and row sums of |v_i - v_j|^p over the pairs
+    (i, j) in the open ball of radius rho_n, by a pure-Python double loop
+    with the predicate (dx^2 + dy^2) L_n^2 < 8 L_m^2 in Python ints.
+    ``values`` is a list of ints (exact sums) or floats."""
+    Ln = level.ratios.length_product(n)
+    T = 8 * level.L * level.L
+    xy = level.coords.tolist()
+    counts, sums = [], []
+    for (xi, yi), vi in zip(xy, values):
+        count, total = 0, 0
+        for (xj, yj), vj in zip(xy, values):
+            if ((xi - xj) ** 2 + (yi - yj) ** 2) * Ln * Ln < T:
+                count += 1
+                total += abs(vi - vj) ** p
+        counts.append(count)
+        sums.append(total)
+    return counts, sums

@@ -21,7 +21,7 @@ from vicsek_lab.energy import (
 )
 from vicsek_lab.energy_measure import coincidence_check
 from vicsek_lab.errors import ConfigError
-from vicsek_lab.geometry import Hierarchy
+from vicsek_lab.geometry import MAX_CELL_BUDGET, Hierarchy
 from vicsek_lab.io import config_hash, write_csv, write_json
 
 BASE_CONFIG = {
@@ -110,6 +110,19 @@ def test_budget_exceeded_exit_code(tmp_path, capsys):
     assert main(["build", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "1953125" in err  # required cell count is named in the diagnostic
+
+
+def test_cell_budget_over_the_id_limit_exit_code(tmp_path, capsys):
+    """Vertex ids are int32, so a cell_budget past the cap is a config
+    error that names the limit; the cap itself is accepted."""
+    assert MAX_CELL_BUDGET == 400_000_000
+    out = tmp_path / "art"
+    cfg = write_config(tmp_path, {"cell_budget": MAX_CELL_BUDGET + 1})
+    assert main(["build", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "cell_budget" in err and "400000000" in err
+    cfg = write_config(tmp_path, {"cell_budget": MAX_CELL_BUDGET})
+    assert main(["build", "--config", str(cfg), "--out", str(out)]) == 0
 
 
 def test_missing_config_exit_code(tmp_path, capsys):

@@ -225,14 +225,17 @@ def test_cell_edges_and_index(hier3):
 
 
 def test_level_keeps_no_lookup_or_adjacency_tables():
-    """The vertex lookup is built on the first lookup; edge words and
-    neighbours are derived from the cell numbering and the parent array."""
+    """The vertex lookup is built on the first lookup; edge words,
+    multiplicities and neighbours are derived from the cell numbering and
+    the parent array."""
     lv = build_level(constant_ratios(3, 6), 3)
     held = {name for name, value in vars(lv).items() if isinstance(value, np.ndarray)}
     assert held == {
-        "coords", "owner_word", "multiplicity", "cell_vertices",
+        "coords", "owner_word", "cell_vertices",
         "depth", "edge_tail", "edge_head", "parent",
     }
+    assert {vars(lv)[name].dtype for name in held} == {np.dtype(np.int32)}
+    assert np.array_equal(lv.multiplicity, np.bincount(lv.cell_vertices.ravel()))
     assert "_lookup" not in vars(lv)
     assert lv.origin == lv.cell_vertices[0, 0] == lv.vertex_id(0, 0)
     assert "_lookup" in vars(lv)
@@ -265,6 +268,48 @@ def test_hierarchy_memory_is_bounded():
         tracemalloc.stop()
     assert peak <= 120 * 2**20, f"peak {peak / 2**20:.1f} MB"
     assert held <= 40 * 2**20, f"held {held / 2**20:.1f} MB"
+
+
+def test_level_build_memory_per_vertex():
+    """Traced memory of build_level(constant 3, 6), 62,501 vertices, center
+    tables included: peak 50 B and held 38 B per vertex measured (193 and
+    79 B with int64 tables), capped at 110 and 52 B."""
+    import tracemalloc
+
+    from vicsek_lab import geometry
+
+    geometry._prefix_centers.cache_clear()
+    tracemalloc.start()
+    try:
+        lv = build_level(constant_ratios(3, 8), 6)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    V = lv.num_vertices
+    assert peak <= 110 * V, f"peak {peak / V:.1f} B per vertex"
+    assert held <= 52 * V, f"held {held / V:.1f} B per vertex"
+
+
+def test_hierarchy_to_level_8_memory_is_bounded():
+    """Every level and transition of Hierarchy(l=3, 8), 1,562,501 vertices
+    at level 8: peak 126 MB and held 90 MB measured (320 and 166 MB with
+    int64 tables), capped at 170 MB and 128 MB."""
+    import tracemalloc
+
+    from vicsek_lab import geometry
+
+    geometry._prefix_centers.cache_clear()
+    tracemalloc.start()
+    try:
+        hier = geometry.Hierarchy(constant_ratios(3, 12), 8)
+        for k in range(8):
+            hier.transition(k)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert hier.level(8).num_vertices == 1_562_501
+    assert peak <= 170 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert held <= 128 * 2**20, f"held {held / 2**20:.1f} MB"
 
 
 def test_hierarchy_builds_levels_on_first_use(monkeypatch):

@@ -1,22 +1,24 @@
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from _pairsum_oracle import ball_pair_sum_per_block
+from _pairsum_oracle import ball_pair_sum_per_block, ball_rows_double_loop
 
 from vicsek_lab import pairsum
 from vicsek_lab.besov import weak_monotonicity_report
 from vicsek_lab.energy import diagonal_ramp, float_values_at, random_affine, scaled_values_at
-from vicsek_lab.geometry import Hierarchy
+from vicsek_lab.geometry import Hierarchy, build_level
 from vicsek_lab.pairsum import (
     ball_pair_sum,
     ball_pair_sum_bruteforce,
     ball_pair_sum_indexed,
+    ball_row_stats,
     pair_plan,
 )
-from vicsek_lab.ratios import alternating_ratios, constant_ratios
+from vicsek_lab.ratios import alternating_ratios, constant_ratios, periodic_ratios
 
 
 def test_auto_above_old_cutoff_matches_bruteforce():
@@ -248,3 +250,90 @@ def test_indexed_exact_past_int64_is_bruteforce():
             want = ball_pair_sum_bruteforce(lv, big, p, n)
             assert ball_pair_sum_indexed(lv, big, p, n) == want
             assert want == ball_pair_sum_bruteforce(lv, (den, ints), p, n) * 3 ** (45 * p)
+
+
+def test_each_class_mask_is_built_once(hier3, monkeypatch):
+    """A float sum builds each leaf class's mask once, however many plan
+    rows a chunk of F = 9 columns spans."""
+    lv = hier3.level(6)
+    plan = pair_plan(lv, 1)
+    built = []
+    mask = pairsum._class_mask
+
+    def counting(*args):
+        built.append(args)
+        return mask(*args)
+
+    monkeypatch.setattr(pairsum, "_class_mask", counting)
+    vals = np.random.default_rng(3).standard_normal((lv.num_vertices, 9))
+    ball_pair_sum_indexed(lv, vals, 2, 1)
+    assert len(built) == plan.leaf_class.max() + 1 == 1736
+
+
+@pytest.mark.parametrize("ratios", [constant_ratios(3, 6), alternating_ratios(5, 3, 6)])
+def test_bruteforce_is_the_double_loop(ratios):
+    """The tiled brute-force route equals a pure-Python double loop on
+    levels <= 2, exactly in int64 and in Python ints, within float
+    rounding on floats, and with F = 1024 columns split into column tiles."""
+    hier = Hierarchy(ratios, 2)
+    for m in range(3):
+        lv = hier.level(m)
+        den, ints = scaled_values_at(hier, random_affine(hier, 4), m)
+        fl = float_values_at(hier, random_affine(hier, 4), m)
+        # just inside int64 for p = 3: (2 max|v|)^3 < 2^63, sums past it
+        top = max(map(abs, ints))
+        near = [v * ((2**20 - 1) // top) for v in ints]
+        for n in range(m + 1):
+            for p in (2, 3):
+                for vals in (ints, near, [v * 3**45 for v in ints]):
+                    want = sum(ball_rows_double_loop(lv, vals, p, n)[1])
+                    assert ball_pair_sum_bruteforce(lv, (den, vals), p, n) == want, (m, n, p)
+                counts, sums = ball_rows_double_loop(lv, fl.tolist(), p + 0.5, n)
+                got = ball_pair_sum_bruteforce(lv, fl, p + 0.5, n)
+                assert got == pytest.approx(math.fsum(sums), rel=1e-12, abs=1e-300)
+                got_counts, got_sums = ball_row_stats(lv, fl, p + 0.5, n)
+                assert got_counts.tolist() == counts
+                assert got_sums.tolist() == pytest.approx(sums, rel=1e-12, abs=1e-300)
+    wide = np.random.default_rng(5).standard_normal((lv.num_vertices, 1024))
+    assert pairsum._CHUNK // 1024 < lv.num_vertices
+    got = ball_pair_sum_bruteforce(lv, wide, 3, 1)
+    for f in (0, 1023):
+        want = math.fsum(ball_rows_double_loop(lv, wide[:, f].tolist(), 3, 1)[1])
+        assert got[f] == pytest.approx(want, rel=1e-12), f
+
+
+def test_pair_index_squared_distances_past_int32():
+    """At level 1 of constant ratio 23171, 4 L^2 > 2^31: the pair index
+    keeps int64 coordinates, and its ball test at radius rho_0 agrees with
+    Python ints on the rows of the four outer corners, whose farthest
+    vertices are 8 L^2 apart."""
+    lv = build_level(constant_ratios(23171, 3), 1)
+    L = lv.L
+    assert lv.num_cells == 46341 and 4 * L * L > 2**31
+    idx = pairsum._pair_index(lv)
+    assert idx.xs.dtype == idx.ys.dtype == np.int64
+    R = 8 * L * L - 1  # rho_0 at level 1: dx^2 + dy^2 < 8 L^2
+    xy = list(zip(idx.xs.tolist(), idx.ys.tolist()))
+    corners = [xy.index((sx * L, sy * L)) for sx in (1, -1) for sy in (1, -1)]
+    for i in corners:
+        xi, yi = xy[i]
+        want = [(xi - x) ** 2 + (yi - y) ** 2 <= R for x, y in xy]
+        got = pairsum._in_ball(idx, R, i, i + 1, 0, len(xy))[0]
+        assert got.tolist() == want
+        assert want.count(False) == 1
+
+
+def test_plan_past_int32_distances():
+    """At level 2 of ratios (155, 151), 4 L^2 > 2^31, the plan of radius
+    rho_0 leaves out exactly the 4 ordered pairs of opposite outer corners:
+    the exact sum of (x_i - x_j)^2 over it equals the closed form over all
+    pairs minus those four."""
+    lv = build_level(periodic_ratios((155, 151), 4), 2)
+    L = lv.L
+    assert 4 * L * L > 2**31
+    plan = pair_plan(lv, 0)
+    assert plan.blocks.dtype == plan.leaf_class.dtype == np.int32
+    xs = lv.coords[:, 0].tolist()
+    V, S, Q = len(xs), sum(xs), sum(x * x for x in xs)
+    want = 2 * V * Q - 2 * S * S - 4 * (2 * L) ** 2
+    assert ball_pair_sum_indexed(lv, (1, xs), 2, 0) == want
