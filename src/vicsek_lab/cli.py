@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config
-from .errors import ConfigError, DepthBudgetError, VicsekError
+from .errors import ConfigError, VicsekError
 from .geometry import Hierarchy, build_level
 from .io import config_hash, write_csv, write_json
 from .ratios import example_prefix, p_is_integer
@@ -63,11 +63,11 @@ def main(argv=None) -> int:
         meta = config_hash(config.to_canonical_dict())
         handler = _HANDLERS[args.command]
         return handler(config, out, meta)
-    except (ConfigError, DepthBudgetError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except VicsekError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:  # numpy's message names the bytes and the shape
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 2
 
 
@@ -337,7 +337,8 @@ def _cmd_bbm(config: ExperimentConfig, out: Path, meta: str) -> int:
 
 
 def _cmd_resistance(config: ExperimentConfig, out: Path, meta: str) -> int:
-    from .energy import resistance, resistance_oracle
+    from .energy import ORACLE_P_RANGE, resistance, resistance_oracle
+
     ratios = config.ratio_sequence()
     level = build_level(ratios, min(config.depth, 2), budget=config.cell_budget)
     L = level.L
@@ -347,13 +348,15 @@ def _cmd_resistance(config: ExperimentConfig, out: Path, meta: str) -> int:
         (level.vertex_id(-L, L), level.vertex_id(L, -L)),
         (level.origin, level.vertex_id(-L, L)),
     ]
+    lo, hi = ORACLE_P_RANGE
+    check = lo <= float(config.p) <= hi and level.num_vertices <= 600
     rows = []
     oracle_ok = True
     for a, b in pairs:
         d = level.geodesic_distance(a, b)
         r = resistance(level, a, b, config.p)
         agree = ""
-        if float(config.p) <= 8 and level.num_vertices <= 600:
+        if check:
             ro = resistance_oracle(level, a, b, float(config.p))
             agree = abs(float(r) - ro) <= 1e-6 * max(1.0, float(r))
             oracle_ok = oracle_ok and agree

@@ -7,7 +7,6 @@ exact values survive the round trip; floats use repr (shortest faithful).
 
 from __future__ import annotations
 
-import hashlib
 import json
 from fractions import Fraction
 from itertools import chain
@@ -15,6 +14,15 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
+
+# built-in SHA-256 first: hashlib loads OpenSSL's libcrypto, 3.65 MB of RSS per process
+try:
+    from _sha2 import sha256  # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 _CHUNK_ROWS = 2**14  # rows of an integer array per format call
 
@@ -24,7 +32,7 @@ def canonical_json(obj: Any) -> str:
 
 
 def config_hash(config: dict) -> str:
-    return hashlib.sha256(canonical_json(config).encode()).hexdigest()[:16]
+    return sha256(canonical_json(config).encode()).hexdigest()[:16]
 
 
 def _jsonify(x):

@@ -35,7 +35,6 @@ can be compared bit-for-bit against the brute-force oracle.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -117,11 +116,11 @@ class CellPairIndex:
             sub += self.hi[kid].reshape(-1, c) - base
             cand = _row_ids((types[par, None] * c + np.arange(c)).ravel(), sub.ravel())
             del sub
-            reps: dict[bytes, tuple[int, int]] = {}
+            reps: dict[int, tuple[int, int]] = {}
             ids = []
             for r in (kid.start + np.unique(cand, return_index=True)[1]).tolist():
                 layout = self._layout(r)
-                q, t = reps.setdefault(hashlib.sha256(layout).digest(), (r, count))
+                q, t = reps.setdefault(hash(layout.tobytes()), (r, count))
                 if t == count or not np.array_equal(self._layout(q), layout):
                     t, count = count, count + 1
                 ids.append(t)
@@ -294,12 +293,6 @@ def _build_plan(idx: CellPairIndex, R: int, leaf_max: int) -> PairPlan:
     are laid out in the order a last-in-first-out stack visits them.
     """
     c = idx.children
-    # child pairs (i, j), i <= j, of a self pair at level k, in visiting
-    # order: rows tri_off[k] .. tri_off[k] + c_k (c_k + 1) / 2 of tri_a/tri_b
-    tri = [np.triu_indices(int(ck)) for ck in c]
-    tri_a = np.concatenate([t[0][::-1] for t in tri]).astype(np.int64)
-    tri_b = np.concatenate([t[1][::-1] for t in tri]).astype(np.int64)
-    tri_off = np.cumsum([0] + [t[0].size for t in tri])[:-1]
     z = np.zeros(1, dtype=np.int64)
     ka, ia, kb, ib, w = z, z, z, z, z + 1
     kind = np.full(1, _OPEN, dtype=np.int8)
@@ -341,11 +334,17 @@ def _build_plan(idx: CellPairIndex, R: int, leaf_max: int) -> PairPlan:
             x[src] for x in (ka, ia, kb, ib, w, kind, how)
         )
         s = how == 1
-        t = tri_off[ka[s]] + rank[s]
-        base = ia[s] * c[ka[s]]
-        ia[s] = base + tri_a[t]
-        ib[s] = base + tri_b[t]
-        w[s] *= np.where(tri_a[t] == tri_b[t], 1, 2)
+        # child pairs (i, j), i <= j, of a self pair in visiting order: rank
+        # r = t (t + 1) / 2 + u, 0 <= u <= t, is (c - 1 - t, c - 1 - u)
+        r = rank[s]
+        t = ((np.sqrt(8 * r + 1) - 1) // 2).astype(np.int64)
+        t -= t * (t + 1) // 2 > r
+        t += (t + 1) * (t + 2) // 2 <= r
+        u = r - t * (t + 1) // 2
+        base = (ia[s] + 1) * c[ka[s]] - 1
+        ia[s] = base - t
+        ib[s] = base - u
+        w[s] *= np.where(t == u, 1, 2)
         ka[s] += 1
         kb[s] += 1
         s = how == 2

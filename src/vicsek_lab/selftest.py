@@ -26,6 +26,7 @@ from .besov import (
 )
 from .config import ExperimentConfig
 from .energy import (
+    ORACLE_P_RANGE,
     diagonal_ramp,
     energy_limit,
     energy_of_gradient,
@@ -140,7 +141,7 @@ def run_selftest(config: ExperimentConfig) -> tuple[list[Check], dict]:
         return all(a <= b * (1 + 1e-12) for a, b in zip(es, es[1:]))
     record("seeded_monotonicity", all(seed_mono(s) for s in config.seeds))
 
-    if float(p) <= 8:
+    if ORACLE_P_RANGE[0] <= float(p) <= ORACLE_P_RANGE[1]:
         lvr = hier.level(min(2, N))
         a = lvr.origin
         b = lvr.vertex_id(lvr.L, lvr.L)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from vicsek_lab import besov, energy, energy_measure, selftest
+from vicsek_lab import besov, cli, energy, energy_measure, selftest
 from vicsek_lab.cli import main
 from vicsek_lab.config import config_from_dict, load_config
 from vicsek_lab.energy import (
@@ -22,7 +23,7 @@ from vicsek_lab.energy import (
 from vicsek_lab.energy_measure import coincidence_check
 from vicsek_lab.errors import ConfigError
 from vicsek_lab.geometry import MAX_CELL_BUDGET, Hierarchy
-from vicsek_lab.io import config_hash, write_csv, write_json
+from vicsek_lab.io import canonical_json, config_hash, write_csv, write_json
 
 BASE_CONFIG = {
     "ratios": {"generator": "constant", "l": 3},
@@ -189,6 +190,42 @@ def test_config_hash_stamps_artifacts(tmp_path):
     head1 = (out1 / "scale_table.csv").read_text().splitlines()[0]
     head2 = (out2 / "scale_table.csv").read_text().splitlines()[0]
     assert head1 != head2  # different config, different stamp
+
+
+def test_config_hash_is_the_sha256_prefix(tmp_path):
+    """The stamp is the first 16 hex digits of the sha256 of the canonical
+    config JSON: checked against ``hashlib`` and against the stamp recorded
+    before the digest moved to the interpreter's built-in SHA-256."""
+    cfg = write_config(tmp_path)
+    canon = load_config(cfg).to_canonical_dict()
+    want = hashlib.sha256(canonical_json(canon).encode()).hexdigest()[:16]
+    assert config_hash(canon) == want == "1f78072889d93945"
+    assert main(["measure", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "scale_table.csv").read_text().startswith(f"# config={want}\n")
+
+
+def test_resistance_below_the_oracle_range(tmp_path):
+    """At p = 1.1 the oracle does not run: the formula values are written,
+    ``oracle_agrees`` is blank and the command succeeds."""
+    cfg = write_config(tmp_path, {"p": 1.1, "mode": "float"})
+    out = tmp_path / "art"
+    assert main(["resistance", "--config", str(cfg), "--out", str(out)]) == 0
+    with open(out / "resistance_table.csv") as f:
+        rows = list(csv.DictReader(line for line in f if not line.startswith("#")))
+    assert len(rows) == 4
+    assert all(row["oracle_agrees"] == "" and float(row["resistance"]) > 0 for row in rows)
+
+
+def test_out_of_memory_exit_code(tmp_path, monkeypatch, capsys):
+    """A failed allocation exits 2 with numpy's message, which names the size."""
+    msg = "Unable to allocate 8.00 GiB for an array with shape (1073741824,) and data type int64"
+
+    def overrun(config, out, meta):
+        raise MemoryError(msg)
+
+    monkeypatch.setitem(cli._HANDLERS, "build", overrun)
+    assert main(["build", "--config", str(write_config(tmp_path)), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: out of memory: {msg}\n"
 
 
 @pytest.mark.parametrize(

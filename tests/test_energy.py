@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from vicsek_lab.energy import (
+    ORACLE_P_RANGE,
     AffineFunction,
     add,
     clarkson_residual,
@@ -235,6 +236,35 @@ def test_resistance_oracle_agreement(hier3):
                 want = float(resistance(lv, a, b, p))
                 got = resistance_oracle(lv, a, b, p)
                 assert abs(want - got) <= 1e-6 * max(1.0, want)
+
+
+def _cli_pairs(lv):
+    """The four vertex pairs of ``vicsek-lab resistance``."""
+    L = lv.L
+    return [
+        (lv.origin, lv.vertex_id(L, L)),
+        (lv.vertex_id(L, L), lv.vertex_id(-L, -L)),
+        (lv.vertex_id(-L, L), lv.vertex_id(L, -L)),
+        (lv.origin, lv.vertex_id(-L, L)),
+    ]
+
+
+def test_resistance_oracle_rejects_p_outside_its_range(hier3):
+    lv = hier3.level(1)
+    a, b = _cli_pairs(lv)[0]
+    for p in (1.05, ORACLE_P_RANGE[0] - 0.01, ORACLE_P_RANGE[1] + 0.5):
+        with pytest.raises(InvalidArgumentError, match=r"p in \[1\.4, 8\.0\]"):
+            resistance_oracle(lv, a, b, p)
+
+
+def test_resistance_oracle_converges_at_the_lower_bound(hier3, hier35):
+    """At the lowest supported p the oracle matches the formula on every CLI
+    pair of level 2 of both sequences and of level 3 of constant 3."""
+    p = ORACLE_P_RANGE[0]
+    for lv in (hier3.level(2), hier3.level(3), hier35.level(2)):
+        for a, b in _cli_pairs(lv):
+            want = float(resistance(lv, a, b, p))
+            assert abs(want - resistance_oracle(lv, a, b, p)) <= 1e-6 * max(1.0, want)
 
 
 def test_resistance_oracle_p2_series_circuit(hier3):

@@ -12,7 +12,7 @@ import pytest
 
 from vicsek_lab.cli import main
 from vicsek_lab.geometry import build_level
-from vicsek_lab.io import _CHUNK_ROWS, _jsonify, format_cell, json_text, write_json
+from vicsek_lab.io import _CHUNK_ROWS, _jsonify, format_cell, json_text, sha256, write_json
 from vicsek_lab.ratios import alternating_ratios, constant_ratios
 
 
@@ -136,3 +136,14 @@ def test_build_dump_bytes_are_pinned(ratios, depth, sha, tmp_path, capsys):
     assert [p.name for p in out.iterdir()] == [f"geometry_level{depth}.json"]
     data = (out / f"geometry_level{depth}.json").read_bytes()
     assert hashlib.sha256(data).hexdigest() == sha
+
+
+def test_builtin_sha256_matches_hashlib():
+    """The config stamp's SHA-256 agrees with ``hashlib``'s on arbitrary bytes."""
+    hyp = pytest.importorskip("hypothesis")
+
+    @hyp.given(hyp.strategies.binary(max_size=4096))
+    def check(data):
+        assert sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+    check()

@@ -323,6 +323,24 @@ def test_pair_index_squared_distances_past_int32():
         assert want.count(False) == 1
 
 
+def test_one_leaf_block_plan_tabulates_no_child_pairs():
+    """At level 1 of constant ratio 23171 the root self pair has 46,341
+    children, about 1.07e9 child pairs.  With leaf_max = V the root is one
+    leaf block, and building that plan allocates nothing for those pairs."""
+    lv = build_level(constant_ratios(23171, 3), 1)
+    V = lv.num_vertices
+    pairsum._pair_index(lv)
+    tracemalloc.start()
+    try:
+        plan = pair_plan(lv, 0, V)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.blocks.tolist() == [[0, V, 0, V, 1]]
+    assert plan.leaf_class.tolist() == [0]
+    assert peak <= 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
 def test_plan_past_int32_distances():
     """At level 2 of ratios (155, 151), 4 L^2 > 2^31, the plan of radius
     rho_0 leaves out exactly the 4 ordered pairs of opposite outer corners:
