@@ -24,13 +24,8 @@ from typing import Optional, Sequence
 from .errors import InvalidArgumentError, LevelError, ScaleMismatchError
 from .geometry import Hierarchy, VicsekLevel
 from .measure import derived_constants, scale_values
-from .ratios import RatioSequence, p_is_integer
-from .energy import (
-    AffineFunction,
-    energy_levels_multi,
-    float_values_at,
-    scaled_values_at,
-)
+from .ratios import RatioSequence
+from .energy import EXACT, FLOAT, AffineFunction, Arithmetic, energy_levels_multi, float_values_at
 from .pairsum import ball_pair_sum, ball_row_stats
 
 _EMPIRICAL_MAX_VERTICES = 4000
@@ -42,18 +37,18 @@ def vertex_measure_weight(level: VicsekLevel) -> Fraction:
 
 
 def ball_energy(
-    level: VicsekLevel, values, p, n: int, method: str = "auto"
+    level: VicsekLevel, values, p, n: int, arith: Arithmetic = EXACT
 ) -> Fraction | float:
-    """I_{m,n}: the double vertex-measure integral of |du|^p over open balls."""
+    """I_{m,n}: the double vertex-measure integral of |du|^p over open balls,
+    of values held in ``arith``."""
     if n > level.n:
         raise ScaleMismatchError(
             f"ball scale {n} finer than vertex level {level.n}"
         )
     V = level.num_vertices
-    s = ball_pair_sum(level, values, p, n, method=method)
-    if isinstance(values, tuple):
-        den, _ = values
-        return Fraction(s, den ** int(p) * V * V)
+    s = ball_pair_sum(level, values, p, n, arith)
+    if arith is EXACT:
+        return Fraction(s, values[0] ** arith.exponent(p) * V * V)
     return s / float(V) ** 2
 
 
@@ -89,35 +84,27 @@ class BesovProfile:
         return out
 
 
-def profile_is_exact(
-    hier: Hierarchy, p, beta: float, m: int, include_empirical: bool = False
-) -> bool:
-    """Whether ``phi_profile`` defaults to exact arithmetic for these inputs."""
-    # exact pair sums cost far more than float ones; sensible only on small levels
-    return (
-        p_is_integer(p)
-        and float(beta) == float(hier.ratios.beta_star)
-        and not include_empirical
-        and hier.level(m).num_vertices <= 600
-    )
+def ball_arithmetic(arith: Arithmetic, hier: Hierarchy, beta, m: int) -> Arithmetic:
+    """The arithmetic of the ball energies I_{m,n} of a profile at beta.
+
+    ``arith`` (the arithmetic of the E_{p,n}) at beta = beta* on a vertex
+    level of at most 600 vertices, FLOAT otherwise: exact pair sums cost
+    far more than float ones.
+    """
+    small = float(beta) == float(hier.ratios.beta_star) and hier.level(m).num_vertices <= 600
+    return arith if small else FLOAT
 
 
 def ball_energies(
-    hier: Hierarchy, u: AffineFunction, p, m: int, max_scale: int,
-    exact: bool, method: str = "auto",
+    hier: Hierarchy, u: AffineFunction, p, m: int, max_scale: int, arith: Arithmetic
 ) -> tuple:
-    """I_{m,n} for n = 0..max_scale: Fractions if ``exact``, else floats.
+    """I_{m,n} for n = 0..max_scale in ``arith``.
 
     They do not depend on beta, so one set serves every profile of (u, p).
     """
     level = hier.level(m)
-    if exact:
-        values = scaled_values_at(hier, u, m)
-    else:
-        values = float_values_at(hier, u, m)
-    return tuple(
-        ball_energy(level, values, p, n, method=method) for n in range(max_scale + 1)
-    )
+    values = arith.values_at(hier, u, m)
+    return tuple(ball_energy(level, values, p, n, arith) for n in range(max_scale + 1))
 
 
 def phi_profile(
@@ -128,27 +115,25 @@ def phi_profile(
     m: int,
     max_scale: int,
     include_empirical: bool = False,
-    method: str = "auto",
-    exact: Optional[bool] = None,
+    arith: Arithmetic = EXACT,
     energies: Optional[tuple] = None,
 ) -> BesovProfile:
     """Ball-functional estimators at scales rho_0 .. rho_N on V_m vertices.
 
-    ``energies``, when given, are ``ball_energies(hier, u, p, m, max_scale,
-    ...)`` computed once for several betas; their type fixes the arithmetic.
+    The I_{m,n} are in ``ball_arithmetic(arith, hier, beta, m)``.
+    ``energies``, when given, are ``ball_energies`` in that arithmetic,
+    computed once for several betas.
     """
     if m < max_scale:
         raise LevelError(f"vertex level {m} must be >= max scale {max_scale}")
     level = hier.level(m)
     ratios = hier.ratios.with_p(p)  # phi at this p
+    arith = ball_arithmetic(arith, hier, beta, m)
     if energies is None:
-        if exact is None:
-            exact = profile_is_exact(hier, p, beta, m, include_empirical)
-        energies = ball_energies(hier, u, p, m, max_scale, exact, method)
-    exact = isinstance(energies[0], Fraction)
+        energies = ball_energies(hier, u, p, m, max_scale, arith)
     proxy = []
     for n, I in enumerate(energies):
-        if exact:
+        if arith is EXACT:
             rho, psi, phi = scale_values(ratios, n)
             proxy.append(I / (phi * psi))
         else:
@@ -190,7 +175,7 @@ def besov_seminorm(
     beta: float,
     m: int,
     max_scale: int,
-    method: str = "auto",
+    arith: Arithmetic = EXACT,
 ) -> float:
     """[u]_{B_{p,q}^beta} discretized over the dyadic-like scale partition.
 
@@ -200,7 +185,7 @@ def besov_seminorm(
     """
     if not (q == math.inf or q > 1):
         raise InvalidArgumentError(f"q must be in (1, inf], got {q}")
-    prof = phi_profile(hier, u, p, beta, m, max_scale, method=method)
+    prof = phi_profile(hier, u, p, beta, m, max_scale, arith=arith)
     phis = [float(x) for x in prof.phi_proxy]
     pf = float(p)
     if q == math.inf:
@@ -219,16 +204,13 @@ def besov_seminorm(
 
 
 def base_energies(
-    hier: Hierarchy, u: AffineFunction, p, max_scale: int, exact: Optional[bool] = None
+    hier: Hierarchy, u: AffineFunction, p, max_scale: int, arith: Arithmetic = EXACT
 ) -> list:
-    """E_{p,n} = E_n^{beta*} for n = 0..N: Fractions if ``exact``, else floats.
+    """E_{p,n} = E_n^{beta*} for n = 0..N in ``arith``.
 
     They do not depend on beta, so one set serves every profile of (u, p).
-    ``exact`` defaults to exact arithmetic for integer p.
     """
-    if exact is None:
-        exact = p_is_integer(p)
-    return energy_levels_multi(hier, u, (p,), max_scale, exact)[p]
+    return energy_levels_multi(hier, u, (p,), max_scale, arith)[p]
 
 
 def _log_phi(ratios: RatioSequence, n: int) -> float:
@@ -261,7 +243,7 @@ def discrete_profiles(
     beta: float,
     max_scale: int,
     tail: Optional[str] = None,
-    exact: Optional[bool] = None,
+    arith: Arithmetic = EXACT,
     energies: Optional[Sequence] = None,
 ) -> DiscreteBetaProfile:
     """E_n^beta for n <= N plus the sup and sum aggregates.
@@ -270,8 +252,9 @@ def discrete_profiles(
     phi(rho_n)^{1-beta/beta*} * E_plateau, valid because the base energies
     of an affine function are exactly constant beyond the base level; it
     requires beta < beta* and a ratio sequence extendable beyond the prefix.
-    ``energies``, when given, are ``base_energies(hier, u, p, max_scale,
-    ...)`` computed once for several betas; their type fixes the arithmetic.
+    ``energies``, when given, are ``base_energies`` in ``arith``, computed
+    once for several betas.  The sum is exact only at beta = beta* in exact
+    arithmetic.
     """
     if beta < 0:
         raise InvalidArgumentError(f"beta must be >= 0, got {beta}")
@@ -280,9 +263,8 @@ def discrete_profiles(
     ratios = hier.ratios.with_p(p)  # phi at this p
     beta_star = float(ratios.beta_star)
     if energies is None:
-        energies = base_energies(hier, u, p, max_scale, exact)
+        energies = base_energies(hier, u, p, max_scale, arith)
     base = list(energies)
-    exact = isinstance(base[0], Fraction)
     at_star = float(beta) == beta_star
     if at_star:
         beta_energies = list(base)
@@ -293,9 +275,9 @@ def discrete_profiles(
         ]
     sup_e = max(beta_energies) if not at_star else max(base)
     sum_e = (
-        math.fsum(float(x) for x in beta_energies)
-        if not (at_star and exact)
-        else sum(base, Fraction(0))
+        sum(base, Fraction(0))
+        if at_star and arith is EXACT
+        else math.fsum(float(x) for x in beta_energies)
     )
     tail_value = None
     if tail == "plateau":
@@ -343,7 +325,7 @@ def jump_kernel_energy(
     p,
     beta: float,
     max_scale: int,
-    exact: Optional[bool] = None,
+    arith: Arithmetic = EXACT,
     energies: Optional[Sequence] = None,
 ) -> Fraction | float:
     """The non-local pair-sum form: levelwise weighted sums of |du|^p.
@@ -352,33 +334,29 @@ def jump_kernel_energy(
     phi(rho_n)^(-beta/beta*) * 2^{p-1} * psi(rho_n), with phi taken at this
     p; summing over levels 0..N reproduces sum_{n<=N} E_n^beta.  The sum of
     |du|^p over the level-n edges is E_{p,n} / L_n^{p-1}, so the form is one
-    pass over the base energies.  Exact at beta = beta* with exact base
-    energies, where the weight is the exact 2^{p-1} psi / phi, so the
-    identity checks the scale constants rather than a sum against itself.
-    ``exact`` defaults to exact arithmetic at beta* for integer p;
-    ``energies``, when given, are ``base_energies(hier, u, p, max_scale,
-    ...)`` and their type fixes the arithmetic of the base energies.
+    pass over the base energies, computed in ``arith`` (``energies``, when
+    given, are ``base_energies`` in ``arith``).  At beta = beta* in exact
+    arithmetic the weight is the exact 2^{p-1} psi / phi, so the identity
+    checks the scale constants rather than a sum against itself; elsewhere
+    the form is a float.
     """
     ratios = hier.ratios.with_p(p)  # phi at this p, in both arithmetics
-    at_star = float(beta) == float(ratios.beta_star)
     if energies is None:
-        if exact is None:
-            exact = at_star and p_is_integer(p)
-        energies = base_energies(hier, u, p, max_scale, exact)
-    base = list(energies)
-    exact = at_star and isinstance(base[0], Fraction)
+        energies = base_energies(hier, u, p, max_scale, arith)
+    if float(beta) != float(ratios.beta_star):
+        arith = FLOAT  # the weight phi^(-beta/beta*) is a float
     pf = float(p)
-    total = Fraction(0) if exact else 0.0
-    for n, e in enumerate(base):
+    total = arith.num(0)
+    for n, e in enumerate(energies):
         rho, psi, phi = scale_values(ratios, n)
         L = ratios.length_product(n)
-        if exact:
+        if arith is EXACT:
             w = 2 ** (int(p) - 1) * psi / phi / L ** (int(p) - 1)
         else:
             w = float(phi) ** (-float(beta) / float(ratios.beta_star)) * (
                 2.0 ** (pf - 1.0)
             ) * float(psi) / float(L) ** (pf - 1.0)
-        total += w * (e if exact else float(e))
+        total += w * arith.num(e)
     return total
 
 
@@ -413,7 +391,7 @@ def bbm_curve(
     max_scale: int,
     tail: Optional[str] = "plateau",
     bracket_tol: float = 1e-9,
-    exact: Optional[bool] = None,
+    arith: Arithmetic = EXACT,
     energies: Optional[tuple] = None,
 ) -> BBMCurve:
     """(beta* - beta) E_{p,p}^beta for beta = beta* - epsilon, with brackets.
@@ -424,8 +402,8 @@ def bbm_curve(
     [eps E phi(rho_n0)^delta / (1 - sup_t^-delta),
      eps E phi(rho_0)^delta / (1 - inf_t^-delta)].
     As eps -> 0 both ends converge to E beta* / log t.  The energies
-    E_{p,n} are computed once, exact by default for integer p; ``energies``,
-    when given, are ``base_energies(hier, u, p, max_scale, ...)``.
+    E_{p,n} are computed once, in ``arith``; ``energies``, when given, are
+    ``base_energies`` in ``arith``.
     """
     ratios = hier.ratios.with_p(p)  # phi and t_l at this p
     beta_star = float(ratios.beta_star)
@@ -435,13 +413,15 @@ def bbm_curve(
                 f"epsilon must lie in (0, beta_star), got {eps}"
             )
     consts = derived_constants(ratios)
-    base = energies if energies is not None else base_energies(hier, u, p, max_scale, exact)
+    base = energies if energies is not None else base_energies(hier, u, p, max_scale, arith)
     E = float(base[max_scale])
     n0 = u.base_level
     points = []
     for eps in epsilons:
         beta = beta_star - eps
-        prof = discrete_profiles(hier, u, p, beta, max_scale, tail=tail, energies=base)
+        prof = discrete_profiles(
+            hier, u, p, beta, max_scale, tail=tail, arith=arith, energies=base
+        )
         value = eps * float(prof.sum_energy)
         delta = eps / beta_star
         lo = (
@@ -486,14 +466,15 @@ def critical_sweep(
     p,
     beta_grid: Sequence[float],
     max_scale: int,
+    arith: Arithmetic = EXACT,
 ) -> list[SweepRow]:
     """Classify E_n^beta trends across a beta grid around beta*."""
     ratios = hier.ratios.with_p(p)  # phi at this p
     beta_star = float(ratios.beta_star)
-    base = base_energies(hier, u, p, max_scale)
+    base = base_energies(hier, u, p, max_scale, arith)
     rows = []
     for beta in beta_grid:
-        prof = discrete_profiles(hier, u, p, beta, max_scale, energies=base)
+        prof = discrete_profiles(hier, u, p, beta, max_scale, arith=arith, energies=base)
         vals = [float(x) for x in prof.beta_energies]
         growth = tuple(
             math.exp((1.0 - beta / beta_star) * _log_phi(ratios, n))
@@ -540,18 +521,18 @@ def weak_monotonicity_report(
     m: int,
     max_scale: int,
     window: tuple[int, int],
-    method: str = "auto",
+    arith: Arithmetic = EXACT,
     energies: Optional[tuple] = None,
 ) -> WeakMonotonicityReport:
     """sup_n Phi(rho_n) / min over a window: finite surrogate of sup/liminf.
 
-    ``energies`` are passed on to ``phi_profile`` at beta = beta*.
+    ``arith`` and ``energies`` are passed on to ``phi_profile`` at beta = beta*.
     """
     lo, hi = window
     if not (0 <= lo <= hi <= max_scale):
         raise InvalidArgumentError(f"window {window} not within [0, {max_scale}]")
     prof = phi_profile(
-        hier, u, p, float(hier.ratios.beta_star), m, max_scale, method=method,
+        hier, u, p, float(hier.ratios.beta_star), m, max_scale, arith=arith,
         energies=energies,
     )
     phis = [float(x) for x in prof.phi_proxy]

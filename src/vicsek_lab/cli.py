@@ -22,7 +22,7 @@ from .config import ExperimentConfig, load_config
 from .errors import ConfigError, VicsekError
 from .geometry import Hierarchy, build_level
 from .io import config_hash, write_csv, write_json
-from .ratios import example_prefix, p_is_integer
+from .ratios import example_prefix
 
 COMMANDS = (
     "build",
@@ -163,11 +163,6 @@ def _hierarchy(config: ExperimentConfig) -> Hierarchy:
     return Hierarchy(ratios, max(config.vertex_level, config.depth + 1), budget=config.cell_budget)
 
 
-def _rational(config: ExperimentConfig) -> bool:
-    """Whether exact arithmetic is allowed: rational mode and integer p."""
-    return config.mode == "rational" and p_is_integer(config.p)
-
-
 def _suite(config: ExperimentConfig, hier: Hierarchy):
     from .energy import diagonal_ramp, random_affine
 
@@ -177,42 +172,43 @@ def _suite(config: ExperimentConfig, hier: Hierarchy):
 
 
 def _cmd_energy(config: ExperimentConfig, out: Path, meta: str) -> int:
-    from .energy import energy_limit, energy_property_checks, random_affine, restrict_to_arm
+    from .energy import (arithmetic, energy_limit, energy_property_checks, random_affine,
+                         restrict_to_arm)
 
     hier = _hierarchy(config)
-    exact = _rational(config)
+    arith = arithmetic(config.mode, config.p)
     reports = {
-        name: energy_limit(hier, u, config.p, config.depth, exact=exact).to_json_dict()
+        name: energy_limit(hier, u, config.p, config.depth, arith).to_json_dict()
         for name, u in _suite(config, hier)
     }
     write_json(out / "energy_report.json", reports, meta)
 
     v1 = restrict_to_arm(hier, random_affine(hier, config.seeds[0]), 1)
     v3 = restrict_to_arm(hier, random_affine(hier, config.seeds[0]), 3)
-    checks = energy_property_checks(hier, v1, v3, config.p, config.depth, exact=exact)
+    checks = energy_property_checks(hier, v1, v3, config.p, config.depth, arith=arith)
     write_json(out / "property_checks.json", checks.to_json_dict(), meta)
     return 0
 
 
 def _cmd_energy_measure(config: ExperimentConfig, out: Path, meta: str) -> int:
-    from .energy import diagonal_ramp
+    from .energy import arithmetic, diagonal_ramp
     from .energy_measure import (coincidence_check, gamma_cells, pushforward_profile,
                                  word_energy_measure)
     from .words import word_from_index, word_string
 
     hier = _hierarchy(config)
-    exact = _rational(config)
+    arith = arithmetic(config.mode, config.p)
     u = diagonal_ramp()
     depth = min(config.depth, 3)
-    gm = gamma_cells(hier, u, config.p, 1, exact=exact)
-    wm = word_energy_measure(hier, u, config.p, 1, exact=exact)
+    gm = gamma_cells(hier, u, config.p, 1, arith)
+    wm = word_energy_measure(hier, u, config.p, 1, arith)
     rows = [
         (word_string(word_from_index(hier.ratios, 1, i)), gm.masses[i], wm.masses[i])
         for i in range(len(gm.masses))
     ]
     write_csv(out / "cell_measures.csv", ("word", "gradient_mass", "word_mass"), rows, meta)
-    dev = coincidence_check(hier, u, config.p, depth, exact=exact)
-    hist = pushforward_profile(hier, u, config.p, config.bins, exact=exact)
+    dev = coincidence_check(hier, u, config.p, depth, arith)
+    hist = pushforward_profile(hier, u, config.p, config.bins, arith)
     write_csv(
         out / "pushforward_histogram.csv",
         ("bin_left", "bin_right", "mass"),
@@ -233,9 +229,9 @@ def _cmd_energy_measure(config: ExperimentConfig, out: Path, meta: str) -> int:
 
 
 def _cmd_besov(config: ExperimentConfig, out: Path, meta: str) -> int:
-    from .besov import (ball_energies, base_energies, discrete_profiles, phi_profile,
-                        profile_is_exact, weak_monotonicity_report)
-    from .energy import diagonal_ramp
+    from .besov import (ball_arithmetic, ball_energies, base_energies, discrete_profiles,
+                        phi_profile, weak_monotonicity_report)
+    from .energy import arithmetic, diagonal_ramp
 
     if config.vertex_level < config.depth + 2:
         raise ConfigError(
@@ -245,22 +241,22 @@ def _cmd_besov(config: ExperimentConfig, out: Path, meta: str) -> int:
     hier = _hierarchy(config)
     u = diagonal_ramp()
     m = config.vertex_level
-    rational = _rational(config)
+    arith = arithmetic(config.mode, config.p)
     energies = {}  # I_{m,n}, computed once per arithmetic the profiles use
 
     def energies_at(beta):
-        exact = rational and profile_is_exact(hier, config.p, beta, m)
-        if exact not in energies:
-            energies[exact] = ball_energies(hier, u, config.p, m, config.depth, exact)
-        return energies[exact]
+        ball = ball_arithmetic(arith, hier, beta, m)
+        if ball not in energies:
+            energies[ball] = ball_energies(hier, u, config.p, m, config.depth, ball)
+        return energies[ball]
 
-    base = base_energies(hier, u, config.p, config.depth, exact=rational)
+    base = base_energies(hier, u, config.p, config.depth, arith)
     rows = []
     for beta in config.beta_grid:
         prof = phi_profile(
-            hier, u, config.p, beta, m, config.depth, energies=energies_at(beta)
+            hier, u, config.p, beta, m, config.depth, arith=arith, energies=energies_at(beta)
         )
-        dprof = discrete_profiles(hier, u, config.p, beta, config.depth, energies=base)
+        dprof = discrete_profiles(hier, u, config.p, beta, config.depth, arith=arith, energies=base)
         for n in range(config.depth + 1):
             rows.append(
                 (
@@ -284,6 +280,7 @@ def _cmd_besov(config: ExperimentConfig, out: Path, meta: str) -> int:
         m,
         config.depth,
         (max(1, config.depth - 2), config.depth),
+        arith,
         energies=energies_at(float(hier.ratios.beta_star)),
     )
     write_json(
@@ -302,13 +299,13 @@ def _cmd_besov(config: ExperimentConfig, out: Path, meta: str) -> int:
 
 def _cmd_bbm(config: ExperimentConfig, out: Path, meta: str) -> int:
     from .besov import bbm_curve
-    from .energy import diagonal_ramp
+    from .energy import arithmetic, diagonal_ramp
 
     hier = _hierarchy(config)
     u = diagonal_ramp()
     curve = bbm_curve(
         hier, u, config.p, list(config.epsilons), config.depth, tail="plateau",
-        exact=_rational(config),
+        arith=arithmetic(config.mode, config.p),
     )
     rows = [
         (pt.epsilon, pt.beta, pt.value, pt.bracket_low, pt.bracket_high, pt.within_bracket)

@@ -12,6 +12,7 @@ can be asserted with equality rather than tolerances.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
@@ -137,64 +138,155 @@ def _int_array(ints: Sequence[int], growth: int = 1) -> np.ndarray:
     return np.array(ints, dtype=np.int64 if bound < _INT64_BOUND else object)
 
 
-def _level_values(hier: Hierarchy, u: AffineFunction, start: int, stop: int, exact: bool):
-    """(n, values of u on V_n) for n = start..stop, extending one level at a time.
+class Arithmetic:
+    """How values are held and energies computed: ``EXACT`` or ``FLOAT``.
 
-    Exact values are (den, integer array), with the dtype chosen once for
-    the deepest level; float values are float64 arrays.  Below the base
-    level the values are restrictions through the lift maps.
+    ``EXACT`` holds the values of a function on V_n as ``(den, integer
+    array)``, takes integer exponents only and returns Fractions; ``FLOAT``
+    holds float64 arrays and returns floats.  Results compare exactly, or
+    in float with a slack of 1e-12: ``close(a, b)`` is |b - a| <= 1e-12 *
+    max(1, |b|) and ``at_most(a, b)`` is a <= b (1 + 1e-12).  ``arithmetic``
+    picks one from (mode, p), and every energy routine takes it.
     """
-    _check_function(hier, u)
-    base = u.base_level
-    if exact:
-        den, ints = u.scaled()
-        growth = hier.ratios.length_product(max(stop, base)) // hier.ratios.length_product(base)
-        vals = _int_array(ints, growth)
-    else:
-        den, vals = None, np.array([float(v) for v in u.values], dtype=np.float64)
-    cur, cur_den, k = vals, den, base
-    for n in range(start, stop + 1):
-        if n < base:
-            idx = np.arange(hier.level(n).num_vertices, dtype=np.int64)
-            for j in range(n, base):
-                idx = hier.lift_ids(j)[idx]
-            out, out_den = vals[idx], den
-        else:
+
+    name: str
+    num: type  # the result number type
+
+    def __repr__(self) -> str:
+        return self.name
+
+    def level_values(self, hier: Hierarchy, u: AffineFunction, start: int, stop: int):
+        """(n, values of u on V_n) for n = start..stop, extending one level at a time.
+
+        Below the base level the values are restrictions through the lift maps.
+        """
+        _check_function(hier, u)
+        base = u.base_level
+        vals = cur = self._base_values(hier, u, max(stop, base))
+        k = base
+        for n in range(start, stop + 1):
+            if n < base:
+                idx = np.arange(hier.level(n).num_vertices, dtype=np.int64)
+                for j in range(n, base):
+                    idx = hier.lift_ids(j)[idx]
+                yield n, self._take(vals, idx)
+                continue
             while k < n:
-                if exact:
-                    cur, cur_den = _extend_exact(hier, cur, cur_den, k)
-                else:
-                    cur = _extend_float_step(hier, cur, k)
+                cur = self._extend(hier, cur, k)
                 k += 1
-            out, out_den = cur, cur_den
-        yield n, ((out_den, out) if exact else out)
+            yield n, cur
+
+    def values_at(self, hier: Hierarchy, u: AffineFunction, n: int):
+        """u on V_n."""
+        return next(self.level_values(hier, u, n, n))[1]
+
+    def energy(
+        self,
+        level: VicsekLevel,
+        values,
+        p,
+        region: Optional[Iterable] = None,
+        region_level: Optional[int] = None,
+    ):
+        """E_{p,n} of ``values`` on the level; with a region, over its cells' edges."""
+        sel = _region_edge_indices(level, region, region_level)
+        return _edge_energies(level, values, (p,), self, sel)[0]
 
 
-def _values_at(hier: Hierarchy, u: AffineFunction, n: int, exact: bool):
-    """u on V_n: (den, integer array) if ``exact``, else a float64 array."""
-    return next(_level_values(hier, u, n, n, exact))[1]
+class _Exact(Arithmetic):
+    name, num = "EXACT", Fraction
+
+    def exponent(self, p) -> int:
+        """p as an int; a non-integer p is rejected, never rounded."""
+        if not p_is_integer(p):
+            raise InvalidArgumentError(f"exact energies need integer p, got {p}")
+        return int(p)
+
+    def close(self, a, b) -> bool:
+        return a == b
+
+    def at_most(self, a, b) -> bool:
+        return a <= b
+
+    def _base_values(self, hier: Hierarchy, u: AffineFunction, deepest: int):
+        # the dtype is chosen once, for the deepest level
+        den, ints = u.scaled()
+        lp = hier.ratios.length_product
+        return den, _int_array(ints, lp(deepest) // lp(u.base_level))
+
+    def _take(self, values, idx: np.ndarray):
+        return values[0], values[1][idx]
+
+    def _extend(self, hier: Hierarchy, values, k: int):
+        vals, den = _extend_exact(hier, values[1], values[0], k)
+        return den, vals
+
+    def _energies(self, L: int, values, tails, heads, ps, group, num_groups) -> list:
+        den, vals = values
+        ps = [self.exponent(p) for p in ps]
+        sums = _power_sums(vals.take(heads) - vals.take(tails), ps, group, num_groups)
+        out = [[Fraction(L ** (p - 1) * s, den**p) for s in acc] for p, acc in zip(ps, sums)]
+        return out if group is not None else [acc[0] for acc in out]
 
 
-def _exact_values(hier: Hierarchy, u: AffineFunction, n: int) -> tuple[int, np.ndarray]:
-    """(den, integer array) of u on V_n."""
-    return _values_at(hier, u, n, exact=True)
+class _Float(Arithmetic):
+    name, num = "FLOAT", float
+
+    def exponent(self, p) -> float:
+        return float(p)
+
+    def close(self, a, b) -> bool:
+        return abs(b - a) <= 1e-12 * max(1.0, abs(b))
+
+    def at_most(self, a, b) -> bool:
+        return a <= b * (1 + 1e-12)
+
+    def _base_values(self, hier: Hierarchy, u: AffineFunction, deepest: int):
+        return np.array([float(v) for v in u.values], dtype=np.float64)
+
+    def _take(self, values: np.ndarray, idx: np.ndarray):
+        return values[idx]
+
+    def _extend(self, hier: Hierarchy, values: np.ndarray, k: int):
+        return _extend_float_step(hier, values, k)
+
+    def _energies(self, L: int, values, tails, heads, ps, group, num_groups) -> list:
+        d = np.abs(values.take(heads) - values.take(tails))
+        out = []
+        for p in ps:
+            coef = float(L) ** (float(p) - 1.0)
+            terms = d ** float(p)
+            if group is None:
+                out.append(coef * math.fsum(terms.tolist()))
+            else:
+                out.append(np.bincount(group, terms * coef, num_groups).tolist())
+        return out
+
+
+EXACT = _Exact()
+FLOAT = _Float()
+
+
+def arithmetic(mode: str, p) -> Arithmetic:
+    """The arithmetic of E_{p,n} and of everything built on it: EXACT in
+    rational mode for an integer p, FLOAT otherwise."""
+    return EXACT if mode == "rational" and p_is_integer(p) else FLOAT
 
 
 def scaled_values_at(hier: Hierarchy, u: AffineFunction, n: int) -> tuple[int, list[int]]:
     """Exact values on V_n as integers over a common denominator."""
-    den, vals = _exact_values(hier, u, n)
+    den, vals = EXACT.values_at(hier, u, n)
     return den, vals.tolist()
 
 
-def _extend_exact(hier: Hierarchy, vals, den: int, k: int):
+def _extend_exact(hier: Hierarchy, vals: np.ndarray, den: int, k: int):
     """Integer values on V_k over ``den`` -> values on V_{k+1} over den * l.
 
     The pass of ``_extend_float_step`` in integers.  An int64 array must
-    keep max |v| * l below 2^62; a list gets int64 or object by that rule.
+    keep max |v| * l below 2^62; ``_int_array`` picks int64 or object by
+    that rule.
     """
     l = hier.ratios.ratio(k + 1)
-    if not isinstance(vals, np.ndarray):
-        vals = _int_array(vals, l)
     t = hier.transition(k)
     coarse = hier.level(k)
     new = np.empty(hier.level(k + 1).num_vertices, dtype=vals.dtype)
@@ -211,7 +303,7 @@ def _extend_exact(hier: Hierarchy, vals, den: int, k: int):
 
 def float_values_at(hier: Hierarchy, u: AffineFunction, n: int) -> np.ndarray:
     """Values on V_n as float64 (exact for dyadic inputs at shallow depth)."""
-    return _values_at(hier, u, n, exact=False)
+    return FLOAT.values_at(hier, u, n)
 
 
 def exact_values_at(hier: Hierarchy, u: AffineFunction, n: int) -> list[Fraction]:
@@ -225,7 +317,7 @@ def evaluate_affine(hier: Hierarchy, u: AffineFunction, n: int, vertex_id: int) 
         raise LevelError(
             f"evaluation level {n} below the base level {u.base_level}"
         )
-    den, vals = _exact_values(hier, u, n)
+    den, vals = EXACT.values_at(hier, u, n)
     return Fraction(int(vals[vertex_id]), den)
 
 
@@ -270,13 +362,6 @@ def _region_edge_indices(
     )
 
 
-def _exact_exponent(p) -> int:
-    """p as an int for exact arithmetic; a non-integer p is rejected."""
-    if not p_is_integer(p):
-        raise InvalidArgumentError(f"exact energies need integer p, got {p}")
-    return int(p)
-
-
 def _power_sums(
     d: np.ndarray, ps: Sequence[int], group: Optional[np.ndarray] = None, num_groups: int = 1
 ) -> list[list[int]]:
@@ -308,135 +393,68 @@ def _edge_energies(
     level: VicsekLevel,
     values,
     ps: Sequence,
+    arith: Arithmetic,
     sel: Optional[np.ndarray] = None,
     group: Optional[np.ndarray] = None,
     num_groups: int = 1,
 ) -> list:
     """L^{p-1} * sum over the level's edges of |du|^p, for each p in ``ps``.
 
-    ``values`` are exact ``(den, integer array)`` (Fractions out, integer p
-    only) or a float64 array (floats out).  ``sel`` picks a subset of
-    edges.  With ``group``, one id below ``num_groups`` per edge, each
-    result is the list of per-group sums instead of the total.
+    ``values`` are held as ``arith`` holds them, and the results are its
+    numbers.  ``sel`` picks a subset of edges.  With ``group``, one id below
+    ``num_groups`` per edge, each result is the list of per-group sums
+    instead of the total.
     """
     # int32 edge tables: ``take`` converts them faster than a fancy index
     tails, heads = level.edge_tail, level.edge_head
     if sel is not None:
         tails, heads = tails[sel], heads[sel]
-    if isinstance(values, tuple):
-        den, vals = values
-        ps = [_exact_exponent(p) for p in ps]
-        sums = _power_sums(vals.take(heads) - vals.take(tails), ps, group, num_groups)
-        out = [
-            [Fraction(level.L ** (p - 1) * s, den**p) for s in acc]
-            for p, acc in zip(ps, sums)
-        ]
-        return out if group is not None else [acc[0] for acc in out]
-    d = np.abs(values.take(heads) - values.take(tails))
-    out = []
-    for p in ps:
-        coef = float(level.L) ** (float(p) - 1.0)
-        terms = d ** float(p)
-        if group is None:
-            out.append(coef * math.fsum(terms.tolist()))
-        else:
-            out.append(np.bincount(group, terms * coef, num_groups).tolist())
-    return out
-
-
-def discrete_energy_exact(
-    level: VicsekLevel,
-    den: int,
-    ints: Sequence[int],
-    p: int,
-    region: Optional[Iterable] = None,
-    region_level: Optional[int] = None,
-) -> Fraction:
-    """The exact level energy of integer values over ``den`` (list or array)."""
-    if not (isinstance(p, int) and p > 1):
-        raise InvalidArgumentError(f"exact energies need integer p > 1, got {p}")
-    sel = _region_edge_indices(level, region, region_level)
-    vals = ints if isinstance(ints, np.ndarray) else _int_array(ints)
-    return _edge_energies(level, (den, vals), (p,), sel)[0]
-
-
-def discrete_energy_float(
-    level: VicsekLevel,
-    values: np.ndarray,
-    p: float,
-    region: Optional[Iterable] = None,
-    region_level: Optional[int] = None,
-) -> float:
-    sel = _region_edge_indices(level, region, region_level)
-    return _edge_energies(level, values, (p,), sel)[0]
-
-
-def discrete_energy(
-    level: VicsekLevel,
-    values,
-    p,
-    region: Optional[Iterable] = None,
-    region_level: Optional[int] = None,
-):
-    """Dispatch on the value container: float array, (den, ints) or rationals.
-
-    The exact containers need an integer p.
-    """
-    if isinstance(values, np.ndarray):
-        return discrete_energy_float(level, values, float(p), region, region_level)
-    if not (isinstance(values, tuple) and len(values) == 2):
-        values = AffineFunction(level.n, values).scaled()  # a plain sequence of rationals
-    return discrete_energy_exact(level, *values, _exact_exponent(p), region, region_level)
+    return arith._energies(level.L, values, tails, heads, ps, group, num_groups)
 
 
 @dataclass(frozen=True)
 class GradientField:
-    """Constant slope per oriented level-n edge, tail-to-head direction."""
+    """Constant slope per oriented level-n edge, tail-to-head direction:
+    Fractions in exact arithmetic, a float64 array in float."""
 
     level: int
     length_product: int
-    den: Optional[int] = None  # exact mode: slope_e = ints[e] * L / den
-    ints: Optional[tuple[int, ...]] = None
-    array: Optional[np.ndarray] = None  # float mode
+    arith: Arithmetic
+    values: object
 
     def slopes(self):
-        if self.ints is not None:
-            return [Fraction(v * self.length_product, self.den) for v in self.ints]
-        return self.array * float(self.length_product)
+        return self.values
 
     def slope(self, e: int):
-        if self.ints is not None:
-            return Fraction(self.ints[e] * self.length_product, self.den)
-        return float(self.array[e]) * float(self.length_product)
+        return self.values[e]
 
 
-def gradient_field(hier: Hierarchy, u: AffineFunction, n: int, exact: bool = True) -> GradientField:
+def gradient_field(
+    hier: Hierarchy, u: AffineFunction, n: int, arith: Arithmetic = EXACT
+) -> GradientField:
     """Per-edge slopes of the affine extension at level n >= base level."""
     if n < u.base_level:
         raise LevelError(
             f"gradient level {n} below base level {u.base_level}"
         )
     level = hier.level(n)
-    if exact:
-        den, vals = _exact_values(hier, u, n)
-        diffs = tuple((vals[level.edge_head] - vals[level.edge_tail]).tolist())
-        return GradientField(n, level.L, den=den, ints=diffs)
-    vals = float_values_at(hier, u, n)
-    return GradientField(
-        n, level.L, array=(vals[level.edge_head] - vals[level.edge_tail])
-    )
+    L = level.L
+    if arith is EXACT:
+        den, vals = EXACT.values_at(hier, u, n)
+        diffs = (vals[level.edge_head] - vals[level.edge_tail]).tolist()
+        return GradientField(n, L, arith, tuple(Fraction(d * L, den) for d in diffs))
+    vals = FLOAT.values_at(hier, u, n)
+    return GradientField(n, L, arith, (vals[level.edge_head] - vals[level.edge_tail]) * float(L))
 
 
 def energy_of_gradient(g: GradientField, p) -> Fraction | float:
-    """sum_e |slope_e|^p * edge_length; equals the discrete energy exactly."""
+    """sum_e |slope_e|^p * edge_length, from the slopes alone; equals the
+    discrete energy."""
     L = g.length_product
-    if g.ints is not None and p_is_integer(p):
-        pi = int(p)
-        s = _power_sums(_int_array(g.ints), (pi,))[0][0]
-        # |i * L / den|^p * (1/L) summed
-        return Fraction(s * L ** (pi - 1), g.den**pi)
-    slopes = g.array * float(L) if g.array is not None else [float(x) for x in g.slopes()]
-    terms = np.abs(np.asarray(slopes, dtype=np.float64)) ** float(p) / float(L)
+    if g.arith is EXACT:
+        q = EXACT.exponent(p)
+        return Fraction(sum(c * abs(s) ** q for s, c in Counter(g.values).items()), L)
+    terms = np.abs(g.values) ** float(p) / float(L)
     return math.fsum(terms.tolist())
 
 
@@ -468,16 +486,16 @@ def energy_levels_multi(
     u: AffineFunction,
     ps: Sequence,
     max_level: int,
-    exact: bool = True,
+    arith: Arithmetic = EXACT,
 ) -> dict:
     """E_{p,n} for every p in ``ps`` and n = 0..max_level in one sweep.
 
     Values are extended level by level once; per-level edge differences are
-    shared across exponents.  Exact mode needs integer exponents.
+    shared across exponents.  Exact arithmetic needs integer exponents.
     """
     out = {p: [] for p in ps}
-    for n, values in _level_values(hier, u, 0, max_level, exact):
-        for p, e in zip(ps, _edge_energies(hier.level(n), values, ps)):
+    for n, values in arith.level_values(hier, u, 0, max_level):
+        for p, e in zip(ps, _edge_energies(hier.level(n), values, ps, arith)):
             out[p].append(e)
     return out
 
@@ -502,18 +520,16 @@ def energy_limit(
     u: AffineFunction,
     p,
     max_level: int,
-    exact: Optional[bool] = None,
-    rel_tol: float = 1e-12,
+    arith: Arithmetic = EXACT,
     region: Optional[Iterable] = None,
     region_level: Optional[int] = None,
 ) -> EnergyReport:
     """E_{p,n} for n = 0..max_level; constant from the base level on.
 
     With a region, energies are restricted to edges inside the listed cell
-    words; the first level must then be at least the region level.
+    words; the first level must then be at least the region level.  The
+    plateau is the first level whose energy ``arith`` finds close to the next.
     """
-    if exact is None:
-        exact = p_is_integer(p)
     region_words = list(region) if region is not None else None
     if region_words is not None and region_level is None:
         region_level = len(region_words[0])
@@ -521,19 +537,13 @@ def energy_limit(
     if start > max_level:
         raise RegionError("region level exceeds max level")
     energies = [
-        discrete_energy(hier.level(n), values, p, region_words, region_level)
-        for n, values in _level_values(hier, u, start, max_level, exact)
+        arith.energy(hier.level(n), values, p, region_words, region_level)
+        for n, values in arith.level_values(hier, u, start, max_level)
     ]
-    plateau = None
-    for i in range(len(energies) - 1):
-        a, b = energies[i], energies[i + 1]
-        if exact:
-            flat = a == b
-        else:
-            flat = abs(b - a) <= rel_tol * max(1.0, abs(float(b)))
-        if flat:
-            plateau = start + i
-            break
+    plateau = next(
+        (start + i for i, (a, b) in enumerate(zip(energies, energies[1:])) if arith.close(a, b)),
+        None,
+    )
     return EnergyReport(
         p=p,
         levels=tuple(range(start, max_level + 1)),
@@ -626,20 +636,18 @@ def resistance_oracle(
         return 1.0 / energy(u)
 
     eps = 0.01
-    prev = energy(u)
-    cur = prev
+    prev = cur = energy(u)
     for _ in range(max_iter):
         d = u[heads] - u[tails]
         w = (d * d + eps * eps) ** ((p - 2.0) / 2.0)
         sol = irls_step(w)
         u = u.copy()
         u[free] = (1.0 - theta) * u[free] + theta * sol
-        cur = energy(u)
+        prev, cur = cur, energy(u)
         if eps <= 1e-13 and abs(cur - prev) <= tol * max(cur, 1e-300):
             return 1.0 / cur
-        prev = cur
         eps = max(eps * 0.2, 1e-14)
-    residual = abs(cur - prev) / max(cur, 1e-300)
+    residual = abs(cur - prev) / max(cur, 1e-300)  # between the last two energies
     raise ConvergenceError("resistance oracle did not converge", residual)
 
 
@@ -701,7 +709,7 @@ def morrey_constant(hier: Hierarchy, u: AffineFunction, p, n: int, energy=None) 
     """
     if energy is None:
         k = max(n, u.base_level)
-        energy = discrete_energy(hier.level(k), _exact_values(hier, u, k), p)
+        energy = EXACT.energy(hier.level(k), EXACT.values_at(hier, u, k), p)
     p = float(p)
     E = float(energy)
     if E == 0.0:
@@ -734,7 +742,7 @@ def spectral_gap_constant(hier: Hierarchy, u: AffineFunction, p, n: int, energy=
     p = float(p)
     vals = float_values_at(hier, u, n)
     if energy is None:
-        energy = discrete_energy_float(hier.level(n), vals, p)
+        energy = FLOAT.energy(hier.level(n), vals, p)
     E = float(energy)
     if E == 0.0:
         return 0.0
@@ -750,21 +758,19 @@ def clarkson_residual(
     p,
     n: int,
     energies=None,
-    exact: Optional[bool] = None,
+    arith: Arithmetic = EXACT,
 ):
     """Signed residual of the p-Clarkson inequality at level n.
 
     Returns (residual, ok): residual = E(f+g) + E(f-g) - 2 (E(f)^{1/(p-1)}
     + E(g)^{1/(p-1)})^{p-1}; 'ok' checks the sign required by the case
     split (>= 0 for p <= 2, <= 0 for p >= 2; both at p = 2).  ``energies``,
-    when given, are (E(f), E(g)) at level n.  The energies are exact when
-    ``exact`` (default: for integer p), else float.
+    when given, are (E(f), E(g)) at level n; the others are computed in
+    ``arith``.
     """
-    if exact is None:
-        exact = p_is_integer(p)
     pf = float(p)
     level = hier.level(n)
-    E = lambda w: float(discrete_energy(level, _values_at(hier, w, n, exact), p))
+    E = lambda w: float(arith.energy(level, arith.values_at(hier, w, n), p))
     lhs = E(add(hier, f, g)) + E(subtract(hier, f, g))
     q = 1.0 / (pf - 1.0)
     Ef, Eg = (E(f), E(g)) if energies is None else map(float, energies)
@@ -814,7 +820,7 @@ def energy_property_checks(
     p,
     n: int,
     lipschitz_maps: Sequence[Callable] = (abs,),
-    exact: Optional[bool] = None,
+    arith: Arithmetic = EXACT,
 ) -> PropertyCheckReport:
     """Structural checks of the energy form at one truncation level.
 
@@ -823,26 +829,20 @@ def energy_property_checks(
     empirical values to be tracked across levels, not asserted against any
     particular constant.  The locality comparison is exact and meaningful
     when the caller supplies functions with separated supports.  Energies
-    are exact when ``exact`` (default: for integer p), else float.
+    are computed in ``arith``.
     """
-    if exact is None:
-        exact = p_is_integer(p)
     level = hier.level(n)
 
     def E_of(w: AffineFunction):
-        return discrete_energy(level, _values_at(hier, w, n, exact), p)
+        return arith.energy(level, arith.values_at(hier, w, n), p)
 
     Eu = E_of(u)
     Ev = E_of(v)
-
-    def at_most(a, b) -> bool:
-        return a <= b if exact else a <= b * (1 + 1e-12)
-
-    num, q = (Fraction, int(p)) if exact else (float, float(p))
+    num, q = arith.num, arith.exponent(p)
     lhs = E_of(multiply(hier, u, v))
     rhs = num(2) ** (q - 1) * (num(u.sup_norm()) ** q * Ev + num(v.sup_norm()) ** q * Eu)
-    product_ok = at_most(lhs, rhs)
-    contraction = [at_most(E_of(compose(u, fn)), Eu) for fn in lipschitz_maps]
+    product_ok = arith.at_most(lhs, rhs)
+    contraction = [arith.at_most(E_of(compose(u, fn)), Eu) for fn in lipschitz_maps]
 
     sg = spectral_gap_constant(hier, u, p, n, energy=Eu)
     mc = morrey_constant(hier, u, p, n, energy=Eu)
@@ -850,11 +850,8 @@ def energy_property_checks(
     s = add(hier, u, v)
     loc_lhs = E_of(s)
     loc_rhs = Eu + Ev
-    locality_exact = (
-        loc_lhs == loc_rhs if exact else abs(loc_lhs - loc_rhs) <= 1e-12 * max(1.0, abs(loc_rhs))
-    )
-
-    res, ok = clarkson_residual(hier, u, v, p, n, energies=(Eu, Ev), exact=exact)
+    locality_exact = arith.close(loc_lhs, loc_rhs)
+    res, ok = clarkson_residual(hier, u, v, p, n, energies=(Eu, Ev), arith=arith)
     return PropertyCheckReport(
         p=p,
         level=n,

@@ -13,22 +13,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import InvalidArgumentError, LevelError
 from .geometry import Hierarchy
-from .ratios import p_is_integer
 from .words import ancestor_index_stride
 from .energy import (
+    EXACT,
+    FLOAT,
     AffineFunction,
+    Arithmetic,
     _edge_energies,
-    _exact_values,
-    _values_at,
     add,
-    discrete_energy,
     float_values_at,
+    scaled_values_at,
 )
 
 
@@ -60,7 +60,7 @@ class CellMeasure:
 
 
 def gamma_cells(
-    hier: Hierarchy, u: AffineFunction, p, m: int, exact: Optional[bool] = None
+    hier: Hierarchy, u: AffineFunction, p, m: int, arith: Arithmetic = EXACT
 ) -> CellMeasure:
     """Energy-measure masses of all level-m cells via gradient integration.
 
@@ -68,14 +68,12 @@ def gamma_cells(
     evaluated on the level max(m, base) edges where the slopes of the affine
     function are constant.  The total equals the p-energy.
     """
-    if exact is None:
-        exact = p_is_integer(p)
     n_eval = max(m, u.base_level)
     level = hier.level(n_eval)
     # |slope|^p * len = |du * L|^p / L = L^{p-1} |du|^p, summed per ancestor cell
     cells = level.edge_word // ancestor_index_stride(hier.ratios, n_eval, m)
     masses = _edge_energies(
-        level, _values_at(hier, u, n_eval, exact), (p,),
+        level, arith.values_at(hier, u, n_eval), (p,), arith,
         group=cells, num_groups=hier.ratios.num_words(m),
     )[0]
     return CellMeasure(m, tuple(masses))
@@ -86,21 +84,19 @@ def word_energy_measure(
     u: AffineFunction,
     p,
     n: int,
-    exact: Optional[bool] = None,
+    arith: Arithmetic = EXACT,
     verify_plateau: bool = True,
 ) -> CellMeasure:
     """Masses via region-restricted discrete energies at their plateau.
 
-    For each level-n word w the mass is ``discrete_energy(..., region=[w],
+    For each level-n word w the mass is ``arith.energy(..., region=[w],
     region_level=n)`` at level max(n, base): the edges inside the cell are
     selected first and then summed, independently of the per-cell grouping
     of ``gamma_cells``.  When ``verify_plateau``, the masses are recomputed
-    one level deeper and required to agree (exactly in rational mode),
-    which is the finite certificate that the restricted energies have
-    reached their supremum.
+    one level deeper and required to agree (``arith.close``), which is the
+    finite certificate that the restricted energies have reached their
+    supremum.
     """
-    if exact is None:
-        exact = p_is_integer(p)
     n_eval = max(n, u.base_level)
     if verify_plateau and n_eval + 1 > hier.max_level:
         raise LevelError(
@@ -110,9 +106,9 @@ def word_energy_measure(
 
     def restricted(k: int) -> list:
         level = hier.level(k)
-        values = _values_at(hier, u, k, exact)
+        values = arith.values_at(hier, u, k)
         return [
-            discrete_energy(level, values, p, region=[w], region_level=n)
+            arith.energy(level, values, p, region=[w], region_level=n)
             for w in range(hier.ratios.num_words(n))
         ]
 
@@ -120,11 +116,7 @@ def word_energy_measure(
     if verify_plateau:
         finer = restricted(n_eval + 1)
         for w, (a, b) in enumerate(zip(masses, finer)):
-            if exact:
-                agree = a == b
-            else:
-                agree = abs(a - b) <= 1e-12 * max(1.0, abs(b))
-            if not agree:
+            if not arith.close(a, b):
                 raise AssertionError(
                     f"restricted energy not at plateau for word {w}: {a} vs {b}"
                 )
@@ -132,18 +124,14 @@ def word_energy_measure(
 
 
 def coincidence_check(
-    hier: Hierarchy, u: AffineFunction, p, depth: int, exact: Optional[bool] = None
+    hier: Hierarchy, u: AffineFunction, p, depth: int, arith: Arithmetic = EXACT
 ) -> Fraction | float:
-    """max relative discrepancy between the two constructions, levels 1..depth.
-
-    Exact when ``exact`` (default: for integer p), else float.
-    """
-    if exact is None:
-        exact = p_is_integer(p)
-    worst: Fraction | float = Fraction(0) if exact else 0.0
+    """max relative discrepancy between the two constructions, levels 1..depth,
+    in ``arith``."""
+    worst = arith.num(0)
     for m in range(1, depth + 1):
-        g = gamma_cells(hier, u, p, m, exact)
-        w = word_energy_measure(hier, u, p, m, exact, verify_plateau=False)
+        g = gamma_cells(hier, u, p, m, arith)
+        w = word_energy_measure(hier, u, p, m, arith, verify_plateau=False)
         total = g.total
         if total == 0:
             continue
@@ -197,7 +185,7 @@ def chain_rule_check(
 
     fw = np.array([f(v) for v in float_values_at(hier, u, n).tolist()])
     discrete = np.array(
-        _edge_energies(level_n, fw, (pf,), group=cells, num_groups=num_cells)[0]
+        _edge_energies(level_n, fw, (pf,), FLOAT, group=cells, num_groups=num_cells)[0]
     )
 
     # quadrature on the coarse edges where u is affine
@@ -304,7 +292,7 @@ class PushforwardHistogram:
 
 
 def pushforward_profile(
-    hier: Hierarchy, u: AffineFunction, p, bins: int, exact: Optional[bool] = None
+    hier: Hierarchy, u: AffineFunction, p, bins: int, arith: Arithmetic = EXACT
 ) -> PushforwardHistogram:
     """Histogram of the image of the energy measure under the function.
 
@@ -314,8 +302,6 @@ def pushforward_profile(
     positive mass would concentrate on a point; they are flagged and cannot
     occur for affine functions.
     """
-    if exact is None:
-        exact = p_is_integer(p)
     if bins < 1:
         raise InvalidArgumentError("bins must be >= 1")
     base = u.base_level
@@ -324,16 +310,15 @@ def pushforward_profile(
     hi = max(u.values)
     if lo == hi:
         raise InvalidArgumentError("constant function: the value range is empty")
-    den, ints = _exact_values(hier, u, base)
-    values = (den, ints) if exact else float_values_at(hier, u, base)
     # each edge its own group: the per-edge mass |slope|^p * length
     edge_masses = _edge_energies(
-        level, values, (p,), group=np.arange(level.num_edges), num_groups=level.num_edges
+        level, arith.values_at(hier, u, base), (p,), arith,
+        group=np.arange(level.num_edges), num_groups=level.num_edges,
     )[0]
-    ints = ints.tolist()
+    den, ints = scaled_values_at(hier, u, base)
     tails, heads = level.edge_tail.tolist(), level.edge_head.tolist()
 
-    num = Fraction if exact else float
+    num = arith.num
     width = (num(hi) - num(lo)) / bins
     edges = tuple(num(lo) + k * width for k in range(bins + 1))
     masses = [num(0)] * bins

@@ -23,14 +23,15 @@ routes are provided:
   memory is bounded for every p.  Block sums are added one by one in the
   plan's depth-first order, which keeps float results fixed.
 
-``ball_pair_sum(method="auto")`` always takes the cell tree; the oracle runs
-only when asked for by name.
+``ball_pair_sum`` takes the cell tree; the oracle is
+``ball_pair_sum_bruteforce``.  Every route takes the ``Arithmetic`` its
+values are held in.
 
 All geometric predicates are exact integer comparisons: at scale m the
 pair (x, y) qualifies iff (dx^2 + dy^2) * L_n^2 < 8 * L_m^2 (open ball).
-In exact mode values are integers over a common denominator and the kernel
-returns an integer, so the result is independent of summation order and
-can be compared bit-for-bit against the brute-force oracle.
+In exact arithmetic values are integers over a common denominator and the
+kernel returns an integer, so the result is independent of summation order
+and can be compared bit-for-bit against the brute-force oracle.
 """
 
 from __future__ import annotations
@@ -40,8 +41,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .energy import _CHUNK, _int_array, _power_sums
-from .errors import InvalidArgumentError, ScaleMismatchError
+from .energy import _CHUNK, EXACT, Arithmetic, _int_array, _power_sums
+from .errors import ScaleMismatchError
 from .geometry import VicsekLevel, _cell_centers
 
 _LEAF_MAX = 256
@@ -168,19 +169,19 @@ def _qualify_threshold(level: VicsekLevel, n: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def ball_pair_sum_bruteforce(level: VicsekLevel, values, p, n: int):
-    """Every ordered vertex pair, tile by tile; exact when given (den, ints),
-    float on arrays.
+def ball_pair_sum_bruteforce(level: VicsekLevel, values, p, n: int, arith: Arithmetic):
+    """Every ordered vertex pair, tile by tile, on values held in ``arith``:
+    ``(den, ints)`` for EXACT, a float64 array (or F columns) for FLOAT.
 
-    Exact mode returns the integer sum of |di - dj|^p over qualifying pairs
+    EXACT returns the integer sum of |di - dj|^p over qualifying pairs
     (denominators are applied by the caller), in int64 while every
-    |di - dj|^p fits it and in Python ints past that; float mode returns a
-    float.  It uses no plan, cell tree or shared power sum, so it checks the
+    |di - dj|^p fits it and in Python ints past that; FLOAT returns a float.
+    It uses no plan, cell tree or shared power sum, so it checks the
     cell-tree route independently.
     """
-    if isinstance(values, tuple):
+    p = arith.exponent(p)
+    if arith is EXACT:
         _, ints = values
-        p = int(p)
         bound = 2 * int(max(map(abs, ints), default=0))
         vals = np.array(ints, dtype=np.int64 if bound**p < 2**63 else object)
         total = 0
@@ -196,7 +197,7 @@ def ball_pair_sum_bruteforce(level: VicsekLevel, values, p, n: int):
     for i0, j0, mask in _ball_tiles(level, n, vals.shape[1]):
         va = vals[i0 : i0 + mask.shape[0], None]
         vb = vals[None, j0 : j0 + mask.shape[1]]
-        total += np.einsum("ij,ijf->f", mask, np.abs(va - vb) ** float(p))
+        total += np.einsum("ij,ijf->f", mask, np.abs(va - vb) ** p)
     return float(total[0]) if squeeze else total
 
 
@@ -371,7 +372,7 @@ def _build_plan(idx: CellPairIndex, R: int, leaf_max: int) -> PairPlan:
 
 
 def ball_pair_sum_indexed(
-    level: VicsekLevel, values, p, n: int, leaf_max: int = _LEAF_MAX
+    level: VicsekLevel, values, p, n: int, arith: Arithmetic, leaf_max: int = _LEAF_MAX
 ):
     """Cell-tree pair sum; same contract as the brute-force route.
 
@@ -381,14 +382,14 @@ def ball_pair_sum_indexed(
     """
     plan = pair_plan(level, n, leaf_max)
     idx = _pair_index(level)
-    if isinstance(values, tuple):
-        den, ints = values
-        return _evaluate_exact(plan, idx, ints, int(p))
+    p = arith.exponent(p)
+    if arith is EXACT:
+        return _evaluate_exact(plan, idx, values[1], p)
     vals = np.asarray(values, dtype=np.float64)
     squeeze = vals.ndim == 1
     if squeeze:
         vals = vals[:, None]
-    out = _evaluate_float(plan, idx, vals, float(p))
+    out = _evaluate_float(plan, idx, vals, p)
     return float(out[0]) if squeeze else out
 
 
@@ -578,10 +579,6 @@ def _abs_pow(d: np.ndarray, pf: float) -> None:
         d **= pf
 
 
-def ball_pair_sum(level: VicsekLevel, values, p, n: int, method: str = "auto"):
-    """Pair sum by the cell tree (``auto``/``indexed``) or the brute-force oracle."""
-    if method in ("auto", "indexed"):
-        return ball_pair_sum_indexed(level, values, p, n)
-    if method == "bruteforce":
-        return ball_pair_sum_bruteforce(level, values, p, n)
-    raise InvalidArgumentError(f"unknown method {method!r}")
+def ball_pair_sum(level: VicsekLevel, values, p, n: int, arith: Arithmetic):
+    """The pair sum of values held in ``arith``, by the cell tree."""
+    return ball_pair_sum_indexed(level, values, p, n, arith)

@@ -16,32 +16,30 @@ import numpy as np
 
 from .besov import (
     _log_phi,
-    ball_energies,
     base_energies,
     bbm_curve,
     discrete_profiles,
     jump_kernel_energy,
-    profile_is_exact,
     weak_monotonicity_report,
 )
 from .config import ExperimentConfig
 from .energy import (
+    EXACT,
+    FLOAT,
     ORACLE_P_RANGE,
+    arithmetic,
     diagonal_ramp,
     energy_limit,
     energy_of_gradient,
-    float_values_at,
     gradient_field,
     random_affine,
     resistance,
     resistance_oracle,
-    scaled_values_at,
 )
 from .energy_measure import coincidence_check, gamma_cells, pushforward_profile
 from .geometry import Hierarchy
 from .measure import mu_ball_bounds, psi_of, regularized_scales, scale_values
 from .pairsum import ball_pair_sum_bruteforce, ball_pair_sum_indexed
-from .ratios import p_is_integer
 
 Check = tuple[str, bool, str]
 
@@ -51,7 +49,7 @@ def run_selftest(config: ExperimentConfig) -> tuple[list[Check], dict]:
     N = config.depth
     m = config.vertex_level
     p = config.p
-    exact = config.mode == "rational" and p_is_integer(p)
+    arith = arithmetic(config.mode, p)
     hier = Hierarchy(ratios, max(m, N + 1), budget=config.cell_budget)
     checks: list[Check] = []
     artifacts: dict = {}
@@ -117,28 +115,19 @@ def run_selftest(config: ExperimentConfig) -> tuple[list[Check], dict]:
 
     # -- energy -----------------------------------------------------------
     u_star = diagonal_ramp()
-    golden = (
-        Fraction(2) ** (1 - int(p)) if exact else 2.0 ** (1.0 - float(p))
-    )
-    rep = energy_limit(hier, u_star, p, N, exact=exact)
-    ok = all(e == golden for e in rep.energies) if exact else all(
-        abs(e - golden) <= 1e-12 for e in rep.energies
-    )
+    golden = arith.num(2) ** (1 - arith.exponent(p))
+    rep = energy_limit(hier, u_star, p, N, arith)
+    ok = all(arith.close(e, golden) for e in rep.energies)
     record("ramp_energy_golden", ok, f"limit={rep.limit}")
     artifacts["energy_report"] = rep
 
-    g = gradient_field(hier, u_star, N, exact=exact)
+    g = gradient_field(hier, u_star, N, arith)
     eg = energy_of_gradient(g, p)
-    ok = (eg == rep.limit) if exact else abs(eg - rep.limit) <= 1e-12
-    record("gradient_energy_identity", ok)
+    record("gradient_energy_identity", arith.close(eg, rep.limit))
 
     def seed_mono(seed: int) -> bool:
-        u = random_affine(hier, seed)
-        r = energy_limit(hier, u, p, min(N, 4), exact=exact)
-        es = r.energies
-        if exact:
-            return all(a <= b for a, b in zip(es, es[1:]))
-        return all(a <= b * (1 + 1e-12) for a, b in zip(es, es[1:]))
+        es = energy_limit(hier, random_affine(hier, seed), p, min(N, 4), arith).energies
+        return all(arith.at_most(a, b) for a, b in zip(es, es[1:]))
     record("seeded_monotonicity", all(seed_mono(s) for s in config.seeds))
 
     if ORACLE_P_RANGE[0] <= float(p) <= ORACLE_P_RANGE[1]:
@@ -150,14 +139,13 @@ def run_selftest(config: ExperimentConfig) -> tuple[list[Check], dict]:
         record("resistance_oracle", abs(rf - ro) <= 1e-6 * max(1.0, rf), f"{rf} vs {ro}")
 
     # -- energy measure ---------------------------------------------------
-    cm = gamma_cells(hier, u_star, p, 1, exact=exact)
-    tot_ok = (cm.total == rep.limit) if exact else abs(cm.total - rep.limit) <= 1e-12
-    record("energy_measure_total", tot_ok)
-    if exact:
+    cm = gamma_cells(hier, u_star, p, 1, arith)
+    record("energy_measure_total", arith.close(cm.total, rep.limit))
+    if arith is EXACT:
         dev = coincidence_check(hier, u_star, p, min(3, N))
         record("coincidence_exact", dev == 0, str(dev))
-    hist = pushforward_profile(hier, u_star, p, config.bins, exact=exact)
-    hok = (hist.total == rep.limit) if exact else abs(hist.total - rep.limit) <= 1e-12
+    hist = pushforward_profile(hier, u_star, p, config.bins, arith)
+    hok = arith.close(hist.total, rep.limit)
     record("pushforward_total", hok and not hist.point_mass_flags)
     artifacts["histogram"] = hist
 
@@ -165,25 +153,19 @@ def run_selftest(config: ExperimentConfig) -> tuple[list[Check], dict]:
     ok = True
     for mm in range(min(3, m) + 1):
         lv = hier.level(mm)
-        if exact:
-            vals = scaled_values_at(hier, u_star, mm)
-        else:
-            vals = float_values_at(hier, u_star, mm)
+        vals = arith.values_at(hier, u_star, mm)
         for n in range(mm + 1):
-            bf = ball_pair_sum_bruteforce(lv, vals, p, n)
-            ix = ball_pair_sum_indexed(lv, vals, p, n)
-            if exact:
-                ok = ok and bf == ix
-            else:
-                ok = ok and abs(bf - ix) <= 1e-12 * max(1.0, abs(bf))
+            bf = ball_pair_sum_bruteforce(lv, vals, p, n, arith)
+            ix = ball_pair_sum_indexed(lv, vals, p, n, arith)
+            ok = ok and arith.close(ix, bf)
     record("ball_kernel_vs_oracle", ok)
 
     # -- besov identities ---------------------------------------------------
     profiles = {}
     ok = True
-    base = base_energies(hier, u_star, p, N, exact)
+    base = base_energies(hier, u_star, p, N, arith)
     for beta in config.beta_grid:
-        prof = discrete_profiles(hier, u_star, p, beta, N, energies=base)
+        prof = discrete_profiles(hier, u_star, p, beta, N, arith=arith, energies=base)
         profiles[beta] = prof
         for n, (eb, estar) in enumerate(zip(prof.beta_energies, prof.base_energies)):
             expo = 1.0 - float(beta) / float(ratios.beta_star)
@@ -200,22 +182,16 @@ def run_selftest(config: ExperimentConfig) -> tuple[list[Check], dict]:
 
     ok = True
     for beta in config.beta_grid:
-        jk = jump_kernel_energy(hier, u_star, p, beta, N, exact=exact, energies=base)
-        ssum = (
-            sum(profiles[beta].beta_energies, Fraction(0))
-            if exact and float(beta) == float(ratios.beta_star)
-            else math.fsum(float(x) for x in profiles[beta].beta_energies)
-        )
-        if exact and float(beta) == float(ratios.beta_star):
-            ok = ok and jk == ssum
-        else:
-            ok = ok and abs(float(jk) - float(ssum)) <= 1e-12 * max(1.0, abs(float(ssum)))
+        jk = jump_kernel_energy(hier, u_star, p, beta, N, arith, energies=base)
+        # both sides are exact only at beta = beta* in exact arithmetic
+        at = arith if float(beta) == float(ratios.beta_star) else FLOAT
+        ok = ok and at.close(jk, profiles[beta].sum_energy)
     record("jump_kernel_identity", ok)
 
     # -- BBM ---------------------------------------------------------------
     distinct = ratios.distinct_ratios()
     curve = bbm_curve(
-        hier, u_star, p, list(config.epsilons), N, tail="plateau", exact=exact,
+        hier, u_star, p, list(config.epsilons), N, tail="plateau", arith=arith,
         energies=base,
     )
     artifacts["bbm"] = curve
@@ -238,11 +214,7 @@ def run_selftest(config: ExperimentConfig) -> tuple[list[Check], dict]:
     record("bbm_curve", ok)
 
     # -- weak monotonicity surrogate ----------------------------------------
-    wm_exact = exact and profile_is_exact(hier, p, float(ratios.beta_star), m)
-    wm = weak_monotonicity_report(
-        hier, u_star, p, m, N, (max(1, N - 2), N),
-        energies=ball_energies(hier, u_star, p, m, N, wm_exact),
-    )
+    wm = weak_monotonicity_report(hier, u_star, p, m, N, (max(1, N - 2), N), arith)
     record("weak_monotonicity_finite", wm.ratio is not None and math.isfinite(wm.ratio),
            f"ratio={wm.ratio}")
     artifacts["weak_monotonicity"] = wm

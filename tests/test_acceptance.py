@@ -22,8 +22,10 @@ import pytest
 
 from vicsek_lab.besov import _log_phi, bbm_curve, critical_sweep, discrete_profiles
 from vicsek_lab.energy import (
+    EXACT,
+    FLOAT,
+    arithmetic,
     diagonal_ramp,
-    discrete_energy_exact,
     energy_levels_multi,
     energy_property_checks,
     float_values_at,
@@ -133,12 +135,12 @@ def test_criterion_04_energy_monotonicity(hier3):
     start = time.monotonic()
     for seed in range(200):
         u = random_affine(hier3, seed)
-        exact = energy_levels_multi(hier3, u, (2, 3), 6, exact=True)
+        exact = energy_levels_multi(hier3, u, (2, 3), 6, arith=EXACT)
         for p, energies in exact.items():
             assert all(a <= b for a, b in zip(energies, energies[1:])), (seed, p)
             tail = energies[u.base_level :]
             assert all(e == tail[0] for e in tail), (seed, p)
-        fl = energy_levels_multi(hier3, u, (1.5,), 6, exact=False)[1.5]
+        fl = energy_levels_multi(hier3, u, (1.5,), 6, arith=FLOAT)[1.5]
         assert all(
             a <= b * (1 + 1e-12) + 1e-300 for a, b in zip(fl, fl[1:])
         ), seed
@@ -155,14 +157,14 @@ def _ramp_golden_and_gradient(hier: Hierarchy, max_level: int):
     for p in (2, 3):
         golden = Fraction(2) ** (1 - p)
         den, ints = u.scaled()
-        cur, cur_den, cur_level = ints, den, 0
+        cur, cur_den, cur_level = np.array(ints), den, 0
         for n in range(max_level + 1):
             if n > 0:
                 from vicsek_lab.energy import _extend_exact
 
                 cur, cur_den = _extend_exact(hier, cur, cur_den, n - 1)
             level = hier.level(n)
-            e_direct = discrete_energy_exact(level, cur_den, cur, p)
+            e_direct = EXACT.energy(level, (cur_den, cur), p)
             assert e_direct == golden, (p, n)
             # gradient identity: sum |slope|^p * length from the same values
             tails, heads = level.edge_tail.tolist(), level.edge_head.tolist()
@@ -217,7 +219,7 @@ def test_criterion_07_energy_measure(hier3):
             g1 = gamma_cells(hier3, w, p, 1)
             g2 = gamma_cells(hier3, w, p, 2)
             assert g1.refinement_defect(g2, 5) == 0
-            sweeps = energy_levels_multi(hier3, w, (p,), max(2, w.base_level), exact=True)
+            sweeps = energy_levels_multi(hier3, w, (p,), max(2, w.base_level), arith=EXACT)
             assert g1.total == sweeps[p][-1]
         assert coincidence_check(hier3, w, 2, 3) == 0
     assert coincidence_check(hier3, u, 2, 3) == 0
@@ -249,8 +251,8 @@ def test_criterion_09_ball_kernel_oracle(hier3, hier35):
                 for n in range(m + 1):
                     for p in (2, 3):
                         assert ball_pair_sum_indexed(
-                            lv, vals, p, n
-                        ) == ball_pair_sum_bruteforce(lv, vals, p, n), (m, n, p)
+                            lv, vals, p, n, EXACT
+                        ) == ball_pair_sum_bruteforce(lv, vals, p, n, EXACT), (m, n, p)
     report(9, "indexed ball energy equals brute-force double loop bit-exactly, m <= 3")
 
 
@@ -317,7 +319,7 @@ def test_criterion_12_weak_monotonicity_band():
     V2 = float(lv7.num_vertices) ** 2
     phis = np.empty((6, len(funcs)))
     for n in range(6):
-        I = ball_pair_sum_indexed(lv7, mat, 2, n) / V2
+        I = ball_pair_sum_indexed(lv7, mat, 2, n, FLOAT) / V2
         rho, psi, phi = scale_values(rs, n)
         phis[n] = I / (float(phi) * float(psi))
     for j, name in enumerate(names):
@@ -335,7 +337,7 @@ def test_criterion_13_form_properties(hier3):
         u = random_affine(hier3, 300 + 2 * k)
         v = random_affine(hier3, 301 + 2 * k)
         for p in (1.5, 2, 3):
-            rep = energy_property_checks(hier3, u, v, p, 4)
+            rep = energy_property_checks(hier3, u, v, p, 4, arith=arithmetic("rational", p))
             assert rep.product_ok, (k, p)
             assert all(rep.contraction_ok), (k, p)
             assert rep.clarkson_ok, (k, p)

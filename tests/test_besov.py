@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from vicsek_lab.besov import (
+    ball_arithmetic,
     ball_energy,
+    base_energies,
     bbm_curve,
     besov_seminorm,
     critical_sweep,
@@ -18,7 +20,10 @@ from vicsek_lab.besov import (
     weak_monotonicity_report,
 )
 from vicsek_lab.energy import (
+    EXACT,
+    FLOAT,
     AffineFunction,
+    arithmetic,
     diagonal_ramp,
     float_values_at,
     random_affine,
@@ -60,9 +65,11 @@ def test_ball_energy_constant_zero(hier3):
 def test_ball_energy_golden_value(hier3):
     u = diagonal_ramp()
     den, ints = scaled_values_at(hier3, u, 1)
-    got = ball_energy(hier3.level(1), (den, ints), 2, 1, method="bruteforce")
+    lv = hier3.level(1)
+    s = ball_pair_sum_bruteforce(lv, (den, ints), 2, 1, EXACT)
+    got = Fraction(s, den**2 * lv.num_vertices**2)
     assert got == I11_RAMP
-    assert ball_energy(hier3.level(1), (den, ints), 2, 1, method="indexed") == I11_RAMP
+    assert ball_energy(hier3.level(1), (den, ints), 2, 1) == I11_RAMP
 
 
 def test_indexed_equals_bruteforce_exact(hier3):
@@ -72,8 +79,8 @@ def test_indexed_equals_bruteforce_exact(hier3):
         vals = scaled_values_at(hier3, u, m)
         for n in range(m + 1):
             for p in (2, 3):
-                assert ball_pair_sum_indexed(lv, vals, p, n) == ball_pair_sum_bruteforce(
-                    lv, vals, p, n
+                assert ball_pair_sum_indexed(lv, vals, p, n, EXACT) == ball_pair_sum_bruteforce(
+                    lv, vals, p, n, EXACT
                 )
 
 
@@ -84,14 +91,14 @@ def test_indexed_equals_bruteforce_seeded(hier3):
         lv = hier3.level(m)
         vals = scaled_values_at(hier3, u, m)
         for n in range(m + 1):
-            assert ball_pair_sum_indexed(lv, vals, 2, n) == ball_pair_sum_bruteforce(
-                lv, vals, 2, n
+            assert ball_pair_sum_indexed(lv, vals, 2, n, EXACT) == ball_pair_sum_bruteforce(
+                lv, vals, 2, n, EXACT
             )
         fl = float_values_at(hier3, u, m)
         for n in range(m + 1):
             for p in (1.5, 2.7):
-                a = ball_pair_sum_indexed(lv, fl, p, n)
-                b = ball_pair_sum_bruteforce(lv, fl, p, n)
+                a = ball_pair_sum_indexed(lv, fl, p, n, FLOAT)
+                b = ball_pair_sum_bruteforce(lv, fl, p, n, FLOAT)
                 assert a == pytest.approx(b, rel=1e-12, abs=1e-300)
 
 
@@ -107,9 +114,9 @@ def test_batched_kernel_matches_single_columns(hier3):
     cols = [float_values_at(hier3, random_affine(hier3, s), 4) for s in (1, 2, 3)]
     mat = np.column_stack(cols)
     for n in (1, 2, 3):
-        batched = ball_pair_sum_indexed(lv, mat, 2, n)
+        batched = ball_pair_sum_indexed(lv, mat, 2, n, FLOAT)
         for j, col in enumerate(cols):
-            single = ball_pair_sum_indexed(lv, col, 2, n)
+            single = ball_pair_sum_indexed(lv, col, 2, n, FLOAT)
             assert batched[j] == pytest.approx(single, rel=1e-12)
 
 
@@ -230,7 +237,7 @@ def test_jump_kernel_takes_phi_at_the_call_p(hier3):
     exact = jump_kernel_energy(hier3, u, 3, 1.0, 4)
     assert isinstance(exact, Fraction)
     assert exact == jump_kernel_energy(hier_p3, u, 3, 1.0, 4)
-    assert jump_kernel_energy(hier3, u, 3, 1.0, 4, exact=False) == pytest.approx(
+    assert jump_kernel_energy(hier3, u, 3, 1.0, 4, arith=FLOAT) == pytest.approx(
         float(exact), rel=1e-12
     )
     got = jump_kernel_energy(hier3, u, 3, 0.8, 4)
@@ -244,10 +251,12 @@ def test_jump_kernel_uses_given_energies(hier3, monkeypatch):
     from vicsek_lab import besov
 
     u = random_affine(hier3, 7)
-    exact_base = besov.base_energies(hier3, u, 2, 4, exact=True)
-    float_base = besov.base_energies(hier3, u, 2, 4, exact=False)
+    exact_base = besov.base_energies(hier3, u, 2, 4, arith=EXACT)
+    float_base = besov.base_energies(hier3, u, 2, 4, arith=FLOAT)
     want = {
-        (beta, kind): jump_kernel_energy(hier3, u, 2, beta, 4, exact=kind is Fraction)
+        (beta, kind): jump_kernel_energy(
+            hier3, u, 2, beta, 4, arith=EXACT if kind is Fraction else FLOAT
+        )
         for beta in (0.8, 1.0)
         for kind in (Fraction, float)
     }
@@ -257,8 +266,8 @@ def test_jump_kernel_uses_given_energies(hier3, monkeypatch):
 
     monkeypatch.setattr(besov, "base_energies", no_sweep)
     for beta in (0.8, 1.0):
-        # the energies' type fixes the arithmetic; exact only at beta*
-        got = jump_kernel_energy(hier3, u, 2, beta, 4, exact=True, energies=float_base)
+        # the arithmetic of the given energies; exact only at beta*
+        got = jump_kernel_energy(hier3, u, 2, beta, 4, arith=FLOAT, energies=float_base)
         assert type(got) is float and got == want[beta, float]
         got = jump_kernel_energy(hier3, u, 2, beta, 4, energies=exact_base)
         assert type(got) is (Fraction if beta == 1.0 else float)
@@ -354,3 +363,24 @@ def test_equivalence_bands_recorded(hier3):
             r2 = es[n] / max(phis[n:])
             assert lo * (1 - 1e-6) <= r1 <= hi * (1 + 1e-6)
             assert lo * (1 - 1e-6) <= r2 <= hi * (1 + 1e-6)
+
+
+@pytest.mark.parametrize("m", (3, 4))  # 501 and 2501 vertices
+@pytest.mark.parametrize("beta", (1.0, 0.8))  # beta* = 1 on hier3
+@pytest.mark.parametrize("p", (2, 3, 2.5))
+@pytest.mark.parametrize("mode", ("rational", "float"))
+def test_arithmetic_rule_table(hier3, mode, p, beta, m):
+    """The README's mode rule: under rational a value is exact wherever p
+    is an integer and the size allows, E_{p,n} always and I_{m,n} only at
+    beta = beta* on at most 600 vertices; under float everything is float."""
+    assert hier3.level(m).num_vertices == {3: 501, 4: 2501}[m]
+    energy_exact = mode == "rational" and p != 2.5
+    ball_exact = energy_exact and beta == 1.0 and m == 3
+    arith = arithmetic(mode, p)
+    assert arith is (EXACT if energy_exact else FLOAT)
+    assert ball_arithmetic(arith, hier3, beta, m) is (EXACT if ball_exact else FLOAT)
+
+    u = random_affine(hier3, 5)
+    assert type(base_energies(hier3, u, p, 1, arith)[1]) is (Fraction if energy_exact else float)
+    prof = phi_profile(hier3, u, p, beta, m, 0, arith=arith)
+    assert type(prof.ball_energies[0]) is (Fraction if ball_exact else float)

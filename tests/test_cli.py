@@ -12,9 +12,11 @@ from pathlib import Path
 import pytest
 
 from vicsek_lab import besov, cli, energy, energy_measure, selftest
-from vicsek_lab.cli import main
+from vicsek_lab.cli import COMMANDS, main
 from vicsek_lab.config import config_from_dict, load_config
 from vicsek_lab.energy import (
+    EXACT,
+    FLOAT,
     diagonal_ramp,
     energy_property_checks,
     random_affine,
@@ -47,14 +49,32 @@ def write_config(tmp_path: Path, overrides=None) -> Path:
     return path
 
 
-def test_build_loads_only_what_it_runs(tmp_path):
-    """A fresh ``build`` process never imports the energy, pair-sum or
-    Besov layers."""
-    cfg = write_config(tmp_path)
+# The package modules each command loads besides cli, config, errors,
+# geometry, io, ratios and words.  Without a bytecode cache every process
+# compiles each module it imports, so a stray import shows in every run.
+FOOTPRINT = {
+    "build": set(),
+    "measure": {"measure"},
+    "hausdorff": {"measure"},
+    "energy": {"energy", "prng"},
+    "energy-measure": {"energy", "energy_measure"},
+    "resistance": {"energy"},
+    "besov": {"besov", "energy", "measure", "pairsum"},
+    "bbm": {"besov", "energy", "measure", "pairsum"},
+    "selftest": {"besov", "energy", "energy_measure", "measure", "pairsum", "prng", "selftest"},
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_loads_only_what_it_runs(tmp_path, command):
+    """A fresh process of each command imports exactly the package modules
+    it runs."""
+    cfg = write_config(tmp_path, {"depth": 1, "vertex_level": 3})
+    out = tmp_path / "art"
     script = (
         "import sys\n"
         "from vicsek_lab.cli import main\n"
-        f"assert main(['build', '--config', {str(cfg)!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        f"assert main([{command!r}, '--config', {str(cfg)!r}, '--out', {str(out)!r}]) == 0\n"
         "print(' '.join(sorted(sys.modules)))\n"
     )
     proc = subprocess.run(
@@ -64,10 +84,13 @@ def test_build_loads_only_what_it_runs(tmp_path):
         env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)},
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    loaded = set(proc.stdout.split())
-    assert "vicsek_lab.geometry" in loaded and "vicsek_lab.io" in loaded
-    for name in ("besov", "energy", "pairsum", "selftest"):
-        assert f"vicsek_lab.{name}" not in loaded, name
+    loaded = {
+        name.removeprefix("vicsek_lab.")
+        for name in proc.stdout.splitlines()[-1].split()
+        if name.startswith("vicsek_lab.")
+    }
+    base = {"cli", "config", "errors", "geometry", "io", "ratios", "words"}
+    assert loaded == base | FOOTPRINT[command]
 
 
 def test_config_validation_errors():
@@ -318,9 +341,9 @@ def test_besov_and_bbm_honour_float_mode(tmp_path, monkeypatch):
         calls.append(("ball", isinstance(values, tuple)))
         return pair_sum(level, values, *args, **kwargs)
 
-    def spy_levels(hier, u, ps, max_level, exact=True):
-        calls.append(("levels", exact))
-        return multi(hier, u, ps, max_level, exact)
+    def spy_levels(hier, u, ps, max_level, arith):
+        calls.append(("levels", arith is EXACT))
+        return multi(hier, u, ps, max_level, arith)
 
     monkeypatch.setattr(besov, "ball_pair_sum", spy_pairs)
     monkeypatch.setattr(besov, "energy_levels_multi", spy_levels)
@@ -383,10 +406,10 @@ def test_energy_commands_honour_float_mode(tmp_path, monkeypatch):
     hier = Hierarchy(config.ratio_sequence(), config.depth + 1)
     u = random_affine(hier, config.seeds[0])
     v1, v3 = restrict_to_arm(hier, u, 1), restrict_to_arm(hier, u, 3)
-    for exact, kind in ((True, Fraction), (False, float)):
-        rep = energy_property_checks(hier, v1, v3, 2, config.depth, exact=exact)
+    for arith, kind in ((EXACT, Fraction), (FLOAT, float)):
+        rep = energy_property_checks(hier, v1, v3, 2, config.depth, arith=arith)
         assert isinstance(rep.product_lhs, kind) and isinstance(rep.locality_lhs, kind)
-        assert isinstance(coincidence_check(hier, diagonal_ramp(), 2, 2, exact=exact), kind)
+        assert isinstance(coincidence_check(hier, diagonal_ramp(), 2, 2, arith), kind)
 
 
 def test_selftest_honours_float_mode(tmp_path, monkeypatch):
@@ -395,13 +418,13 @@ def test_selftest_honours_float_mode(tmp_path, monkeypatch):
     seen = []
     base, curve = selftest.base_energies, selftest.bbm_curve
 
-    def spy_base(hier, u, p, max_scale, exact=None):
-        seen.append(("base", exact))
-        return base(hier, u, p, max_scale, exact)
+    def spy_base(hier, u, p, max_scale, arith):
+        seen.append(("base", arith is EXACT))
+        return base(hier, u, p, max_scale, arith)
 
-    def spy_curve(*args, exact=None, **kwargs):
-        seen.append(("bbm", exact))
-        return curve(*args, exact=exact, **kwargs)
+    def spy_curve(*args, arith, **kwargs):
+        seen.append(("bbm", arith is EXACT))
+        return curve(*args, arith=arith, **kwargs)
 
     monkeypatch.setattr(selftest, "base_energies", spy_base)
     monkeypatch.setattr(selftest, "bbm_curve", spy_curve)
@@ -457,9 +480,9 @@ def test_selftest_sweeps_only_in_its_arithmetic(tmp_path, monkeypatch):
     flags = []
     multi = besov.energy_levels_multi
 
-    def spy_levels(hier, u, ps, max_level, exact=True):
-        flags.append(exact)
-        return multi(hier, u, ps, max_level, exact)
+    def spy_levels(hier, u, ps, max_level, arith):
+        flags.append(arith is EXACT)
+        return multi(hier, u, ps, max_level, arith)
 
     monkeypatch.setattr(besov, "energy_levels_multi", spy_levels)
     for mode, exact in (("rational", True), ("float", False)):
@@ -477,9 +500,9 @@ def test_selftest_weak_monotonicity_honours_float_mode(tmp_path, monkeypatch):
     exact_calls = []
     pair_sum = besov.ball_pair_sum
 
-    def spy(level, values, p, n, method="auto"):
+    def spy(level, values, p, n, arith):
         exact_calls.append(isinstance(values, tuple))
-        return pair_sum(level, values, p, n, method=method)
+        return pair_sum(level, values, p, n, arith)
 
     monkeypatch.setattr(besov, "ball_pair_sum", spy)
     for mode, exact in (("rational", True), ("float", False)):

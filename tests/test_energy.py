@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from vicsek_lab.energy import (
+    EXACT,
+    FLOAT,
     ORACLE_P_RANGE,
     AffineFunction,
     add,
@@ -15,9 +17,6 @@ from vicsek_lab.energy import (
     compose,
     corner_indicator,
     diagonal_ramp,
-    discrete_energy,
-    discrete_energy_exact,
-    discrete_energy_float,
     energy_levels_multi,
     energy_limit,
     energy_of_gradient,
@@ -32,10 +31,9 @@ from vicsek_lab.energy import (
     resistance,
     resistance_oracle,
     restrict_to_arm,
-    scaled_values_at,
     sup_norm,
 )
-from vicsek_lab.errors import InvalidArgumentError, LevelError, RegionError
+from vicsek_lab.errors import ConvergenceError, InvalidArgumentError, LevelError, RegionError
 from vicsek_lab.words import CENTER, Letter
 
 
@@ -75,31 +73,31 @@ def test_restriction_reproduces_base_values(hier3):
 def test_discrete_energy_examples(hier3):
     lv0 = hier3.level(0)
     const = AffineFunction(0, [2] * 5)
-    assert discrete_energy(lv0, const.values, 2) == 0
+    assert EXACT.energy(lv0, EXACT.values_at(hier3, const, 0), 2) == 0
     for p in (2, 3, 5):
-        assert discrete_energy(lv0, corner_indicator().values, p) == 1
-    assert discrete_energy(lv0, diagonal_ramp().values, 2) == Fraction(1, 2)
+        assert EXACT.energy(lv0, EXACT.values_at(hier3, corner_indicator(), 0), p) == 1
+    assert EXACT.energy(lv0, EXACT.values_at(hier3, diagonal_ramp(), 0), 2) == Fraction(1, 2)
 
 
 def test_discrete_energy_region(hier3):
     u = diagonal_ramp()
     lv1 = hier3.level(1)
-    den, ints = scaled_values_at(hier3, u, 1)
+    vals = EXACT.values_at(hier3, u, 1)
     # arm cells along the diagonal carry 1/6 each at level 1
-    e_arm1 = discrete_energy_exact(lv1, den, ints, 2, region=[(Letter(1, 1),)])
+    e_arm1 = EXACT.energy(lv1, vals, 2, region=[(Letter(1, 1),)])
     assert e_arm1 == Fraction(1, 6)
-    e_all = discrete_energy_exact(lv1, den, ints, 2)
+    e_all = EXACT.energy(lv1, vals, 2)
     assert e_all == Fraction(1, 2)
     with pytest.raises(RegionError):
-        discrete_energy_exact(lv1, den, ints, 2, region=[(Letter(1, 1), CENTER)])
+        EXACT.energy(lv1, vals, 2, region=[(Letter(1, 1), CENTER)])
     # index words: the region's edges are sliced by index, so a word outside
     # the level would select edges of no cell or wrap around
     lv2 = hier3.level(2)
-    den2, ints2 = scaled_values_at(hier3, u, 2)
-    assert discrete_energy_exact(lv2, den2, ints2, 2, region=[1], region_level=1) == e_arm1
+    vals2 = EXACT.values_at(hier3, u, 2)
+    assert EXACT.energy(lv2, vals2, 2, region=[1], region_level=1) == e_arm1
     for bad in (-1, lv1.num_cells):
         with pytest.raises(RegionError):
-            discrete_energy_exact(lv2, den2, ints2, 2, region=[bad], region_level=1)
+            EXACT.energy(lv2, vals2, 2, region=[bad], region_level=1)
 
 
 def test_gradient_field_slopes(hier3):
@@ -134,10 +132,8 @@ def test_energy_of_gradient_identity(hier3):
         for p in (2, 3):
             for n in range(u.base_level, 5):
                 g = gradient_field(hier3, u, n)
-                den, ints = scaled_values_at(hier3, u, n)
-                assert energy_of_gradient(g, p) == discrete_energy_exact(
-                    hier3.level(n), den, ints, p
-                )
+                vals = EXACT.values_at(hier3, u, n)
+                assert energy_of_gradient(g, p) == EXACT.energy(hier3.level(n), vals, p)
 
 
 def test_ramp_energy_plateau_all_levels(hier3, hier35):
@@ -149,7 +145,7 @@ def test_ramp_energy_plateau_all_levels(hier3, hier35):
             assert all(e == golden for e in rep.energies)
             assert rep.plateau_level == 0
             assert rep.limit == golden
-        rep = energy_limit(hier, u, 1.5, min(4, hier.max_level), exact=False)
+        rep = energy_limit(hier, u, 1.5, min(4, hier.max_level), arith=FLOAT)
         assert all(abs(e - 2.0 ** (-0.5)) < 1e-12 for e in rep.energies)
 
 
@@ -161,7 +157,7 @@ def test_ramp_closed_form_p3_level4(hier3):
 def test_seeded_monotonicity_exact(hier3):
     for seed in range(20):
         u = random_affine(hier3, seed)
-        sweeps = energy_levels_multi(hier3, u, (2, 3), 5, exact=True)
+        sweeps = energy_levels_multi(hier3, u, (2, 3), 5, arith=EXACT)
         for p, energies in sweeps.items():
             assert all(a <= b for a, b in zip(energies, energies[1:]))
             # plateau from the base level onward, exactly
@@ -189,11 +185,11 @@ def test_evaluate_affine_below_base_rejected(hier3):
 
 def test_energy_levels_multi_matches_energy_limit(hier3):
     u = random_affine(hier3, 77)
-    sweeps = energy_levels_multi(hier3, u, (2,), 4, exact=True)
+    sweeps = energy_levels_multi(hier3, u, (2,), 4, arith=EXACT)
     rep = energy_limit(hier3, u, 2, 4)
     assert tuple(sweeps[2]) == rep.energies
-    f = energy_levels_multi(hier3, u, (1.5,), 4, exact=False)[1.5]
-    repf = energy_limit(hier3, u, 1.5, 4, exact=False)
+    f = energy_levels_multi(hier3, u, (1.5,), 4, arith=FLOAT)[1.5]
+    repf = energy_limit(hier3, u, 1.5, 4, arith=FLOAT)
     assert f == pytest.approx(list(repf.energies), rel=1e-12)
 
 
@@ -267,6 +263,18 @@ def test_resistance_oracle_converges_at_the_lower_bound(hier3, hier35):
             assert abs(want - resistance_oracle(lv, a, b, p)) <= 1e-6 * max(1.0, want)
 
 
+def test_resistance_oracle_reports_its_last_change(hier3):
+    """A cut-off run reports the relative change between its last two
+    energies, which is not zero while the iterates still move."""
+    lv = hier3.level(2)
+    a, b = _cli_pairs(lv)[0]
+    for max_iter in (3, 10):
+        with pytest.raises(ConvergenceError) as err:
+            resistance_oracle(lv, a, b, 3, max_iter=max_iter)
+        assert err.value.residual > 0, max_iter
+        assert f"residual {err.value.residual:.3e}" in str(err.value)
+
+
 def test_resistance_oracle_p2_series_circuit(hier3):
     # p = 2 is a series circuit along the tree path: R = sum of edge lengths
     lv = hier3.level(1)
@@ -325,9 +333,9 @@ def test_exact_contraction_has_no_slack(hier3):
     inside the float slack of 1e-12 but not an exact contraction."""
     u = random_affine(hier3, 5)
     stretch = lambda t: t * Fraction(10**15 + 1, 10**15)  # noqa: E731
-    exact = energy_property_checks(hier3, u, u, 2, 3, lipschitz_maps=(stretch,), exact=True)
+    exact = energy_property_checks(hier3, u, u, 2, 3, lipschitz_maps=(stretch,), arith=EXACT)
     assert exact.contraction_ok == (False,)
-    loose = energy_property_checks(hier3, u, u, 2, 3, lipschitz_maps=(stretch,), exact=False)
+    loose = energy_property_checks(hier3, u, u, 2, 3, lipschitz_maps=(stretch,), arith=FLOAT)
     assert loose.contraction_ok == (True,)
 
 
@@ -358,7 +366,7 @@ def test_clarkson_directions(hier3):
         assert ok2 and abs(res2) <= 1e-9
         res3, ok3 = clarkson_residual(hier3, f, g, 3, 3)
         assert ok3 and res3 <= 1e-9
-        res15, ok15 = clarkson_residual(hier3, f, g, 1.5, 3)
+        res15, ok15 = clarkson_residual(hier3, f, g, 1.5, 3, arith=FLOAT)
         assert ok15 and res15 >= -1e-9
 
 
@@ -395,7 +403,7 @@ def test_morrey_constant_tiles_keep_the_dense_maximum(hier3, hier35):
     for hier in (hier3, hier35):
         u = random_affine(hier, 9)
         for p in (2, 3, 1.5):
-            E = float(discrete_energy(hier.level(4), float_values_at(hier, u, 4), p))
+            E = float(FLOAT.energy(hier.level(4), float_values_at(hier, u, 4), p))
             assert morrey_constant(hier, u, p, 4, energy=E) == _dense_morrey(hier, u, p, 4, E)
         tracemalloc.start()
         try:
@@ -421,13 +429,13 @@ def test_exact_routes_reject_non_integer_p(hier3):
     u = random_affine(hier3, 9)
     n = max(3, u.base_level)
     with pytest.raises(InvalidArgumentError):
-        energy_limit(hier3, u, 2.5, n, exact=True)
+        energy_limit(hier3, u, 2.5, n, arith=EXACT)
     with pytest.raises(InvalidArgumentError):
-        discrete_energy(hier3.level(n), scaled_values_at(hier3, u, n), 2.5)
+        EXACT.energy(hier3.level(n), EXACT.values_at(hier3, u, n), 2.5)
     with pytest.raises(InvalidArgumentError):
         morrey_constant(hier3, u, 2.5, n)
     # the float routes take it, and differ from the p = 2 energy
-    e = energy_limit(hier3, u, 2.5, n).limit
+    e = energy_limit(hier3, u, 2.5, n, arith=FLOAT).limit
     assert isinstance(e, float)
     assert e != pytest.approx(float(energy_limit(hier3, u, 2, n).limit), rel=1e-6)
-    assert discrete_energy(hier3.level(n), float_values_at(hier3, u, n), 2.5) == e
+    assert FLOAT.energy(hier3.level(n), float_values_at(hier3, u, n), 2.5) == e

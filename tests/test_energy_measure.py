@@ -7,6 +7,7 @@ import pytest
 
 from vicsek_lab import energy_measure
 from vicsek_lab.energy import (
+    FLOAT,
     AffineFunction,
     add,
     diagonal_ramp,
@@ -111,14 +112,14 @@ def test_coincidence_detects_a_misplaced_edge(hier3, monkeypatch):
 
     assert coincidence_check(hier3, u, 2, 2) == 0
     monkeypatch.setattr(energy_measure, "ancestor_index_stride", misplace_one)
-    assert coincidence_check(hier3, u, 2.5, 2) > 0
+    assert coincidence_check(hier3, u, 2.5, 2, FLOAT) > 0
     assert coincidence_check(hier3, u, 2, 2) > 0
     assert gamma_cells(hier3, u, 2, 1).total == Fraction(1, 2)  # only moved
 
 
 def test_coincidence_float_mode(hier3):
     u = random_affine(hier3, 33)
-    dev = coincidence_check(hier3, u, 2.5, 2)
+    dev = coincidence_check(hier3, u, 2.5, 2, FLOAT)
     assert dev <= 1e-12
 
 
@@ -160,8 +161,8 @@ def test_chain_rule_linear_exact(hier3):
     u = random_affine(hier3, 60)
     a = -2.5
     for p in (2, 3):
-        base = gamma_cells(hier3, u, p, 1, exact=False)
-        lin = gamma_cells(hier3, u.scale(Fraction(-5, 2)).shift(1), p, 1, exact=False)
+        base = gamma_cells(hier3, u, p, 1, arith=FLOAT)
+        lin = gamma_cells(hier3, u.scale(Fraction(-5, 2)).shift(1), p, 1, arith=FLOAT)
         for b, s in zip(base.masses, lin.masses):
             assert s == pytest.approx(abs(a) ** p * b, rel=1e-12, abs=1e-300)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -18,11 +19,10 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 import _energy_oracle as oracle  # noqa: E402
 from vicsek_lab.besov import base_energies, jump_kernel_energy  # noqa: E402
 from vicsek_lab.energy import (  # noqa: E402
+    EXACT,
+    FLOAT,
     AffineFunction,
-    _exact_values,
     add,
-    discrete_energy_exact,
-    discrete_energy_float,
     energy_levels_multi,
     energy_limit,
     energy_of_gradient,
@@ -83,16 +83,17 @@ def cases(draw):
 @given(cases(), st.sampled_from((2, 3, 5, 8)))
 def test_exact_route_matches_list_oracle(case, p):
     hier, u, n, kind = case
-    den, vals = _exact_values(hier, u, n)
+    den, vals = EXACT.values_at(hier, u, n)
     assert (vals.dtype == object) == (kind == "huge")
     want_den, want_vals = oracle.scaled_values(hier, u, n)
     assert scaled_values_at(hier, u, n) == (want_den, want_vals)
 
     want = oracle.energies(hier, u, p, n)
-    assert list(energy_limit(hier, u, p, n, exact=True).energies) == want
+    assert list(energy_limit(hier, u, p, n, arith=EXACT).energies) == want
     assert energy_levels_multi(hier, u, tuple({p, 2}), n)[p] == want
     assert base_energies(hier, u, p, n) == want
-    assert discrete_energy_exact(hier.level(n), want_den, want_vals, p) == want[n]
+    oracle_vals = (want_den, np.array(want_vals, dtype=object))
+    assert EXACT.energy(hier.level(n), oracle_vals, p) == want[n]
     beta_star = float(hier.ratios.beta_star)
     assert jump_kernel_energy(hier, u, p, beta_star, n) == sum(want, Fraction(0))
     if n >= u.base_level:
@@ -110,12 +111,12 @@ def test_int64_bound_is_sharp(n):
     largest = (2**62 - 1) // 3**n  # largest base value whose level-n values fit
     for m, dtype in ((largest, "int64"), (largest + 1, "object")):
         u = AffineFunction(0, [-m, m, m, m, m])
-        den, vals = _exact_values(hier, u, n)
+        den, vals = EXACT.values_at(hier, u, n)
         assert vals.dtype == dtype
         assert (den, vals.tolist()) == oracle.scaled_values(hier, u, n)
         for p in (2, 3, 8):
             want = oracle.energies(hier, u, p, n)[n]
-            assert energy_limit(hier, u, p, n, exact=True).limit == want
+            assert energy_limit(hier, u, p, n, arith=EXACT).limit == want
 
 
 @st.composite
@@ -158,15 +159,15 @@ def test_energy_measures_match_list_oracle(case, p, bins):
     coef = float(level.L) ** (p - 1.0)
     want_float = [coef * s for s in oracle.cell_sums(hier, vals.tolist(), float(p), n, m)]
     for route in (gamma_cells, word_energy_measure):
-        got = route(hier, u, p, m, exact=False).masses
+        got = route(hier, u, p, m, arith=FLOAT).masses
         assert got == pytest.approx(want_float, rel=1e-12, abs=1e-300), route.__name__
-    total = gamma_cells(hier, u, p, m, exact=False).total
-    assert total == pytest.approx(discrete_energy_float(level, vals, p), rel=1e-12)
+    total = gamma_cells(hier, u, p, m, arith=FLOAT).total
+    assert total == pytest.approx(FLOAT.energy(level, vals, p), rel=1e-12)
 
     if min(u.values) == max(u.values):
         return
     want_hist = oracle.pushforward_masses(hier, u, p, bins)
     assert list(pushforward_profile(hier, u, p, bins).masses) == want_hist
-    got = pushforward_profile(hier, u, p, bins, exact=False).masses
+    got = pushforward_profile(hier, u, p, bins, arith=FLOAT).masses
     floor = 1e-12 * float(sum(want_hist))
     assert got == pytest.approx([float(x) for x in want_hist], rel=1e-12, abs=floor)

@@ -9,7 +9,14 @@ from _pairsum_oracle import ball_pair_sum_per_block, ball_rows_double_loop
 
 from vicsek_lab import pairsum
 from vicsek_lab.besov import weak_monotonicity_report
-from vicsek_lab.energy import diagonal_ramp, float_values_at, random_affine, scaled_values_at
+from vicsek_lab.energy import (
+    EXACT,
+    FLOAT,
+    diagonal_ramp,
+    float_values_at,
+    random_affine,
+    scaled_values_at,
+)
 from vicsek_lab.geometry import Hierarchy, build_level
 from vicsek_lab.pairsum import (
     ball_pair_sum,
@@ -27,8 +34,8 @@ def test_auto_above_old_cutoff_matches_bruteforce():
     lv = hier.level(4)
     assert lv.num_vertices == 8101
     vals = float_values_at(hier, diagonal_ramp(), 4)
-    got = ball_pair_sum(lv, vals, 3, 1, method="auto")
-    want = ball_pair_sum_bruteforce(lv, vals, 3, 1)
+    got = ball_pair_sum(lv, vals, 3, 1, FLOAT)
+    want = ball_pair_sum_bruteforce(lv, vals, 3, 1, FLOAT)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
@@ -38,7 +45,7 @@ def test_indexed_memory_is_bounded(hier3):
     vals = float_values_at(hier3, diagonal_ramp(), 5)
     tracemalloc.start()
     try:
-        ball_pair_sum_indexed(lv, vals, 1.5, 0)
+        ball_pair_sum_indexed(lv, vals, 1.5, 0, FLOAT)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -60,15 +67,15 @@ def test_plan_is_built_once_per_level_and_radius(monkeypatch):
     fb = float_values_at(hier, random_affine(hier, 2), 3)
     ea = scaled_values_at(hier, random_affine(hier, 1), 3)
     eb = scaled_values_at(hier, random_affine(hier, 2), 3)
-    for vals, p in ((fa, 2), (fb, 2.5), (ea, 2), (eb, 3)):
-        ball_pair_sum_indexed(lv, vals, p, 1)
+    for vals, p, arith in ((fa, 2, FLOAT), (fb, 2.5, FLOAT), (ea, 2, EXACT), (eb, 3, EXACT)):
+        ball_pair_sum_indexed(lv, vals, p, 1, arith)
     assert len(built) == 1
     plan = pair_plan(lv, 1)
     assert pair_plan(lv, 1) is plan
     other = pair_plan(lv, 2)
     assert other is not plan
     assert len(built) == 2
-    ball_pair_sum_indexed(lv, fa, 2, 2)
+    ball_pair_sum_indexed(lv, fa, 2, 2, FLOAT)
     assert len(built) == 2
 
 
@@ -86,7 +93,7 @@ def test_float_pair_sum_bits_are_pinned(hier3, hier35):
     """
     u = diagonal_ramp()
     vals = float_values_at(hier3, u, 6)
-    got = [repr(ball_pair_sum_indexed(hier3.level(6), vals, 2, n)) for n in range(5)]
+    got = [repr(ball_pair_sum_indexed(hier3.level(6), vals, 2, n, FLOAT)) for n in range(5)]
     assert got == [
         "372061020.6101766",
         "30714988.116696395",
@@ -95,7 +102,7 @@ def test_float_pair_sum_bits_are_pinned(hier3, hier35):
         "90.1805223910252",
     ]
     vals35 = float_values_at(hier35, u, 4)
-    assert repr(ball_pair_sum_indexed(hier35.level(4), vals35, 3, 1)) == "122679.57027371347"
+    assert repr(ball_pair_sum_indexed(hier35.level(4), vals35, 3, 1, FLOAT)) == "122679.57027371347"
     # the README config: l = 3, p = 2, depth 4, vertex_level 6
     wm = weak_monotonicity_report(hier3, u, 2, 6, 4, (2, 4))
     assert repr(wm.ratio) == "1.0496848096751399"
@@ -136,7 +143,7 @@ def test_split_leaf_blocks_match_per_block_oracle():
     assert ((b[:, 1] - b[:, 0]) * (b[:, 3] - b[:, 2]) * 20 > pairsum._CHUNK).any()
     vals = np.random.default_rng(7).standard_normal((lv.num_vertices, 20))
     for p in (2, 3):
-        got = ball_pair_sum_indexed(lv, vals, p, 1, 1024)
+        got = ball_pair_sum_indexed(lv, vals, p, 1, FLOAT, 1024)
         assert np.array_equal(got, ball_pair_sum_per_block(lv, vals, p, 1, 1024)), p
 
 
@@ -164,9 +171,9 @@ def test_batched_classes_and_tiled_full_blocks_match_oracles():
     vals = np.random.default_rng(11).standard_normal((lv.num_vertices, F))
     for p, n, leaf_max, f in ((2, 2, 128, F), (3, 0, 256, 2), (1.5, 0, 256, 2)):
         v = vals[:, :f]
-        got = ball_pair_sum_indexed(lv, v, p, n, leaf_max)
+        got = ball_pair_sum_indexed(lv, v, p, n, FLOAT, leaf_max)
         assert np.array_equal(got, ball_pair_sum_per_block(lv, v, p, n, leaf_max)), (p, n)
-        want = ball_pair_sum_bruteforce(lv, v[:, 0], p, n)
+        want = ball_pair_sum_bruteforce(lv, v[:, 0], p, n, FLOAT)
         assert got[0] == pytest.approx(want, rel=1e-12, abs=1e-300), (p, n)
 
 
@@ -189,7 +196,7 @@ def test_class_batches_take_each_blocks_weight(monkeypatch):
     assert (sizes >= 3).any()
     vals = np.random.default_rng(12).standard_normal((lv.num_vertices, 3))
     for p in (2, 3):
-        got = ball_pair_sum_indexed(lv, vals, p, 2, 64)
+        got = ball_pair_sum_indexed(lv, vals, p, 2, FLOAT, 64)
         assert np.array_equal(got, ball_pair_sum_per_block(lv, vals, p, 2, 64)), p
 
 
@@ -203,7 +210,7 @@ def test_irregular_sums_keep_memory_small(hier35):
     tracemalloc.start()
     try:
         for n in range(3):
-            ball_pair_sum_indexed(lv, vals, 3, n)
+            ball_pair_sum_indexed(lv, vals, 3, n, FLOAT)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -215,10 +222,10 @@ def test_class_masks_keep_memory_small(hier3):
     mask at a time."""
     lv = hier3.level(6)
     vals = float_values_at(hier3, diagonal_ramp(), 6)
-    ball_pair_sum_indexed(lv, vals, 2, 1)
+    ball_pair_sum_indexed(lv, vals, 2, 1, FLOAT)
     tracemalloc.start()
     try:
-        ball_pair_sum_indexed(lv, vals, 2, 1)
+        ball_pair_sum_indexed(lv, vals, 2, 1, FLOAT)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -247,9 +254,9 @@ def test_indexed_exact_past_int64_is_bruteforce():
     big = (den, [v * 3**45 for v in ints])
     for p in (2, 3):
         for n in range(3):
-            want = ball_pair_sum_bruteforce(lv, big, p, n)
-            assert ball_pair_sum_indexed(lv, big, p, n) == want
-            assert want == ball_pair_sum_bruteforce(lv, (den, ints), p, n) * 3 ** (45 * p)
+            want = ball_pair_sum_bruteforce(lv, big, p, n, EXACT)
+            assert ball_pair_sum_indexed(lv, big, p, n, EXACT) == want
+            assert want == ball_pair_sum_bruteforce(lv, (den, ints), p, n, EXACT) * 3 ** (45 * p)
 
 
 def test_each_class_mask_is_built_once(hier3, monkeypatch):
@@ -266,7 +273,7 @@ def test_each_class_mask_is_built_once(hier3, monkeypatch):
 
     monkeypatch.setattr(pairsum, "_class_mask", counting)
     vals = np.random.default_rng(3).standard_normal((lv.num_vertices, 9))
-    ball_pair_sum_indexed(lv, vals, 2, 1)
+    ball_pair_sum_indexed(lv, vals, 2, 1, FLOAT)
     assert len(built) == plan.leaf_class.max() + 1 == 1736
 
 
@@ -287,16 +294,16 @@ def test_bruteforce_is_the_double_loop(ratios):
             for p in (2, 3):
                 for vals in (ints, near, [v * 3**45 for v in ints]):
                     want = sum(ball_rows_double_loop(lv, vals, p, n)[1])
-                    assert ball_pair_sum_bruteforce(lv, (den, vals), p, n) == want, (m, n, p)
+                    assert ball_pair_sum_bruteforce(lv, (den, vals), p, n, EXACT) == want, (m, n, p)
                 counts, sums = ball_rows_double_loop(lv, fl.tolist(), p + 0.5, n)
-                got = ball_pair_sum_bruteforce(lv, fl, p + 0.5, n)
+                got = ball_pair_sum_bruteforce(lv, fl, p + 0.5, n, FLOAT)
                 assert got == pytest.approx(math.fsum(sums), rel=1e-12, abs=1e-300)
                 got_counts, got_sums = ball_row_stats(lv, fl, p + 0.5, n)
                 assert got_counts.tolist() == counts
                 assert got_sums.tolist() == pytest.approx(sums, rel=1e-12, abs=1e-300)
     wide = np.random.default_rng(5).standard_normal((lv.num_vertices, 1024))
     assert pairsum._CHUNK // 1024 < lv.num_vertices
-    got = ball_pair_sum_bruteforce(lv, wide, 3, 1)
+    got = ball_pair_sum_bruteforce(lv, wide, 3, 1, FLOAT)
     for f in (0, 1023):
         want = math.fsum(ball_rows_double_loop(lv, wide[:, f].tolist(), 3, 1)[1])
         assert got[f] == pytest.approx(want, rel=1e-12), f
@@ -354,4 +361,4 @@ def test_plan_past_int32_distances():
     xs = lv.coords[:, 0].tolist()
     V, S, Q = len(xs), sum(xs), sum(x * x for x in xs)
     want = 2 * V * Q - 2 * S * S - 4 * (2 * L) ** 2
-    assert ball_pair_sum_indexed(lv, (1, xs), 2, 0) == want
+    assert ball_pair_sum_indexed(lv, (1, xs), 2, 0, EXACT) == want

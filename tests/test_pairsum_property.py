@@ -11,7 +11,13 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 from _pairsum_oracle import ball_pair_sum_per_block  # noqa: E402
 
-from vicsek_lab.energy import float_values_at, random_affine, scaled_values_at  # noqa: E402
+from vicsek_lab.energy import (  # noqa: E402
+    EXACT,
+    FLOAT,
+    float_values_at,
+    random_affine,
+    scaled_values_at,
+)
 from vicsek_lab.geometry import Hierarchy  # noqa: E402
 from vicsek_lab.pairsum import ball_pair_sum_bruteforce, ball_pair_sum_indexed  # noqa: E402
 from vicsek_lab.ratios import (  # noqa: E402
@@ -48,8 +54,8 @@ def test_indexed_exact_is_bruteforce(case):
     hier, lv, u, m, n = case
     vals = scaled_values_at(hier, u, m)
     for p in (2, 3):
-        assert ball_pair_sum_indexed(lv, vals, p, n) == ball_pair_sum_bruteforce(
-            lv, vals, p, n
+        assert ball_pair_sum_indexed(lv, vals, p, n, EXACT) == ball_pair_sum_bruteforce(
+            lv, vals, p, n, EXACT
         )
 
 
@@ -58,8 +64,8 @@ def test_indexed_float_matches_bruteforce(case):
     hier, lv, u, m, n = case
     vals = float_values_at(hier, u, m)
     for p in (1.5, 2, 2.7, 3):
-        got = ball_pair_sum_indexed(lv, vals, p, n)
-        want = ball_pair_sum_bruteforce(lv, vals, p, n)
+        got = ball_pair_sum_indexed(lv, vals, p, n, FLOAT)
+        want = ball_pair_sum_bruteforce(lv, vals, p, n, FLOAT)
         assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
@@ -84,6 +90,6 @@ def test_indexed_float_is_per_block_oracle(case):
     evaluation, which builds every leaf mask from coordinates."""
     lv, vals, n, leaf_max = case
     for p in (1.5, 2, 3):
-        got = ball_pair_sum_indexed(lv, vals, p, n, leaf_max)
+        got = ball_pair_sum_indexed(lv, vals, p, n, FLOAT, leaf_max)
         want = ball_pair_sum_per_block(lv, vals, p, n, leaf_max)
         assert np.array_equal(got, want), (p, got, want)
