@@ -138,6 +138,27 @@ def _int_array(ints: Sequence[int], growth: int = 1) -> np.ndarray:
     return np.array(ints, dtype=np.int64 if bound < _INT64_BOUND else object)
 
 
+def _diff_tile(va: np.ndarray, vb: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """va[i] - vb[j] for every pair, written into the front of ``buf``: a
+    fresh tile per sub-block makes malloc hand its pages back and fault them
+    in again, which made float p = 3 sums 2-3x slower."""
+    out = buf[: len(va) * vb.size].reshape(len(va), *vb.shape)
+    return np.subtract(va[:, None], vb[None], out=out)
+
+
+def _abs_pow(d: np.ndarray, pf: float) -> None:
+    """d <- |d|^pf in place; small integer pf by repeated products."""
+    np.abs(d, out=d)
+    if pf == 2.0:
+        d *= d
+    elif pf.is_integer() and pf <= 8.0:
+        base = d.copy()
+        for _ in range(int(pf) - 1):
+            d *= base
+    else:
+        d **= pf
+
+
 class Arithmetic:
     """How values are held and energies computed: ``EXACT`` or ``FLOAT``.
 
@@ -147,6 +168,10 @@ class Arithmetic:
     in float with a slack of 1e-12: ``close(a, b)`` is |b - a| <= 1e-12 *
     max(1, |b|) and ``at_most(a, b)`` is a <= b (1 + 1e-12).  ``arithmetic``
     picks one from (mode, p), and every energy routine takes it.
+
+    The pair sums take from it only what differs: values as a (V, F) array,
+    a tile's in-ball pairs and |d|^p sum, the block terms' dtype and total,
+    and the in-ball total of a brute-force tile of powers.
     """
 
     name: str
@@ -228,6 +253,30 @@ class _Exact(Arithmetic):
         out = [[Fraction(L ** (p - 1) * s, den**p) for s in acc] for p, acc in zip(ps, sums)]
         return out if group is not None else [acc[0] for acc in out]
 
+    _term_dtype, _square_leaves = object, False  # pair sums: Python-int block terms
+
+    def _pair_values(self, values, p: int = 1):
+        """(ints as a (V, 1) array, True): int64 while every |v_i - v_j|^p fits it."""
+        bound = 2 * int(max(map(abs, values[1]), default=0))
+        return np.array(values[1], dtype=np.int64 if bound**p < 2**63 else object)[:, None], True
+
+    _in_ball_pairs = staticmethod(np.nonzero)  # index arrays, gathered with take
+
+    def _tile_sum(self, va: np.ndarray, vb: np.ndarray, p: int, ij, buf) -> int:
+        # ``take`` gathers rows of a 2-D array about twice as fast as indexing
+        d = _diff_tile(va, vb, buf) if ij is None else va.take(ij[0], 0) - vb.take(ij[1], 0)
+        return _power_sums(d.ravel(), (p,))[0][0]
+
+    def _plan_total(self, terms: np.ndarray) -> np.ndarray:
+        return terms.sum(axis=0)
+
+    def _ball_total(self, mask: np.ndarray, t: np.ndarray) -> int:
+        # a tile has at most _CHUNK entries: their 32-bit halves sum in int64
+        t = t[mask].ravel()
+        if t.dtype == object:
+            return sum(t.tolist())
+        return (int((t >> 32).sum()) << 32) + int((t & 0xFFFFFFFF).sum())
+
 
 class _Float(Arithmetic):
     name, num = "FLOAT", float
@@ -261,6 +310,34 @@ class _Float(Arithmetic):
             else:
                 out.append(np.bincount(group, terms * coef, num_groups).tolist())
         return out
+
+    _term_dtype, _square_leaves = np.float64, True  # p = 2 leaf classes by matrix products
+
+    def _pair_values(self, values, p: float = 1.0):
+        """(values as a (V, F) float64 array, whether they were one vector)."""
+        vals = np.asarray(values, dtype=np.float64)
+        return (vals[:, None], True) if vals.ndim == 1 else (vals, False)
+
+    def _in_ball_pairs(self, mask: np.ndarray) -> np.ndarray:
+        return mask
+
+    def _tile_sum(self, va: np.ndarray, vb: np.ndarray, p: float, mask, buf) -> np.ndarray:
+        d = _diff_tile(va, vb, buf)
+        _abs_pow(d, p)
+        return d.sum(axis=(0, 1)) if mask is None else np.einsum("ij,ijf->f", mask, d)
+
+    def _plan_total(self, terms: np.ndarray) -> np.ndarray:
+        """The rows added one by one in plan order, a chunk of rows at a time."""
+        step = max(1, _CHUNK // (4 * terms.shape[1]))
+        total = np.zeros(terms.shape[1])
+        for s in range(0, len(terms), step):
+            chunk = terms[s : s + step]
+            chunk[0] += total
+            total = chunk.cumsum(axis=0)[-1]
+        return total
+
+    def _ball_total(self, mask: np.ndarray, t: np.ndarray) -> np.ndarray:
+        return np.einsum("ij,ijf->f", mask, t)
 
 
 EXACT = _Exact()
@@ -296,8 +373,7 @@ def _extend_exact(hier: Hierarchy, vals: np.ndarray, den: int, k: int):
     vt = vt * l
     for i in range(1, l):
         new[t.interior[:, i - 1]] = vt + i * d
-    for lo, hi in t.waves:
-        new[t.hang[lo:hi, 0]] = new[t.hang[lo:hi, 1]]
+    new[t.hang[:, 0]] = new[t.hang[:, 1]]
     return new, den * l
 
 
@@ -510,8 +586,7 @@ def _extend_float_step(hier: Hierarchy, vals: np.ndarray, k: int) -> np.ndarray:
     dh = vals[coarse.edge_head] - vt
     for i in range(1, l):
         new[t.interior[:, i - 1]] = vt + (i / l) * dh
-    for lo, hi in t.waves:
-        new[t.hang[lo:hi, 0]] = new[t.hang[lo:hi, 1]]
+    new[t.hang[:, 0]] = new[t.hang[:, 1]]
     return new
 
 

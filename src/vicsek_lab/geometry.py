@@ -424,16 +424,14 @@ class Transition(NamedTuple):
 
     ``lift[i]`` is the level-(k+1) id of level-k vertex i; row e of
     ``interior`` holds the l - 1 points strictly inside coarse edge e, tail
-    to head; ``hang`` has rows (vertex, parent) ordered by parent, and
-    ``waves`` the row ranges of ``hang`` whose parents are all already valued
-    (a single range: every parent is a child center on a coarse diagonal,
-    valued by ``lift`` or ``interior``).
+    to head; ``hang`` has rows (vertex, parent) ordered by parent, and every
+    parent is a child center on a coarse diagonal, already valued by
+    ``lift`` or ``interior``, so one pass copies every hanging value.
     """
 
     lift: np.ndarray
     interior: np.ndarray
     hang: np.ndarray
-    waves: list[tuple[int, int]]
 
 
 class Hierarchy:
@@ -549,5 +547,4 @@ class Hierarchy:
         )
         if not np.all(seen == 1) or not valued[hang[:, 1]].all():
             raise AssertionError("refinement maps do not cover the fine level once")
-        waves = [(0, len(hang))] if len(hang) else []
-        return lift, interior, hang, waves
+        return lift, interior, hang

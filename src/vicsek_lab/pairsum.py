@@ -16,12 +16,12 @@ routes are provided:
   depends only on the vertex layouts of its two cells and their offset:
   the plan groups leaf blocks into classes with one mask each.  The plan is
   cached on the level and shared by every value vector and both
-  arithmetics.  One small evaluator per arithmetic then sums the blocks.
-  The float one takes the p = 2 full blocks as one gather over prefix
-  moments, the p = 2 leaf blocks of a class in batches, and every other
-  block in sub-blocks; no temporary holds more than ``_CHUNK`` elements, so
-  memory is bounded for every p.  Block sums are added one by one in the
-  plan's depth-first order, which keeps float results fixed.
+  arithmetics.  One evaluator sums the blocks in either arithmetic: p = 2
+  full blocks as one gather over prefix moments, other full blocks in
+  sub-blocks, leaf blocks class by class; no float temporary holds more
+  than ``_CHUNK`` elements, so memory is bounded for every p.  Block sums
+  are added in the plan's depth-first order, which keeps float results
+  fixed.  The ``Arithmetic`` supplies the tile power sum and the total.
 
 ``ball_pair_sum`` takes the cell tree; the oracle is
 ``ball_pair_sum_bruteforce``.  Every route takes the ``Arithmetic`` its
@@ -37,11 +37,10 @@ and can be compared bit-for-bit against the brute-force oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
-from .energy import _CHUNK, EXACT, Arithmetic, _int_array, _power_sums
+from .energy import _CHUNK, Arithmetic
 from .errors import ScaleMismatchError
 from .geometry import VicsekLevel, _cell_centers
 
@@ -180,25 +179,12 @@ def ball_pair_sum_bruteforce(level: VicsekLevel, values, p, n: int, arith: Arith
     cell-tree route independently.
     """
     p = arith.exponent(p)
-    if arith is EXACT:
-        _, ints = values
-        bound = 2 * int(max(map(abs, ints), default=0))
-        vals = np.array(ints, dtype=np.int64 if bound**p < 2**63 else object)
-        total = 0
-        for i0, j0, mask in _ball_tiles(level, n, 1):
-            i, j = np.nonzero(mask)
-            total += _exact_total(np.abs(vals[i0 + i] - vals[j0 + j]) ** p)
-        return total
-    vals = np.asarray(values, dtype=np.float64)
-    squeeze = vals.ndim == 1
-    if squeeze:
-        vals = vals[:, None]
-    total = np.zeros(vals.shape[1])
+    vals, squeeze = arith._pair_values(values, p)
+    total = np.zeros(vals.shape[1], dtype=arith._term_dtype)
     for i0, j0, mask in _ball_tiles(level, n, vals.shape[1]):
-        va = vals[i0 : i0 + mask.shape[0], None]
-        vb = vals[None, j0 : j0 + mask.shape[1]]
-        total += np.einsum("ij,ijf->f", mask, np.abs(va - vb) ** p)
-    return float(total[0]) if squeeze else total
+        d = vals[i0 : i0 + mask.shape[0], None] - vals[None, j0 : j0 + mask.shape[1]]
+        total += arith._ball_total(mask, np.abs(d) ** p)
+    return total.tolist()[0] if squeeze else total
 
 
 def ball_row_stats(level: VicsekLevel, values, p, n: int):
@@ -229,15 +215,6 @@ def _ball_tiles(level: VicsekLevel, n: int, F: int):
             dx = xs[i0 : i0 + rows, None] - xs[None, j0 : j0 + cols]
             dy = ys[i0 : i0 + rows, None] - ys[None, j0 : j0 + cols]
             yield i0, j0, (dx * dx + dy * dy) * Ln2 < T
-
-
-def _exact_total(t: np.ndarray) -> int:
-    """Exact sum of a non-negative integer array of at most ``_CHUNK``
-    entries: int64 entries are split into 32-bit halves, whose sums cannot
-    overflow."""
-    if t.dtype == object:
-        return sum(t.tolist())
-    return (int((t >> 32).sum()) << 32) + int((t & 0xFFFFFFFF).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +344,7 @@ def _build_plan(idx: CellPairIndex, R: int, leaf_max: int) -> PairPlan:
 
 
 # ---------------------------------------------------------------------------
-# cell-tree route: evaluators
+# cell-tree route: evaluator
 # ---------------------------------------------------------------------------
 
 
@@ -382,73 +359,30 @@ def ball_pair_sum_indexed(
     """
     plan = pair_plan(level, n, leaf_max)
     idx = _pair_index(level)
-    p = arith.exponent(p)
-    if arith is EXACT:
-        return _evaluate_exact(plan, idx, values[1], p)
-    vals = np.asarray(values, dtype=np.float64)
-    squeeze = vals.ndim == 1
-    if squeeze:
-        vals = vals[:, None]
-    out = _evaluate_float(plan, idx, vals, p)
-    return float(out[0]) if squeeze else out
+    vals, squeeze = arith._pair_values(values)
+    total = _evaluate(plan, idx, vals[idx.order], arith.exponent(p), arith)
+    return total.tolist()[0] if squeeze else total
 
 
-def _evaluate_exact(plan: PairPlan, idx: CellPairIndex, ints, p: int) -> int:
-    """Integer sum over the plan's blocks.
-
-    p = 2 full blocks take the prefix-moment closed form in Python ints.
-    Every other block sums |v_i - v_j|^p with ``_power_sums`` in the values'
-    dtype (int64 below 2^62, object past it): all pairs of a full block,
-    sub-block by sub-block, and the in-ball pairs of a leaf block, taken
-    from its class mask.
-    """
-    vs = _int_array(ints)[idx.order]
-    blocks = plan.blocks.tolist()
-    total = 0
-    if p == 2:
-        P1 = [0, *accumulate(vs.tolist())]
-        P2 = [0, *accumulate(v * v for v in vs.tolist())]
-    for row in np.flatnonzero(plan.leaf_class < 0).tolist():
-        loa, hia, lob, hib, w = blocks[row]
-        if p == 2:
-            Sa = P1[hia] - P1[loa]
-            Sb = P1[hib] - P1[lob]
-            Qa = P2[hia] - P2[loa]
-            Qb = P2[hib] - P2[lob]
-            total += w * ((hib - lob) * Qa - 2 * Sa * Sb + (hia - loa) * Qb)
-            continue
-        for i0, i1, j0, j1 in _sub_blocks(hia - loa, hib - lob, 1):
-            d = vs[loa + i0 : loa + i1, None] - vs[None, lob + j0 : lob + j1]
-            total += w * _power_sums(d.ravel(), (p,))[0][0]
-    for group in _class_rows(plan.leaf_class):
-        loa, hia, lob, hib, _ = blocks[group[0]]
-        ii, jj = np.nonzero(_in_ball(idx, plan.radius2, loa, hia, lob, hib))
-        for row in group.tolist():
-            loa, _, lob, _, w = blocks[row]
-            total += w * _power_sums(vs[loa + ii] - vs[lob + jj], (p,))[0][0]
-    return total
-
-
-def _evaluate_float(
-    plan: PairPlan, idx: CellPairIndex, vals: np.ndarray, pf: float
-) -> np.ndarray:
-    """Float sum over the plan's blocks, added one by one in plan order.
+def _evaluate(plan: PairPlan, idx: CellPairIndex, vs: np.ndarray, p, arith: Arithmetic):
+    """Sum over the plan's blocks of values ``vs``, one column per vector.
 
     Each block's sum goes to its row of ``terms``: p = 2 full blocks by the
-    prefix-moment closed form, in chunks of rows, p = 2 leaf blocks by
-    ``_square_sums``, all others by ``_pair_block``.  Leaf blocks go class
-    by class, so each class mask is built once per call.
+    prefix-moment closed form, in chunks of rows.  Every other block is
+    summed tile by tile over the sub-blocks of its group: each p != 2 full
+    block is a group of its own, and a leaf class shares one mask, built
+    once per call.  ``arith`` sums a tile and adds the rows up in plan order.
     """
-    F = vals.shape[1]
-    vs = vals[idx.order]
-    terms = np.zeros((len(plan.blocks), F))
-    step = max(1, _CHUNK // (4 * F))
+    F = vs.shape[1]
+    terms = np.zeros((len(plan.blocks), F), dtype=arith._term_dtype)
     full = np.flatnonzero(plan.leaf_class < 0)
-    if pf == 2.0:
-        P1 = np.zeros((vs.shape[0] + 1, F))
+    if p == 2:
+        v = vs.astype(terms.dtype, copy=False)
+        P1 = np.zeros((v.shape[0] + 1, F), dtype=terms.dtype)
         P2 = np.zeros_like(P1)
-        np.cumsum(vs, axis=0, out=P1[1:])
-        np.cumsum(vs * vs, axis=0, out=P2[1:])
+        np.cumsum(v, axis=0, out=P1[1:])
+        np.cumsum(v * v, axis=0, out=P2[1:])
+        step = max(1, _CHUNK // (4 * F))
         for s in range(0, full.size, step):
             rows = full[s : s + step]
             loa, hia, lob, hib, w = plan.blocks[rows].T
@@ -458,27 +392,27 @@ def _evaluate_float(
             Qb = P2[hib] - P2[lob]
             cnta = (hia - loa)[:, None]
             cntb = (hib - lob)[:, None]
-            terms[rows] = w[:, None] * (cntb * Qa - 2.0 * Sa * Sb + cnta * Qb)
-        del P1, P2
-    else:
-        for row in full.tolist():
-            loa, hia, lob, hib, w = plan.blocks[row].tolist()
-            subs = [(*box, None) for box in _sub_blocks(hia - loa, hib - lob, F)]
-            terms[row] = _pair_block(vs, subs, pf, loa, lob, w)
-    for group in _class_rows(plan.leaf_class):
-        subs = _class_mask(idx, plan.radius2, F, *plan.blocks[group[0], :4].tolist())
-        if pf == 2.0:
-            terms[group] = _square_sums(vs, subs, plan.blocks[group])
-            continue
+            terms[rows] = w[:, None] * (cntb * Qa - 2 * Sa * Sb + cnta * Qb)
+        del v, P1, P2
+    buf = np.empty(_CHUNK, dtype=vs.dtype)  # every tile's differences
+    groups = (list(full[:, None]) if p != 2 else []) + _class_rows(plan.leaf_class)
+    for group in groups:
+        loa, hia, lob, hib = plan.blocks[group[0], :4].tolist()
+        if plan.leaf_class[group[0]] < 0:
+            subs = _sub_blocks(hia - loa, hib - lob, F)
+        else:
+            subs = _class_mask(idx, plan.radius2, F, loa, hia, lob, hib)
+            if p == 2 and arith._square_leaves:
+                terms[group] = _square_sums(vs, subs, plan.blocks[group])
+                continue
+            subs = [(*box, arith._in_ball_pairs(mask)) for *box, mask in subs]
         for row in group.tolist():
             loa, _, lob, _, w = plan.blocks[row].tolist()
-            terms[row] = _pair_block(vs, subs, pf, loa, lob, w)
-    total = np.zeros(F)
-    for s in range(0, len(terms), step):
-        chunk = terms[s : s + step]
-        chunk[0] += total
-        total = chunk.cumsum(axis=0)[-1]
-    return total
+            terms[row] = w * sum(
+                arith._tile_sum(vs[loa + i0 : loa + i1], vs[lob + j0 : lob + j1], p, ij, buf)
+                for i0, i1, j0, j1, ij in subs
+            )
+    return arith._plan_total(terms)
 
 
 def _class_rows(leaf_class: np.ndarray) -> list[np.ndarray]:
@@ -498,13 +432,14 @@ def _in_ball(idx: CellPairIndex, R: int, i0: int, i1: int, j0: int, j1: int) -> 
     return dx <= R
 
 
-def _sub_blocks(na: int, nb: int, F: int) -> list[tuple[int, int, int, int]]:
-    """(i0, i1, j0, j1) of the sub-blocks of an na x nb block, each of at
-    most ``_CHUNK`` elements over F columns, in evaluation order."""
+def _sub_blocks(na: int, nb: int, F: int) -> list[tuple]:
+    """(i0, i1, j0, j1, None) of the sub-blocks of an na x nb block, each of
+    at most ``_CHUNK`` elements over F columns, in evaluation order; None
+    stands for every pair."""
     cols = max(1, min(nb, _CHUNK // F))
     rows = max(1, _CHUNK // (cols * F))
     return [
-        (i0, min(i0 + rows, na), j0, min(j0 + cols, nb))
+        (i0, min(i0 + rows, na), j0, min(j0 + cols, nb), None)
         for j0 in range(0, nb, cols)
         for i0 in range(0, na, rows)
     ]
@@ -515,7 +450,7 @@ def _class_mask(idx: CellPairIndex, R: int, F: int, loa, hia, lob, hib):
     with its bool in-ball mask; sub-blocks with no pair in the ball are left
     out."""
     subs = []
-    for i0, i1, j0, j1 in _sub_blocks(hia - loa, hib - lob, F):
+    for i0, i1, j0, j1, _ in _sub_blocks(hia - loa, hib - lob, F):
         mask = _in_ball(idx, R, loa + i0, loa + i1, lob + j0, lob + j1)
         if mask.any():
             subs.append((i0, i1, j0, j1, mask))
@@ -547,36 +482,6 @@ def _square_sums(vs, subs, blocks):
             o += rows @ (va * va) + cols @ (vb * vb)
             o -= 2.0 * (va * (M @ vb)).sum(axis=1)
     return w * out
-
-
-def _pair_block(vs, subs, pf, loa, lob, w):
-    """w * sum of |v_i - v_j|^pf over one block's pairs, sub-block by
-    sub-block: ``subs`` holds (i0, i1, j0, j1, mask) with offsets from
-    (loa, lob) and mask None (every pair) or bool (the in-ball pairs)."""
-    out = np.zeros(vs.shape[1])
-    for i0, i1, j0, j1, mask in subs:
-        va = vs[loa + i0 : loa + i1]
-        vb = vs[lob + j0 : lob + j1]
-        dv = va[:, None, :] - vb[None, :, :]
-        _abs_pow(dv, pf)
-        if mask is None:
-            out += dv.sum(axis=(0, 1))
-        else:
-            out += np.einsum("ij,ijf->f", mask, dv)
-    return w * out
-
-
-def _abs_pow(d: np.ndarray, pf: float) -> None:
-    """d <- |d|^pf in place; small integer pf by repeated products."""
-    np.abs(d, out=d)
-    if pf == 2.0:
-        d *= d
-    elif pf.is_integer() and pf <= 8.0:
-        base = d.copy()
-        for _ in range(int(pf) - 1):
-            d *= base
-    else:
-        d **= pf
 
 
 def ball_pair_sum(level: VicsekLevel, values, p, n: int, arith: Arithmetic):

@@ -15,7 +15,6 @@ from fractions import Fraction
 import numpy as np
 
 from .besov import (
-    _log_phi,
     base_energies,
     bbm_curve,
     discrete_profiles,
@@ -161,22 +160,19 @@ def run_selftest(config: ExperimentConfig) -> tuple[list[Check], dict]:
     record("ball_kernel_vs_oracle", ok)
 
     # -- besov identities ---------------------------------------------------
+    # E_n^beta = phi(rho_n)^{1 - beta/beta*} E_n^{beta*}, phi from the measure
     profiles = {}
     ok = True
     base = base_energies(hier, u_star, p, N, arith)
     for beta in config.beta_grid:
         prof = discrete_profiles(hier, u_star, p, beta, N, arith=arith, energies=base)
         profiles[beta] = prof
+        expo = 1.0 - float(beta) / float(ratios.beta_star)
         for n, (eb, estar) in enumerate(zip(prof.beta_energies, prof.base_energies)):
-            expo = 1.0 - float(beta) / float(ratios.beta_star)
-            lhs = float(eb)
-            rhs = (
-                float(estar)
-                if expo == 0.0
-                else math.exp(expo * _log_phi(ratios, n)) * float(estar)
-            )
-            if lhs != rhs:
-                ok = False
+            phi = Fraction(scale_values(ratios, n)[2])
+            log_phi = math.log(phi.numerator) - math.log(phi.denominator)
+            rhs = math.exp(expo * log_phi) * float(estar)
+            ok = ok and math.isclose(float(eb), rhs, rel_tol=1e-12, abs_tol=0.0)
     record("beta_scaling_identity", ok)
     artifacts["profiles"] = profiles
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from vicsek_lab.pairsum import _CHUNK, _LEAF_MAX, _abs_pow, _pair_index, pair_plan
+from vicsek_lab.energy import _abs_pow
+from vicsek_lab.pairsum import _CHUNK, _LEAF_MAX, _pair_index, pair_plan
 
 
 def ball_pair_sum_per_block(level, values, p, n: int, leaf_max: int = _LEAF_MAX):

@@ -323,6 +323,28 @@ def test_selftest_prints_details_on_pass(tmp_path, capsys):
         assert f"PASS  {name}" + (f"  [{detail}]" if detail else "") in printed
 
 
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_beta_scaling_identity_catches_a_wrong_log_phi(tmp_path, monkeypatch, mode):
+    """The selftest checks the beta-energy profiles against phi(rho_n) from
+    the measure's scale values, not against the profiles' own ``_log_phi``,
+    so a wrong ``_log_phi`` fails the check."""
+    config = load_config(write_config(tmp_path, {"depth": 2, "vertex_level": 2, "mode": mode}))
+
+    def beta_scaling_ok():
+        checks, _ = selftest.run_selftest(config)
+        return {name: ok for name, ok, _ in checks}["beta_scaling_identity"]
+
+    assert beta_scaling_ok()
+    log_phi = besov._log_phi
+
+    def wrong(ratios, n):
+        return log_phi(ratios, n) * (1.0 + 1e-9)
+
+    monkeypatch.setattr(besov, "_log_phi", wrong)
+    monkeypatch.setattr(selftest, "_log_phi", wrong, raising=False)
+    assert not beta_scaling_ok()
+
+
 def _float_table(path: Path) -> list[list[float]]:
     lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
     return [

@@ -4,8 +4,7 @@ Seeded random functions, golden energies and the float pair-sum bits all
 depend on the order in which vertices are numbered, so any rewrite of the
 level build or of the transition maps must reproduce these arrays exactly.
 Each digest is the first 16 hex digits of the sha256 of the array's shape
-(as its repr) followed by its int64 bytes; ``hang_waves`` is hashed as an
-(n, 2) int64 array of row ranges.
+(as its repr) followed by its int64 bytes.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ LEVEL_FIELDS = (
     "edge_tail",
     "edge_head",
 )
-TRANSITION_FIELDS = ("lift", "interior", "hang", "hang_waves")
+TRANSITION_FIELDS = ("lift", "interior", "hang")
 
 
 def digest(a) -> str:
@@ -36,12 +35,6 @@ def digest(a) -> str:
     h = hashlib.sha256(repr(a.shape).encode())
     h.update(a.tobytes())
     return h.hexdigest()[:16]
-
-
-def transition_table(hier: Hierarchy, name: str, k: int):
-    if name == "hang_waves":
-        return np.asarray(hier.transition(k).waves, dtype=np.int64).reshape(-1, 2)
-    return getattr(hier.transition(k), name)
 
 
 @pytest.fixture(scope="module")
@@ -95,10 +88,6 @@ PINS = {
             "eb397d92c4c6848a", "30d4b045790db6c9", "0f289bb8ab5b6ce5", "82864ef00a244956",
             "0f918a2bf70cdc52", "d052a995c2e1016a",
         ),
-        "hang_waves": (
-            "735929c8e657eb4c", "bce33deca3611ec0", "dd181c95a50bcc6f", "e9e830ab2e623b59",
-            "eeb349c66bbc2a4e", "5c7418d301b9b245",
-        ),
     },
     "constant5": {
         "coords": (
@@ -128,7 +117,6 @@ PINS = {
         "lift": ("b0e6dff3ba475233", "e28702b6771e459c", "23e01f66cd97f630"),
         "interior": ("35f59085228a51d5", "29f32da4487cb01b", "d292bf8a7fd76092"),
         "hang": ("b35c2deede9ccc5b", "f9e96ad5c39d1dec", "9c03dadd90039e42"),
-        "hang_waves": ("0b3ff26ddbd35d45", "ef5d442f5a7a5ea3", "3dfc81de9a8e448f"),
     },
     "alternating35": {
         "coords": (
@@ -172,9 +160,6 @@ PINS = {
         "hang": (
             "eb397d92c4c6848a", "d424173ca3d8b0a8", "3b14658afd4bb2fd", "f642d667b6924358",
         ),
-        "hang_waves": (
-            "735929c8e657eb4c", "8671f95c9a08d8de", "85fef61777d24098", "db9077ac8bf6bf39",
-        ),
     },
 }
 
@@ -188,7 +173,7 @@ def test_geometry_arrays_are_pinned(config, request):
     got = {f: tuple(digest(getattr(lv, f)) for lv in hier.levels) for f in LEVEL_FIELDS}
     for f in TRANSITION_FIELDS:
         got[f] = tuple(
-            digest(transition_table(hier, f, k)) for k in range(hier.max_level)
+            digest(getattr(hier.transition(k), f)) for k in range(hier.max_level)
         )
     assert len(pins["coords"]) == hier.max_level + 1
     for f in LEVEL_FIELDS + TRANSITION_FIELDS:

@@ -49,14 +49,15 @@ def cases(draw):
     return hier, hier.level(m), random_affine(hier, seed, max_base_level=m), m, n
 
 
-@given(cases())
-def test_indexed_exact_is_bruteforce(case):
+@given(cases(), st.sampled_from((4, 64, 256)))
+def test_indexed_exact_is_bruteforce(case, leaf_max):
+    """Exact leaf classes, split self pairs and sub-blocks, down to leaves
+    of at most 4 vertices, against brute force."""
     hier, lv, u, m, n = case
     vals = scaled_values_at(hier, u, m)
-    for p in (2, 3):
-        assert ball_pair_sum_indexed(lv, vals, p, n, EXACT) == ball_pair_sum_bruteforce(
-            lv, vals, p, n, EXACT
-        )
+    for p in (2, 3, 4):
+        got = ball_pair_sum_indexed(lv, vals, p, n, EXACT, leaf_max)
+        assert got == ball_pair_sum_bruteforce(lv, vals, p, n, EXACT), p
 
 
 @given(cases())
