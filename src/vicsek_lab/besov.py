@@ -45,18 +45,8 @@ def ball_energy(
         raise ScaleMismatchError(
             f"ball scale {n} finer than vertex level {level.n}"
         )
-    V = level.num_vertices
-    s = ball_pair_sum(level, values, p, n, arith)
-    if arith is EXACT:
-        return Fraction(s, values[0] ** arith.exponent(p) * V * V)
-    return s / float(V) ** 2
-
-
-def _phi_psi_factors(ratios: RatioSequence, n: int, beta: float):
-    """(phi(rho_n)^(-beta/beta*) * psi(rho_n)^(-1)) as float, plus exact at beta*."""
-    rho, psi, phi = scale_values(ratios, n)
-    expo = -float(beta) / float(ratios.beta_star)
-    return float(phi) ** expo / float(psi)
+    s = arith.unscale(ball_pair_sum(level, values, p, n, arith), values, p)
+    return s / arith.num(level.num_vertices) ** 2
 
 
 @dataclass(frozen=True)
@@ -84,15 +74,19 @@ class BesovProfile:
         return out
 
 
-def ball_arithmetic(arith: Arithmetic, hier: Hierarchy, beta, m: int) -> Arithmetic:
-    """The arithmetic of the ball energies I_{m,n} of a profile at beta.
+def beta_arithmetic(arith: Arithmetic, ratios: RatioSequence, beta) -> Arithmetic:
+    """The arithmetic of what is weighted by phi(rho_n)^(-beta/beta*): ``arith``
+    (that of the E_{p,n}) at beta = beta*, where E_n^beta = E_{p,n}; FLOAT
+    elsewhere, where the weights are irrational."""
+    return arith if float(beta) == float(ratios.beta_star) else FLOAT
 
-    ``arith`` (the arithmetic of the E_{p,n}) at beta = beta* on a vertex
-    level of at most 600 vertices, FLOAT otherwise: exact pair sums cost
-    far more than float ones.
-    """
-    small = float(beta) == float(hier.ratios.beta_star) and hier.level(m).num_vertices <= 600
-    return arith if small else FLOAT
+
+def ball_arithmetic(arith: Arithmetic, hier: Hierarchy, beta, m: int) -> Arithmetic:
+    """The arithmetic of the ball energies I_{m,n} of a profile at beta:
+    ``beta_arithmetic`` on a vertex level of at most 600 vertices, FLOAT
+    otherwise (exact pair sums cost far more than float ones)."""
+    small = hier.level(m).num_vertices <= 600
+    return beta_arithmetic(arith, hier.ratios, beta) if small else FLOAT
 
 
 def ball_energies(
@@ -131,13 +125,11 @@ def phi_profile(
     arith = ball_arithmetic(arith, hier, beta, m)
     if energies is None:
         energies = ball_energies(hier, u, p, m, max_scale, arith)
+    expo = -float(beta) / float(ratios.beta_star)
     proxy = []
     for n, I in enumerate(energies):
-        if arith is EXACT:
-            rho, psi, phi = scale_values(ratios, n)
-            proxy.append(I / (phi * psi))
-        else:
-            proxy.append(_phi_psi_factors(ratios, n, beta) * float(I))
+        rho, psi, phi = scale_values(ratios, n)
+        proxy.append(arith.power(phi, expo) / arith.num(psi) * arith.num(I))
     empirical = None
     if include_empirical:
         if level.num_vertices > _EMPIRICAL_MAX_VERTICES:
@@ -152,9 +144,7 @@ def phi_profile(
             counts, sums = ball_row_stats(level, vals, p, n)
             mean = math.fsum((sums / counts).tolist()) / V
             rho, psi, phi = scale_values(ratios, n)
-            empirical.append(
-                float(phi) ** (-float(beta) / float(ratios.beta_star)) * mean
-            )
+            empirical.append(FLOAT.power(phi, expo) * mean)
     return BesovProfile(
         p=p,
         beta=float(beta),
@@ -253,8 +243,8 @@ def discrete_profiles(
     of an affine function are exactly constant beyond the base level; it
     requires beta < beta* and a ratio sequence extendable beyond the prefix.
     ``energies``, when given, are ``base_energies`` in ``arith``, computed
-    once for several betas.  The sum is exact only at beta = beta* in exact
-    arithmetic.
+    once for several betas.  The E_n^beta and their sum are in
+    ``beta_arithmetic(arith, ratios, beta)``.
     """
     if beta < 0:
         raise InvalidArgumentError(f"beta must be >= 0, got {beta}")
@@ -265,20 +255,14 @@ def discrete_profiles(
     if energies is None:
         energies = base_energies(hier, u, p, max_scale, arith)
     base = list(energies)
-    at_star = float(beta) == beta_star
-    if at_star:
-        beta_energies = list(base)
-    else:
-        expo = 1.0 - float(beta) / beta_star
-        beta_energies = [
-            math.exp(expo * _log_phi(ratios, n)) * float(e) for n, e in enumerate(base)
-        ]
-    sup_e = max(beta_energies) if not at_star else max(base)
-    sum_e = (
-        sum(base, Fraction(0))
-        if at_star and arith is EXACT
-        else math.fsum(float(x) for x in beta_energies)
-    )
+    at = beta_arithmetic(arith, ratios, beta)
+    # at beta* the factor is exp(0) = 1 exactly, so E_n^beta = E_{p,n} in ``at``
+    expo = 1.0 - float(beta) / beta_star
+    beta_energies = [
+        at.num(math.exp(expo * _log_phi(ratios, n))) * at.num(e) for n, e in enumerate(base)
+    ]
+    sup_e = max(beta_energies)
+    sum_e = at.total(beta_energies)
     tail_value = None
     if tail == "plateau":
         if u.base_level > max_scale:
@@ -335,28 +319,23 @@ def jump_kernel_energy(
     p; summing over levels 0..N reproduces sum_{n<=N} E_n^beta.  The sum of
     |du|^p over the level-n edges is E_{p,n} / L_n^{p-1}, so the form is one
     pass over the base energies, computed in ``arith`` (``energies``, when
-    given, are ``base_energies`` in ``arith``).  At beta = beta* in exact
+    given, are ``base_energies`` in ``arith``).  The form is in
+    ``beta_arithmetic(arith, ratios, beta)``: at beta = beta* in exact
     arithmetic the weight is the exact 2^{p-1} psi / phi, so the identity
-    checks the scale constants rather than a sum against itself; elsewhere
-    the form is a float.
+    checks the scale constants rather than a sum against itself.
     """
     ratios = hier.ratios.with_p(p)  # phi at this p, in both arithmetics
     if energies is None:
         energies = base_energies(hier, u, p, max_scale, arith)
-    if float(beta) != float(ratios.beta_star):
-        arith = FLOAT  # the weight phi^(-beta/beta*) is a float
-    pf = float(p)
-    total = arith.num(0)
+    at = beta_arithmetic(arith, ratios, beta)
+    expo = -float(beta) / float(ratios.beta_star)
+    q1 = at.exponent(p) - 1
+    total = at.num(0)
     for n, e in enumerate(energies):
         rho, psi, phi = scale_values(ratios, n)
         L = ratios.length_product(n)
-        if arith is EXACT:
-            w = 2 ** (int(p) - 1) * psi / phi / L ** (int(p) - 1)
-        else:
-            w = float(phi) ** (-float(beta) / float(ratios.beta_star)) * (
-                2.0 ** (pf - 1.0)
-            ) * float(psi) / float(L) ** (pf - 1.0)
-        total += w * arith.num(e)
+        w = at.power(phi, expo) * at.num(2) ** q1 * at.num(psi) / at.num(L) ** q1
+        total += w * at.num(e)
     return total
 
 

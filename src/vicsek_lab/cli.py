@@ -79,13 +79,38 @@ def _cmd_build(config: ExperimentConfig, out: Path, meta: str) -> int:
     return 0
 
 
+# Writers of the artifacts that more than one command writes.
+def _write_scale_table(out: Path, config: ExperimentConfig, meta: str) -> None:
+    from .measure import scale_table
+
+    rows = scale_table(config.ratio_sequence(), config.depth)
+    write_csv(out / "scale_table.csv", ("n", "rho", "psi", "phi"), rows, meta)
+
+
+def _write_histogram(out: Path, hist, meta: str) -> None:
+    write_csv(out / "pushforward_histogram.csv", ("bin_left", "bin_right", "mass"),
+              hist.to_rows(), meta)
+
+
+def _write_bbm_curve(out: Path, curve, meta: str) -> None:
+    rows = [
+        (pt.epsilon, pt.beta, pt.value, pt.bracket_low, pt.bracket_high, pt.within_bracket)
+        for pt in curve.points
+    ]
+    write_csv(
+        out / "bbm_curve.csv",
+        ("epsilon", "beta", "value", "bracket_low", "bracket_high", "within_bracket"),
+        rows,
+        meta,
+    )
+
+
 def _cmd_measure(config: ExperimentConfig, out: Path, meta: str) -> int:
     from .measure import (derived_constants, mu_ball_bounds, psi_ratio_bounds,
-                          regularized_scales, scale_table)
+                          regularized_scales)
 
     ratios = config.ratio_sequence()
-    rows = scale_table(ratios, config.depth)
-    write_csv(out / "scale_table.csv", ("n", "rho", "psi", "phi"), rows, meta)
+    _write_scale_table(out, config, meta)
 
     consts = derived_constants(ratios)
     write_json(
@@ -209,12 +234,7 @@ def _cmd_energy_measure(config: ExperimentConfig, out: Path, meta: str) -> int:
     write_csv(out / "cell_measures.csv", ("word", "gradient_mass", "word_mass"), rows, meta)
     dev = coincidence_check(hier, u, config.p, depth, arith)
     hist = pushforward_profile(hier, u, config.p, config.bins, arith)
-    write_csv(
-        out / "pushforward_histogram.csv",
-        ("bin_left", "bin_right", "mass"),
-        hist.to_rows(),
-        meta,
-    )
+    _write_histogram(out, hist, meta)
     write_json(
         out / "energy_measure_summary.json",
         {
@@ -307,16 +327,7 @@ def _cmd_bbm(config: ExperimentConfig, out: Path, meta: str) -> int:
         hier, u, config.p, list(config.epsilons), config.depth, tail="plateau",
         arith=arithmetic(config.mode, config.p),
     )
-    rows = [
-        (pt.epsilon, pt.beta, pt.value, pt.bracket_low, pt.bracket_high, pt.within_bracket)
-        for pt in curve.points
-    ]
-    write_csv(
-        out / "bbm_curve.csv",
-        ("epsilon", "beta", "value", "bracket_low", "bracket_high", "within_bracket"),
-        rows,
-        meta,
-    )
+    _write_bbm_curve(out, curve, meta)
     write_json(
         out / "bbm_summary.json",
         {
@@ -368,42 +379,20 @@ def _cmd_resistance(config: ExperimentConfig, out: Path, meta: str) -> int:
 
 
 def _cmd_selftest(config: ExperimentConfig, out: Path, meta: str) -> int:
-    from .measure import scale_table
     from .selftest import run_selftest
 
     checks, artifacts = run_selftest(config)
     # determinism-bearing artifacts
-    ratios = config.ratio_sequence()
-    write_csv(
-        out / "scale_table.csv",
-        ("n", "rho", "psi", "phi"),
-        scale_table(ratios, config.depth),
-        meta,
-    )
+    _write_scale_table(out, config, meta)
     write_json(out / "energy_report.json", artifacts["energy_report"].to_json_dict(), meta)
-    curve = artifacts["bbm"]
-    write_csv(
-        out / "bbm_curve.csv",
-        ("epsilon", "beta", "value", "bracket_low", "bracket_high", "within_bracket"),
-        [
-            (pt.epsilon, pt.beta, pt.value, pt.bracket_low, pt.bracket_high, pt.within_bracket)
-            for pt in curve.points
-        ],
-        meta,
-    )
+    _write_bbm_curve(out, artifacts["bbm"], meta)
     wm = artifacts["weak_monotonicity"]
     write_json(
         out / "weak_monotonicity.json",
         {"phi_values": list(wm.phi_values), "ratio": wm.ratio},
         meta,
     )
-    hist = artifacts["histogram"]
-    write_csv(
-        out / "pushforward_histogram.csv",
-        ("bin_left", "bin_right", "mass"),
-        hist.to_rows(),
-        meta,
-    )
+    _write_histogram(out, artifacts["histogram"], meta)
     rows = [(name, ok, detail) for name, ok, detail in checks]
     write_csv(out / "selftest_report.csv", ("check", "ok", "detail"), rows, meta)
     failed = [name for name, ok, _ in checks if not ok]

@@ -166,8 +166,9 @@ class Arithmetic:
     array)``, takes integer exponents only and returns Fractions; ``FLOAT``
     holds float64 arrays and returns floats.  Results compare exactly, or
     in float with a slack of 1e-12: ``close(a, b)`` is |b - a| <= 1e-12 *
-    max(1, |b|) and ``at_most(a, b)`` is a <= b (1 + 1e-12).  ``arithmetic``
-    picks one from (mode, p), and every energy routine takes it.
+    max(1, |b|) and ``at_most(a, b)`` is a <= b (1 + 1e-12); ``num``,
+    ``power``, ``total`` and ``unscale`` (of a pair sum) make its numbers.
+    ``arithmetic`` picks one from (mode, p), and every energy routine takes it.
 
     The pair sums take from it only what differs: values as a (V, F) array,
     a tile's in-ball pairs and |d|^p sum, the block terms' dtype and total,
@@ -217,6 +218,10 @@ class Arithmetic:
         sel = _region_edge_indices(level, region, region_level)
         return _edge_energies(level, values, (p,), self, sel)[0]
 
+    def power(self, x, e):
+        """x^e as a number of this arithmetic."""
+        return self.num(x) ** self.exponent(e)
+
 
 class _Exact(Arithmetic):
     name, num = "EXACT", Fraction
@@ -232,6 +237,13 @@ class _Exact(Arithmetic):
 
     def at_most(self, a, b) -> bool:
         return a <= b
+
+    def total(self, xs) -> Fraction:
+        return sum(xs, Fraction(0))
+
+    def unscale(self, s: int, values, p) -> Fraction:
+        """A sum of p-th powers of the held integers, as the sum over the values."""
+        return Fraction(s, values[0] ** self.exponent(p))
 
     def _base_values(self, hier: Hierarchy, u: AffineFunction, deepest: int):
         # the dtype is chosen once, for the deepest level
@@ -252,6 +264,14 @@ class _Exact(Arithmetic):
         sums = _power_sums(vals.take(heads) - vals.take(tails), ps, group, num_groups)
         out = [[Fraction(L ** (p - 1) * s, den**p) for s in acc] for p, acc in zip(ps, sums)]
         return out if group is not None else [acc[0] for acc in out]
+
+    def _slopes(self, level: VicsekLevel, values) -> tuple:
+        diffs = (values[1][level.edge_head] - values[1][level.edge_tail]).tolist()
+        return tuple(Fraction(d * level.L, values[0]) for d in diffs)
+
+    def _gradient_energy(self, slopes: tuple, L: int, p) -> Fraction:
+        q = self.exponent(p)
+        return Fraction(sum(c * abs(s) ** q for s, c in Counter(slopes).items()), L)
 
     _term_dtype, _square_leaves = object, False  # pair sums: Python-int block terms
 
@@ -290,6 +310,12 @@ class _Float(Arithmetic):
     def at_most(self, a, b) -> bool:
         return a <= b * (1 + 1e-12)
 
+    def total(self, xs) -> float:
+        return math.fsum(float(x) for x in xs)
+
+    def unscale(self, s, values, p):
+        return s
+
     def _base_values(self, hier: Hierarchy, u: AffineFunction, deepest: int):
         return np.array([float(v) for v in u.values], dtype=np.float64)
 
@@ -310,6 +336,12 @@ class _Float(Arithmetic):
             else:
                 out.append(np.bincount(group, terms * coef, num_groups).tolist())
         return out
+
+    def _slopes(self, level: VicsekLevel, values: np.ndarray) -> np.ndarray:
+        return (values[level.edge_head] - values[level.edge_tail]) * float(level.L)
+
+    def _gradient_energy(self, slopes: np.ndarray, L: int, p) -> float:
+        return math.fsum((np.abs(slopes) ** float(p) / float(L)).tolist())
 
     _term_dtype, _square_leaves = np.float64, True  # p = 2 leaf classes by matrix products
 
@@ -514,24 +546,13 @@ def gradient_field(
             f"gradient level {n} below base level {u.base_level}"
         )
     level = hier.level(n)
-    L = level.L
-    if arith is EXACT:
-        den, vals = EXACT.values_at(hier, u, n)
-        diffs = (vals[level.edge_head] - vals[level.edge_tail]).tolist()
-        return GradientField(n, L, arith, tuple(Fraction(d * L, den) for d in diffs))
-    vals = FLOAT.values_at(hier, u, n)
-    return GradientField(n, L, arith, (vals[level.edge_head] - vals[level.edge_tail]) * float(L))
+    return GradientField(n, level.L, arith, arith._slopes(level, arith.values_at(hier, u, n)))
 
 
 def energy_of_gradient(g: GradientField, p) -> Fraction | float:
-    """sum_e |slope_e|^p * edge_length, from the slopes alone; equals the
-    discrete energy."""
-    L = g.length_product
-    if g.arith is EXACT:
-        q = EXACT.exponent(p)
-        return Fraction(sum(c * abs(s) ** q for s, c in Counter(g.values).items()), L)
-    terms = np.abs(g.values) ** float(p) / float(L)
-    return math.fsum(terms.tolist())
+    """sum_e |slope_e|^p * edge_length, from the slopes alone (not through
+    ``_edge_energies``); equals the discrete energy."""
+    return g.arith._gradient_energy(g.values, g.length_product, p)
 
 
 @dataclass(frozen=True)
@@ -636,12 +657,10 @@ def energy_limit(
 
 def resistance(level: VicsekLevel, a: int, b: int, p):
     """R_p(a, b) = geodesic(a, b)^{p-1} on vertices (exact for integer p)."""
+    arith = arithmetic("rational", p)
     if a == b:
-        return Fraction(0) if p_is_integer(p) else 0.0
-    d = level.geodesic_distance(a, b)
-    if p_is_integer(p):
-        return d ** (int(p) - 1)
-    return float(d) ** (float(p) - 1.0)
+        return arith.num(0)
+    return arith.num(level.geodesic_distance(a, b)) ** (arith.exponent(p) - 1)
 
 
 # p range of resistance_oracle.  Its IRLS stops converging as p falls to 1:
@@ -682,12 +701,6 @@ def resistance_oracle(
     u = np.full(V, 0.5)
     u[a] = 1.0
     u[b] = 0.0
-    coef = float(level.L) ** (p - 1.0)
-
-    def energy(vec: np.ndarray) -> float:
-        d = np.abs(vec[heads] - vec[tails])
-        return coef * math.fsum((d**p).tolist())
-
     flat_tt = tails * V + tails
     flat_hh = heads * V + heads
     flat_th = tails * V + heads
@@ -708,17 +721,17 @@ def resistance_oracle(
         sol = irls_step(np.ones(tails.size))
         u = u.copy()
         u[free] = sol
-        return 1.0 / energy(u)
+        return 1.0 / FLOAT.energy(level, u, p)
 
     eps = 0.01
-    prev = cur = energy(u)
+    prev = cur = FLOAT.energy(level, u, p)
     for _ in range(max_iter):
         d = u[heads] - u[tails]
         w = (d * d + eps * eps) ** ((p - 2.0) / 2.0)
         sol = irls_step(w)
         u = u.copy()
         u[free] = (1.0 - theta) * u[free] + theta * sol
-        prev, cur = cur, energy(u)
+        prev, cur = cur, FLOAT.energy(level, u, p)
         if eps <= 1e-13 and abs(cur - prev) <= tol * max(cur, 1e-300):
             return 1.0 / cur
         eps = max(eps * 0.2, 1e-14)

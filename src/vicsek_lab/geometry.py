@@ -307,29 +307,6 @@ class VicsekLevel:
     def geodesic_distance(self, a: int, b: int) -> Fraction:
         return Fraction(self.path_edge_count(a, b), self.L)
 
-    def path_vertices(self, a: int, b: int) -> list[int]:
-        """Vertex ids along the tree path from a to b, inclusive."""
-        for vid in (a, b):
-            if not 0 <= vid < self.num_vertices:
-                raise LookupError_(f"vertex id {vid} out of range")
-        up_a = [a]
-        up_b = [b]
-        da, db = int(self.depth[a]), int(self.depth[b])
-        while da > db:
-            a = int(self.parent[a])
-            da -= 1
-            up_a.append(a)
-        while db > da:
-            b = int(self.parent[b])
-            db -= 1
-            up_b.append(b)
-        while a != b:
-            a = int(self.parent[a])
-            b = int(self.parent[b])
-            up_a.append(a)
-            up_b.append(b)
-        return up_a + up_b[::-1][1:]
-
     # -- serialization -------------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -490,11 +467,6 @@ class Hierarchy:
     def lift_ids(self, k: int) -> np.ndarray:
         """Id at level k+1 of each level-k vertex (same geometric point)."""
         return self.transition(k).lift
-
-    def vertex_id_at(self, k_from: int, vid: int, k_to: int) -> int:
-        for k in range(k_from, k_to):
-            vid = int(self.lift_ids(k)[vid])
-        return vid
 
     def _transition_maps(self, k: int):
         coarse = self.level(k)

@@ -17,6 +17,7 @@ import numpy as np
 from .besov import (
     base_energies,
     bbm_curve,
+    beta_arithmetic,
     discrete_profiles,
     jump_kernel_energy,
     weak_monotonicity_report,
@@ -24,7 +25,6 @@ from .besov import (
 from .config import ExperimentConfig
 from .energy import (
     EXACT,
-    FLOAT,
     ORACLE_P_RANGE,
     arithmetic,
     diagonal_ramp,
@@ -179,8 +179,7 @@ def run_selftest(config: ExperimentConfig) -> tuple[list[Check], dict]:
     ok = True
     for beta in config.beta_grid:
         jk = jump_kernel_energy(hier, u_star, p, beta, N, arith, energies=base)
-        # both sides are exact only at beta = beta* in exact arithmetic
-        at = arith if float(beta) == float(ratios.beta_star) else FLOAT
+        at = beta_arithmetic(arith, ratios, beta)  # the arithmetic of both sides
         ok = ok and at.close(jk, profiles[beta].sum_energy)
     record("jump_kernel_identity", ok)
 

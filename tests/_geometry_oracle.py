@@ -7,6 +7,10 @@ packed coordinates, numbers vertices in order of first appearance, runs a
 FIFO breadth-first search from the origin, and looks every refined point up
 in the dict. It is slow (pure Python per slot and per point) and meant for
 small levels only.
+
+``path_vertices`` and ``vertex_id_at`` are plain walks over a library level
+or hierarchy, for the tests that check a path or a restriction vertex by
+vertex.
 """
 
 from __future__ import annotations
@@ -148,3 +152,33 @@ def oracle_transition(coarse: SimpleNamespace, fine: SimpleNamespace, l: int):
         np.asarray(hang, dtype=np.int64).reshape(-1, 2),
         waves,
     )
+
+
+def path_vertices(level, a: int, b: int) -> list[int]:
+    """Vertex ids along the tree path from a to b, inclusive, of a library
+    level: both ends climb its parent array to their common ancestor."""
+    up_a = [a]
+    up_b = [b]
+    da, db = int(level.depth[a]), int(level.depth[b])
+    while da > db:
+        a = int(level.parent[a])
+        da -= 1
+        up_a.append(a)
+    while db > da:
+        b = int(level.parent[b])
+        db -= 1
+        up_b.append(b)
+    while a != b:
+        a = int(level.parent[a])
+        b = int(level.parent[b])
+        up_a.append(a)
+        up_b.append(b)
+    return up_a + up_b[::-1][1:]
+
+
+def vertex_id_at(hier, k_from: int, vid: int, k_to: int) -> int:
+    """The id at level k_to of vertex ``vid`` of level k_from, through the
+    library's lift maps one level at a time."""
+    for k in range(k_from, k_to):
+        vid = int(hier.lift_ids(k)[vid])
+    return vid

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from _geometry_oracle import vertex_id_at
 from vicsek_lab.energy import (
     EXACT,
     FLOAT,
@@ -66,7 +67,7 @@ def test_restriction_reproduces_base_values(hier3):
         vals = exact_values_at(hier3, u, n)
         lv = hier3.level(n)
         for vid in range(lv.num_vertices):
-            lifted = hier3.vertex_id_at(n, vid, base)
+            lifted = vertex_id_at(hier3, n, vid, base)
             assert vals[vid] == u.values[lifted]
 
 

