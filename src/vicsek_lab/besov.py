@@ -25,7 +25,7 @@ from .errors import InvalidArgumentError, LevelError, ScaleMismatchError
 from .geometry import Hierarchy, VicsekLevel
 from .measure import derived_constants, scale_values
 from .ratios import RatioSequence
-from .energy import EXACT, FLOAT, AffineFunction, Arithmetic, energy_levels_multi, float_values_at
+from .energy import EXACT, FLOAT, AffineFunction, Arithmetic, energy_limit, float_values_at
 from .pairsum import ball_pair_sum, ball_row_stats
 
 _EMPIRICAL_MAX_VERTICES = 4000
@@ -195,12 +195,12 @@ def besov_seminorm(
 
 def base_energies(
     hier: Hierarchy, u: AffineFunction, p, max_scale: int, arith: Arithmetic = EXACT
-) -> list:
+) -> tuple:
     """E_{p,n} = E_n^{beta*} for n = 0..N in ``arith``.
 
     They do not depend on beta, so one set serves every profile of (u, p).
     """
-    return energy_levels_multi(hier, u, (p,), max_scale, arith)[p]
+    return energy_limit(hier, u, p, max_scale, arith).energies
 
 
 def _log_phi(ratios: RatioSequence, n: int) -> float:

@@ -213,10 +213,22 @@ class Arithmetic:
         p,
         region: Optional[Iterable] = None,
         region_level: Optional[int] = None,
+        group: Optional[np.ndarray] = None,
+        num_groups: int = 1,
     ):
-        """E_{p,n} of ``values`` on the level; with a region, over its cells' edges."""
+        """E_{p,n} = L^{p-1} * sum over the level's edges of |du|^p.
+
+        The one sum of edge powers: ``values`` are held as this arithmetic
+        holds them, and the result is its number.  With a region, the sum
+        runs over its cells' edges; with ``group``, one id below
+        ``num_groups`` per edge, the result is the list of per-group sums.
+        """
+        # int32 edge tables: ``take`` converts them faster than a fancy index
+        tails, heads = level.edge_tail, level.edge_head
         sel = _region_edge_indices(level, region, region_level)
-        return _edge_energies(level, values, (p,), self, sel)[0]
+        if sel is not None:
+            tails, heads = tails[sel], heads[sel]
+        return self._energies(level.L, values, tails, heads, p, group, num_groups)
 
     def power(self, x, e):
         """x^e as a number of this arithmetic."""
@@ -258,12 +270,12 @@ class _Exact(Arithmetic):
         vals, den = _extend_exact(hier, values[1], values[0], k)
         return den, vals
 
-    def _energies(self, L: int, values, tails, heads, ps, group, num_groups) -> list:
+    def _energies(self, L: int, values, tails, heads, p, group, num_groups):
         den, vals = values
-        ps = [self.exponent(p) for p in ps]
-        sums = _power_sums(vals.take(heads) - vals.take(tails), ps, group, num_groups)
-        out = [[Fraction(L ** (p - 1) * s, den**p) for s in acc] for p, acc in zip(ps, sums)]
-        return out if group is not None else [acc[0] for acc in out]
+        q = self.exponent(p)
+        sums = _power_sums(vals.take(heads) - vals.take(tails), q, group, num_groups)
+        out = [Fraction(L ** (q - 1) * s, den**q) for s in sums]
+        return out if group is not None else out[0]
 
     def _slopes(self, level: VicsekLevel, values) -> tuple:
         diffs = (values[1][level.edge_head] - values[1][level.edge_tail]).tolist()
@@ -285,7 +297,7 @@ class _Exact(Arithmetic):
     def _tile_sum(self, va: np.ndarray, vb: np.ndarray, p: int, ij, buf) -> int:
         # ``take`` gathers rows of a 2-D array about twice as fast as indexing
         d = _diff_tile(va, vb, buf) if ij is None else va.take(ij[0], 0) - vb.take(ij[1], 0)
-        return _power_sums(d.ravel(), (p,))[0][0]
+        return _power_sums(d.ravel(), p)[0]
 
     def _plan_total(self, terms: np.ndarray) -> np.ndarray:
         return terms.sum(axis=0)
@@ -325,17 +337,12 @@ class _Float(Arithmetic):
     def _extend(self, hier: Hierarchy, values: np.ndarray, k: int):
         return _extend_float_step(hier, values, k)
 
-    def _energies(self, L: int, values, tails, heads, ps, group, num_groups) -> list:
-        d = np.abs(values.take(heads) - values.take(tails))
-        out = []
-        for p in ps:
-            coef = float(L) ** (float(p) - 1.0)
-            terms = d ** float(p)
-            if group is None:
-                out.append(coef * math.fsum(terms.tolist()))
-            else:
-                out.append(np.bincount(group, terms * coef, num_groups).tolist())
-        return out
+    def _energies(self, L: int, values, tails, heads, p, group, num_groups):
+        coef = float(L) ** (float(p) - 1.0)
+        terms = np.abs(values.take(heads) - values.take(tails)) ** float(p)
+        if group is None:
+            return coef * math.fsum(terms.tolist())
+        return np.bincount(group, terms * coef, num_groups).tolist()
 
     def _slopes(self, level: VicsekLevel, values: np.ndarray) -> np.ndarray:
         return (values[level.edge_head] - values[level.edge_tail]) * float(level.L)
@@ -434,6 +441,16 @@ def evaluate_affine(hier: Hierarchy, u: AffineFunction, n: int, vertex_id: int) 
 # ---------------------------------------------------------------------------
 
 
+def _region_level(words: list, region_level: Optional[int]) -> int:
+    """The level of the region words: ``region_level``, else the length of
+    the first word, which must then be a letter tuple."""
+    if region_level is not None:
+        return region_level
+    if not words or not isinstance(words[0], tuple):
+        raise RegionError("region words must be letter tuples or indices with region_level")
+    return len(words[0])
+
+
 def _region_edge_indices(
     level: VicsekLevel, region: Optional[Iterable], region_level: Optional[int]
 ) -> Optional[np.ndarray]:
@@ -443,11 +460,7 @@ def _region_edge_indices(
     words = list(region)
     if not words:
         return np.empty(0, dtype=np.int64)
-    if region_level is None:
-        first = words[0]
-        if not isinstance(first, tuple):
-            raise RegionError("region words must be letter tuples or indices with region_level")
-        region_level = len(first)
+    region_level = _region_level(words, region_level)
     if region_level > level.n:
         raise RegionError(
             f"region words at level {region_level} are deeper than level {level.n}"
@@ -471,9 +484,9 @@ def _region_edge_indices(
 
 
 def _power_sums(
-    d: np.ndarray, ps: Sequence[int], group: Optional[np.ndarray] = None, num_groups: int = 1
-) -> list[list[int]]:
-    """sum |d|^p over an integer array, exactly, per group, for each p in ``ps``.
+    d: np.ndarray, p: int, group: Optional[np.ndarray] = None, num_groups: int = 1
+) -> list[int]:
+    """sum |d|^p over an integer array, exactly, per group.
 
     Equal (group, |d|) pairs are counted first and each power is taken once
     per distinct |d| in Python ints, so no power can overflow.  Without
@@ -486,38 +499,11 @@ def _power_sums(
         values, inverse = np.unique(np.abs(d), return_inverse=True)
         keys, counts = np.unique(group * values.size + inverse, return_counts=True)
         groups, which = (keys // values.size).tolist(), (keys % values.size).tolist()
-    values, counts = values.tolist(), counts.tolist()
-    out = []
-    for p in ps:
-        powers = [v**p for v in values]
-        acc = [0] * num_groups
-        for g, i, c in zip(groups, which, counts):
-            acc[g] += c * powers[i]
-        out.append(acc)
-    return out
-
-
-def _edge_energies(
-    level: VicsekLevel,
-    values,
-    ps: Sequence,
-    arith: Arithmetic,
-    sel: Optional[np.ndarray] = None,
-    group: Optional[np.ndarray] = None,
-    num_groups: int = 1,
-) -> list:
-    """L^{p-1} * sum over the level's edges of |du|^p, for each p in ``ps``.
-
-    ``values`` are held as ``arith`` holds them, and the results are its
-    numbers.  ``sel`` picks a subset of edges.  With ``group``, one id below
-    ``num_groups`` per edge, each result is the list of per-group sums
-    instead of the total.
-    """
-    # int32 edge tables: ``take`` converts them faster than a fancy index
-    tails, heads = level.edge_tail, level.edge_head
-    if sel is not None:
-        tails, heads = tails[sel], heads[sel]
-    return arith._energies(level.L, values, tails, heads, ps, group, num_groups)
+    powers = [v**p for v in values.tolist()]
+    acc = [0] * num_groups
+    for g, i, c in zip(groups, which, counts.tolist()):
+        acc[g] += c * powers[i]
+    return acc
 
 
 @dataclass(frozen=True)
@@ -551,7 +537,7 @@ def gradient_field(
 
 def energy_of_gradient(g: GradientField, p) -> Fraction | float:
     """sum_e |slope_e|^p * edge_length, from the slopes alone (not through
-    ``_edge_energies``); equals the discrete energy."""
+    ``Arithmetic.energy``); equals the discrete energy."""
     return g.arith._gradient_energy(g.values, g.length_product, p)
 
 
@@ -576,25 +562,6 @@ class EnergyReport:
             "limit": str(self.limit),
             "limit_float": float(self.limit),
         }
-
-
-def energy_levels_multi(
-    hier: Hierarchy,
-    u: AffineFunction,
-    ps: Sequence,
-    max_level: int,
-    arith: Arithmetic = EXACT,
-) -> dict:
-    """E_{p,n} for every p in ``ps`` and n = 0..max_level in one sweep.
-
-    Values are extended level by level once; per-level edge differences are
-    shared across exponents.  Exact arithmetic needs integer exponents.
-    """
-    out = {p: [] for p in ps}
-    for n, values in arith.level_values(hier, u, 0, max_level):
-        for p, e in zip(ps, _edge_energies(hier.level(n), values, ps, arith)):
-            out[p].append(e)
-    return out
 
 
 def _extend_float_step(hier: Hierarchy, vals: np.ndarray, k: int) -> np.ndarray:
@@ -627,13 +594,11 @@ def energy_limit(
     plateau is the first level whose energy ``arith`` finds close to the next.
     """
     region_words = list(region) if region is not None else None
-    if region_words is not None and region_level is None:
-        region_level = len(region_words[0])
-    start = region_level if region_words is not None else 0
+    start = 0 if region_words is None else _region_level(region_words, region_level)
     if start > max_level:
         raise RegionError("region level exceeds max level")
     energies = [
-        arith.energy(hier.level(n), values, p, region_words, region_level)
+        arith.energy(hier.level(n), values, p, region_words, start)
         for n, values in arith.level_values(hier, u, start, max_level)
     ]
     plateau = next(

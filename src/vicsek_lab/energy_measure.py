@@ -25,7 +25,6 @@ from .energy import (
     FLOAT,
     AffineFunction,
     Arithmetic,
-    _edge_energies,
     add,
     float_values_at,
     scaled_values_at,
@@ -72,10 +71,10 @@ def gamma_cells(
     level = hier.level(n_eval)
     # |slope|^p * len = |du * L|^p / L = L^{p-1} |du|^p, summed per ancestor cell
     cells = level.edge_word // ancestor_index_stride(hier.ratios, n_eval, m)
-    masses = _edge_energies(
-        level, arith.values_at(hier, u, n_eval), (p,), arith,
+    masses = arith.energy(
+        level, arith.values_at(hier, u, n_eval), p,
         group=cells, num_groups=hier.ratios.num_words(m),
-    )[0]
+    )
     return CellMeasure(m, tuple(masses))
 
 
@@ -184,9 +183,7 @@ def chain_rule_check(
     num_cells = hier.ratios.num_words(cell_level)
 
     fw = np.array([f(v) for v in float_values_at(hier, u, n).tolist()])
-    discrete = np.array(
-        _edge_energies(level_n, fw, (pf,), FLOAT, group=cells, num_groups=num_cells)[0]
-    )
+    discrete = np.array(FLOAT.energy(level_n, fw, pf, group=cells, num_groups=num_cells))
 
     # quadrature on the coarse edges where u is affine
     n_q = max(cell_level, u.base_level)
@@ -311,10 +308,10 @@ def pushforward_profile(
     if lo == hi:
         raise InvalidArgumentError("constant function: the value range is empty")
     # each edge its own group: the per-edge mass |slope|^p * length
-    edge_masses = _edge_energies(
-        level, arith.values_at(hier, u, base), (p,), arith,
+    edge_masses = arith.energy(
+        level, arith.values_at(hier, u, base), p,
         group=np.arange(level.num_edges), num_groups=level.num_edges,
-    )[0]
+    )
     den, ints = scaled_values_at(hier, u, base)
     tails, heads = level.edge_tail.tolist(), level.edge_head.tolist()
 

@@ -61,16 +61,6 @@ class LatticePoint:
             )
         return LatticePoint(self.x // f, self.y // f, to_level)
 
-    def true_distance_sq(self, other: "LatticePoint", ratios: RatioSequence) -> Fraction:
-        if self.level != other.level:
-            raise ScaleMismatchError(
-                f"points at levels {self.level} and {other.level}; rescale first"
-            )
-        dx = self.x - other.x
-        dy = self.y - other.y
-        L = ratios.length_product(self.level)
-        return Fraction(dx * dx + dy * dy, 2 * L * L)
-
 
 def point_of_word(ratios: RatioSequence, word: Word, corner: int | str = 0) -> LatticePoint:
     """Image of a reference point of the unit cell under the word's map.
@@ -263,13 +253,6 @@ class VicsekLevel:
 
     def edge_length(self) -> Fraction:
         return Fraction(1, self.L)
-
-    def neighbors(self, vid: int) -> np.ndarray:
-        """Ids adjacent to ``vid`` in the tree, ascending."""
-        adjacent = self.parent == vid
-        if self.parent[vid] >= 0:
-            adjacent[self.parent[vid]] = True
-        return np.flatnonzero(adjacent)
 
     @cached_property
     def vertex_cells(self) -> tuple[np.ndarray, np.ndarray]:

@@ -44,16 +44,21 @@ def scale_table(ratios: RatioSequence, max_level: int) -> list[tuple]:
     return [(n, *scale_values(ratios, n)) for n in range(max_level + 1)]
 
 
+def _scale_index(ratios: RatioSequence, r) -> int:
+    """The n with rho_{n+1} < r <= rho_n, for 0 < r < rho_0 = 2."""
+    n = 0
+    while ratios.rho(n + 1) >= r:
+        n += 1
+    return n
+
+
 def psi_of(ratios: RatioSequence, r) -> Fraction:
     """psi(r): right-continuous step value, 1 for r >= 2."""
     if r <= 0:
         raise InvalidArgumentError(f"radius must be > 0, got {r}")
     if r >= 2:
         return Fraction(1)
-    n = 0
-    while ratios.rho(n + 1) >= r:
-        n += 1
-    return Fraction(1, ratios.num_words(n))
+    return Fraction(1, ratios.num_words(_scale_index(ratios, r)))
 
 
 def phi_of(ratios: RatioSequence, r):
@@ -62,9 +67,7 @@ def phi_of(ratios: RatioSequence, r):
         raise InvalidArgumentError(f"radius must be > 0, got {r}")
     if r >= 2:
         return _pow_p_minus_1(Fraction(2), ratios.p)
-    n = 0
-    while ratios.rho(n + 1) >= r:
-        n += 1
+    n = _scale_index(ratios, r)
     return _pow_p_minus_1(ratios.rho(n), ratios.p) * Fraction(1, ratios.num_words(n))
 
 
@@ -383,9 +386,7 @@ def regularized_scales(ratios: RatioSequence, r):
     if r >= 2:
         psi_t = r / 2 if isinstance(r, float) else Fraction(r, 2)
     else:
-        n = 0
-        while ratios.rho(n + 1) >= r:
-            n += 1
+        n = _scale_index(ratios, r)
         r_hi = ratios.rho(n)
         r_lo = ratios.rho(n + 1)
         psi_hi = Fraction(1, ratios.num_words(n))

@@ -15,7 +15,6 @@ from fractions import Fraction
 import numpy as np
 
 from .besov import (
-    base_energies,
     bbm_curve,
     beta_arithmetic,
     discrete_profiles,
@@ -163,7 +162,7 @@ def run_selftest(config: ExperimentConfig) -> tuple[list[Check], dict]:
     # E_n^beta = phi(rho_n)^{1 - beta/beta*} E_n^{beta*}, phi from the measure
     profiles = {}
     ok = True
-    base = base_energies(hier, u_star, p, N, arith)
+    base = rep.energies  # the ramp's E_{p,n}, swept once above
     for beta in config.beta_grid:
         prof = discrete_profiles(hier, u_star, p, beta, N, arith=arith, energies=base)
         profiles[beta] = prof

@@ -10,16 +10,19 @@ small levels only.
 
 ``path_vertices`` and ``vertex_id_at`` are plain walks over a library level
 or hierarchy, for the tests that check a path or a restriction vertex by
-vertex.
+vertex; ``neighbors`` and ``true_distance_sq`` read a level's parent array
+and a point's exact coordinates.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 
+from vicsek_lab.errors import ScaleMismatchError
 from vicsek_lab.ratios import RatioSequence
 from vicsek_lab.words import enumerate_letters, letter_offset
 
@@ -182,3 +185,20 @@ def vertex_id_at(hier, k_from: int, vid: int, k_to: int) -> int:
     for k in range(k_from, k_to):
         vid = int(hier.lift_ids(k)[vid])
     return vid
+
+
+def neighbors(level, vid: int) -> np.ndarray:
+    """Ids adjacent to ``vid`` in a library level's tree, ascending."""
+    adjacent = level.parent == vid
+    if level.parent[vid] >= 0:
+        adjacent[level.parent[vid]] = True
+    return np.flatnonzero(adjacent)
+
+
+def true_distance_sq(a, b, ratios: RatioSequence) -> Fraction:
+    """Exact squared Euclidean distance of two lattice points of one level."""
+    if a.level != b.level:
+        raise ScaleMismatchError(f"points at levels {a.level} and {b.level}; rescale first")
+    dx, dy = a.x - b.x, a.y - b.y
+    L = ratios.length_product(a.level)
+    return Fraction(dx * dx + dy * dy, 2 * L * L)

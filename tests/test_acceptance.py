@@ -26,7 +26,7 @@ from vicsek_lab.energy import (
     FLOAT,
     arithmetic,
     diagonal_ramp,
-    energy_levels_multi,
+    energy_limit,
     energy_property_checks,
     float_values_at,
     morrey_constant,
@@ -135,12 +135,12 @@ def test_criterion_04_energy_monotonicity(hier3):
     start = time.monotonic()
     for seed in range(200):
         u = random_affine(hier3, seed)
-        exact = energy_levels_multi(hier3, u, (2, 3), 6, arith=EXACT)
-        for p, energies in exact.items():
+        for p in (2, 3):
+            energies = energy_limit(hier3, u, p, 6, arith=EXACT).energies
             assert all(a <= b for a, b in zip(energies, energies[1:])), (seed, p)
             tail = energies[u.base_level :]
             assert all(e == tail[0] for e in tail), (seed, p)
-        fl = energy_levels_multi(hier3, u, (1.5,), 6, arith=FLOAT)[1.5]
+        fl = energy_limit(hier3, u, 1.5, 6, arith=FLOAT).energies
         assert all(
             a <= b * (1 + 1e-12) + 1e-300 for a, b in zip(fl, fl[1:])
         ), seed
@@ -219,8 +219,8 @@ def test_criterion_07_energy_measure(hier3):
             g1 = gamma_cells(hier3, w, p, 1)
             g2 = gamma_cells(hier3, w, p, 2)
             assert g1.refinement_defect(g2, 5) == 0
-            sweeps = energy_levels_multi(hier3, w, (p,), max(2, w.base_level), arith=EXACT)
-            assert g1.total == sweeps[p][-1]
+            rep = energy_limit(hier3, w, p, max(2, w.base_level), arith=EXACT)
+            assert g1.total == rep.limit
         assert coincidence_check(hier3, w, 2, 3) == 0
     assert coincidence_check(hier3, u, 2, 3) == 0
     report(7, "energy-measure totals, refinement additivity, coincidence to depth 3")

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from vicsek_lab import besov, cli, energy, energy_measure, selftest
+from vicsek_lab import besov, cli, energy, selftest
 from vicsek_lab.cli import COMMANDS, main
 from vicsek_lab.config import config_from_dict, load_config
 from vicsek_lab.energy import (
@@ -357,18 +357,18 @@ def test_besov_and_bbm_honour_float_mode(tmp_path, monkeypatch):
     # 501 vertices at the vertex level: rational mode is exact at beta*
     path = write_config(tmp_path, {"depth": 1, "vertex_level": 3})
     calls, seen = [], {}
-    pair_sum, multi = besov.ball_pair_sum, besov.energy_levels_multi
+    pair_sum, sweep = besov.ball_pair_sum, besov.energy_limit
 
     def spy_pairs(level, values, *args, **kwargs):
         calls.append(("ball", isinstance(values, tuple)))
         return pair_sum(level, values, *args, **kwargs)
 
-    def spy_levels(hier, u, ps, max_level, arith):
+    def spy_levels(hier, u, p, max_level, arith):
         calls.append(("levels", arith is EXACT))
-        return multi(hier, u, ps, max_level, arith)
+        return sweep(hier, u, p, max_level, arith)
 
     monkeypatch.setattr(besov, "ball_pair_sum", spy_pairs)
-    monkeypatch.setattr(besov, "energy_levels_multi", spy_levels)
+    monkeypatch.setattr(besov, "energy_limit", spy_levels)
     for mode in ("rational", "float"):
         for cmd in ("besov", "bbm"):
             calls.clear()
@@ -406,14 +406,13 @@ def test_energy_commands_honour_float_mode(tmp_path, monkeypatch):
     neither the form checks nor the coincidence check."""
     path = write_config(tmp_path)
     calls = []
-    primitive = energy._edge_energies
+    primitive = energy.Arithmetic.energy
 
-    def spy(level, values, *args, **kwargs):
+    def spy(arith, level, values, *args, **kwargs):
         calls.append(isinstance(values, tuple))
-        return primitive(level, values, *args, **kwargs)
+        return primitive(arith, level, values, *args, **kwargs)
 
-    monkeypatch.setattr(energy, "_edge_energies", spy)
-    monkeypatch.setattr(energy_measure, "_edge_energies", spy)
+    monkeypatch.setattr(energy.Arithmetic, "energy", spy)
     for mode, exact in (("rational", True), ("float", False)):
         for cmd in ("energy", "energy-measure"):
             calls.clear()
@@ -435,26 +434,27 @@ def test_energy_commands_honour_float_mode(tmp_path, monkeypatch):
 
 
 def test_selftest_honours_float_mode(tmp_path, monkeypatch):
-    """selftest passes its arithmetic to the base energies and the BBM curve."""
+    """selftest passes its arithmetic to the energy sweeps and the BBM curve."""
     path = write_config(tmp_path)
     seen = []
-    base, curve = selftest.base_energies, selftest.bbm_curve
+    sweep, curve = selftest.energy_limit, selftest.bbm_curve
 
-    def spy_base(hier, u, p, max_scale, arith):
-        seen.append(("base", arith is EXACT))
-        return base(hier, u, p, max_scale, arith)
+    def spy_sweep(hier, u, p, max_level, arith):
+        seen.append(("sweep", arith is EXACT))
+        return sweep(hier, u, p, max_level, arith)
 
     def spy_curve(*args, arith, **kwargs):
         seen.append(("bbm", arith is EXACT))
         return curve(*args, arith=arith, **kwargs)
 
-    monkeypatch.setattr(selftest, "base_energies", spy_base)
+    monkeypatch.setattr(selftest, "energy_limit", spy_sweep)
     monkeypatch.setattr(selftest, "bbm_curve", spy_curve)
+    sweeps = 1 + len(BASE_CONFIG["seeds"])  # the ramp, then each seeded function
     for mode, exact in (("rational", True), ("float", False)):
         seen.clear()
         args = ["selftest", "--config", str(path), "--out", str(tmp_path / mode)]
         assert main(args + ["--mode", mode]) == 0
-        assert seen == [("base", exact), ("bbm", exact)], mode
+        assert seen == [("sweep", exact)] * sweeps + [("bbm", exact)], mode
 
 
 def test_threads_is_validated_and_has_no_effect(tmp_path, capsys):
@@ -496,22 +496,26 @@ def test_mode_override_applies_before_validation(tmp_path, capsys):
 
 
 def test_selftest_sweeps_only_in_its_arithmetic(tmp_path, monkeypatch):
-    """selftest makes one E_{p,n} sweep, in the mode's arithmetic, shared by
-    the suite, the profiles, the jump kernel and the BBM curve."""
+    """selftest makes one E_{p,n} sweep of the ramp, in the mode's arithmetic,
+    shared by the suite, the profiles, the jump kernel and the BBM curve.
+
+    A sweep is a pass of the values over more than one level; every energy
+    sweep takes its values from ``Arithmetic.level_values``."""
     path = write_config(tmp_path)
-    flags = []
-    multi = besov.energy_levels_multi
+    sweeps = []
+    level_values, ramp = energy.Arithmetic.level_values, diagonal_ramp().values
 
-    def spy_levels(hier, u, ps, max_level, arith):
-        flags.append(arith is EXACT)
-        return multi(hier, u, ps, max_level, arith)
+    def spy(arith, hier, u, start, stop):
+        if u.values == ramp and start < stop:
+            sweeps.append((arith is EXACT, start, stop))
+        return level_values(arith, hier, u, start, stop)
 
-    monkeypatch.setattr(besov, "energy_levels_multi", spy_levels)
+    monkeypatch.setattr(energy.Arithmetic, "level_values", spy)
     for mode, exact in (("rational", True), ("float", False)):
-        flags.clear()
+        sweeps.clear()
         args = ["selftest", "--config", str(path), "--out", str(tmp_path / mode)]
         assert main(args + ["--mode", mode]) == 0
-        assert flags == [exact], mode
+        assert sweeps == [(exact, 0, BASE_CONFIG["depth"])], mode
 
 
 def test_selftest_weak_monotonicity_honours_float_mode(tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _geometry_oracle import vertex_id_at
+from _geometry_oracle import true_distance_sq, vertex_id_at
 from vicsek_lab.energy import (
     EXACT,
     FLOAT,
@@ -18,7 +18,6 @@ from vicsek_lab.energy import (
     compose,
     corner_indicator,
     diagonal_ramp,
-    energy_levels_multi,
     energy_limit,
     energy_of_gradient,
     energy_property_checks,
@@ -158,8 +157,8 @@ def test_ramp_closed_form_p3_level4(hier3):
 def test_seeded_monotonicity_exact(hier3):
     for seed in range(20):
         u = random_affine(hier3, seed)
-        sweeps = energy_levels_multi(hier3, u, (2, 3), 5, arith=EXACT)
-        for p, energies in sweeps.items():
+        for p in (2, 3):
+            energies = energy_limit(hier3, u, p, 5, arith=EXACT).energies
             assert all(a <= b for a, b in zip(energies, energies[1:]))
             # plateau from the base level onward, exactly
             tail = energies[u.base_level :]
@@ -176,22 +175,20 @@ def test_energy_limit_region_restriction(hier3):
     diag = [(Letter(1, 1),), (CENTER,), (Letter(3, 1),)]
     rep = energy_limit(hier3, u, 2, 3, region=diag)
     assert rep.limit == Fraction(1, 2)
+    # malformed regions are region errors, as in Arithmetic.energy
+    for region in ([], [3]):
+        with pytest.raises(RegionError):
+            energy_limit(hier3, u, 2, 3, region=region)
+    with pytest.raises(RegionError):
+        EXACT.energy(hier3.level(2), EXACT.values_at(hier3, u, 2), 2, region=[3])
+    rep = energy_limit(hier3, u, 2, 3, region=[3], region_level=1)
+    assert rep.levels == (1, 2, 3) and rep.limit == Fraction(1, 6)
 
 
 def test_evaluate_affine_below_base_rejected(hier3):
     u = AffineFunction(2, [0] * hier3.level(2).num_vertices)
     with pytest.raises(LevelError):
         evaluate_affine(hier3, u, 1, 0)
-
-
-def test_energy_levels_multi_matches_energy_limit(hier3):
-    u = random_affine(hier3, 77)
-    sweeps = energy_levels_multi(hier3, u, (2,), 4, arith=EXACT)
-    rep = energy_limit(hier3, u, 2, 4)
-    assert tuple(sweeps[2]) == rep.energies
-    f = energy_levels_multi(hier3, u, (1.5,), 4, arith=FLOAT)[1.5]
-    repf = energy_limit(hier3, u, 1.5, 4, arith=FLOAT)
-    assert f == pytest.approx(list(repf.energies), rel=1e-12)
 
 
 def test_float_and_exact_extensions_agree(hier3):
@@ -295,7 +292,7 @@ def test_resistance_euclidean_two_sided(hier3):
                     continue
                 pa = lv.vertex_point(a)
                 pb = lv.vertex_point(b)
-                d_eu = math.sqrt(float(pa.true_distance_sq(pb, hier3.ratios)))
+                d_eu = math.sqrt(float(true_distance_sq(pa, pb, hier3.ratios)))
                 R = float(resistance(lv, a, b, p))
                 # tree distance within [d, 3 d] on the cross: loose two-sided check
                 assert d_eu ** (p - 1) * 0.99 <= R <= (4 * d_eu) ** (p - 1)

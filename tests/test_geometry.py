@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _geometry_oracle import path_vertices
+from _geometry_oracle import neighbors, path_vertices
 from vicsek_lab.errors import (
     DepthBudgetError,
     InvalidArgumentError,
@@ -247,7 +247,7 @@ def test_level_keeps_no_lookup_or_adjacency_tables():
         adjacent[a].add(b)
         adjacent[b].add(a)
     for vid in range(lv.num_vertices):
-        assert lv.neighbors(vid).tolist() == sorted(adjacent[vid])
+        assert neighbors(lv, vid).tolist() == sorted(adjacent[vid])
 
 
 def test_hierarchy_memory_is_bounded():
