@@ -24,18 +24,6 @@ from .geometry import Hierarchy, build_level
 from .io import config_hash, write_csv, write_json
 from .ratios import example_prefix
 
-COMMANDS = (
-    "build",
-    "measure",
-    "hausdorff",
-    "energy",
-    "energy-measure",
-    "besov",
-    "bbm",
-    "resistance",
-    "selftest",
-)
-
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
@@ -51,12 +39,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = load_config(args.config, mode=args.mode)
-        threads = args.threads if args.threads is not None else config.threads
-        if threads is not None and threads < 1:
-            raise ConfigError("threads must be >= 1")
-        if threads is not None and threads > 1:
-            print(f"note: vicsek-lab runs on one thread; threads={threads} has no effect",
+        config = load_config(args.config, mode=args.mode, threads=args.threads)
+        if config.threads is not None and config.threads > 1:
+            print(f"note: vicsek-lab runs on one thread; threads={config.threads} has no effect",
                   file=sys.stderr)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -183,11 +168,6 @@ def _cmd_hausdorff(config: ExperimentConfig, out: Path, meta: str) -> int:
     return 0
 
 
-def _hierarchy(config: ExperimentConfig) -> Hierarchy:
-    ratios = config.ratio_sequence()
-    return Hierarchy(ratios, max(config.vertex_level, config.depth + 1), budget=config.cell_budget)
-
-
 def _suite(config: ExperimentConfig, hier: Hierarchy):
     from .energy import diagonal_ramp, random_affine
 
@@ -200,7 +180,7 @@ def _cmd_energy(config: ExperimentConfig, out: Path, meta: str) -> int:
     from .energy import (arithmetic, energy_limit, energy_property_checks, random_affine,
                          restrict_to_arm)
 
-    hier = _hierarchy(config)
+    hier = config.hierarchy()
     arith = arithmetic(config.mode, config.p)
     reports = {
         name: energy_limit(hier, u, config.p, config.depth, arith).to_json_dict()
@@ -221,7 +201,7 @@ def _cmd_energy_measure(config: ExperimentConfig, out: Path, meta: str) -> int:
                                  word_energy_measure)
     from .words import word_from_index, word_string
 
-    hier = _hierarchy(config)
+    hier = config.hierarchy()
     arith = arithmetic(config.mode, config.p)
     u = diagonal_ramp()
     depth = min(config.depth, 3)
@@ -258,7 +238,7 @@ def _cmd_besov(config: ExperimentConfig, out: Path, meta: str) -> int:
             "besov profiles need vertex_level >= depth + 2 as a discretization "
             f"margin; got vertex_level={config.vertex_level}, depth={config.depth}"
         )
-    hier = _hierarchy(config)
+    hier = config.hierarchy()
     u = diagonal_ramp()
     m = config.vertex_level
     arith = arithmetic(config.mode, config.p)
@@ -321,7 +301,7 @@ def _cmd_bbm(config: ExperimentConfig, out: Path, meta: str) -> int:
     from .besov import bbm_curve
     from .energy import arithmetic, diagonal_ramp
 
-    hier = _hierarchy(config)
+    hier = config.hierarchy()
     u = diagonal_ramp()
     curve = bbm_curve(
         hier, u, config.p, list(config.epsilons), config.depth, tail="plateau",
@@ -416,6 +396,7 @@ _HANDLERS = {
     "resistance": _cmd_resistance,
     "selftest": _cmd_selftest,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 if __name__ == "__main__":

@@ -1,14 +1,19 @@
-"""Experiment configuration: one JSON document drives every CLI command."""
+"""Experiment configuration: one JSON document drives every CLI command.
+
+The fields of ``ExperimentConfig`` and ``HausdorffConfig`` are the config
+keys: a field's annotation picks the rule that reads its JSON value, and
+its default fills an absent key.
+"""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Optional
 
 from .errors import ConfigError
-from .geometry import MAX_CELL_BUDGET
+from .geometry import DEFAULT_CELL_BUDGET, MAX_CELL_BUDGET, Hierarchy
 from .ratios import (
     RatioSequence,
     alternating_ratios,
@@ -30,7 +35,7 @@ class HausdorffConfig:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    ratios_spec: Any
+    ratios: Any
     p: float | int = 2
     beta_star: float = 1.0
     depth: int = 4  # N: deepest scale index used by energies/profiles
@@ -41,7 +46,7 @@ class ExperimentConfig:
     bins: int = 16
     mode: str = "rational"
     threads: Optional[int] = None  # validated, no effect: the library is single-threaded
-    cell_budget: int = 5_000_000
+    cell_budget: int = DEFAULT_CELL_BUDGET
     hausdorff: HausdorffConfig = field(default_factory=HausdorffConfig)
 
     def __post_init__(self):
@@ -49,6 +54,8 @@ class ExperimentConfig:
             raise ConfigError(f"p must be > 1, got {self.p}")
         if self.beta_star <= 0:
             raise ConfigError(f"beta_star must be > 0, got {self.beta_star}")
+        if self.depth < 0:
+            raise ConfigError(f"depth must be >= 0, got {self.depth}")
         if self.vertex_level < self.depth:
             raise ConfigError(
                 f"vertex_level ({self.vertex_level}) must be >= depth ({self.depth})"
@@ -57,6 +64,8 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be rational or float, got {self.mode!r}")
         if self.threads is not None and self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        if not self.seeds:
+            raise ConfigError("seeds must hold at least one seed")
         if self.cell_budget > MAX_CELL_BUDGET:
             raise ConfigError(
                 f"cell_budget {self.cell_budget} exceeds the limit of {MAX_CELL_BUDGET} cells"
@@ -66,11 +75,9 @@ class ExperimentConfig:
                 "rational mode requires an integer p; use mode=float"
             )
 
-    def ratio_sequence(self, min_depth: Optional[int] = None) -> RatioSequence:
-        depth = max(
-            self.vertex_level + 1, self.depth + 2, min_depth or 0
-        )
-        spec = self.ratios_spec
+    def ratio_sequence(self) -> RatioSequence:
+        depth = max(self.vertex_level + 1, self.depth + 2)
+        spec = self.ratios
         p = self.p
         bs = self.beta_star
         try:
@@ -97,85 +104,81 @@ class ExperimentConfig:
         except Exception as e:  # invalid ratio values etc.
             raise ConfigError(f"invalid ratios field: {e}") from e
 
+    def hierarchy(self) -> Hierarchy:
+        """The hierarchy the commands share: levels up to the vertex level
+        and at least one past the depth."""
+        return Hierarchy(self.ratio_sequence(), max(self.vertex_level, self.depth + 1),
+                         budget=self.cell_budget)
+
     def to_canonical_dict(self) -> dict:
-        return {
-            "ratios": self.ratios_spec,
-            "p": self.p,
-            "beta_star": self.beta_star,
-            "depth": self.depth,
-            "vertex_level": self.vertex_level,
-            "beta_grid": list(self.beta_grid),
-            "epsilons": list(self.epsilons),
-            "seeds": list(self.seeds),
-            "bins": self.bins,
-            "mode": self.mode,
-            "cell_budget": self.cell_budget,
-            "hausdorff": {
-                "a": self.hausdorff.a,
-                "b": self.hausdorff.b,
-                "theta": self.hausdorff.theta,
-                "prefix_len": self.hausdorff.prefix_len,
-                "liminf_eta": self.hausdorff.liminf_eta,
-                "limsup_eta": self.hausdorff.limsup_eta,
-            },
-        }
+        """Every field but ``threads``, which changes no result: what the
+        artifact stamp hashes."""
+        canon = asdict(self)
+        del canon["threads"]
+        return canon
 
 
-def load_config(path: str | Path, mode: Optional[str] = None) -> ExperimentConfig:
-    """The config in the JSON file; ``mode``, when given, replaces the file's
-    mode before the config is validated."""
+def load_config(
+    path: str | Path, mode: Optional[str] = None, threads: Optional[int] = None
+) -> ExperimentConfig:
+    """The config in the JSON file; ``mode`` and ``threads``, when given,
+    replace the file's values before the config is validated."""
     try:
         raw = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
-    if mode is not None and isinstance(raw, dict):
-        raw["mode"] = mode
+    if isinstance(raw, dict):
+        overrides = {"mode": mode, "threads": threads}
+        raw.update((k, v) for k, v in overrides.items() if v is not None)
     return config_from_dict(raw)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    if "ratios" not in raw:
-        raise ConfigError("config missing required field 'ratios'")
-    known = {
-        "ratios", "p", "beta_star", "depth", "vertex_level", "beta_grid",
-        "epsilons", "seeds", "bins", "mode", "threads", "cell_budget",
-        "hausdorff",
-    }
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    h = raw.get("hausdorff", {})
     try:
-        hcfg = HausdorffConfig(
-            a=int(h.get("a", 3)),
-            b=int(h.get("b", 5)),
-            theta=float(h.get("theta", 1.0)),
-            prefix_len=int(h.get("prefix_len", 10_000)),
-            liminf_eta=h.get("liminf_eta", "+inf"),
-            limsup_eta=h.get("limsup_eta", "+inf"),
-        )
-        p_raw = raw.get("p", 2)
-        p = int(p_raw) if float(p_raw) == int(float(p_raw)) else float(p_raw)
-        cfg = ExperimentConfig(
-            ratios_spec=raw["ratios"],
-            p=p,
-            beta_star=float(raw.get("beta_star", 1.0)),
-            depth=int(raw.get("depth", 4)),
-            vertex_level=int(raw.get("vertex_level", 6)),
-            beta_grid=tuple(float(x) for x in raw.get("beta_grid", (0.8, 1.0, 1.2))),
-            epsilons=tuple(float(x) for x in raw.get("epsilons", (0.2, 0.1, 0.05, 0.02, 0.01))),
-            seeds=tuple(int(x) for x in raw.get("seeds", (1, 2, 3, 4))),
-            bins=int(raw.get("bins", 16)),
-            mode=str(raw.get("mode", "rational")),
-            threads=int(raw["threads"]) if "threads" in raw else None,
-            cell_budget=int(raw.get("cell_budget", 5_000_000)),
-            hausdorff=hcfg,
-        )
+        cfg = _build(ExperimentConfig, raw, "")
         cfg.ratio_sequence()  # surface invalid ratio specs at parse time
         return cfg
     except ConfigError:
         raise
     except (TypeError, ValueError) as e:
         raise ConfigError(f"malformed config value: {e}") from e
+
+
+def _build(cls, raw, prefix: str):
+    """A ``cls`` from its JSON object: each key read by the rule for its
+    field's annotation, each absent key left to its field's default.
+    ``prefix`` leads the key names in errors."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{prefix.rstrip('.') or 'config'} must be a JSON object, "
+                          f"got {type(raw).__name__}")
+    declared = {f.name: f for f in fields(cls)}
+    unknown = set(raw) - set(declared)
+    if unknown:
+        raise ConfigError(f"unknown config fields: {sorted(prefix + k for k in unknown)}")
+    for name, f in declared.items():
+        if name not in raw and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"config missing required field {prefix + name!r}")
+    return cls(**{k: _PARSE[declared[k].type](v) for k, v in raw.items()})
+
+
+def _number(x):
+    """An integral value as an int (rational mode needs an integer p), else a float."""
+    return int(x) if float(x) == int(float(x)) else float(x)
+
+
+# How a JSON value becomes a field value, by the field's annotation as written
+# (``from __future__ import annotations`` keeps each annotation a string).
+_PARSE = {
+    "Any": lambda x: x,
+    "Optional[str]": lambda x: x,
+    "float | int": _number,
+    "float": float,
+    "int": int,
+    "Optional[int]": int,
+    "str": str,
+    "tuple[float, ...]": lambda xs: tuple(float(x) for x in xs),
+    "tuple[int, ...]": lambda xs: tuple(int(x) for x in xs),
+    "HausdorffConfig": lambda h: _build(HausdorffConfig, h, "hausdorff."),
+}

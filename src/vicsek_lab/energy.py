@@ -445,6 +445,8 @@ def _region_level(words: list, region_level: Optional[int]) -> int:
     """The level of the region words: ``region_level``, else the length of
     the first word, which must then be a letter tuple."""
     if region_level is not None:
+        if region_level < 0:
+            raise RegionError(f"region_level must be >= 0, got {region_level}")
         return region_level
     if not words or not isinstance(words[0], tuple):
         raise RegionError("region words must be letter tuples or indices with region_level")

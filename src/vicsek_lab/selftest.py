@@ -35,7 +35,6 @@ from .energy import (
     resistance_oracle,
 )
 from .energy_measure import coincidence_check, gamma_cells, pushforward_profile
-from .geometry import Hierarchy
 from .measure import mu_ball_bounds, psi_of, regularized_scales, scale_values
 from .pairsum import ball_pair_sum_bruteforce, ball_pair_sum_indexed
 
@@ -48,7 +47,7 @@ def run_selftest(config: ExperimentConfig) -> tuple[list[Check], dict]:
     m = config.vertex_level
     p = config.p
     arith = arithmetic(config.mode, p)
-    hier = Hierarchy(ratios, max(m, N + 1), budget=config.cell_budget)
+    hier = config.hierarchy()
     checks: list[Check] = []
     artifacts: dict = {}
 

@@ -108,6 +108,67 @@ def test_config_validation_errors():
         )
     with pytest.raises(ConfigError, match="invalid ratios"):
         config_from_dict({"ratios": {"generator": "constant", "l": 4}})
+    with pytest.raises(ConfigError, match="hausdorff"):
+        config_from_dict({"ratios": [3, 3, 3, 3, 3, 3, 3, 3], "hausdorff": [1]})
+    with pytest.raises(ConfigError, match="unknown config fields.*bogus"):
+        config_from_dict({"ratios": {"generator": "constant", "l": 3},
+                          "hausdorff": {"a": 3, "bogus": 1}})
+    with pytest.raises(ConfigError, match="seeds"):
+        config_from_dict({"ratios": {"generator": "constant", "l": 3}, "seeds": []})
+    with pytest.raises(ConfigError, match="depth must be >= 0"):
+        config_from_dict({"ratios": {"generator": "constant", "l": 3}, "depth": -1})
+
+
+# A config that sets every field, hausdorff included, to a value other
+# than its default; the second one gives integers where floats are read.
+FULL_CONFIG = {
+    "ratios": {"generator": "alternating", "a": 3, "b": 5},
+    "p": 2.5,
+    "beta_star": 1.5,
+    "depth": 2,
+    "vertex_level": 5,
+    "beta_grid": [0.5, 1.5],
+    "epsilons": [0.3, 0.03],
+    "seeds": [7, 11],
+    "bins": 8,
+    "mode": "float",
+    "threads": 2,
+    "cell_budget": 123456,
+    "hausdorff": {"a": 5, "b": 7, "theta": 0.5, "prefix_len": 300,
+                  "liminf_eta": "real", "limsup_eta": None},
+}
+INT_VALUED_CONFIG = {
+    **FULL_CONFIG,
+    "ratios": [3, 5, 3, 5, 3, 5, 3, 5],
+    "p": 3,
+    "beta_grid": [1, 2],
+    "epsilons": [1],
+    "hausdorff": {**FULL_CONFIG["hausdorff"], "theta": 2},
+}
+
+
+@pytest.mark.parametrize("raw, canon, stamp", [
+    (FULL_CONFIG,
+     '{"beta_grid":[0.5,1.5],"beta_star":1.5,"bins":8,"cell_budget":123456,"depth":2,'
+     '"epsilons":[0.3,0.03],"hausdorff":{"a":5,"b":7,"liminf_eta":"real","limsup_eta":null,'
+     '"prefix_len":300,"theta":0.5},"mode":"float","p":2.5,'
+     '"ratios":{"a":3,"b":5,"generator":"alternating"},"seeds":[7,11],"vertex_level":5}',
+     "754bc8b58ffe4ffd"),
+    (INT_VALUED_CONFIG,
+     '{"beta_grid":[1.0,2.0],"beta_star":1.5,"bins":8,"cell_budget":123456,"depth":2,'
+     '"epsilons":[1.0],"hausdorff":{"a":5,"b":7,"liminf_eta":"real","limsup_eta":null,'
+     '"prefix_len":300,"theta":2.0},"mode":"float","p":3,'
+     '"ratios":[3,5,3,5,3,5,3,5],"seeds":[7,11],"vertex_level":5}',
+     "63e739219cb389d2"),
+])
+def test_canonical_dict_of_a_config_setting_every_field(raw, canon, stamp):
+    """The canonical dict holds every field but threads, each value as
+    parsed; canonical JSON and stamp are pinned to their values before the
+    dataclasses took over parsing."""
+    got = config_from_dict(raw).to_canonical_dict()
+    assert set(got) == set(raw) - {"threads"}
+    assert canonical_json(got) == canon
+    assert config_hash(got) == stamp
 
 
 def test_explicit_ratio_list_too_short():

@@ -183,6 +183,11 @@ def test_energy_limit_region_restriction(hier3):
         EXACT.energy(hier3.level(2), EXACT.values_at(hier3, u, 2), 2, region=[3])
     rep = energy_limit(hier3, u, 2, 3, region=[3], region_level=1)
     assert rep.levels == (1, 2, 3) and rep.limit == Fraction(1, 6)
+    # a negative region level is a region error, not a missing level
+    with pytest.raises(RegionError, match="region_level"):
+        energy_limit(hier3, u, 2, 2, region=[0], region_level=-1)
+    with pytest.raises(RegionError, match="region_level"):
+        EXACT.energy(hier3.level(2), EXACT.values_at(hier3, u, 2), 2, region=[0], region_level=-1)
 
 
 def test_evaluate_affine_below_base_rejected(hier3):
