@@ -25,8 +25,8 @@ from .errors import InvalidArgumentError, LevelError, ScaleMismatchError
 from .geometry import Hierarchy, VicsekLevel
 from .measure import derived_constants, scale_values
 from .ratios import RatioSequence
-from .energy import EXACT, FLOAT, AffineFunction, Arithmetic, energy_limit, float_values_at
-from .pairsum import ball_pair_sum, ball_row_stats
+from .energy import EXACT, FLOAT, AffineFunction, Arithmetic, energy_limit
+from .pairsum import ball_pair_sum_indexed, ball_row_stats
 
 _EMPIRICAL_MAX_VERTICES = 4000
 
@@ -45,7 +45,7 @@ def ball_energy(
         raise ScaleMismatchError(
             f"ball scale {n} finer than vertex level {level.n}"
         )
-    s = arith.unscale(ball_pair_sum(level, values, p, n, arith), values, p)
+    s = arith.unscale(ball_pair_sum_indexed(level, values, p, n, arith), values, p)
     return s / arith.num(level.num_vertices) ** 2
 
 
@@ -138,7 +138,7 @@ def phi_profile(
                 f"{_EMPIRICAL_MAX_VERTICES} vertices"
             )
         empirical = []
-        vals = float_values_at(hier, u, m)
+        vals = FLOAT.values_at(hier, u, m)
         V = level.num_vertices
         for n in range(max_scale + 1):
             counts, sums = ball_row_stats(level, vals, p, n)

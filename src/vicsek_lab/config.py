@@ -8,6 +8,7 @@ its default fills an absent key.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Optional
@@ -66,6 +67,12 @@ class ExperimentConfig:
             raise ConfigError("threads must be >= 1")
         if not self.seeds:
             raise ConfigError("seeds must hold at least one seed")
+        if not self.beta_grid:
+            raise ConfigError("beta_grid must hold at least one beta")
+        if not self.epsilons:
+            raise ConfigError("epsilons must hold at least one epsilon")
+        if self.bins < 1:
+            raise ConfigError(f"bins must be >= 1, got {self.bins}")
         if self.cell_budget > MAX_CELL_BUDGET:
             raise ConfigError(
                 f"cell_budget {self.cell_budget} exceeds the limit of {MAX_CELL_BUDGET} cells"
@@ -142,7 +149,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         return cfg
     except ConfigError:
         raise
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"malformed config value: {e}") from e
 
 
@@ -163,9 +170,17 @@ def _build(cls, raw, prefix: str):
     return cls(**{k: _PARSE[declared[k].type](v) for k, v in raw.items()})
 
 
+def _finite(x) -> float:
+    """A float; infinities and NaN are rejected."""
+    v = float(x)
+    if not math.isfinite(v):
+        raise ValueError(f"numbers must be finite, got {x!r}")
+    return v
+
+
 def _number(x):
     """An integral value as an int (rational mode needs an integer p), else a float."""
-    return int(x) if float(x) == int(float(x)) else float(x)
+    return int(x) if _finite(x) == int(float(x)) else float(x)
 
 
 # How a JSON value becomes a field value, by the field's annotation as written
@@ -174,11 +189,11 @@ _PARSE = {
     "Any": lambda x: x,
     "Optional[str]": lambda x: x,
     "float | int": _number,
-    "float": float,
+    "float": _finite,
     "int": int,
     "Optional[int]": int,
     "str": str,
-    "tuple[float, ...]": lambda xs: tuple(float(x) for x in xs),
+    "tuple[float, ...]": lambda xs: tuple(_finite(x) for x in xs),
     "tuple[int, ...]": lambda xs: tuple(int(x) for x in xs),
     "HausdorffConfig": lambda h: _build(HausdorffConfig, h, "hausdorff."),
 }

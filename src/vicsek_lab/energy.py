@@ -61,9 +61,10 @@ class AffineFunction:
 def combine(hier: Hierarchy, a: AffineFunction, b: AffineFunction, fn) -> AffineFunction:
     """Pointwise combination at the common refinement of the base levels."""
     base = max(a.base_level, b.base_level)
-    va = exact_values_at(hier, a, base)
-    vb = exact_values_at(hier, b, base)
-    return AffineFunction(base, [fn(x, y) for x, y in zip(va, vb)])
+    den_a, va = EXACT.values_at(hier, a, base)
+    den_b, vb = EXACT.values_at(hier, b, base)
+    pairs = zip(va.tolist(), vb.tolist())
+    return AffineFunction(base, [fn(Fraction(x, den_a), Fraction(y, den_b)) for x, y in pairs])
 
 
 def add(hier: Hierarchy, a: AffineFunction, b: AffineFunction) -> AffineFunction:
@@ -267,8 +268,8 @@ class _Exact(Arithmetic):
         return values[0], values[1][idx]
 
     def _extend(self, hier: Hierarchy, values, k: int):
-        vals, den = _extend_exact(hier, values[1], values[0], k)
-        return den, vals
+        l = hier.ratios.ratio(k + 1)
+        return values[0] * l, _refine(hier, values[1], k, l, range(1, l))
 
     def _energies(self, L: int, values, tails, heads, p, group, num_groups):
         den, vals = values
@@ -335,7 +336,8 @@ class _Float(Arithmetic):
         return values[idx]
 
     def _extend(self, hier: Hierarchy, values: np.ndarray, k: int):
-        return _extend_float_step(hier, values, k)
+        l = hier.ratios.ratio(k + 1)
+        return _refine(hier, values, k, 1, [i / l for i in range(1, l)])
 
     def _energies(self, L: int, values, tails, heads, p, group, num_groups):
         coef = float(L) ** (float(p) - 1.0)
@@ -389,51 +391,26 @@ def arithmetic(mode: str, p) -> Arithmetic:
     return EXACT if mode == "rational" and p_is_integer(p) else FLOAT
 
 
-def scaled_values_at(hier: Hierarchy, u: AffineFunction, n: int) -> tuple[int, list[int]]:
-    """Exact values on V_n as integers over a common denominator."""
-    den, vals = EXACT.values_at(hier, u, n)
-    return den, vals.tolist()
+def _refine(hier: Hierarchy, vals: np.ndarray, k: int, scale, weights) -> np.ndarray:
+    """u on V_k -> u on V_{k+1}, the one extension pass of both arithmetics.
 
-
-def _extend_exact(hier: Hierarchy, vals: np.ndarray, den: int, k: int):
-    """Integer values on V_k over ``den`` -> values on V_{k+1} over den * l.
-
-    The pass of ``_extend_float_step`` in integers.  An int64 array must
-    keep max |v| * l below 2^62; ``_int_array`` picks int64 or object by
-    that rule.
+    Lifted vertices take ``vals * scale``, interior point i of a coarse edge
+    ``tail * scale + weights[i - 1] * (head - tail)``, and hanging vertices
+    copy their attachment point.  EXACT passes (l, 1..l-1) on numerators
+    whose denominator grows by l (``_int_array`` chose a dtype that holds
+    max |v| * l at the deepest level); FLOAT passes (1, i/l).
     """
-    l = hier.ratios.ratio(k + 1)
     t = hier.transition(k)
     coarse = hier.level(k)
     new = np.empty(hier.level(k + 1).num_vertices, dtype=vals.dtype)
-    new[t.lift] = vals * l
+    new[t.lift] = vals * scale
     vt = vals[coarse.edge_tail]
     d = vals[coarse.edge_head] - vt
-    vt = vt * l
-    for i in range(1, l):
-        new[t.interior[:, i - 1]] = vt + i * d
+    vt = vt * scale
+    for i, w in enumerate(weights):
+        new[t.interior[:, i]] = vt + w * d
     new[t.hang[:, 0]] = new[t.hang[:, 1]]
-    return new, den * l
-
-
-def float_values_at(hier: Hierarchy, u: AffineFunction, n: int) -> np.ndarray:
-    """Values on V_n as float64 (exact for dyadic inputs at shallow depth)."""
-    return FLOAT.values_at(hier, u, n)
-
-
-def exact_values_at(hier: Hierarchy, u: AffineFunction, n: int) -> list[Fraction]:
-    den, ints = scaled_values_at(hier, u, n)
-    return [Fraction(v, den) for v in ints]
-
-
-def evaluate_affine(hier: Hierarchy, u: AffineFunction, n: int, vertex_id: int) -> Fraction:
-    """Exact value of the affine extension at one level-n vertex (n >= base)."""
-    if n < u.base_level:
-        raise LevelError(
-            f"evaluation level {n} below the base level {u.base_level}"
-        )
-    den, vals = EXACT.values_at(hier, u, n)
-    return Fraction(int(vals[vertex_id]), den)
+    return new
 
 
 # ---------------------------------------------------------------------------
@@ -518,12 +495,6 @@ class GradientField:
     arith: Arithmetic
     values: object
 
-    def slopes(self):
-        return self.values
-
-    def slope(self, e: int):
-        return self.values[e]
-
 
 def gradient_field(
     hier: Hierarchy, u: AffineFunction, n: int, arith: Arithmetic = EXACT
@@ -564,20 +535,6 @@ class EnergyReport:
             "limit": str(self.limit),
             "limit_float": float(self.limit),
         }
-
-
-def _extend_float_step(hier: Hierarchy, vals: np.ndarray, k: int) -> np.ndarray:
-    l = hier.ratios.ratio(k + 1)
-    t = hier.transition(k)
-    coarse = hier.level(k)
-    new = np.empty(hier.level(k + 1).num_vertices, dtype=np.float64)
-    new[t.lift] = vals
-    vt = vals[coarse.edge_tail]
-    dh = vals[coarse.edge_head] - vt
-    for i in range(1, l):
-        new[t.interior[:, i - 1]] = vt + (i / l) * dh
-    new[t.hang[:, 0]] = new[t.hang[:, 1]]
-    return new
 
 
 def energy_limit(
@@ -751,10 +708,6 @@ class PropertyCheckReport:
         }
 
 
-def sup_norm(u: AffineFunction) -> Fraction:
-    return u.sup_norm()
-
-
 def morrey_constant(hier: Hierarchy, u: AffineFunction, p, n: int, energy=None) -> float:
     """max |u(x)-u(y)|^p / (d(x,y)^{p-1} E_p(u)) over a deterministic pair set.
 
@@ -771,7 +724,7 @@ def morrey_constant(hier: Hierarchy, u: AffineFunction, p, n: int, energy=None) 
         return 0.0
     K = min(3, n)
     lvK = hier.level(K)
-    vals = float_values_at(hier, u, K)
+    vals = FLOAT.values_at(hier, u, K)
     coords = lvK.coords.astype(np.float64) / (math.sqrt(2.0) * lvK.L)
     best = 0.0
     step = max(1, _CHUNK // vals.size)
@@ -784,7 +737,7 @@ def morrey_constant(hier: Hierarchy, u: AffineFunction, p, n: int, energy=None) 
         best = float((dv[mask] ** p / (dist[mask] ** (p - 1.0) * E)).max(initial=best))
 
     lvN = hier.level(n)
-    valsN = float_values_at(hier, u, n)
+    valsN = FLOAT.values_at(hier, u, n)
     d_edge = 1.0 / lvN.L
     dv_e = np.abs(valsN[lvN.edge_head] - valsN[lvN.edge_tail])
     if dv_e.size:
@@ -795,7 +748,7 @@ def morrey_constant(hier: Hierarchy, u: AffineFunction, p, n: int, energy=None) 
 def spectral_gap_constant(hier: Hierarchy, u: AffineFunction, p, n: int, energy=None) -> float:
     """Empirical constant in the mean-deviation bound, vertex-uniform mean."""
     p = float(p)
-    vals = float_values_at(hier, u, n)
+    vals = FLOAT.values_at(hier, u, n)
     if energy is None:
         energy = FLOAT.energy(hier.level(n), vals, p)
     E = float(energy)

@@ -26,8 +26,6 @@ from .energy import (
     AffineFunction,
     Arithmetic,
     add,
-    float_values_at,
-    scaled_values_at,
 )
 
 
@@ -182,14 +180,14 @@ def chain_rule_check(
     cells = level_n.edge_word // ancestor_index_stride(hier.ratios, n, cell_level)
     num_cells = hier.ratios.num_words(cell_level)
 
-    fw = np.array([f(v) for v in float_values_at(hier, u, n).tolist()])
+    fw = np.array([f(v) for v in FLOAT.values_at(hier, u, n).tolist()])
     discrete = np.array(FLOAT.energy(level_n, fw, pf, group=cells, num_groups=num_cells))
 
     # quadrature on the coarse edges where u is affine
     n_q = max(cell_level, u.base_level)
     level_q = hier.level(n_q)
     stride_q = ancestor_index_stride(hier.ratios, n_q, cell_level)
-    vals_q = float_values_at(hier, u, n_q)
+    vals_q = FLOAT.values_at(hier, u, n_q)
     quad = np.zeros(num_cells)
     q = quadrature_nodes
     if q % 2 == 1:
@@ -312,7 +310,6 @@ def pushforward_profile(
         level, arith.values_at(hier, u, base), p,
         group=np.arange(level.num_edges), num_groups=level.num_edges,
     )
-    den, ints = scaled_values_at(hier, u, base)
     tails, heads = level.edge_tail.tolist(), level.edge_head.tolist()
 
     num = arith.num
@@ -323,7 +320,7 @@ def pushforward_profile(
     for e, mass in enumerate(edge_masses):
         if mass == 0:
             continue
-        a, b = sorted(num(Fraction(ints[v], den)) for v in (tails[e], heads[e]))
+        a, b = sorted(num(u.values[v]) for v in (tails[e], heads[e]))
         k0 = max(0, min(int((a - edges[0]) / width), bins - 1))
         if a == b:
             # positive mass on a flat edge: would contradict absolute continuity

@@ -251,9 +251,6 @@ class VicsekLevel:
             raise LookupError_(f"vertex id {vid} out of range")
         return LatticePoint(int(self.coords[vid, 0]), int(self.coords[vid, 1]), self.n)
 
-    def edge_length(self) -> Fraction:
-        return Fraction(1, self.L)
-
     @cached_property
     def vertex_cells(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR map vertex id -> indices of the cells it belongs to."""

@@ -23,7 +23,7 @@ routes are provided:
   are added in the plan's depth-first order, which keeps float results
   fixed.  The ``Arithmetic`` supplies the tile power sum and the total.
 
-``ball_pair_sum`` takes the cell tree; the oracle is
+``ball_pair_sum_indexed`` takes the cell tree; the oracle is
 ``ball_pair_sum_bruteforce``.  Every route takes the ``Arithmetic`` its
 values are held in.
 
@@ -482,8 +482,3 @@ def _square_sums(vs, subs, blocks):
             o += rows @ (va * va) + cols @ (vb * vb)
             o -= 2.0 * (va * (M @ vb)).sum(axis=1)
     return w * out
-
-
-def ball_pair_sum(level: VicsekLevel, values, p, n: int, arith: Arithmetic):
-    """The pair sum of values held in ``arith``, by the cell tree."""
-    return ball_pair_sum_indexed(level, values, p, n, arith)

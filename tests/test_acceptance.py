@@ -28,13 +28,11 @@ from vicsek_lab.energy import (
     diagonal_ramp,
     energy_limit,
     energy_property_checks,
-    float_values_at,
     morrey_constant,
     random_affine,
     resistance,
     resistance_oracle,
     restrict_to_arm,
-    scaled_values_at,
 )
 from vicsek_lab.energy_measure import chain_rule_check, coincidence_check, gamma_cells
 from vicsek_lab.geometry import Hierarchy, build_level
@@ -156,13 +154,7 @@ def _ramp_golden_and_gradient(hier: Hierarchy, max_level: int):
     u = diagonal_ramp()
     for p in (2, 3):
         golden = Fraction(2) ** (1 - p)
-        den, ints = u.scaled()
-        cur, cur_den, cur_level = np.array(ints), den, 0
-        for n in range(max_level + 1):
-            if n > 0:
-                from vicsek_lab.energy import _extend_exact
-
-                cur, cur_den = _extend_exact(hier, cur, cur_den, n - 1)
+        for n, (cur_den, cur) in EXACT.level_values(hier, u, 0, max_level):
             level = hier.level(n)
             e_direct = EXACT.energy(level, (cur_den, cur), p)
             assert e_direct == golden, (p, n)
@@ -247,7 +239,7 @@ def test_criterion_09_ball_kernel_oracle(hier3, hier35):
             u = diagonal_ramp() if func_seed is None else random_affine(hier, func_seed)
             for m in range(4):
                 lv = hier.level(m)
-                vals = scaled_values_at(hier, u, m)
+                vals = EXACT.values_at(hier, u, m)
                 for n in range(m + 1):
                     for p in (2, 3):
                         assert ball_pair_sum_indexed(
@@ -315,7 +307,7 @@ def test_criterion_12_weak_monotonicity_band():
     lv7 = hier.level(7)
     names = ["ramp"] + [f"seed{s}" for s in range(1, 9)]
     funcs = [diagonal_ramp()] + [random_affine(hier, s) for s in range(1, 9)]
-    mat = np.column_stack([float_values_at(hier, f, 7) for f in funcs])
+    mat = np.column_stack([FLOAT.values_at(hier, f, 7) for f in funcs])
     V2 = float(lv7.num_vertices) ** 2
     phis = np.empty((6, len(funcs)))
     for n in range(6):

@@ -26,9 +26,7 @@ from vicsek_lab.energy import (
     AffineFunction,
     arithmetic,
     diagonal_ramp,
-    float_values_at,
     random_affine,
-    scaled_values_at,
 )
 from vicsek_lab.errors import InvalidArgumentError, LevelError, ScaleMismatchError
 from vicsek_lab.measure import derived_constants
@@ -59,13 +57,13 @@ def test_vertex_measure_weights(hier3):
 
 def test_ball_energy_constant_zero(hier3):
     u = AffineFunction(0, [5] * 5)
-    den, ints = scaled_values_at(hier3, u, 2)
+    den, ints = EXACT.values_at(hier3, u, 2)
     assert ball_energy(hier3.level(2), (den, ints), 2, 1) == 0
 
 
 def test_ball_energy_golden_value(hier3):
     u = diagonal_ramp()
-    den, ints = scaled_values_at(hier3, u, 1)
+    den, ints = EXACT.values_at(hier3, u, 1)
     lv = hier3.level(1)
     s = ball_pair_sum_bruteforce(lv, (den, ints), 2, 1, EXACT)
     got = Fraction(s, den**2 * lv.num_vertices**2)
@@ -77,7 +75,7 @@ def test_indexed_equals_bruteforce_exact(hier3):
     u = diagonal_ramp()
     for m in range(4):
         lv = hier3.level(m)
-        vals = scaled_values_at(hier3, u, m)
+        vals = EXACT.values_at(hier3, u, m)
         for n in range(m + 1):
             for p in (2, 3):
                 assert ball_pair_sum_indexed(lv, vals, p, n, EXACT) == ball_pair_sum_bruteforce(
@@ -90,12 +88,12 @@ def test_indexed_equals_bruteforce_seeded(hier3):
         u = random_affine(hier3, seed)
         m = 3
         lv = hier3.level(m)
-        vals = scaled_values_at(hier3, u, m)
+        vals = EXACT.values_at(hier3, u, m)
         for n in range(m + 1):
             assert ball_pair_sum_indexed(lv, vals, 2, n, EXACT) == ball_pair_sum_bruteforce(
                 lv, vals, 2, n, EXACT
             )
-        fl = float_values_at(hier3, u, m)
+        fl = FLOAT.values_at(hier3, u, m)
         for n in range(m + 1):
             for p in (1.5, 2.7):
                 a = ball_pair_sum_indexed(lv, fl, p, n, FLOAT)
@@ -105,14 +103,14 @@ def test_indexed_equals_bruteforce_seeded(hier3):
 
 def test_ball_energy_scale_guard(hier3):
     u = diagonal_ramp()
-    vals = float_values_at(hier3, u, 1)
+    vals = FLOAT.values_at(hier3, u, 1)
     with pytest.raises(ScaleMismatchError):
         ball_energy(hier3.level(1), vals, 2, 2)
 
 
 def test_batched_kernel_matches_single_columns(hier3):
     lv = hier3.level(4)
-    cols = [float_values_at(hier3, random_affine(hier3, s), 4) for s in (1, 2, 3)]
+    cols = [FLOAT.values_at(hier3, random_affine(hier3, s), 4) for s in (1, 2, 3)]
     mat = np.column_stack(cols)
     for n in (1, 2, 3):
         batched = ball_pair_sum_indexed(lv, mat, 2, n, FLOAT)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -117,6 +118,22 @@ def test_config_validation_errors():
         config_from_dict({"ratios": {"generator": "constant", "l": 3}, "seeds": []})
     with pytest.raises(ConfigError, match="depth must be >= 0"):
         config_from_dict({"ratios": {"generator": "constant", "l": 3}, "depth": -1})
+    # non-finite numbers, as Python's json reads Infinity and NaN
+    for key, value in (("p", math.inf), ("p", math.nan), ("beta_star", math.inf),
+                       ("beta_grid", [1.0, math.inf]), ("epsilons", [math.nan])):
+        with pytest.raises(ConfigError, match="must be finite"):
+            config_from_dict({"ratios": {"generator": "constant", "l": 3}, key: value})
+    with pytest.raises(ConfigError, match="must be finite"):
+        config_from_dict({"ratios": {"generator": "constant", "l": 3},
+                          "hausdorff": {"theta": -math.inf}})
+    for key in ("depth", "bins"):
+        with pytest.raises(ConfigError, match="malformed config value"):
+            config_from_dict({"ratios": {"generator": "constant", "l": 3}, key: math.inf})
+    with pytest.raises(ConfigError, match="bins must be >= 1"):
+        config_from_dict({"ratios": {"generator": "constant", "l": 3}, "bins": 0})
+    for key in ("beta_grid", "epsilons"):
+        with pytest.raises(ConfigError, match=f"{key} must hold at least one"):
+            config_from_dict({"ratios": {"generator": "constant", "l": 3}, key: []})
 
 
 # A config that sets every field, hausdorff included, to a value other
@@ -321,13 +338,13 @@ def test_out_of_memory_exit_code(tmp_path, monkeypatch, capsys):
 )
 def test_besov_computes_each_ball_energy_once(tmp_path, monkeypatch, overrides, arithmetics):
     calls = []
-    pair_sum = besov.ball_pair_sum
+    pair_sum = besov.ball_pair_sum_indexed
 
     def counting(*args, **kwargs):
         calls.append(args[3])
         return pair_sum(*args, **kwargs)
 
-    monkeypatch.setattr(besov, "ball_pair_sum", counting)
+    monkeypatch.setattr(besov, "ball_pair_sum_indexed", counting)
     path = write_config(tmp_path, overrides)
     out = tmp_path / "art"
     assert main(["besov", "--config", str(path), "--out", str(out)]) == 0
@@ -418,7 +435,7 @@ def test_besov_and_bbm_honour_float_mode(tmp_path, monkeypatch):
     # 501 vertices at the vertex level: rational mode is exact at beta*
     path = write_config(tmp_path, {"depth": 1, "vertex_level": 3})
     calls, seen = [], {}
-    pair_sum, sweep = besov.ball_pair_sum, besov.energy_limit
+    pair_sum, sweep = besov.ball_pair_sum_indexed, besov.energy_limit
 
     def spy_pairs(level, values, *args, **kwargs):
         calls.append(("ball", isinstance(values, tuple)))
@@ -428,7 +445,7 @@ def test_besov_and_bbm_honour_float_mode(tmp_path, monkeypatch):
         calls.append(("levels", arith is EXACT))
         return sweep(hier, u, p, max_level, arith)
 
-    monkeypatch.setattr(besov, "ball_pair_sum", spy_pairs)
+    monkeypatch.setattr(besov, "ball_pair_sum_indexed", spy_pairs)
     monkeypatch.setattr(besov, "energy_limit", spy_levels)
     for mode in ("rational", "float"):
         for cmd in ("besov", "bbm"):
@@ -585,13 +602,13 @@ def test_selftest_weak_monotonicity_honours_float_mode(tmp_path, monkeypatch):
     there."""
     path = write_config(tmp_path, {"depth": 1, "vertex_level": 3})
     exact_calls = []
-    pair_sum = besov.ball_pair_sum
+    pair_sum = besov.ball_pair_sum_indexed
 
     def spy(level, values, p, n, arith):
         exact_calls.append(isinstance(values, tuple))
         return pair_sum(level, values, p, n, arith)
 
-    monkeypatch.setattr(besov, "ball_pair_sum", spy)
+    monkeypatch.setattr(besov, "ball_pair_sum_indexed", spy)
     for mode, exact in (("rational", True), ("float", False)):
         exact_calls.clear()
         args = ["selftest", "--config", str(path), "--out", str(tmp_path / mode)]

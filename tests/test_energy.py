@@ -21,9 +21,6 @@ from vicsek_lab.energy import (
     energy_limit,
     energy_of_gradient,
     energy_property_checks,
-    evaluate_affine,
-    exact_values_at,
-    float_values_at,
     gradient_field,
     morrey_constant,
     multiply,
@@ -31,16 +28,21 @@ from vicsek_lab.energy import (
     resistance,
     resistance_oracle,
     restrict_to_arm,
-    sup_norm,
 )
 from vicsek_lab.errors import ConvergenceError, InvalidArgumentError, LevelError, RegionError
 from vicsek_lab.words import CENTER, Letter
 
 
+def fractions(hier, u, n) -> list[Fraction]:
+    """u on V_n as Fractions, from ``EXACT.values_at``."""
+    den, ints = EXACT.values_at(hier, u, n)
+    return [Fraction(v, den) for v in ints.tolist()]
+
+
 def test_evaluate_affine_constant(hier3):
     u = AffineFunction(0, [Fraction(3, 7)] * 5)
     for n in (0, 2, 4):
-        vals = exact_values_at(hier3, u, n)
+        vals = fractions(hier3, u, n)
         assert all(v == Fraction(3, 7) for v in vals)
 
 
@@ -48,22 +50,23 @@ def test_evaluate_affine_diag_ramp_interior_point(hier3):
     u = diagonal_ramp()
     lv1 = hier3.level(1)
     # geodesic arclength from the lower-left corner: vertex (2,2) sits at s = 5/3
-    assert evaluate_affine(hier3, u, 1, lv1.vertex_id(2, 2)) == Fraction(5, 6)
+    assert fractions(hier3, u, 1)[lv1.vertex_id(2, 2)] == Fraction(5, 6)
 
 
 def test_evaluate_affine_hanging_branch_value(hier3):
     u = diagonal_ramp()
     lv1 = hier3.level(1)
     # branch cells hanging off the center carry the attachment value 1/2
+    vals = fractions(hier3, u, 1)
     for coords in ((-2, 2), (-3, 3), (-1, 3), (-3, 1), (2, -2), (3, -3)):
-        assert evaluate_affine(hier3, u, 1, lv1.vertex_id(*coords)) == Fraction(1, 2)
+        assert vals[lv1.vertex_id(*coords)] == Fraction(1, 2)
 
 
 def test_restriction_reproduces_base_values(hier3):
     u = random_affine(hier3, 99)
     base = u.base_level
     for n in range(base):
-        vals = exact_values_at(hier3, u, n)
+        vals = fractions(hier3, u, n)
         lv = hier3.level(n)
         for vid in range(lv.num_vertices):
             lifted = vertex_id_at(hier3, n, vid, base)
@@ -103,11 +106,11 @@ def test_discrete_energy_region(hier3):
 def test_gradient_field_slopes(hier3):
     u = diagonal_ramp()
     g0 = gradient_field(hier3, u, 0)
-    slopes = g0.slopes()
+    slopes = g0.values
     assert sorted(map(abs, slopes)) == [0, 0, Fraction(1, 2), Fraction(1, 2)]
     # refinement keeps slope magnitude 1/2 on geodesic edges, 0 elsewhere
     g3 = gradient_field(hier3, u, 3)
-    mags = {abs(s) for s in g3.slopes()}
+    mags = {abs(s) for s in g3.values}
     assert mags == {Fraction(0), Fraction(1, 2)}
     with pytest.raises(LevelError):
         gradient_field(hier3, AffineFunction(2, [0] * hier3.level(2).num_vertices), 1)
@@ -118,12 +121,12 @@ def test_gradient_reconstructs_differences(hier3):
     n = max(u.base_level, 2)
     g = gradient_field(hier3, u, n)
     lv = hier3.level(n)
-    vals = exact_values_at(hier3, u, n)
+    vals = fractions(hier3, u, n)
     L = lv.L
     for e in range(0, lv.num_edges, 7):
         t = int(lv.edge_tail[e])
         h = int(lv.edge_head[e])
-        assert vals[h] - vals[t] == g.slope(e) * Fraction(1, L)
+        assert vals[h] - vals[t] == g.values[e] * Fraction(1, L)
 
 
 def test_energy_of_gradient_identity(hier3):
@@ -190,17 +193,11 @@ def test_energy_limit_region_restriction(hier3):
         EXACT.energy(hier3.level(2), EXACT.values_at(hier3, u, 2), 2, region=[0], region_level=-1)
 
 
-def test_evaluate_affine_below_base_rejected(hier3):
-    u = AffineFunction(2, [0] * hier3.level(2).num_vertices)
-    with pytest.raises(LevelError):
-        evaluate_affine(hier3, u, 1, 0)
-
-
 def test_float_and_exact_extensions_agree(hier3):
     u = random_affine(hier3, 123)
     for n in (u.base_level, u.base_level + 2):
-        ex = exact_values_at(hier3, u, n)
-        fl = float_values_at(hier3, u, n)
+        ex = fractions(hier3, u, n)
+        fl = FLOAT.values_at(hier3, u, n)
         assert np.allclose([float(v) for v in ex], fl, rtol=0, atol=1e-15)
 
 
@@ -310,7 +307,7 @@ def test_resistance_euclidean_two_sided(hier3):
 
 def test_sup_norm_exact():
     u = AffineFunction(0, [Fraction(-3, 4), Fraction(1, 2), 0, 0, 0])
-    assert sup_norm(u) == Fraction(3, 4)
+    assert u.sup_norm() == Fraction(3, 4)
 
 
 def test_product_inequality_random_pairs(hier3):
@@ -356,7 +353,7 @@ def test_strong_locality_spec_example(hier3):
     # functions supported on opposite arms, zero on the shared attachment
     u = restrict_to_arm(hier3, diagonal_ramp(), 1)
     lv1 = hier3.level(1)
-    vals = exact_values_at(hier3, u, 1)
+    vals = fractions(hier3, u, 1)
     assert vals[lv1.vertex_id(3, 3)] == 1  # the arm tip keeps its value
     assert vals[lv1.origin] == 0
 
@@ -385,7 +382,7 @@ def _dense_morrey(hier, u, p, n, E):
     """The pair-set maximum of ``morrey_constant`` from whole V_K x V_K arrays."""
     p = float(p)
     lvK = hier.level(min(3, n))
-    vals = float_values_at(hier, u, lvK.n)
+    vals = FLOAT.values_at(hier, u, lvK.n)
     coords = lvK.coords.astype(np.float64) / (math.sqrt(2.0) * lvK.L)
     dx = coords[:, 0][:, None] - coords[:, 0][None, :]
     dy = coords[:, 1][:, None] - coords[:, 1][None, :]
@@ -396,7 +393,7 @@ def _dense_morrey(hier, u, p, n, E):
     ratios_sq[mask] = dv[mask] ** p / (dist[mask] ** (p - 1.0) * E)
     best = float(ratios_sq.max())
     lvN = hier.level(n)
-    valsN = float_values_at(hier, u, n)
+    valsN = FLOAT.values_at(hier, u, n)
     dv_e = np.abs(valsN[lvN.edge_head] - valsN[lvN.edge_tail])
     return max(best, float((dv_e**p).max()) / ((1.0 / lvN.L) ** (p - 1.0) * E))
 
@@ -406,7 +403,7 @@ def test_morrey_constant_tiles_keep_the_dense_maximum(hier3, hier35):
     for hier in (hier3, hier35):
         u = random_affine(hier, 9)
         for p in (2, 3, 1.5):
-            E = float(FLOAT.energy(hier.level(4), float_values_at(hier, u, 4), p))
+            E = float(FLOAT.energy(hier.level(4), FLOAT.values_at(hier, u, 4), p))
             assert morrey_constant(hier, u, p, 4, energy=E) == _dense_morrey(hier, u, p, 4, E)
         tracemalloc.start()
         try:
@@ -422,8 +419,8 @@ def test_multiply_is_pointwise_at_common_base(hier3):
     v = random_affine(hier3, 8)
     w = multiply(hier3, u, v)
     base = w.base_level
-    uu = exact_values_at(hier3, u, base)
-    vv = exact_values_at(hier3, v, base)
+    uu = fractions(hier3, u, base)
+    vv = fractions(hier3, v, base)
     assert list(w.values) == [a * b for a, b in zip(uu, vv)]
 
 
@@ -441,4 +438,4 @@ def test_exact_routes_reject_non_integer_p(hier3):
     e = energy_limit(hier3, u, 2.5, n, arith=FLOAT).limit
     assert isinstance(e, float)
     assert e != pytest.approx(float(energy_limit(hier3, u, 2, n).limit), rel=1e-6)
-    assert FLOAT.energy(hier3.level(n), float_values_at(hier3, u, n), 2.5) == e
+    assert FLOAT.energy(hier3.level(n), FLOAT.values_at(hier3, u, n), 2.5) == e

@@ -7,14 +7,13 @@ import pytest
 
 from vicsek_lab import energy_measure
 from vicsek_lab.energy import (
+    EXACT,
     FLOAT,
     AffineFunction,
     add,
     diagonal_ramp,
     corner_indicator,
     energy_limit,
-    exact_values_at,
-    float_values_at,
     random_affine,
 )
 from vicsek_lab.energy_measure import (
@@ -103,7 +102,7 @@ def test_coincidence_detects_a_misplaced_edge(hier3, monkeypatch):
     def misplace_one(ratios, n, m):
         level = hier3.level(n)
         cells = level.edge_word // stride(ratios, n, m)
-        vals = float_values_at(hier3, u, n)
+        vals = FLOAT.values_at(hier3, u, n)
         mass = vals[level.edge_head] != vals[level.edge_tail]
         e = int(np.flatnonzero(mass & (cells != 0))[0])
         strides = np.full(level.num_edges, stride(ratios, n, m))
@@ -139,8 +138,10 @@ def test_leibniz_rule_midpoint_identity(hier3):
     u = random_affine(hier3, 50)
     v = random_affine(hier3, 51)
     n = max(u.base_level, v.base_level, 2)
-    uu = exact_values_at(hier3, u, n)
-    vv = exact_values_at(hier3, v, n)
+    den_u, uu = EXACT.values_at(hier3, u, n)
+    den_v, vv = EXACT.values_at(hier3, v, n)
+    uu = [Fraction(x, den_u) for x in uu.tolist()]
+    vv = [Fraction(x, den_v) for x in vv.tolist()]
     lv = hier3.level(n)
     for e in range(0, lv.num_edges, 11):
         t = int(lv.edge_tail[e])

@@ -13,13 +13,10 @@ from vicsek_lab.energy import (
     EXACT,
     FLOAT,
     diagonal_ramp,
-    float_values_at,
     random_affine,
-    scaled_values_at,
 )
 from vicsek_lab.geometry import Hierarchy, build_level
 from vicsek_lab.pairsum import (
-    ball_pair_sum,
     ball_pair_sum_bruteforce,
     ball_pair_sum_indexed,
     ball_row_stats,
@@ -33,8 +30,8 @@ def test_auto_above_old_cutoff_matches_bruteforce():
     hier = Hierarchy(alternating_ratios(3, 5, 8), 4)
     lv = hier.level(4)
     assert lv.num_vertices == 8101
-    vals = float_values_at(hier, diagonal_ramp(), 4)
-    got = ball_pair_sum(lv, vals, 3, 1, FLOAT)
+    vals = FLOAT.values_at(hier, diagonal_ramp(), 4)
+    got = ball_pair_sum_indexed(lv, vals, 3, 1, FLOAT)
     want = ball_pair_sum_bruteforce(lv, vals, 3, 1, FLOAT)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-300)
 
@@ -42,7 +39,7 @@ def test_auto_above_old_cutoff_matches_bruteforce():
 def test_indexed_memory_is_bounded(hier3):
     lv = hier3.level(5)
     assert lv.num_vertices == 12501
-    vals = float_values_at(hier3, diagonal_ramp(), 5)
+    vals = FLOAT.values_at(hier3, diagonal_ramp(), 5)
     tracemalloc.start()
     try:
         ball_pair_sum_indexed(lv, vals, 1.5, 0, FLOAT)
@@ -63,10 +60,10 @@ def test_plan_is_built_once_per_level_and_radius(monkeypatch):
     monkeypatch.setattr(pairsum, "_build_plan", counting)
     hier = Hierarchy(constant_ratios(3, 6), 3)
     lv = hier.level(3)
-    fa = float_values_at(hier, random_affine(hier, 1), 3)
-    fb = float_values_at(hier, random_affine(hier, 2), 3)
-    ea = scaled_values_at(hier, random_affine(hier, 1), 3)
-    eb = scaled_values_at(hier, random_affine(hier, 2), 3)
+    fa = FLOAT.values_at(hier, random_affine(hier, 1), 3)
+    fb = FLOAT.values_at(hier, random_affine(hier, 2), 3)
+    ea = EXACT.values_at(hier, random_affine(hier, 1), 3)
+    eb = EXACT.values_at(hier, random_affine(hier, 2), 3)
     for vals, p, arith in ((fa, 2, FLOAT), (fb, 2.5, FLOAT), (ea, 2, EXACT), (eb, 3, EXACT)):
         ball_pair_sum_indexed(lv, vals, p, 1, arith)
     assert len(built) == 1
@@ -92,7 +89,7 @@ def test_float_pair_sum_bits_are_pinned(hier3, hier35):
     any host.  The p = 3 sum makes no BLAS call.
     """
     u = diagonal_ramp()
-    vals = float_values_at(hier3, u, 6)
+    vals = FLOAT.values_at(hier3, u, 6)
     got = [repr(ball_pair_sum_indexed(hier3.level(6), vals, 2, n, FLOAT)) for n in range(5)]
     assert got == [
         "372061020.6101766",
@@ -101,7 +98,7 @@ def test_float_pair_sum_bits_are_pinned(hier3, hier35):
         "6758.3498265626195",
         "90.1805223910252",
     ]
-    vals35 = float_values_at(hier35, u, 4)
+    vals35 = FLOAT.values_at(hier35, u, 4)
     assert repr(ball_pair_sum_indexed(hier35.level(4), vals35, 3, 1, FLOAT)) == "122679.57027371347"
     # the README config: l = 3, p = 2, depth 4, vertex_level 6
     wm = weak_monotonicity_report(hier3, u, 2, 6, 4, (2, 4))
@@ -204,7 +201,7 @@ def test_irregular_sums_keep_memory_small(hier35):
     """The three p = 3 ball sums of the alternating(3, 5) config at m = 4,
     with their plans cached, hold no more than a few tiles at a time."""
     lv = hier35.level(4)
-    vals = float_values_at(hier35, diagonal_ramp(), 4)
+    vals = FLOAT.values_at(hier35, diagonal_ramp(), 4)
     for n in range(3):
         pair_plan(lv, n)
     tracemalloc.start()
@@ -221,7 +218,7 @@ def test_class_masks_keep_memory_small(hier3):
     """With the plan cached, a p = 2 sum at m = 6, n = 1 holds one class
     mask at a time."""
     lv = hier3.level(6)
-    vals = float_values_at(hier3, diagonal_ramp(), 6)
+    vals = FLOAT.values_at(hier3, diagonal_ramp(), 6)
     ball_pair_sum_indexed(lv, vals, 2, 1, FLOAT)
     tracemalloc.start()
     try:
@@ -250,8 +247,8 @@ def test_indexed_exact_past_int64_is_bruteforce():
     """Values past 2^62 take object arrays through the same exact route."""
     hier = Hierarchy(alternating_ratios(3, 5, 6), 3)
     lv = hier.level(2)
-    den, ints = scaled_values_at(hier, random_affine(hier, 5), 2)
-    big = (den, [v * 3**45 for v in ints])
+    den, ints = EXACT.values_at(hier, random_affine(hier, 5), 2)
+    big = (den, [v * 3**45 for v in ints.tolist()])
     for p in (2, 3):
         for n in range(3):
             want = ball_pair_sum_bruteforce(lv, big, p, n, EXACT)
@@ -285,8 +282,9 @@ def test_bruteforce_is_the_double_loop(ratios):
     hier = Hierarchy(ratios, 2)
     for m in range(3):
         lv = hier.level(m)
-        den, ints = scaled_values_at(hier, random_affine(hier, 4), m)
-        fl = float_values_at(hier, random_affine(hier, 4), m)
+        den, ints = EXACT.values_at(hier, random_affine(hier, 4), m)
+        ints = ints.tolist()
+        fl = FLOAT.values_at(hier, random_affine(hier, 4), m)
         # just inside int64 for p = 3: (2 max|v|)^3 < 2^63, sums past it
         top = max(map(abs, ints))
         near = [v * ((2**20 - 1) // top) for v in ints]

@@ -14,9 +14,7 @@ from _pairsum_oracle import ball_pair_sum_per_block  # noqa: E402
 from vicsek_lab.energy import (  # noqa: E402
     EXACT,
     FLOAT,
-    float_values_at,
     random_affine,
-    scaled_values_at,
 )
 from vicsek_lab.geometry import Hierarchy  # noqa: E402
 from vicsek_lab.pairsum import ball_pair_sum_bruteforce, ball_pair_sum_indexed  # noqa: E402
@@ -54,7 +52,7 @@ def test_indexed_exact_is_bruteforce(case, leaf_max):
     """Exact leaf classes, split self pairs and sub-blocks, down to leaves
     of at most 4 vertices, against brute force."""
     hier, lv, u, m, n = case
-    vals = scaled_values_at(hier, u, m)
+    vals = EXACT.values_at(hier, u, m)
     for p in (2, 3, 4):
         got = ball_pair_sum_indexed(lv, vals, p, n, EXACT, leaf_max)
         assert got == ball_pair_sum_bruteforce(lv, vals, p, n, EXACT), p
@@ -63,7 +61,7 @@ def test_indexed_exact_is_bruteforce(case, leaf_max):
 @given(cases())
 def test_indexed_float_matches_bruteforce(case):
     hier, lv, u, m, n = case
-    vals = float_values_at(hier, u, m)
+    vals = FLOAT.values_at(hier, u, m)
     for p in (1.5, 2, 2.7, 3):
         got = ball_pair_sum_indexed(lv, vals, p, n, FLOAT)
         want = ball_pair_sum_bruteforce(lv, vals, p, n, FLOAT)
