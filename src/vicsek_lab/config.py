@@ -91,15 +91,14 @@ class ExperimentConfig:
             if isinstance(spec, dict):
                 kind = spec.get("generator")
                 if kind == "constant":
-                    return constant_ratios(int(spec["l"]), depth, p, bs)
-                if kind == "alternating":
-                    return alternating_ratios(int(spec["a"]), int(spec["b"]), depth, p, bs)
-                if kind == "example_sequence":
-                    return example_sequence_ratios(int(spec["a"]), int(spec["b"]), depth, p, bs)
+                    return constant_ratios(_integer(spec["l"]), depth, p, bs)
+                if kind in ("alternating", "example_sequence"):
+                    make = alternating_ratios if kind == "alternating" else example_sequence_ratios
+                    return make(_integer(spec["a"]), _integer(spec["b"]), depth, p, bs)
                 if kind == "periodic":
-                    return periodic_ratios([int(x) for x in spec["block"]], depth, p, bs)
+                    return periodic_ratios([_integer(x) for x in spec["block"]], depth, p, bs)
                 raise ConfigError(f"unknown ratio generator {kind!r}")
-            seq = tuple(int(x) for x in spec)
+            seq = tuple(_integer(x) for x in spec)
             if len(seq) < depth:
                 raise ConfigError(
                     f"explicit ratio list of length {len(seq)} shorter than the "
@@ -178,6 +177,13 @@ def _finite(x) -> float:
     return v
 
 
+def _integer(x) -> int:
+    """An int; bools and numbers with a fractional part are rejected."""
+    if isinstance(x, bool) or isinstance(x, float) and not x.is_integer():
+        raise ValueError(f"expected an integer, got {x!r}")
+    return int(x)
+
+
 def _number(x):
     """An integral value as an int (rational mode needs an integer p), else a float."""
     return int(x) if _finite(x) == int(float(x)) else float(x)
@@ -190,10 +196,10 @@ _PARSE = {
     "Optional[str]": lambda x: x,
     "float | int": _number,
     "float": _finite,
-    "int": int,
-    "Optional[int]": int,
+    "int": _integer,
+    "Optional[int]": _integer,
     "str": str,
     "tuple[float, ...]": lambda xs: tuple(_finite(x) for x in xs),
-    "tuple[int, ...]": lambda xs: tuple(int(x) for x in xs),
+    "tuple[int, ...]": lambda xs: tuple(_integer(x) for x in xs),
     "HausdorffConfig": lambda h: _build(HausdorffConfig, h, "hausdorff."),
 }

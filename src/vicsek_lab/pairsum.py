@@ -48,90 +48,57 @@ _LEAF_MAX = 256
 
 
 class CellPairIndex:
-    """Vertices of one level grouped by owner-cell ancestry at every level.
+    """The cells of one level at every depth, over the level's vertex ids.
 
-    Cell (k, i) is row ``start[k] + i`` of the flat per-cell tables: its
-    scaled center, the range [lo, hi) of its vertices in ``order``, and its
-    layout type: two cells have the same type iff their vertices, in
-    ``order``, have the same coordinates relative to the cell center.
+    Vertex ids follow first appearance cell by cell, so ``owner_word``
+    never decreases and the vertices owned below cell (k, i) are one id
+    range.  The cell is row ``start[k] + i`` of the flat per-cell tables:
+    its scaled center, its id range [lo, hi) and its layout type.  Cells
+    meet only at corners, so a cell owns every point of its subtree but
+    the corners that earlier cells own, in the order its subtree first
+    meets them.  Two cells of one level thus own the same coordinates
+    relative to their centers, in the same order, iff the same corners of
+    theirs are owned by earlier cells; the type is 16 k plus that mask.
     """
 
     def __init__(self, level: VicsekLevel):
         self.level = level
         ratios = level.ratios
-        m = level.n
-        order = np.argsort(level.owner_word, kind="stable").astype(np.int32)
-        self.order = order
-        owner_sorted = level.owner_word[order]
-        # int64, so squared distances cannot overflow
-        self.xs = level.coords[order, 0].astype(np.int64)
-        self.ys = level.coords[order, 1].astype(np.int64)
-        lo, hi, cx, cy, half, children = [], [], [], [], [], []
-        Lm = level.L
-        for k in range(m + 1):
-            stride = 1
-            for j in range(k + 1, m + 1):
-                stride *= 2 * ratios.ratio(j) - 1
-            num_k = ratios.num_words(k)
-            # owner_sorted's dtype: num_k * stride is the level's cell count
-            starts = np.searchsorted(
-                owner_sorted, np.arange(num_k + 1, dtype=owner_sorted.dtype) * stride
-            )
-            lo.append(starts[:-1])
-            hi.append(starts[1:])
-            f = Lm // ratios.length_product(k)
+        m = self.max_level = level.n
+        owner = level.owner_word
+        counts = [ratios.num_words(k) for k in range(m + 1)]
+        self.start = np.cumsum([0] + counts)[:-1]
+        self.lo, self.hi, self.cx, self.cy, self.cell_type = (
+            np.zeros(sum(counts), dtype=np.int64) for _ in range(5)
+        )
+        self.half = np.array([level.L // ratios.length_product(k) for k in range(m + 1)])
+        self.children = np.array([2 * ratios.ratio(k) - 1 for k in range(1, m + 1)] + [0])
+        # corner j of cell (k, i) is slot j of its level-m descendant
+        # i * stride + corner[j - 1], which takes letter j h_t, the outermost
+        # arm-j child, at every depth t > k
+        stride, corner = 1, np.zeros(4, dtype=owner.dtype)
+        for k in range(m, -1, -1):
+            rows = slice(self.start[k], self.start[k] + counts[k])
+            # owner's dtype: counts[k] * stride is the level's cell count
+            first = np.arange(counts[k] + 1, dtype=owner.dtype) * stride
+            ids = np.searchsorted(owner, first)
+            self.lo[rows], self.hi[rows] = ids[:-1], ids[1:]
+            first = first[:-1]
+            mask = self.cell_type[rows]
+            for j in range(4):  # bit j: corner j + 1 is owned by an earlier cell
+                mask += (owner[level.cell_vertices[first + corner[j], j + 1]] < first) << j
+            size = np.zeros(16, dtype=np.int64)
+            size[mask] = own = np.diff(ids)
+            if not np.array_equal(size[mask], own):
+                raise AssertionError("cells of one layout type own different vertex counts")
+            mask += 16 * k
             centers = _cell_centers(ratios, k)
-            cx.append(centers[:, 0] * f)
-            cy.append(centers[:, 1] * f)
-            half.append(f)
-            children.append(2 * ratios.ratio(k + 1) - 1 if k < m else 0)
-        del owner_sorted
-        self.start = np.cumsum([0] + [len(a) for a in lo])[:-1]
-        self.lo = np.concatenate(lo)
-        self.hi = np.concatenate(hi)
-        self.cx = np.concatenate(cx)
-        self.cy = np.concatenate(cy)
-        self.half = np.array(half, dtype=np.int64)
-        self.children = np.array(children, dtype=np.int64)
-        self.max_level = m
-        del lo, hi, cx, cy  # the type pass below sets the peak
-        self.cell_type = self._cell_types()
-
-    def _cell_types(self) -> np.ndarray:
-        """Layout type per cell, level by level from the root.
-
-        A child's vertices are a sub-range of its parent's, shifted to the
-        child's center, so (parent type, child index, sub-range) fixes the
-        child's layout.  Candidates are merged by a hash of the layout; a
-        hit counts only if the representative's recomputed layout is equal.
-        """
-        types = np.zeros(self.lo.size, dtype=np.int64)
-        count = 1
-        for k in range(self.max_level):
-            c = int(self.children[k])
-            par = slice(self.start[k], self.start[k + 1])
-            kid = slice(par.stop, par.stop + c * (par.stop - par.start))
-            base = self.lo[par, None]
-            sub = (self.lo[kid].reshape(-1, c) - base) * (self.xs.size + 1)
-            sub += self.hi[kid].reshape(-1, c) - base
-            cand = _row_ids((types[par, None] * c + np.arange(c)).ravel(), sub.ravel())
-            del sub
-            reps: dict[int, tuple[int, int]] = {}
-            ids = []
-            for r in (kid.start + np.unique(cand, return_index=True)[1]).tolist():
-                layout = self._layout(r)
-                q, t = reps.setdefault(hash(layout.tobytes()), (r, count))
-                if t == count or not np.array_equal(self._layout(q), layout):
-                    t, count = count, count + 1
-                ids.append(t)
-            types[kid] = np.array(ids, dtype=np.int64)[cand]
-            del cand
-        return types
-
-    def _layout(self, r: int) -> np.ndarray:
-        """Coordinates of cell ``r``'s vertices relative to its center, in ``order``."""
-        lo, hi = self.lo[r], self.hi[r]
-        return np.stack((self.xs[lo:hi] - self.cx[r], self.ys[lo:hi] - self.cy[r]))
+            self.cx[rows] = centers[:, 0] * self.half[k]
+            self.cy[rows] = centers[:, 1] * self.half[k]
+            if k:
+                l = ratios.ratio(k)
+                corner += np.arange(1, 5) * ((l - 1) // 2 * stride)
+                stride *= 2 * l - 1
 
 
 def _row_ids(*cols: np.ndarray) -> np.ndarray:
@@ -227,10 +194,9 @@ class PairPlan:
     """The blocks of one (level, n) pair sum, independent of the values.
 
     Each row of ``blocks`` is (lo_a, hi_a, lo_b, hi_b, weight): the ordered
-    pairs between vertex ranges [lo_a, hi_a) and [lo_b, hi_b) of
-    ``CellPairIndex.order``, counted ``weight`` times.  Every pair of a full
-    block lies in the ball; a pair of a leaf block lies in it iff
-    dx^2 + dy^2 <= radius2.  ``leaf_class`` is -1 on full blocks and a class
+    pairs between vertex id ranges [lo_a, hi_a) and [lo_b, hi_b), counted
+    ``weight`` times.  Every pair of a full block lies in the ball; a pair
+    of a leaf block lies in it iff dx^2 + dy^2 <= radius2.  ``leaf_class`` is -1 on full blocks and a class
     id on leaf blocks: blocks of one class join cells of the same two layout
     types at the same center offset, so they share one in-ball mask.  Rows
     are in depth-first traversal order, the order float evaluation sums
@@ -360,7 +326,7 @@ def ball_pair_sum_indexed(
     plan = pair_plan(level, n, leaf_max)
     idx = _pair_index(level)
     vals, squeeze = arith._pair_values(values)
-    total = _evaluate(plan, idx, vals[idx.order], arith.exponent(p), arith)
+    total = _evaluate(plan, idx, vals, arith.exponent(p), arith)
     return total.tolist()[0] if squeeze else total
 
 
@@ -424,8 +390,10 @@ def _class_rows(leaf_class: np.ndarray) -> list[np.ndarray]:
 
 def _in_ball(idx: CellPairIndex, R: int, i0: int, i1: int, j0: int, j1: int) -> np.ndarray:
     """Mask of the pairs of [i0, i1) x [j0, j1) with dx^2 + dy^2 <= R."""
-    dx = idx.xs[i0:i1, None] - idx.xs[None, j0:j1]
-    dy = idx.ys[i0:i1, None] - idx.ys[None, j0:j1]
+    xy = idx.level.coords
+    # int64, so squared distances cannot overflow
+    dx = np.subtract(xy[i0:i1, None, 0], xy[None, j0:j1, 0], dtype=np.int64)
+    dy = np.subtract(xy[i0:i1, None, 1], xy[None, j0:j1, 1], dtype=np.int64)
     dx *= dx
     dy *= dy
     dx += dy

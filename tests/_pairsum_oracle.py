@@ -6,6 +6,8 @@ block is summed with the same sub-block split and the same numpy operations
 the library's class-mask evaluator uses, so the two results are equal bit
 for bit.  ``ball_rows_double_loop`` is a pure-Python double loop over every
 vertex pair, the reference of the library's tiled brute-force route.
+``cell_layouts`` partitions the cells of every depth by the coordinates of
+the vertices they own, the reference of the pair index's layout types.
 """
 
 from __future__ import annotations
@@ -13,20 +15,20 @@ from __future__ import annotations
 import numpy as np
 
 from vicsek_lab.energy import _abs_pow
-from vicsek_lab.pairsum import _CHUNK, _LEAF_MAX, _pair_index, pair_plan
+from vicsek_lab.geometry import _cell_centers
+from vicsek_lab.pairsum import _CHUNK, _LEAF_MAX, pair_plan
 
 
 def ball_pair_sum_per_block(level, values, p, n: int, leaf_max: int = _LEAF_MAX):
     """Float pair sum over the plan of (level, n), one block at a time."""
     plan = pair_plan(level, n, leaf_max)
-    idx = _pair_index(level)
-    vals = np.asarray(values, dtype=np.float64)
-    squeeze = vals.ndim == 1
+    vs = np.asarray(values, dtype=np.float64)
+    squeeze = vs.ndim == 1
     if squeeze:
-        vals = vals[:, None]
+        vs = vs[:, None]
     pf = float(p)
-    F = vals.shape[1]
-    vs = vals[idx.order]
+    F = vs.shape[1]
+    coords = tuple(level.coords.T.astype(np.int64))
     if pf == 2.0:
         P1 = np.zeros((vs.shape[0] + 1, F))
         P2 = np.zeros_like(P1)
@@ -50,7 +52,7 @@ def ball_pair_sum_per_block(level, values, p, n: int, leaf_max: int = _LEAF_MAX)
             cntb = (hib - lob)[:, None]
             terms[~leaf] = w[:, None] * (cntb * Qa - 2.0 * Sa * Sb + cnta * Qb)
         for row in np.flatnonzero(pairwise).tolist():
-            xy = (idx.xs, idx.ys) if leaf[row] else None
+            xy = coords if leaf[row] else None
             terms[row] = _pair_block(vs, xy, plan.radius2, pf, *blocks[row].tolist())
         terms[0] += total
         total = terms.cumsum(axis=0)[-1]
@@ -115,3 +117,28 @@ def ball_rows_double_loop(level, values, p, n: int):
         counts.append(count)
         sums.append(total)
     return counts, sums
+
+
+def cell_layouts(level) -> np.ndarray:
+    """Layout id of every cell (k, i), k = 0..m, in the pair index's row
+    order: level by level, cells in word order.  Cell (k, i) owns the
+    vertices whose owner cell descends from it, taken in id order; two
+    cells share an id iff they are of one level and their vertices have
+    equal coordinates relative to their centers."""
+    ratios = level.ratios
+    ids, out = {}, []
+    for k in range(level.n + 1):
+        num_k = ratios.num_words(k)
+        anc = level.owner_word // (level.num_cells // num_k)
+        order = np.argsort(anc, kind="stable")
+        centers = _cell_centers(ratios, k) * (level.L // ratios.length_product(k))
+        rel = level.coords[order] - centers[anc[order]]
+        cells = np.split(rel, np.searchsorted(anc[order], np.arange(1, num_k)))
+        out += [ids.setdefault((k, c.tobytes()), len(ids)) for c in cells]
+    return np.array(out)
+
+
+def same_partition(a, b) -> bool:
+    """Whether two labellings of the same items group them alike."""
+    a, b = np.asarray(a).tolist(), np.asarray(b).tolist()
+    return len(set(zip(a, b))) == len(set(a)) == len(set(b))

@@ -134,6 +134,25 @@ def test_config_validation_errors():
     for key in ("beta_grid", "epsilons"):
         with pytest.raises(ConfigError, match=f"{key} must hold at least one"):
             config_from_dict({"ratios": {"generator": "constant", "l": 3}, key: []})
+    # integer keys take integral numbers only: no bool, no fractional part
+    for key, value in (("depth", 2.5), ("depth", True), ("bins", 7.9), ("seeds", [1.5, 2]),
+                       ("vertex_level", 6.5), ("threads", 1.5), ("cell_budget", False)):
+        with pytest.raises(ConfigError, match="expected an integer"):
+            config_from_dict({"ratios": {"generator": "constant", "l": 3}, key: value})
+    with pytest.raises(ConfigError, match="expected an integer"):
+        config_from_dict({"ratios": {"generator": "constant", "l": 3},
+                          "hausdorff": {"prefix_len": 10.5}})
+    for ratios in ({"generator": "constant", "l": 3.9}, {"generator": "constant", "l": True},
+                   {"generator": "alternating", "a": 3, "b": 5.5},
+                   {"generator": "example_sequence", "a": 3.5, "b": 5},
+                   {"generator": "periodic", "block": [3, 5.2]}, [3.5] * 8):
+        with pytest.raises(ConfigError, match="invalid ratios field: expected an integer"):
+            config_from_dict({"ratios": ratios})
+    # integral floats still read as integers
+    cfg = config_from_dict({"ratios": {"generator": "constant", "l": 3.0}, "depth": 2.0,
+                            "seeds": [1.0, 2], "hausdorff": {"a": 5.0}})
+    assert (cfg.depth, cfg.seeds, cfg.hausdorff.a) == (2, (1, 2), 5)
+    assert type(cfg.depth) is int and cfg.ratio_sequence().ratio(1) == 3
 
 
 # A config that sets every field, hausdorff included, to a value other

@@ -1,5 +1,5 @@
-"""No command loads OpenSSL: the config stamp uses the interpreter's
-built-in SHA-256 and layout types use ``hash``, so a fresh ``vicsek-lab``
+"""No command loads OpenSSL: the config stamp, the only digest a command
+takes, uses the interpreter's built-in SHA-256, so a fresh ``vicsek-lab``
 process never imports ``_hashlib`` or ``ssl`` (about 3.65 MB of RSS)."""
 
 from __future__ import annotations

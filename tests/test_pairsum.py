@@ -5,7 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from _pairsum_oracle import ball_pair_sum_per_block, ball_rows_double_loop
+from _pairsum_oracle import (
+    ball_pair_sum_per_block,
+    ball_rows_double_loop,
+    cell_layouts,
+    same_partition,
+)
 
 from vicsek_lab import pairsum
 from vicsek_lab.besov import weak_monotonicity_report
@@ -111,14 +116,10 @@ def test_leaf_classes_share_relative_coordinates(hier3):
     coordinates."""
     lv = hier3.level(6)
     idx = pairsum._pair_index(lv)
-    xy = np.stack((idx.xs, idx.ys), axis=1)
-    seen = {}
-    for k in range(lv.n + 1):
-        rows = range(idx.start[k], idx.start[k] + lv.ratios.num_words(k))
-        for r in rows:
-            cell = xy[idx.lo[r] : idx.hi[r]] - (idx.cx[r], idx.cy[r])
-            assert seen.setdefault((k, cell.tobytes()), idx.cell_type[r]) == idx.cell_type[r]
-    assert len(set(seen.values())) == len(seen) == 41
+    cells = cell_layouts(lv)
+    assert same_partition(idx.cell_type, cells)
+    assert len(set(cells.tolist())) == 41
+    xy = lv.coords
     for n, want in ((1, 1736), (4, 31)):
         plan = pair_plan(lv, n)
         layouts = {}
@@ -230,8 +231,8 @@ def test_class_masks_keep_memory_small(hier3):
 
 
 def test_cell_types_keep_memory_small(hier3):
-    """The type pass holds no layout past its comparison and no per-child
-    table beyond its candidate keys."""
+    """The index holds five int64 numbers per cell, 0.75 MiB at m = 6, and
+    its type pass holds no per-vertex table."""
     lv = hier3.level(6)
     pairsum.CellPairIndex(lv)
     tracemalloc.start()
@@ -240,7 +241,25 @@ def test_cell_types_keep_memory_small(hier3):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * 2**20, f"peak {peak / 2**20:.2f} MB"
+    assert peak <= 1.5 * 2**20, f"peak {peak / 2**20:.2f} MB"
+
+
+def test_pair_index_memory_is_capped():
+    """At l = 3, m = 7 the index holds 3.73 MiB of its own (five int64
+    numbers for each of its 97,656 cells) and peaks at 5.9 MiB while it is
+    built: the corner pass takes its temporaries one arm at a time."""
+    lv = build_level(constant_ratios(3, 12), 7)
+    pairsum.CellPairIndex(lv)
+    tracemalloc.start()
+    try:
+        idx = pairsum.CellPairIndex(lv)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    own = sum(a.nbytes for a in (idx.lo, idx.hi, idx.cx, idx.cy, idx.cell_type))
+    assert own == 40 * 97656
+    assert held <= own + 2**16, f"held {held / 2**20:.2f} MB"
+    assert peak <= 6.5 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 def test_indexed_exact_past_int64_is_bruteforce():
@@ -308,17 +327,15 @@ def test_bruteforce_is_the_double_loop(ratios):
 
 
 def test_pair_index_squared_distances_past_int32():
-    """At level 1 of constant ratio 23171, 4 L^2 > 2^31: the pair index
-    keeps int64 coordinates, and its ball test at radius rho_0 agrees with
-    Python ints on the rows of the four outer corners, whose farthest
-    vertices are 8 L^2 apart."""
+    """At level 1 of constant ratio 23171, 4 L^2 > 2^31: the pair index's
+    ball test at radius rho_0 agrees with Python ints on the rows of the
+    four outer corners, whose farthest vertices are 8 L^2 apart."""
     lv = build_level(constant_ratios(23171, 3), 1)
     L = lv.L
     assert lv.num_cells == 46341 and 4 * L * L > 2**31
     idx = pairsum._pair_index(lv)
-    assert idx.xs.dtype == idx.ys.dtype == np.int64
     R = 8 * L * L - 1  # rho_0 at level 1: dx^2 + dy^2 < 8 L^2
-    xy = list(zip(idx.xs.tolist(), idx.ys.tolist()))
+    xy = list(map(tuple, lv.coords.tolist()))
     corners = [xy.index((sx * L, sy * L)) for sx in (1, -1) for sy in (1, -1)]
     for i in corners:
         xi, yi = xy[i]

@@ -1,5 +1,6 @@
-"""Differential property tests: the cell-tree route against brute force
-and the float route against the per-block oracle."""
+"""Differential property tests: the cell-tree route against brute force,
+the float route against the per-block oracle, and the pair index's layout
+types against the partition by owned coordinates."""
 
 from __future__ import annotations
 
@@ -9,15 +10,23 @@ pytest.importorskip("hypothesis")
 import numpy as np  # noqa: E402
 from hypothesis import given, strategies as st  # noqa: E402
 
-from _pairsum_oracle import ball_pair_sum_per_block  # noqa: E402
+from _pairsum_oracle import (  # noqa: E402
+    ball_pair_sum_per_block,
+    cell_layouts,
+    same_partition,
+)
 
 from vicsek_lab.energy import (  # noqa: E402
     EXACT,
     FLOAT,
     random_affine,
 )
-from vicsek_lab.geometry import Hierarchy  # noqa: E402
-from vicsek_lab.pairsum import ball_pair_sum_bruteforce, ball_pair_sum_indexed  # noqa: E402
+from vicsek_lab.geometry import Hierarchy, build_level  # noqa: E402
+from vicsek_lab.pairsum import (  # noqa: E402
+    CellPairIndex,
+    ball_pair_sum_bruteforce,
+    ball_pair_sum_indexed,
+)
 from vicsek_lab.ratios import (  # noqa: E402
     alternating_ratios,
     constant_ratios,
@@ -92,3 +101,20 @@ def test_indexed_float_is_per_block_oracle(case):
         got = ball_pair_sum_indexed(lv, vals, p, n, FLOAT, leaf_max)
         want = ball_pair_sum_per_block(lv, vals, p, n, leaf_max)
         assert np.array_equal(got, want), (p, got, want)
+
+
+@st.composite
+def levels(draw):
+    ratios = draw(sequences)
+    top = max(k for k in range(6) if ratios.num_words(k) <= 4000)
+    return build_level(ratios, draw(st.integers(0, top)))
+
+
+@given(levels())
+def test_pair_index_types_are_the_layout_partition(lv):
+    """The two invariants the pair index reads off the level: owner cells
+    never decrease in vertex id, so the vertices below a cell are one id
+    range, and the corner-ownership types partition each depth's cells
+    exactly as their owned coordinates relative to the center do."""
+    assert (np.diff(lv.owner_word) >= 0).all()
+    assert same_partition(CellPairIndex(lv).cell_type, cell_layouts(lv))
