@@ -60,19 +60,6 @@ class BesovProfile:
     phi_proxy: tuple  # estimator (a)
     phi_empirical: Optional[tuple] = None  # estimator (b)
 
-    def rows(self):
-        out = []
-        for n in range(self.max_scale + 1):
-            row = {
-                "n": n,
-                "ball_energy": float(self.ball_energies[n]),
-                "phi_proxy": float(self.phi_proxy[n]),
-            }
-            if self.phi_empirical is not None:
-                row["phi_empirical"] = float(self.phi_empirical[n])
-            out.append(row)
-        return out
-
 
 def beta_arithmetic(arith: Arithmetic, ratios: RatioSequence, beta) -> Arithmetic:
     """The arithmetic of what is weighted by phi(rho_n)^(-beta/beta*): ``arith``
@@ -81,21 +68,21 @@ def beta_arithmetic(arith: Arithmetic, ratios: RatioSequence, beta) -> Arithmeti
     return arith if float(beta) == float(ratios.beta_star) else FLOAT
 
 
-def ball_arithmetic(arith: Arithmetic, hier: Hierarchy, beta, m: int) -> Arithmetic:
-    """The arithmetic of the ball energies I_{m,n} of a profile at beta:
-    ``beta_arithmetic`` on a vertex level of at most 600 vertices, FLOAT
-    otherwise (exact pair sums cost far more than float ones)."""
-    small = hier.level(m).num_vertices <= 600
-    return beta_arithmetic(arith, hier.ratios, beta) if small else FLOAT
+def ball_arithmetic(arith: Arithmetic, hier: Hierarchy, m: int) -> Arithmetic:
+    """The arithmetic of the ball energies I_{m,n} on vertex level m: ``arith``
+    on at most 600 vertices, FLOAT otherwise (exact pair sums cost far more
+    than float ones).  Like the I_{m,n}, it does not depend on beta."""
+    return arith if hier.level(m).num_vertices <= 600 else FLOAT
 
 
 def ball_energies(
     hier: Hierarchy, u: AffineFunction, p, m: int, max_scale: int, arith: Arithmetic
 ) -> tuple:
-    """I_{m,n} for n = 0..max_scale in ``arith``.
+    """I_{m,n} for n = 0..max_scale in ``ball_arithmetic(arith, hier, m)``.
 
-    They do not depend on beta, so one set serves every profile of (u, p).
+    They do not depend on beta, so one set serves every profile of (u, p, m).
     """
+    arith = ball_arithmetic(arith, hier, m)
     level = hier.level(m)
     values = arith.values_at(hier, u, m)
     return tuple(ball_energy(level, values, p, n, arith) for n in range(max_scale + 1))
@@ -114,22 +101,23 @@ def phi_profile(
 ) -> BesovProfile:
     """Ball-functional estimators at scales rho_0 .. rho_N on V_m vertices.
 
-    The I_{m,n} are in ``ball_arithmetic(arith, hier, beta, m)``.
-    ``energies``, when given, are ``ball_energies`` in that arithmetic,
+    The I_{m,n} are in ``ball_arithmetic(arith, hier, m)`` and the proxies in
+    ``beta_arithmetic`` of it, so a proxy is exact only at beta = beta*.
+    ``energies``, when given, are ``ball_energies`` of (u, p, m) in ``arith``,
     computed once for several betas.
     """
     if m < max_scale:
         raise LevelError(f"vertex level {m} must be >= max scale {max_scale}")
     level = hier.level(m)
     ratios = hier.ratios.with_p(p)  # phi at this p
-    arith = ball_arithmetic(arith, hier, beta, m)
     if energies is None:
         energies = ball_energies(hier, u, p, m, max_scale, arith)
+    at = beta_arithmetic(ball_arithmetic(arith, hier, m), ratios, beta)
     expo = -float(beta) / float(ratios.beta_star)
     proxy = []
     for n, I in enumerate(energies):
         rho, psi, phi = scale_values(ratios, n)
-        proxy.append(arith.power(phi, expo) / arith.num(psi) * arith.num(I))
+        proxy.append(at.power(phi, expo) / at.num(psi) * at.num(I))
     empirical = None
     if include_empirical:
         if level.num_vertices > _EMPIRICAL_MAX_VERTICES:

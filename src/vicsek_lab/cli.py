@@ -229,8 +229,8 @@ def _cmd_energy_measure(config: ExperimentConfig, out: Path, meta: str) -> int:
 
 
 def _cmd_besov(config: ExperimentConfig, out: Path, meta: str) -> int:
-    from .besov import (ball_arithmetic, ball_energies, base_energies, discrete_profiles,
-                        phi_profile, weak_monotonicity_report)
+    from .besov import (ball_energies, base_energies, discrete_profiles, phi_profile,
+                        weak_monotonicity_report)
     from .energy import arithmetic, diagonal_ramp
 
     if config.vertex_level < config.depth + 2:
@@ -242,20 +242,11 @@ def _cmd_besov(config: ExperimentConfig, out: Path, meta: str) -> int:
     u = diagonal_ramp()
     m = config.vertex_level
     arith = arithmetic(config.mode, config.p)
-    energies = {}  # I_{m,n}, computed once per arithmetic the profiles use
-
-    def energies_at(beta):
-        ball = ball_arithmetic(arith, hier, beta, m)
-        if ball not in energies:
-            energies[ball] = ball_energies(hier, u, config.p, m, config.depth, ball)
-        return energies[ball]
-
+    balls = ball_energies(hier, u, config.p, m, config.depth, arith)  # I_{m,n}, for every beta
     base = base_energies(hier, u, config.p, config.depth, arith)
     rows = []
     for beta in config.beta_grid:
-        prof = phi_profile(
-            hier, u, config.p, beta, m, config.depth, arith=arith, energies=energies_at(beta)
-        )
+        prof = phi_profile(hier, u, config.p, beta, m, config.depth, arith=arith, energies=balls)
         dprof = discrete_profiles(hier, u, config.p, beta, config.depth, arith=arith, energies=base)
         for n in range(config.depth + 1):
             rows.append(
@@ -281,7 +272,7 @@ def _cmd_besov(config: ExperimentConfig, out: Path, meta: str) -> int:
         config.depth,
         (max(1, config.depth - 2), config.depth),
         arith,
-        energies=energies_at(float(hier.ratios.beta_star)),
+        energies=balls,
     )
     write_json(
         out / "weak_monotonicity.json",
@@ -337,14 +328,20 @@ def _cmd_resistance(config: ExperimentConfig, out: Path, meta: str) -> int:
         (level.origin, level.vertex_id(-L, L)),
     ]
     lo, hi = ORACLE_P_RANGE
-    check = lo <= float(config.p) <= hi and level.num_vertices <= 600
+    skip = None
+    if not lo <= float(config.p) <= hi:
+        skip = f"p = {config.p} is outside [{lo}, {hi}]"
+    elif level.num_vertices > 600:
+        skip = f"level {level.n} has {level.num_vertices} vertices, more than 600"
+    if skip:
+        print(f"note: resistance oracle skipped: {skip}", file=sys.stderr)
     rows = []
     oracle_ok = True
     for a, b in pairs:
         d = level.geodesic_distance(a, b)
         r = resistance(level, a, b, config.p)
         agree = ""
-        if check:
+        if skip is None:
             ro = resistance_oracle(level, a, b, float(config.p))
             agree = abs(float(r) - ro) <= 1e-6 * max(1.0, float(r))
             oracle_ok = oracle_ok and agree

@@ -142,20 +142,16 @@ def load_config(
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    try:
-        cfg = _build(ExperimentConfig, raw, "")
-        cfg.ratio_sequence()  # surface invalid ratio specs at parse time
-        return cfg
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"malformed config value: {e}") from e
+    cfg = _build(ExperimentConfig, raw, "")
+    cfg.ratio_sequence()  # surface invalid ratio specs at parse time
+    return cfg
 
 
 def _build(cls, raw, prefix: str):
     """A ``cls`` from its JSON object: each key read by the rule for its
     field's annotation, each absent key left to its field's default.
-    ``prefix`` leads the key names in errors."""
+    ``prefix`` leads the key names in errors; a value its rule rejects is
+    a malformed value of that key."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{prefix.rstrip('.') or 'config'} must be a JSON object, "
                           f"got {type(raw).__name__}")
@@ -166,40 +162,53 @@ def _build(cls, raw, prefix: str):
     for name, f in declared.items():
         if name not in raw and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"config missing required field {prefix + name!r}")
-    return cls(**{k: _PARSE[declared[k].type](v) for k, v in raw.items()})
+    values = {}
+    for k, v in raw.items():
+        try:
+            values[k] = _PARSE[declared[k].type](v)
+        except (ValueError, OverflowError) as e:
+            raise ConfigError(f"malformed config value for {prefix + k!r}: {e}") from e
+    return cls(**values)
+
+
+def _json(x, kind, what: str):
+    """``x`` when it is a JSON value of ``kind`` (a bool is no number), else an error."""
+    if isinstance(x, bool) or not isinstance(x, kind):
+        raise ValueError(f"expected {what}, got {x!r}")
+    return x
 
 
 def _finite(x) -> float:
-    """A float; infinities and NaN are rejected."""
-    v = float(x)
+    """A float from a JSON number; infinities and NaN are rejected."""
+    v = float(_json(x, (int, float), "a number"))
     if not math.isfinite(v):
         raise ValueError(f"numbers must be finite, got {x!r}")
     return v
 
 
 def _integer(x) -> int:
-    """An int; bools and numbers with a fractional part are rejected."""
-    if isinstance(x, bool) or isinstance(x, float) and not x.is_integer():
+    """An int from a JSON number; a fractional part, infinities and NaN are rejected."""
+    if isinstance(_json(x, (int, float), "an integer"), float) and not x.is_integer():
         raise ValueError(f"expected an integer, got {x!r}")
     return int(x)
 
 
 def _number(x):
     """An integral value as an int (rational mode needs an integer p), else a float."""
-    return int(x) if _finite(x) == int(float(x)) else float(x)
+    return int(x) if _finite(x).is_integer() else float(x)
 
 
 # How a JSON value becomes a field value, by the field's annotation as written
 # (``from __future__ import annotations`` keeps each annotation a string).
 _PARSE = {
     "Any": lambda x: x,
-    "Optional[str]": lambda x: x,
+    "Optional[str]": lambda x: x if x is None else _json(x, str, "a string"),
     "float | int": _number,
     "float": _finite,
     "int": _integer,
-    "Optional[int]": _integer,
-    "str": str,
-    "tuple[float, ...]": lambda xs: tuple(_finite(x) for x in xs),
-    "tuple[int, ...]": lambda xs: tuple(_integer(x) for x in xs),
+    "Optional[int]": lambda x: x if x is None else _integer(x),
+    "str": lambda x: _json(x, str, "a string"),
+    "tuple[float, ...]": lambda xs: tuple(_finite(x) for x in _json(xs, list, "a list")),
+    "tuple[int, ...]": lambda xs: tuple(_integer(x) for x in _json(xs, list, "a list")),
     "HausdorffConfig": lambda h: _build(HausdorffConfig, h, "hausdorff."),
 }

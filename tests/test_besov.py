@@ -370,27 +370,29 @@ def test_equivalence_bands_recorded(hier3):
 @pytest.mark.parametrize("mode", ("rational", "float"))
 def test_arithmetic_rule_table(hier3, mode, p, beta, m):
     """The README's mode rule: under rational a value is exact wherever p
-    is an integer and the size allows, E_{p,n} always, what phi^(-beta/beta*)
-    weighs (proxies, beta-energy sums, jump-kernel forms) only at beta =
-    beta*, and I_{m,n} and the proxies only there on at most 600 vertices;
-    under float everything is float.  Each exact value is within rel 1e-12
-    of its float twin."""
+    is an integer and the size allows, E_{p,n} always, I_{m,n} on at most
+    600 vertices at every beta, what phi^(-beta/beta*) weighs (beta-energy
+    sums, jump-kernel forms) only at beta = beta*, and the proxies only
+    where both hold; under float everything is float.  Each exact value is
+    within rel 1e-12 of its float twin."""
     assert hier3.level(m).num_vertices == {3: 501, 4: 2501}[m]
     energy_exact = mode == "rational" and p != 2.5
     beta_exact = energy_exact and beta == 1.0
-    ball_exact = beta_exact and m == 3
+    ball_exact = energy_exact and m == 3
+    proxy_exact = ball_exact and beta_exact
     arith = arithmetic(mode, p)
     assert arith is (EXACT if energy_exact else FLOAT)
     assert beta_arithmetic(arith, hier3.ratios, beta) is (EXACT if beta_exact else FLOAT)
-    assert ball_arithmetic(arith, hier3, beta, m) is (EXACT if ball_exact else FLOAT)
+    assert ball_arithmetic(arith, hier3, m) is (EXACT if ball_exact else FLOAT)
 
     u = random_affine(hier3, 5)
     base = base_energies(hier3, u, p, 1, arith)
     assert type(base[1]) is (Fraction if energy_exact else float)
     prof = phi_profile(hier3, u, p, beta, m, 0, arith=arith)
-    assert type(prof.ball_energies[0]) is (Fraction if ball_exact else float)
     cases = (
-        (prof.phi_proxy[0], ball_exact,
+        (prof.ball_energies[0], ball_exact,
+         lambda a: phi_profile(hier3, u, p, beta, m, 0, arith=a).ball_energies[0]),
+        (prof.phi_proxy[0], proxy_exact,
          lambda a: phi_profile(hier3, u, p, beta, m, 0, arith=a).phi_proxy[0]),
         (discrete_profiles(hier3, u, p, beta, 1, arith=arith, energies=base).sum_energy,
          beta_exact, lambda a: discrete_profiles(hier3, u, p, beta, 1, arith=a).sum_energy),

@@ -143,11 +143,26 @@ def test_config_validation_errors():
         config_from_dict({"ratios": {"generator": "constant", "l": 3},
                           "hausdorff": {"prefix_len": 10.5}})
     for ratios in ({"generator": "constant", "l": 3.9}, {"generator": "constant", "l": True},
+                   {"generator": "constant", "l": "3"},
                    {"generator": "alternating", "a": 3, "b": 5.5},
                    {"generator": "example_sequence", "a": 3.5, "b": 5},
                    {"generator": "periodic", "block": [3, 5.2]}, [3.5] * 8):
         with pytest.raises(ConfigError, match="invalid ratios field: expected an integer"):
             config_from_dict({"ratios": ratios})
+    # number keys take JSON numbers and list keys JSON lists: no string, no bool
+    for key, value in (("seeds", "12"), ("beta_grid", "12"), ("depth", "3"), ("p", "2"),
+                       ("bins", "7"), ("beta_star", True), ("epsilons", [0.1, False]),
+                       ("threads", "2"), ("mode", 5)):
+        with pytest.raises(ConfigError, match=f"malformed config value for '{key}'"):
+            config_from_dict({"ratios": {"generator": "constant", "l": 3}, key: value})
+    for key, value in (("theta", True), ("liminf_eta", 5)):
+        with pytest.raises(ConfigError, match=f"malformed config value for 'hausdorff.{key}'"):
+            config_from_dict({"ratios": {"generator": "constant", "l": 3},
+                              "hausdorff": {key: value}})
+    # null leaves an optional key unset
+    cfg = config_from_dict({"ratios": {"generator": "constant", "l": 3}, "threads": None,
+                            "hausdorff": {"limsup_eta": None}})
+    assert cfg.threads is None and cfg.hausdorff.limsup_eta is None
     # integral floats still read as integers
     cfg = config_from_dict({"ratios": {"generator": "constant", "l": 3.0}, "depth": 2.0,
                             "seeds": [1.0, 2], "hausdorff": {"a": 5.0}})
@@ -324,16 +339,24 @@ def test_config_hash_is_the_sha256_prefix(tmp_path):
     assert (tmp_path / "scale_table.csv").read_text().startswith(f"# config={want}\n")
 
 
-def test_resistance_below_the_oracle_range(tmp_path):
-    """At p = 1.1 the oracle does not run: the formula values are written,
-    ``oracle_agrees`` is blank and the command succeeds."""
-    cfg = write_config(tmp_path, {"p": 1.1, "mode": "float"})
-    out = tmp_path / "art"
-    assert main(["resistance", "--config", str(cfg), "--out", str(out)]) == 0
-    with open(out / "resistance_table.csv") as f:
-        rows = list(csv.DictReader(line for line in f if not line.startswith("#")))
-    assert len(rows) == 4
-    assert all(row["oracle_agrees"] == "" and float(row["resistance"]) > 0 for row in rows)
+def test_resistance_below_the_oracle_range(tmp_path, capsys):
+    """At p = 1.1, and on a level of more than 600 vertices, the oracle does
+    not run: the formula values are written, ``oracle_agrees`` is blank, the
+    command succeeds and a note on stderr says why."""
+    cases = (
+        ({"p": 1.1, "mode": "float"}, "p = 1.1 is outside [1.4, 8.0]"),
+        ({"ratios": {"generator": "constant", "l": 7}, "vertex_level": 2},
+         "level 2 has 677 vertices, more than 600"),
+    )
+    for overrides, reason in cases:
+        cfg = write_config(tmp_path, overrides)
+        out = tmp_path / "art"
+        assert main(["resistance", "--config", str(cfg), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == f"note: resistance oracle skipped: {reason}\n"
+        with open(out / "resistance_table.csv") as f:
+            rows = list(csv.DictReader(line for line in f if not line.startswith("#")))
+        assert len(rows) == 4
+        assert all(row["oracle_agrees"] == "" and float(row["resistance"]) > 0 for row in rows)
 
 
 def test_out_of_memory_exit_code(tmp_path, monkeypatch, capsys):
@@ -349,13 +372,16 @@ def test_out_of_memory_exit_code(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "overrides, arithmetics",
+    "overrides",
     [
-        ({}, 1),  # 2501 vertices: every profile is float
-        ({"depth": 1, "vertex_level": 3}, 2),  # 501 vertices: exact at beta*
+        pytest.param({}, id="2501-vertices"),  # float I_{m,n}
+        pytest.param({"depth": 1, "vertex_level": 3}, id="501-vertices"),  # exact I_{m,n}
     ],
 )
-def test_besov_computes_each_ball_energy_once(tmp_path, monkeypatch, overrides, arithmetics):
+def test_besov_computes_each_ball_energy_once(tmp_path, monkeypatch, overrides):
+    """One set of I_{m,n} per (u, p, m), in the vertex level's arithmetic,
+    serves every beta: each row of ``besov_profiles.csv`` carries the beta*
+    row's ball energy."""
     calls = []
     pair_sum = besov.ball_pair_sum_indexed
 
@@ -370,7 +396,12 @@ def test_besov_computes_each_ball_energy_once(tmp_path, monkeypatch, overrides, 
     monkeypatch.undo()
     config = load_config(path)
     N, m = config.depth, config.vertex_level
-    assert sorted(calls) == sorted(list(range(N + 1)) * arithmetics)
+    assert sorted(calls) == list(range(N + 1))
+    with open(out / "besov_profiles.csv") as f:
+        table = list(csv.DictReader(line for line in f if not line.startswith("#")))
+    at_star = {r["n"]: r["ball_energy"] for r in table if float(r["beta"]) == config.beta_star}
+    assert len(table) == len(config.beta_grid) * (N + 1) and len(at_star) == N + 1
+    assert all(r["ball_energy"] == at_star[r["n"]] for r in table)
 
     # the same artifacts from independent per-beta profiles
     hier = Hierarchy(config.ratio_sequence(), m)
@@ -451,7 +482,7 @@ def _float_table(path: Path) -> list[list[float]]:
 
 
 def test_besov_and_bbm_honour_float_mode(tmp_path, monkeypatch):
-    # 501 vertices at the vertex level: rational mode is exact at beta*
+    # 501 vertices at the vertex level: rational mode sums every ball exactly
     path = write_config(tmp_path, {"depth": 1, "vertex_level": 3})
     calls, seen = [], {}
     pair_sum, sweep = besov.ball_pair_sum_indexed, besov.energy_limit
@@ -476,9 +507,7 @@ def test_besov_and_bbm_honour_float_mode(tmp_path, monkeypatch):
     for mode, exact in (("rational", True), ("float", False)):
         for cmd in ("besov", "bbm"):
             assert [c for c in seen[mode, cmd] if c[0] == "levels"] == [("levels", exact)]
-    assert {c for c in seen["rational", "besov"] if c[0] == "ball"} == {
-        ("ball", True), ("ball", False)
-    }
+    assert {c for c in seen["rational", "besov"] if c[0] == "ball"} == {("ball", True)}
     assert {c for c in seen["float", "besov"] if c[0] == "ball"} == {("ball", False)}
 
     for name in ("besov_profiles.csv", "bbm_curve.csv"):
