@@ -328,20 +328,17 @@ def _cmd_resistance(config: ExperimentConfig, out: Path, meta: str) -> int:
         (level.origin, level.vertex_id(-L, L)),
     ]
     lo, hi = ORACLE_P_RANGE
-    skip = None
-    if not lo <= float(config.p) <= hi:
-        skip = f"p = {config.p} is outside [{lo}, {hi}]"
-    elif level.num_vertices > 600:
-        skip = f"level {level.n} has {level.num_vertices} vertices, more than 600"
-    if skip:
-        print(f"note: resistance oracle skipped: {skip}", file=sys.stderr)
+    run_oracle = lo <= float(config.p) <= hi
+    if not run_oracle:
+        print(f"note: resistance oracle skipped: p = {config.p} is outside [{lo}, {hi}]",
+              file=sys.stderr)
     rows = []
     oracle_ok = True
     for a, b in pairs:
         d = level.geodesic_distance(a, b)
         r = resistance(level, a, b, config.p)
         agree = ""
-        if skip is None:
+        if run_oracle:
             ro = resistance_oracle(level, a, b, float(config.p))
             agree = abs(float(r) - ro) <= 1e-6 * max(1.0, float(r))
             oracle_ok = oracle_ok and agree

@@ -13,10 +13,12 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Optional
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidRatioError
 from .geometry import DEFAULT_CELL_BUDGET, MAX_CELL_BUDGET, Hierarchy
 from .ratios import (
+    REGIME_VALUES,
     RatioSequence,
+    _check_ratio,
     alternating_ratios,
     constant_ratios,
     example_sequence_ratios,
@@ -32,6 +34,22 @@ class HausdorffConfig:
     prefix_len: int = 10_000
     liminf_eta: Optional[str] = "+inf"
     limsup_eta: Optional[str] = "+inf"
+
+    def __post_init__(self):
+        for key in ("a", "b"):
+            try:
+                _check_ratio(getattr(self, key))
+            except InvalidRatioError as e:
+                raise ConfigError(f"hausdorff.{key}: {e}") from e
+        if self.theta < 0:
+            raise ConfigError(f"hausdorff.theta must be >= 0, got {self.theta}")
+        if self.prefix_len < 1:
+            raise ConfigError(f"hausdorff.prefix_len must be >= 1, got {self.prefix_len}")
+        for key in ("liminf_eta", "limsup_eta"):
+            flag = getattr(self, key)
+            if flag is not None and flag not in REGIME_VALUES:
+                raise ConfigError(f"hausdorff.{key} must be null or one of {REGIME_VALUES}, "
+                                  f"got {flag!r}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +89,12 @@ class ExperimentConfig:
             raise ConfigError("beta_grid must hold at least one beta")
         if not self.epsilons:
             raise ConfigError("epsilons must hold at least one epsilon")
+        if min(self.beta_grid) < 0:
+            raise ConfigError(f"beta_grid values must be >= 0, got {min(self.beta_grid)}")
+        for eps in self.epsilons:
+            if not 0 < eps < self.beta_star:
+                raise ConfigError(f"epsilons must lie in (0, beta_star = {self.beta_star}), "
+                                  f"got {eps}")
         if self.bins < 1:
             raise ConfigError(f"bins must be >= 1, got {self.bins}")
         if self.cell_budget > MAX_CELL_BUDGET:

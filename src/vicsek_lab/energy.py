@@ -616,45 +616,46 @@ def resistance_oracle(
     p = float(p)
     theta = 1.0 if p <= 2.0 else 1.0 / (p - 1.0)  # damping; plain IRLS cycles for p > 2
     V = level.num_vertices
-    # intp: the flat V x V indices below pass 2^31 at 46,341 vertices
-    tails = level.edge_tail.astype(np.intp)
-    heads = level.edge_head.astype(np.intp)
+    parent = level.parent
     free = np.ones(V, dtype=bool)
     free[a] = free[b] = False
-
     u = np.full(V, 0.5)
     u[a] = 1.0
     u[b] = 0.0
-    flat_tt = tails * V + tails
-    flat_hh = heads * V + heads
-    flat_th = tails * V + heads
-    flat_ht = heads * V + tails
+    order = np.argsort(level.depth, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(level.depth[order])) + 1)
+    steps = [(vs, parent[vs], free[vs]) for vs in groups]  # depth 0 (the root), 1, ...
 
     def irls_step(w: np.ndarray) -> np.ndarray:
-        lap = np.zeros(V * V)
-        np.add.at(lap, flat_tt, w)
-        np.add.at(lap, flat_hh, w)
-        np.add.at(lap, flat_th, -w)
-        np.add.at(lap, flat_ht, -w)
-        lap = lap.reshape(V, V)
-        A = lap[np.ix_(free, free)]
-        rhs = -lap[np.ix_(free, ~free)] @ u[~free]
-        return np.linalg.solve(A, rhs)
+        """Minimise sum w(v) (u(v) - u(parent v))^2 with u(a), u(b) held.
+
+        The level is a tree: eliminating from the deepest vertices up writes
+        each as u = s u(parent) + t, with no fill-in (s = 0 on a, b and the
+        root, whose weight is 0); substitution from the root down gives u.
+        """
+        w[level.origin] = 0.0
+        den, num, s, t, x = (np.zeros(V) for _ in range(5))
+        for vs, par, fr in reversed(steps):
+            wv = w[vs]
+            dv = wv + den[vs]
+            s[vs] = sv = np.divide(wv, dv, out=np.zeros_like(wv), where=fr)
+            t[vs] = tv = np.divide(num[vs], dv, out=u[vs], where=fr)
+            np.add.at(den, par, wv * (1.0 - sv))
+            np.add.at(num, par, wv * tv)
+        for vs, par, _ in steps:
+            x[vs] = s[vs] * x[par] + t[vs]
+        return x[free]
 
     if p == 2.0:
-        sol = irls_step(np.ones(tails.size))
-        u = u.copy()
-        u[free] = sol
+        u[free] = irls_step(np.ones(V))
         return 1.0 / FLOAT.energy(level, u, p)
 
     eps = 0.01
     prev = cur = FLOAT.energy(level, u, p)
     for _ in range(max_iter):
-        d = u[heads] - u[tails]
+        d = u - u[parent]
         w = (d * d + eps * eps) ** ((p - 2.0) / 2.0)
-        sol = irls_step(w)
-        u = u.copy()
-        u[free] = (1.0 - theta) * u[free] + theta * sol
+        u[free] = (1.0 - theta) * u[free] + theta * irls_step(w)
         prev, cur = cur, FLOAT.energy(level, u, p)
         if eps <= 1e-13 and abs(cur - prev) <= tol * max(cur, 1e-300):
             return 1.0 / cur

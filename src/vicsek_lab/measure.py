@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import InvalidArgumentError, InvalidRatioError, LevelError
+from .errors import InvalidArgumentError, LevelError
 from .geometry import LatticePoint, _cell_centers
-from .ratios import RatioSequence, p_is_integer
+from .ratios import REGIME_VALUES, RatioSequence, _check_ratio, p_is_integer
 from .words import Word
 
 
@@ -45,7 +45,9 @@ def scale_table(ratios: RatioSequence, max_level: int) -> list[tuple]:
 
 
 def _scale_index(ratios: RatioSequence, r) -> int:
-    """The n with rho_{n+1} < r <= rho_n, for 0 < r < rho_0 = 2."""
+    """The n with rho_{n+1} < r <= rho_n, and 0 for r >= rho_0 = 2."""
+    if r <= 0:
+        raise InvalidArgumentError(f"radius must be > 0, got {r}")
     n = 0
     while ratios.rho(n + 1) >= r:
         n += 1
@@ -54,21 +56,12 @@ def _scale_index(ratios: RatioSequence, r) -> int:
 
 def psi_of(ratios: RatioSequence, r) -> Fraction:
     """psi(r): right-continuous step value, 1 for r >= 2."""
-    if r <= 0:
-        raise InvalidArgumentError(f"radius must be > 0, got {r}")
-    if r >= 2:
-        return Fraction(1)
-    return Fraction(1, ratios.num_words(_scale_index(ratios, r)))
+    return scale_values(ratios, _scale_index(ratios, r))[1]
 
 
 def phi_of(ratios: RatioSequence, r):
     """phi(r) = rho_n^{p-1} psi(rho_n) on (rho_{n+1}, rho_n], 2^{p-1} for r >= 2."""
-    if r <= 0:
-        raise InvalidArgumentError(f"radius must be > 0, got {r}")
-    if r >= 2:
-        return _pow_p_minus_1(Fraction(2), ratios.p)
-    n = _scale_index(ratios, r)
-    return _pow_p_minus_1(ratios.rho(n), ratios.p) * Fraction(1, ratios.num_words(n))
+    return scale_values(ratios, _scale_index(ratios, r))[2]
 
 
 def mu_cell(ratios: RatioSequence, word: Word) -> Fraction:
@@ -179,9 +172,6 @@ def hausdorff_dimension(a: int, b: int, theta: float) -> float:
     )
 
 
-REGIME_VALUES = ("-inf", "real", "+inf")
-
-
 @dataclass(frozen=True)
 class HausdorffDiagnostics:
     a: int
@@ -216,8 +206,7 @@ def hausdorff_report(
     "-inf", "real", "+inf", or None for unknown).
     """
     for l in (a, b):
-        if l < 3 or l % 2 == 0:
-            raise InvalidRatioError(f"ratio must be odd and >= 3, got {l}")
+        _check_ratio(l)
     if theta < 0 or not math.isfinite(theta):
         raise InvalidArgumentError(f"theta must lie in [0, inf), got {theta}")
     for flag in (liminf_eta, limsup_eta):
@@ -377,26 +366,16 @@ def regularized_scales(ratios: RatioSequence, r):
 
     psi~ interpolates psi linearly between consecutive nodes (rho_{n+1},
     psi(rho_{n+1})) and (rho_n, psi(rho_n)), and equals r/2 for r >= 2;
-    phi~(r) = r^{p-1} psi~(r).  Exact rationals for rational r (phi~ exact
-    additionally requires integer p).
+    phi~(r) = r^{p-1} psi~(r).  r is read as a Fraction; psi~ is an exact
+    rational, and phi~ too for integer p.
     """
-    r = Fraction(r) if not isinstance(r, float) else r
-    if r <= 0:
-        raise InvalidArgumentError(f"radius must be > 0, got {r}")
+    r = Fraction(r)
+    n = _scale_index(ratios, r)
     if r >= 2:
-        psi_t = r / 2 if isinstance(r, float) else Fraction(r, 2)
+        psi_t = r / 2
     else:
-        n = _scale_index(ratios, r)
-        r_hi = ratios.rho(n)
-        r_lo = ratios.rho(n + 1)
-        psi_hi = Fraction(1, ratios.num_words(n))
-        psi_lo = Fraction(1, ratios.num_words(n + 1))
-        t = (Fraction(r) - r_lo) / (r_hi - r_lo)
-        psi_t = psi_lo + t * (psi_hi - psi_lo)
-        if isinstance(r, float):
-            psi_t = float(psi_t)
-    if p_is_integer(ratios.p) and not isinstance(r, float):
-        phi_t = Fraction(r) ** (int(ratios.p) - 1) * psi_t
-    else:
-        phi_t = float(r) ** (float(ratios.p) - 1.0) * float(psi_t)
+        r_hi, psi_hi, _ = scale_values(ratios, n)
+        r_lo, psi_lo, _ = scale_values(ratios, n + 1)
+        psi_t = psi_lo + (r - r_lo) / (r_hi - r_lo) * (psi_hi - psi_lo)
+    phi_t = _pow_p_minus_1(r, ratios.p) * psi_t
     return psi_t, phi_t

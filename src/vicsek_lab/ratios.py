@@ -18,6 +18,11 @@ from typing import Callable, Optional, Sequence
 from .errors import InvalidArgumentError, InvalidRatioError, LevelError
 
 
+# The asymptotic regimes of a Hausdorff eta sequence: the values of its
+# liminf / limsup flags.
+REGIME_VALUES = ("-inf", "real", "+inf")
+
+
 def _check_ratio(l: int) -> int:
     if not isinstance(l, int) or isinstance(l, bool):
         raise InvalidRatioError(f"ratio must be an integer, got {l!r}")

@@ -6,14 +6,20 @@ ints.  It reads only the hierarchy's transition tables and edge lists, so it
 checks the array route's arithmetic, dtype choice and power sums, not the
 geometry.  ``cell_sums`` and ``pushforward_masses`` are the per-edge loops
 the energy measures used before they shared one edge primitive.
+``dense_resistance_oracle`` is the resistance oracle with each IRLS step
+solved on the dense V x V weighted Laplacian, as it was before the steps
+were eliminated on the tree.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from vicsek_lab.energy import AffineFunction
-from vicsek_lab.geometry import Hierarchy
+import numpy as np
+
+from vicsek_lab.energy import FLOAT, AffineFunction
+from vicsek_lab.errors import ConvergenceError
+from vicsek_lab.geometry import Hierarchy, VicsekLevel
 
 
 def _int_power_sum(diffs, p: int) -> int:
@@ -118,3 +124,48 @@ def pushforward_masses(hier: Hierarchy, u: AffineFunction, p: int, bins: int) ->
             if overlap > 0:
                 out[k] += mass * overlap / (b - a)
     return out
+
+
+def dense_resistance_oracle(
+    level: VicsekLevel, a: int, b: int, p: float, max_iter: int = 120, tol: float = 1e-10
+) -> float:
+    """``resistance_oracle``'s IRLS, each step one dense solve: O(V^2) memory,
+    O(V^3) time, so for small levels only."""
+    p = float(p)
+    theta = 1.0 if p <= 2.0 else 1.0 / (p - 1.0)
+    V = level.num_vertices
+    tails = level.edge_tail.astype(np.intp)
+    heads = level.edge_head.astype(np.intp)
+    free = np.ones(V, dtype=bool)
+    free[a] = free[b] = False
+    u = np.full(V, 0.5)
+    u[a] = 1.0
+    u[b] = 0.0
+
+    def irls_step(w: np.ndarray) -> np.ndarray:
+        lap = np.zeros((V, V))
+        np.add.at(lap, (tails, tails), w)
+        np.add.at(lap, (heads, heads), w)
+        np.add.at(lap, (tails, heads), -w)
+        np.add.at(lap, (heads, tails), -w)
+        A = lap[np.ix_(free, free)]
+        rhs = -lap[np.ix_(free, ~free)] @ u[~free]
+        return np.linalg.solve(A, rhs)
+
+    if p == 2.0:
+        u[free] = irls_step(np.ones(tails.size))
+        return 1.0 / FLOAT.energy(level, u, p)
+
+    eps = 0.01
+    prev = cur = FLOAT.energy(level, u, p)
+    for _ in range(max_iter):
+        d = u[heads] - u[tails]
+        w = (d * d + eps * eps) ** ((p - 2.0) / 2.0)
+        sol = irls_step(w)
+        u = u.copy()
+        u[free] = (1.0 - theta) * u[free] + theta * sol
+        prev, cur = cur, FLOAT.energy(level, u, p)
+        if eps <= 1e-13 and abs(cur - prev) <= tol * max(cur, 1e-300):
+            return 1.0 / cur
+        eps = max(eps * 0.2, 1e-14)
+    raise ConvergenceError("dense resistance oracle did not converge", abs(cur - prev) / cur)

@@ -159,6 +159,22 @@ def test_config_validation_errors():
         with pytest.raises(ConfigError, match=f"malformed config value for 'hausdorff.{key}'"):
             config_from_dict({"ratios": {"generator": "constant", "l": 3},
                               "hausdorff": {key: value}})
+    # ranges are checked at parse time, so every command rejects the file
+    for key, value, match in (("beta_grid", [-0.5, 1.0], "beta_grid values must be >= 0"),
+                              ("epsilons", [1.5], r"epsilons must lie in \(0, beta_star"),
+                              ("epsilons", [1.0], r"epsilons must lie in \(0, beta_star"),
+                              ("epsilons", [0.1, 0.0], r"epsilons must lie in \(0, beta_star")):
+        with pytest.raises(ConfigError, match=match):
+            config_from_dict({"ratios": {"generator": "constant", "l": 3}, key: value})
+    for key, value, match in (("a", 4, "hausdorff.a: ratio must be odd and >= 3"),
+                              ("b", 1, "hausdorff.b: ratio must be odd and >= 3"),
+                              ("theta", -1, "hausdorff.theta must be >= 0"),
+                              ("prefix_len", 0, "hausdorff.prefix_len must be >= 1"),
+                              ("liminf_eta", "bogus", "hausdorff.liminf_eta must be null or one"),
+                              ("limsup_eta", "inf", "hausdorff.limsup_eta must be null or one")):
+        with pytest.raises(ConfigError, match=match):
+            config_from_dict({"ratios": {"generator": "constant", "l": 3},
+                              "hausdorff": {key: value}})
     # null leaves an optional key unset
     cfg = config_from_dict({"ratios": {"generator": "constant", "l": 3}, "threads": None,
                             "hausdorff": {"limsup_eta": None}})
@@ -340,23 +356,34 @@ def test_config_hash_is_the_sha256_prefix(tmp_path):
 
 
 def test_resistance_below_the_oracle_range(tmp_path, capsys):
-    """At p = 1.1, and on a level of more than 600 vertices, the oracle does
-    not run: the formula values are written, ``oracle_agrees`` is blank, the
-    command succeeds and a note on stderr says why."""
-    cases = (
-        ({"p": 1.1, "mode": "float"}, "p = 1.1 is outside [1.4, 8.0]"),
-        ({"ratios": {"generator": "constant", "l": 7}, "vertex_level": 2},
-         "level 2 has 677 vertices, more than 600"),
-    )
-    for overrides, reason in cases:
-        cfg = write_config(tmp_path, overrides)
-        out = tmp_path / "art"
-        assert main(["resistance", "--config", str(cfg), "--out", str(out)]) == 0
-        assert capsys.readouterr().err == f"note: resistance oracle skipped: {reason}\n"
-        with open(out / "resistance_table.csv") as f:
-            rows = list(csv.DictReader(line for line in f if not line.startswith("#")))
-        assert len(rows) == 4
-        assert all(row["oracle_agrees"] == "" and float(row["resistance"]) > 0 for row in rows)
+    """At p = 1.1 the oracle does not run: the formula values are written,
+    ``oracle_agrees`` is blank, the command succeeds and a note on stderr
+    says why."""
+    cfg = write_config(tmp_path, {"p": 1.1, "mode": "float"})
+    out = tmp_path / "art"
+    assert main(["resistance", "--config", str(cfg), "--out", str(out)]) == 0
+    reason = "p = 1.1 is outside [1.4, 8.0]"
+    assert capsys.readouterr().err == f"note: resistance oracle skipped: {reason}\n"
+    rows = _resistance_rows(out)
+    assert len(rows) == 4
+    assert all(row["oracle_agrees"] == "" and float(row["resistance"]) > 0 for row in rows)
+
+
+def test_resistance_checks_every_level_size(tmp_path, capsys):
+    """Level 2 of constant 7 has 677 vertices; the oracle runs there and
+    agrees with the formula on all four pairs."""
+    cfg = write_config(tmp_path, {"ratios": {"generator": "constant", "l": 7}, "vertex_level": 2})
+    out = tmp_path / "art"
+    assert main(["resistance", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    rows = _resistance_rows(out)
+    assert len(rows) == 4
+    assert all(row["oracle_agrees"] == "true" for row in rows)
+
+
+def _resistance_rows(out: Path) -> list[dict]:
+    with open(out / "resistance_table.csv") as f:
+        return list(csv.DictReader(line for line in f if not line.startswith("#")))
 
 
 def test_out_of_memory_exit_code(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from _energy_oracle import dense_resistance_oracle
 from _geometry_oracle import true_distance_sq, vertex_id_at
 from vicsek_lab.energy import (
     EXACT,
@@ -30,6 +32,8 @@ from vicsek_lab.energy import (
     restrict_to_arm,
 )
 from vicsek_lab.errors import ConvergenceError, InvalidArgumentError, LevelError, RegionError
+from vicsek_lab.geometry import build_level
+from vicsek_lab.ratios import constant_ratios
 from vicsek_lab.words import CENTER, Letter
 
 
@@ -254,13 +258,42 @@ def test_resistance_oracle_rejects_p_outside_its_range(hier3):
 
 
 def test_resistance_oracle_converges_at_the_lower_bound(hier3, hier35):
-    """At the lowest supported p the oracle matches the formula on every CLI
-    pair of level 2 of both sequences and of level 3 of constant 3."""
-    p = ORACLE_P_RANGE[0]
-    for lv in (hier3.level(2), hier3.level(3), hier35.level(2)):
-        for a, b in _cli_pairs(lv):
-            want = float(resistance(lv, a, b, p))
-            assert abs(want - resistance_oracle(lv, a, b, p)) <= 1e-6 * max(1.0, want)
+    """At both ends of the supported p range the oracle matches the formula
+    on every CLI pair of level 2 of constant 3, alternating (3, 5) and
+    constant 7 (677 vertices), and of level 3 of constant 3."""
+    lv7 = build_level(constant_ratios(7, 3), 2)
+    for p in ORACLE_P_RANGE:
+        for lv in (hier3.level(2), hier3.level(3), hier35.level(2), lv7):
+            for a, b in _cli_pairs(lv):
+                want = float(resistance(lv, a, b, p))
+                got = resistance_oracle(lv, a, b, p)
+                assert abs(want - got) <= 1e-6 * max(1.0, want), (lv.num_vertices, p)
+
+
+def test_resistance_oracle_matches_the_dense_solve(hier3):
+    """Eliminating each IRLS step on the tree gives the dense Laplacian
+    solve's value on every pair of levels 0 and 1."""
+    for level_n in (0, 1):
+        lv = hier3.level(level_n)
+        for a, b in itertools.combinations(range(lv.num_vertices), 2):
+            for p in (1.5, 2.0, 3.0):
+                want = dense_resistance_oracle(lv, a, b, p)
+                assert resistance_oracle(lv, a, b, p) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_resistance_oracle_memory_is_linear_in_the_level():
+    """One p = 3 oracle call on level 2 of constant 15 (3,365 vertices)
+    peaks at 2 MiB; a V x V float array alone would take 86 MiB."""
+    lv = build_level(constant_ratios(15, 3), 2)
+    a, b = _cli_pairs(lv)[1]
+    tracemalloc.start()
+    try:
+        r = resistance_oracle(lv, a, b, 3.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+    assert r == pytest.approx(float(resistance(lv, a, b, 3)), rel=1e-6)
 
 
 def test_resistance_oracle_reports_its_last_change(hier3):

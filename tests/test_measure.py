@@ -178,8 +178,9 @@ def test_hausdorff_report_classification():
 def test_hausdorff_report_degenerate_and_errors():
     rep = hausdorff_report(3, 3, [3, 3], 1.0)
     assert rep.degenerate and rep.non_self_similar is False
-    with pytest.raises(InvalidRatioError):
-        hausdorff_report(4, 5, [4], 1.0)
+    for a in (4, 3.5):
+        with pytest.raises(InvalidRatioError):
+            hausdorff_report(a, 5, [a], 1.0)
     with pytest.raises(InvalidArgumentError):
         hausdorff_report(3, 5, [], 1.0)
 
