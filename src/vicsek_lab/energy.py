@@ -23,6 +23,7 @@ from .errors import (
     ConvergenceError,
     InvalidArgumentError,
     LevelError,
+    LookupError_,
     RegionError,
 )
 from .geometry import Hierarchy, VicsekLevel
@@ -101,8 +102,14 @@ def diagonal_ramp() -> AffineFunction:
     return AffineFunction(0, [h, 1, h, 0, h])
 
 
+def _check_direction(direction: int) -> None:
+    if direction not in range(1, 5):
+        raise InvalidArgumentError(f"direction must be one of 1..4, got {direction}")
+
+
 def corner_indicator(direction: int = 1) -> AffineFunction:
     """1 at one level-0 corner, 0 elsewhere (base level 0)."""
+    _check_direction(direction)
     vals = [Fraction(0)] * 5
     vals[direction] = Fraction(1)
     return AffineFunction(0, vals)
@@ -171,9 +178,9 @@ class Arithmetic:
     ``power``, ``total`` and ``unscale`` (of a pair sum) make its numbers.
     ``arithmetic`` picks one from (mode, p), and every energy routine takes it.
 
-    The pair sums take from it only what differs: values as a (V, F) array,
-    a tile's in-ball pairs and |d|^p sum, the block terms' dtype and total,
-    and the in-ball total of a brute-force tile of powers.
+    The pair sums take from it only what differs: values as a (V, F) array
+    and, if integer, their max |v|, a tile's in-ball pairs and |d|^p sum, the
+    block terms' dtype and total, and a brute-force tile's in-ball power total.
     """
 
     name: str
@@ -286,12 +293,15 @@ class _Exact(Arithmetic):
         q = self.exponent(p)
         return Fraction(sum(c * abs(s) ** q for s, c in Counter(slopes).items()), L)
 
-    _term_dtype, _square_leaves = object, False  # pair sums: Python-int block terms
+    _term_dtype = object  # pair sums: Python-int block terms
 
     def _pair_values(self, values, p: int = 1):
-        """(ints as a (V, 1) array, True): int64 while every |v_i - v_j|^p fits it."""
-        bound = 2 * int(max(map(abs, values[1]), default=0))
-        return np.array(values[1], dtype=np.int64 if bound**p < 2**63 else object)[:, None], True
+        """(ints as a (V, 1) array, True, max |v|): int64 while every
+        |v_i - v_j|^p fits it.  A list is read as Python ints: numpy would
+        read negative ints beside ints past 2^63 as float64."""
+        ints = np.asarray(values[1], dtype=getattr(values[1], "dtype", object))
+        top = int(np.abs(ints).max(initial=0))
+        return np.asarray(ints, np.int64 if (2 * top) ** p < 2**63 else object)[:, None], True, top
 
     _in_ball_pairs = staticmethod(np.nonzero)  # index arrays, gathered with take
 
@@ -352,12 +362,12 @@ class _Float(Arithmetic):
     def _gradient_energy(self, slopes: np.ndarray, L: int, p) -> float:
         return math.fsum((np.abs(slopes) ** float(p) / float(L)).tolist())
 
-    _term_dtype, _square_leaves = np.float64, True  # p = 2 leaf classes by matrix products
+    _term_dtype = np.float64
 
     def _pair_values(self, values, p: float = 1.0):
-        """(values as a (V, F) float64 array, whether they were one vector)."""
+        """(values as a (V, F) float64 array, whether they were one vector, 0)."""
         vals = np.asarray(values, dtype=np.float64)
-        return (vals[:, None], True) if vals.ndim == 1 else (vals, False)
+        return (vals[:, None], True, 0) if vals.ndim == 1 else (vals, False, 0)
 
     def _in_ball_pairs(self, mask: np.ndarray) -> np.ndarray:
         return mask
@@ -611,6 +621,9 @@ def resistance_oracle(
     lo, hi = ORACLE_P_RANGE
     if not lo <= float(p) <= hi:
         raise InvalidArgumentError(f"oracle supports p in [{lo}, {hi}], got {p}")
+    for vid in (a, b):
+        if not 0 <= vid < level.num_vertices:
+            raise LookupError_(f"vertex id {vid} out of range")
     if a == b:
         return 0.0
     p = float(p)
@@ -803,6 +816,7 @@ def restrict_to_arm(hier: Hierarchy, u: AffineFunction, direction: int) -> Affin
     with other cells are zeroed, so two restrictions to different arms have
     disjoint supports separated by whole cells.
     """
+    _check_direction(direction)
     base = u.base_level
     lv = hier.level(base)
     if base == 0:

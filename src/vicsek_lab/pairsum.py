@@ -146,7 +146,7 @@ def ball_pair_sum_bruteforce(level: VicsekLevel, values, p, n: int, arith: Arith
     cell-tree route independently.
     """
     p = arith.exponent(p)
-    vals, squeeze = arith._pair_values(values, p)
+    vals, squeeze, _ = arith._pair_values(values, p)
     total = np.zeros(vals.shape[1], dtype=arith._term_dtype)
     for i0, j0, mask in _ball_tiles(level, n, vals.shape[1]):
         d = vals[i0 : i0 + mask.shape[0], None] - vals[None, j0 : j0 + mask.shape[1]]
@@ -325,18 +325,18 @@ def ball_pair_sum_indexed(
     """
     plan = pair_plan(level, n, leaf_max)
     idx = _pair_index(level)
-    vals, squeeze = arith._pair_values(values)
-    total = _evaluate(plan, idx, vals, arith.exponent(p), arith)
+    vals, squeeze, top = arith._pair_values(values)
+    total = _evaluate(plan, idx, vals, arith.exponent(p), arith, top)
     return total.tolist()[0] if squeeze else total
 
 
-def _evaluate(plan: PairPlan, idx: CellPairIndex, vs: np.ndarray, p, arith: Arithmetic):
+def _evaluate(plan: PairPlan, idx: CellPairIndex, vs: np.ndarray, p, arith: Arithmetic, top):
     """Sum over the plan's blocks of values ``vs``, one column per vector.
 
-    Each block's sum goes to its row of ``terms``: p = 2 full blocks by the
-    prefix-moment closed form, in chunks of rows.  Every other block is
-    summed tile by tile over the sub-blocks of its group: each p != 2 full
-    block is a group of its own, and a leaf class shares one mask, built
+    Each block's sum goes to its row of ``terms``: at p = 2, full blocks by
+    prefix moments in chunks of rows, leaf classes by ``_square_sums`` (``top``
+    is max |v|).  Other blocks are summed tile by tile over the sub-blocks of
+    their group: a p != 2 full block alone, a leaf class from one mask built
     once per call.  ``arith`` sums a tile and adds the rows up in plan order.
     """
     F = vs.shape[1]
@@ -368,8 +368,9 @@ def _evaluate(plan: PairPlan, idx: CellPairIndex, vs: np.ndarray, p, arith: Arit
             subs = _sub_blocks(hia - loa, hib - lob, F)
         else:
             subs = _class_mask(idx, plan.radius2, F, loa, hia, lob, hib)
-            if p == 2 and arith._square_leaves:
-                terms[group] = _square_sums(vs, subs, plan.blocks[group])
+            if p == 2:
+                terms[group] = _square_sums(vs, subs, plan.blocks[group], top)
+                terms[group] *= plan.blocks[group, 4:]  # in Python ints in exact
                 continue
             subs = [(*box, arith._in_ball_pairs(mask)) for *box, mask in subs]
         for row in group.tolist():
@@ -425,28 +426,31 @@ def _class_mask(idx: CellPairIndex, R: int, F: int, loa, hia, lob, hib):
     return subs
 
 
-def _square_sums(vs, subs, blocks):
-    """w * sum of (v_i - v_j)^2 over the in-ball pairs of each block of one
-    leaf class, as one row per block.
+def _square_sums(vs, subs, blocks, top):
+    """The sum of (v_i - v_j)^2 over the in-ball pairs of each block of one
+    leaf class, unweighted, one row per block, in either arithmetic.
 
     Per sub-block, K blocks at a time are gathered into (K, na, F) and
-    (K, nb, F) arrays of at most ``_CHUNK`` elements, and the masked sum
-    takes the matrix-product form rows.va^2 + cols.vb^2 - 2 va.(M vb): the
-    stacked products make one BLAS call per block, the one a single block
-    makes, so each row keeps the bits of a block-by-block sum.
+    (K, nb, F) arrays of at most ``_CHUNK`` elements, summed as
+    rows.va^2 + cols.vb^2 - 2 va.(M vb).  Ints (max |v| = ``top``) keep M vb
+    in int64 while nb top < 2^63 and the sums while 4 top^2 na nb < 2^63,
+    Python ints past that.  Floats are never cast, and the stacked products
+    make one BLAS call per block, so each row keeps a lone block's bits.
     """
-    loa, lob, w = blocks[:, 0, None], blocks[:, 2, None], blocks[:, 4, None]
-    out = np.zeros((len(blocks), vs.shape[1]))
+    loa, lob = blocks[:, 0, None], blocks[:, 2, None]
+    na, nb = int(blocks[0, 1] - blocks[0, 0]), int(blocks[0, 3] - blocks[0, 2])
+    prod, acc = (vs.dtype if b < 2**63 else object for b in (nb * top, 4 * top * top * na * nb))
+    out = np.zeros((len(blocks), vs.shape[1]), dtype=acc)
     for i0, i1, j0, j1, mask in subs:
-        M = mask.astype(np.float64)
-        rows = np.count_nonzero(mask, axis=1).astype(np.float64)
-        cols = np.count_nonzero(mask, axis=0).astype(np.float64)
+        M = mask.astype(prod)
+        rows = np.count_nonzero(mask, axis=1).astype(acc)
+        cols = np.count_nonzero(mask, axis=0).astype(acc)
         ia, jb = np.arange(i0, i1), np.arange(j0, j1)
         K = max(1, _CHUNK // (max(i1 - i0, j1 - j0) * vs.shape[1]))
         for k in range(0, len(blocks), K):
-            va = vs[loa[k : k + K] + ia]
+            va = vs[loa[k : k + K] + ia].astype(acc, copy=False)
             vb = vs[lob[k : k + K] + jb]
             o = out[k : k + K]
-            o += rows @ (va * va) + cols @ (vb * vb)
-            o -= 2.0 * (va * (M @ vb)).sum(axis=1)
-    return w * out
+            o += rows @ (va * va) + cols @ np.square(vb, dtype=acc)
+            o -= 2 * (va * (M @ vb.astype(prod, copy=False))).sum(axis=1)
+    return out

@@ -31,7 +31,13 @@ from vicsek_lab.energy import (
     resistance_oracle,
     restrict_to_arm,
 )
-from vicsek_lab.errors import ConvergenceError, InvalidArgumentError, LevelError, RegionError
+from vicsek_lab.errors import (
+    ConvergenceError,
+    InvalidArgumentError,
+    LevelError,
+    LookupError_,
+    RegionError,
+)
 from vicsek_lab.geometry import build_level
 from vicsek_lab.ratios import constant_ratios
 from vicsek_lab.words import CENTER, Letter
@@ -257,6 +263,18 @@ def test_resistance_oracle_rejects_p_outside_its_range(hier3):
             resistance_oracle(lv, a, b, p)
 
 
+def test_resistance_oracle_rejects_unknown_vertex_ids(hier3):
+    """Ids outside 0..V-1 raise as ``resistance`` does, not wrap around to
+    vertex V - 1, index past the arrays or divide by a zero energy."""
+    lv = hier3.level(1)
+    V = lv.num_vertices
+    for a, b in ((-1, 0), (V, 0), (0, -V)):
+        with pytest.raises(LookupError_, match="out of range"):
+            resistance(lv, a, b, 2)
+        with pytest.raises(LookupError_, match="out of range"):
+            resistance_oracle(lv, a, b, 2.0)
+
+
 def test_resistance_oracle_converges_at_the_lower_bound(hier3, hier35):
     """At both ends of the supported p range the oracle matches the formula
     on every CLI pair of level 2 of constant 3, alternating (3, 5) and
@@ -389,6 +407,18 @@ def test_strong_locality_spec_example(hier3):
     vals = fractions(hier3, u, 1)
     assert vals[lv1.vertex_id(3, 3)] == 1  # the arm tip keeps its value
     assert vals[lv1.origin] == 0
+
+
+def test_arm_directions_outside_1_to_4_are_rejected(hier3):
+    """0 used to keep the centre, -1 to wrap to arm 4, and 5 to raise an
+    IndexError on base level 0 or zero every value on base level 2."""
+    u2 = AffineFunction(2, range(hier3.level(2).num_vertices))
+    for direction in (0, -1, 5):
+        with pytest.raises(InvalidArgumentError, match="direction"):
+            corner_indicator(direction)
+        for u in (diagonal_ramp(), u2):
+            with pytest.raises(InvalidArgumentError, match="direction"):
+                restrict_to_arm(hier3, u, direction)
 
 
 def test_clarkson_directions(hier3):

@@ -263,16 +263,48 @@ def test_pair_index_memory_is_capped():
 
 
 def test_indexed_exact_past_int64_is_bruteforce():
-    """Values past 2^62 take object arrays through the same exact route."""
+    """Exact sums equal brute force on values either side of each int64
+    bound of the p = 2 leaf classes, whose largest block has ``pairs``
+    pairs: 4 max|v|^2 pairs < 2^63 for the row, column and cross sums, and
+    nb max|v| < 2^63 for M vb, which values near 2^61 pass while they are
+    still int64; and on values past 2^62, which are Python ints throughout.
+    Plans with leaf_max 16 mix classes on both sides of the first bound."""
     hier = Hierarchy(alternating_ratios(3, 5, 6), 3)
     lv = hier.level(2)
     den, ints = EXACT.values_at(hier, random_affine(hier, 5), 2)
-    big = (den, [v * 3**45 for v in ints.tolist()])
-    for p in (2, 3):
-        for n in range(3):
-            want = ball_pair_sum_bruteforce(lv, big, p, n, EXACT)
-            assert ball_pair_sum_indexed(lv, big, p, n, EXACT) == want
-            assert want == ball_pair_sum_bruteforce(lv, (den, ints), p, n, EXACT) * 3 ** (45 * p)
+    top = int(np.abs(ints).max())
+    for leaf_max in (16, 256):
+        sizes = set()
+        for plan in (pair_plan(lv, n, leaf_max) for n in range(3)):
+            b = plan.blocks[plan.leaf_class >= 0]
+            sizes |= set(zip((b[:, 1] - b[:, 0]).tolist(), (b[:, 3] - b[:, 2]).tolist()))
+        pairs = max(na * nb for na, nb in sizes)
+        below = math.isqrt((2**63 - 1) // (4 * pairs)) // top
+        assert 4 * (below * top) ** 2 * pairs < 2**63 <= 4 * ((below + 1) * top) ** 2 * pairs
+        near = 2**61 // top
+        assert 2 * near * top < 2**63 <= max(nb for _, nb in sizes) * near * top
+        for c in (below, below + 1, near, 3**45):
+            big = (den, [v * c for v in ints.tolist()])
+            for p in (2, 3):
+                for n in range(3):
+                    want = ball_pair_sum_bruteforce(lv, big, p, n, EXACT)
+                    assert ball_pair_sum_indexed(lv, big, p, n, EXACT, leaf_max) == want, (c, p, n)
+                    assert want == ball_pair_sum_bruteforce(lv, (den, ints), p, n, EXACT) * c**p
+
+
+def test_exact_p2_leaf_classes_take_the_square_form(hier3, monkeypatch):
+    """Exact p = 2 leaf classes go through ``_square_sums``, as float ones
+    do: ramp sums at l = 3, m = 5, n = 0..4 sum no tile, while a p = 3 sum
+    does."""
+    calls = []
+    tile_sum = EXACT._tile_sum
+    monkeypatch.setattr(EXACT, "_tile_sum", lambda *args: calls.append(1) or tile_sum(*args))
+    vals = EXACT.values_at(hier3, diagonal_ramp(), 5)
+    for n in range(5):
+        ball_pair_sum_indexed(hier3.level(5), vals, 2, n, EXACT)
+    assert not calls
+    ball_pair_sum_indexed(hier3.level(2), EXACT.values_at(hier3, diagonal_ramp(), 2), 3, 1, EXACT)
+    assert calls
 
 
 def test_each_class_mask_is_built_once(hier3, monkeypatch):
