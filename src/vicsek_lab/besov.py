@@ -29,6 +29,8 @@ from .energy import EXACT, FLOAT, AffineFunction, Arithmetic, energy_limit
 from .pairsum import ball_pair_sum_indexed, ball_row_stats
 
 _EMPIRICAL_MAX_VERTICES = 4000
+# relative and absolute slack of bbm_curve's bracket test, for float rounding
+_BRACKET_TOL = 1e-9
 
 
 def vertex_measure_weight(level: VicsekLevel) -> Fraction:
@@ -359,7 +361,6 @@ def bbm_curve(
     epsilons: Sequence[float],
     max_scale: int,
     tail: Optional[str] = "plateau",
-    bracket_tol: float = 1e-9,
     arith: Arithmetic = EXACT,
     energies: Optional[tuple] = None,
 ) -> BBMCurve:
@@ -405,7 +406,8 @@ def bbm_curve(
             * math.exp(delta * _log_phi(ratios, 0))
             / (1.0 - consts.inf_t ** (-delta))
         )
-        ok = lo * (1.0 - bracket_tol) - bracket_tol <= value <= hi * (1.0 + bracket_tol) + bracket_tol
+        tol = _BRACKET_TOL
+        ok = lo * (1.0 - tol) - tol <= value <= hi * (1.0 + tol) + tol
         points.append(BBMPoint(eps, beta, value, lo, hi, bool(ok)))
     return BBMCurve(
         points=tuple(points),

@@ -19,13 +19,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    InvalidArgumentError,
-    LevelError,
-    LookupError_,
-    RegionError,
-)
+from .errors import ConvergenceError, InvalidArgumentError, LevelError, RegionError
 from .geometry import Hierarchy, VicsekLevel
 from .ratios import p_is_integer
 from .words import ancestor_index_stride, word_index
@@ -591,6 +585,7 @@ def energy_limit(
 
 def resistance(level: VicsekLevel, a: int, b: int, p):
     """R_p(a, b) = geodesic(a, b)^{p-1} on vertices (exact for integer p)."""
+    level.check_vertex_ids(a, b)
     arith = arithmetic("rational", p)
     if a == b:
         return arith.num(0)
@@ -621,9 +616,7 @@ def resistance_oracle(
     lo, hi = ORACLE_P_RANGE
     if not lo <= float(p) <= hi:
         raise InvalidArgumentError(f"oracle supports p in [{lo}, {hi}], got {p}")
-    for vid in (a, b):
-        if not 0 <= vid < level.num_vertices:
-            raise LookupError_(f"vertex id {vid} out of range")
+    level.check_vertex_ids(a, b)
     if a == b:
         return 0.0
     p = float(p)

@@ -92,6 +92,25 @@ def point_of_word(ratios: RatioSequence, word: Word, corner: int | str = 0) -> L
     return LatticePoint(x, y, n)
 
 
+def radius2(L: int, r) -> int:
+    """The one open-ball rule: the R with d(a, b) < r iff dx^2 + dy^2 <= R,
+    on the lattice of scale L, for a rational r = rn / rd.  d^2 is
+    (dx^2 + dy^2) / (2 L^2), so the test is (dx^2 + dy^2) rd^2 < 2 L^2 rn^2;
+    for r = rho_n, R = (8 L^2 - 1) // L_n^2."""
+    r = Fraction(r)
+    return (2 * L * L * r.numerator**2 - 1) // r.denominator**2
+
+
+def square_vs_disk(dx, dy, h, R):
+    """(near, inside): whether some point, or every point, of the closed
+    square of half-side h centered at (dx, dy) lies in the disk
+    x^2 + y^2 <= R.  Elementwise on int64 or object arrays."""
+    dx, dy = abs(dx), abs(dy)
+    near = np.maximum(dx - h, 0) ** 2 + np.maximum(dy - h, 0) ** 2 <= R
+    inside = (dx + h) ** 2 + (dy + h) ** 2 <= R
+    return near, inside
+
+
 def within_open_ball(
     a: LatticePoint, b: LatticePoint, n_scale: int, ratios: RatioSequence
 ) -> bool:
@@ -106,9 +125,7 @@ def within_open_ball(
         )
     dx = a.x - b.x
     dy = a.y - b.y
-    Lm = ratios.length_product(a.level)
-    Ln = ratios.length_product(n_scale)
-    return (dx * dx + dy * dy) * Ln * Ln < 8 * Lm * Lm
+    return dx * dx + dy * dy <= radius2(ratios.length_product(a.level), ratios.rho(n_scale))
 
 
 class VicsekLevel:
@@ -246,9 +263,14 @@ class VicsekLevel:
             )
         return ids[pos]
 
+    def check_vertex_ids(self, *vids: int) -> None:
+        """Raise ``LookupError_`` unless every id lies in 0..V-1."""
+        for vid in vids:
+            if not 0 <= vid < self.num_vertices:
+                raise LookupError_(f"vertex id {vid} out of range")
+
     def vertex_point(self, vid: int) -> LatticePoint:
-        if not 0 <= vid < self.num_vertices:
-            raise LookupError_(f"vertex id {vid} out of range")
+        self.check_vertex_ids(vid)
         return LatticePoint(int(self.coords[vid, 0]), int(self.coords[vid, 1]), self.n)
 
     @cached_property
@@ -265,9 +287,7 @@ class VicsekLevel:
 
     def path_edge_count(self, a: int, b: int) -> int:
         """Number of edges on the unique tree path between two vertices."""
-        for vid in (a, b):
-            if not 0 <= vid < self.num_vertices:
-                raise LookupError_(f"vertex id {vid} out of range")
+        self.check_vertex_ids(a, b)
         da, db = int(self.depth[a]), int(self.depth[b])
         steps = 0
         while da > db:

@@ -16,8 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import InvalidArgumentError, LevelError
-from .geometry import LatticePoint, _cell_centers
+from .geometry import LatticePoint, _cell_centers, radius2, square_vs_disk
 from .ratios import REGIME_VALUES, RatioSequence, _check_ratio, p_is_integer
 from .words import Word
 
@@ -82,7 +84,8 @@ def mu_ball_bounds(
 ) -> tuple[Fraction, Fraction]:
     """Exact interval [lower, upper] containing mu(B(center, r)), open ball.
 
-    Depth-d cells are classified against the sphere: a cell whose bounding
+    Depth-d cells are classified against the sphere in one array pass
+    (``geometry.square_vs_disk``): a cell whose bounding
     square lies strictly inside the ball contributes to the lower bound; a
     cell whose square does not meet the open ball is excluded from the upper
     bound; straddling cells widen the bracket by psi(rho_d) each.
@@ -93,50 +96,18 @@ def mu_ball_bounds(
     if refine_depth < 0:
         raise LevelError("refine depth must be >= 0")
     d = refine_depth
-    inside, straddle = _classify_cells(ratios, center, r, d)
-    mass = Fraction(1, ratios.num_words(d))
-    return inside * mass, (inside + straddle) * mass
-
-
-def _classify_cells(
-    ratios: RatioSequence, center: LatticePoint, r: Fraction, d: int
-) -> tuple[int, int]:
-    """Counts (inside, straddling) of depth-d cells against the open ball."""
-    s = center.level
-    t = max(s, d)
+    # center and depth-d squares (half-side h) at the common scale t, in
+    # Python ints: the exact products overflow int64
+    t = max(center.level, d)
     Lt = ratios.length_product(t)
-    # center coordinates and cell geometry at the common scale t
-    fc = Lt // ratios.length_product(s)
-    px = center.x * fc
-    py = center.y * fc
-    h = Lt // ratios.length_product(d)  # half-side of a depth-d square
-    rn, rd = r.numerator, r.denominator
-    # d(a, b) < r  <=>  (dx^2 + dy^2) * rd^2 < 2 * Lt^2 * rn^2
-    rhs = 2 * Lt * Lt * rn * rn
-    rd2 = rd * rd
-    inside = 0
-    straddle = 0
-    # Python ints: the exact products below overflow int64
-    for cx, cy in _cell_centers(ratios, d).tolist():
-        bx = cx * h
-        by = cy * h
-        # nearest point of the square to the center
-        nx = px if bx - h <= px <= bx + h else (bx - h if px < bx - h else bx + h)
-        ny = py if by - h <= py <= by + h else (by - h if py < by - h else by + h)
-        ddx = px - nx
-        ddy = py - ny
-        if (ddx * ddx + ddy * ddy) * rd2 >= rhs:
-            continue  # square misses the open ball entirely
-        # farthest corner of the square from the center
-        fx = (bx - h) if abs(px - (bx - h)) >= abs(px - (bx + h)) else (bx + h)
-        fy = (by - h) if abs(py - (by - h)) >= abs(py - (by + h)) else (by + h)
-        ddx = px - fx
-        ddy = py - fy
-        if (ddx * ddx + ddy * ddy) * rd2 < rhs:
-            inside += 1
-        else:
-            straddle += 1
-    return inside, straddle
+    fc = Lt // ratios.length_product(center.level)
+    h = Lt // ratios.length_product(d)
+    xy = _cell_centers(ratios, d).astype(object) * h
+    near, inside = square_vs_disk(
+        xy[:, 0] - center.x * fc, xy[:, 1] - center.y * fc, h, radius2(Lt, r)
+    )
+    mass = Fraction(1, ratios.num_words(d))
+    return np.count_nonzero(inside) * mass, np.count_nonzero(near) * mass
 
 
 def psi_ratio_bounds(ratios: RatioSequence) -> tuple[float, float, float, float]:

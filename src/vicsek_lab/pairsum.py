@@ -27,8 +27,9 @@ routes are provided:
 ``ball_pair_sum_bruteforce``.  Every route takes the ``Arithmetic`` its
 values are held in.
 
-All geometric predicates are exact integer comparisons: at scale m the
-pair (x, y) qualifies iff (dx^2 + dy^2) * L_n^2 < 8 * L_m^2 (open ball).
+All geometric predicates are exact integer comparisons, by the one
+open-ball rule ``geometry.radius2``: at scale m the pair (x, y) qualifies
+iff dx^2 + dy^2 <= radius2(L_m, rho_n).
 In exact arithmetic values are integers over a common denominator and the
 kernel returns an integer, so the result is independent of summation order
 and can be compared bit-for-bit against the brute-force oracle.
@@ -42,7 +43,7 @@ import numpy as np
 
 from .energy import _CHUNK, Arithmetic
 from .errors import ScaleMismatchError
-from .geometry import VicsekLevel, _cell_centers
+from .geometry import VicsekLevel, _cell_centers, radius2, square_vs_disk
 
 _LEAF_MAX = 256
 
@@ -119,17 +120,6 @@ def _pair_index(level: VicsekLevel) -> CellPairIndex:
     return idx
 
 
-def _qualify_threshold(level: VicsekLevel, n: int) -> tuple[int, int]:
-    """(Ln2, T): pair qualifies iff ds2 * Ln2 < T."""
-    if n < 0 or n > level.n:
-        raise ScaleMismatchError(
-            f"radius index {n} invalid for level {level.n} vertices"
-        )
-    Ln = level.ratios.length_product(n)
-    Lm = level.L
-    return Ln * Ln, 8 * Lm * Lm
-
-
 # ---------------------------------------------------------------------------
 # brute force (oracle)
 # ---------------------------------------------------------------------------
@@ -171,7 +161,9 @@ def _ball_tiles(level: VicsekLevel, n: int, F: int):
     """(i0, j0, mask) over tiles of the V x V vertex pairs, whole rows when
     they fit, each of at most ``_CHUNK`` elements over F columns; ``mask``
     marks the tile's pairs in the open ball of radius rho_n."""
-    Ln2, T = _qualify_threshold(level, n)
+    if not 0 <= n <= level.n:
+        raise ScaleMismatchError(f"radius index {n} invalid for level {level.n} vertices")
+    R = radius2(level.L, level.ratios.rho(n))
     xs = level.coords[:, 0].astype(np.int64)
     ys = level.coords[:, 1].astype(np.int64)
     V = level.num_vertices
@@ -181,7 +173,7 @@ def _ball_tiles(level: VicsekLevel, n: int, F: int):
         for j0 in range(0, V, cols):
             dx = xs[i0 : i0 + rows, None] - xs[None, j0 : j0 + cols]
             dy = ys[i0 : i0 + rows, None] - ys[None, j0 : j0 + cols]
-            yield i0, j0, (dx * dx + dy * dy) * Ln2 < T
+            yield i0, j0, dx * dx + dy * dy <= R
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +188,12 @@ class PairPlan:
     Each row of ``blocks`` is (lo_a, hi_a, lo_b, hi_b, weight): the ordered
     pairs between vertex id ranges [lo_a, hi_a) and [lo_b, hi_b), counted
     ``weight`` times.  Every pair of a full block lies in the ball; a pair
-    of a leaf block lies in it iff dx^2 + dy^2 <= radius2.  ``leaf_class`` is -1 on full blocks and a class
-    id on leaf blocks: blocks of one class join cells of the same two layout
-    types at the same center offset, so they share one in-ball mask.  Rows
-    are in depth-first traversal order, the order float evaluation sums
-    them in.
+    of a leaf block lies in it iff dx^2 + dy^2 <= radius2, which is
+    ``geometry.radius2`` of rho_n.  ``leaf_class`` is -1 on full blocks and
+    a class id on leaf blocks: blocks of one class join cells of the same
+    two layout types at the same center offset, so they share one in-ball
+    mask.  Rows are in depth-first traversal order, the order float
+    evaluation sums them in.
     """
 
     blocks: np.ndarray
@@ -215,9 +208,9 @@ def pair_plan(level: VicsekLevel, n: int, leaf_max: int = _LEAF_MAX) -> PairPlan
         cache = level._pair_plan_cache = {}
     plan = cache.get((n, leaf_max))
     if plan is None:
-        Ln2, T = _qualify_threshold(level, n)
-        # ds2 * Ln2 < T  <=>  ds2 <= (T - 1) // Ln2, with no int64 overflow
-        plan = _build_plan(_pair_index(level), (T - 1) // Ln2, leaf_max)
+        if not 0 <= n <= level.n:
+            raise ScaleMismatchError(f"radius index {n} invalid for level {level.n} vertices")
+        plan = _build_plan(_pair_index(level), radius2(level.L, level.ratios.rho(n)), leaf_max)
         cache[(n, leaf_max)] = plan
     return plan
 
@@ -247,13 +240,11 @@ def _build_plan(idx: CellPairIndex, R: int, leaf_max: int) -> PairPlan:
         a = idx.start[ka[op]] + ia[op]
         b = idx.start[kb[op]] + ib[op]
         hh = idx.half[ka[op]] + idx.half[kb[op]]
-        dx = np.abs(idx.cx[a] - idx.cx[b])
-        dy = np.abs(idx.cy[a] - idx.cy[b])
+        near, inside = square_vs_disk(idx.cx[a] - idx.cx[b], idx.cy[a] - idx.cy[b], hh, R)
         sa = idx.hi[a] - idx.lo[a]
         sb = idx.hi[b] - idx.lo[b]
-        near = np.maximum(dx - hh, 0) ** 2 + np.maximum(dy - hh, 0) ** 2 <= R
         near &= (sa > 0) & (sb > 0)
-        inside = near & ((dx + hh) ** 2 + (dy + hh) ** 2 <= R)
+        inside &= near
         a_leaf = (ka[op] == idx.max_level) | (sa <= leaf_max)
         b_leaf = (kb[op] == idx.max_level) | (sb <= leaf_max)
         at_leaf = near & ~inside & a_leaf & b_leaf

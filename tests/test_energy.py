@@ -265,10 +265,11 @@ def test_resistance_oracle_rejects_p_outside_its_range(hier3):
 
 def test_resistance_oracle_rejects_unknown_vertex_ids(hier3):
     """Ids outside 0..V-1 raise as ``resistance`` does, not wrap around to
-    vertex V - 1, index past the arrays or divide by a zero energy."""
+    vertex V - 1, index past the arrays or divide by a zero energy; equal
+    unknown ids too, before the zero resistance of a == b."""
     lv = hier3.level(1)
     V = lv.num_vertices
-    for a, b in ((-1, 0), (V, 0), (0, -V)):
+    for a, b in ((-1, 0), (V, 0), (0, -V), (V, V), (-1, -1)):
         with pytest.raises(LookupError_, match="out of range"):
             resistance(lv, a, b, 2)
         with pytest.raises(LookupError_, match="out of range"):

@@ -178,3 +178,41 @@ def test_geometry_arrays_are_pinned(config, request):
     assert len(pins["coords"]) == hier.max_level + 1
     for f in LEVEL_FIELDS + TRANSITION_FIELDS:
         assert got[f] == pins[f], f
+
+
+# (digest of blocks, digest of leaf_class, radius2) of ``pair_plan(level, n)``
+# at the default leaf size: the README config (constant 3, vertex level 6,
+# n = 0..4) and alternating (3, 5) at vertex level 4, n = 0..2.
+PLAN_PINS = {
+    "constant3": (
+        6,
+        (
+            ("e37631b39608e07b", "0d85002cc7403aa5", 4251527),
+            ("95a07b063bb98b28", "1cbf07f1530bb5b7", 472391),
+            ("8835efd9885b3aca", "34ab821319ec6a51", 52487),
+            ("9c17fd281ed9fd72", "c744dfe8048e4dfd", 5831),
+            ("4df2dd3d5a380745", "27643a28f0d039dc", 647),
+        ),
+    ),
+    "alternating35": (
+        4,
+        (
+            ("068369c7d3b5a454", "6567ab9b9f4e2fcb", 404999),
+            ("533098864726865f", "68d4019ad70e81b4", 44999),
+            ("afdb6f216d5342df", "6a30442058e91878", 1799),
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("config", sorted(PLAN_PINS))
+def test_pair_plans_are_pinned(config, request):
+    """The pair plans, and so the float summation order, do not move when
+    the in-ball rule is rewritten."""
+    from vicsek_lab.pairsum import pair_plan
+
+    m, pins = PLAN_PINS[config]
+    lv = request.getfixturevalue(FIXTURES[config]).level(m)
+    for n, want in enumerate(pins):
+        plan = pair_plan(lv, n)
+        assert (digest(plan.blocks), digest(plan.leaf_class), plan.radius2) == want, n

@@ -20,7 +20,7 @@ from vicsek_lab.energy import (
     diagonal_ramp,
     random_affine,
 )
-from vicsek_lab.geometry import Hierarchy, build_level
+from vicsek_lab.geometry import Hierarchy, build_level, within_open_ball
 from vicsek_lab.pairsum import (
     ball_pair_sum_bruteforce,
     ball_pair_sum_indexed,
@@ -375,6 +375,37 @@ def test_pair_index_squared_distances_past_int32():
         got = pairsum._in_ball(idx, R, i, i + 1, 0, len(xy))[0]
         assert got.tolist() == want
         assert want.count(False) == 1
+
+
+@pytest.mark.parametrize("fixture", ("hier3", "hier35"))
+def test_open_ball_rule_is_one_across_routes(fixture, request):
+    """On level 3 of constant 3 and of alternating (3, 5), for every n and
+    every ordered vertex pair: ``within_open_ball``, the brute-force tiles'
+    mask and ``_in_ball`` at the plan's ``radius2`` agree.
+    ``within_open_ball`` reads a pair only through (|dx|, |dy|), so it is
+    called once per distinct offset, on a vertex pair of the level that
+    has it."""
+    lv = request.getfixturevalue(fixture).level(3)
+    V = lv.num_vertices
+    xy = lv.coords.astype(np.int64)
+    offset = np.abs(xy[:, None] - xy[None]).reshape(V * V, 2)
+    _, first, inverse = np.unique(offset, axis=0, return_index=True, return_inverse=True)
+    idx = pairsum._pair_index(lv)
+    for n in range(4):
+        tiles = np.empty((V, V), dtype=bool)
+        for i0, j0, mask in pairsum._ball_tiles(lv, n, 1):
+            tiles[i0 : i0 + mask.shape[0], j0 : j0 + mask.shape[1]] = mask
+        planned = pairsum._in_ball(idx, pair_plan(lv, n).radius2, 0, V, 0, V)
+        verdict = np.array(
+            [
+                within_open_ball(lv.vertex_point(k // V), lv.vertex_point(k % V), n, lv.ratios)
+                for k in first.tolist()
+            ]
+        )
+        exact = verdict[inverse.reshape(-1)].reshape(V, V)
+        assert np.array_equal(tiles, exact), n
+        assert np.array_equal(planned, exact), n
+        assert 0 < exact.sum() < V * V, n
 
 
 def test_one_leaf_block_plan_tabulates_no_child_pairs():
