@@ -360,7 +360,6 @@ def bbm_curve(
     p,
     epsilons: Sequence[float],
     max_scale: int,
-    tail: Optional[str] = "plateau",
     arith: Arithmetic = EXACT,
     energies: Optional[tuple] = None,
 ) -> BBMCurve:
@@ -371,7 +370,8 @@ def bbm_curve(
     the plateau level, the value lies in
     [eps E phi(rho_n0)^delta / (1 - sup_t^-delta),
      eps E phi(rho_0)^delta / (1 - inf_t^-delta)].
-    As eps -> 0 both ends converge to E beta* / log t.  The energies
+    As eps -> 0 both ends converge to E beta* / log t.  Each sum carries
+    the closed plateau tail of ``discrete_profiles``.  The energies
     E_{p,n} are computed once, in ``arith``; ``energies``, when given, are
     ``base_energies`` in ``arith``.
     """
@@ -390,7 +390,7 @@ def bbm_curve(
     for eps in epsilons:
         beta = beta_star - eps
         prof = discrete_profiles(
-            hier, u, p, beta, max_scale, tail=tail, arith=arith, energies=base
+            hier, u, p, beta, max_scale, tail="plateau", arith=arith, energies=base
         )
         value = eps * float(prof.sum_energy)
         delta = eps / beta_star

@@ -295,7 +295,7 @@ def _cmd_bbm(config: ExperimentConfig, out: Path, meta: str) -> int:
     hier = config.hierarchy()
     u = diagonal_ramp()
     curve = bbm_curve(
-        hier, u, config.p, list(config.epsilons), config.depth, tail="plateau",
+        hier, u, config.p, list(config.epsilons), config.depth,
         arith=arithmetic(config.mode, config.p),
     )
     _write_bbm_curve(out, curve, meta)

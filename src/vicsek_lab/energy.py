@@ -15,14 +15,14 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, InvalidArgumentError, LevelError, RegionError
 from .geometry import Hierarchy, VicsekLevel
 from .ratios import p_is_integer
-from .words import ancestor_index_stride, word_index
+from .words import ancestor_index_stride
 
 
 class AffineFunction:
@@ -173,7 +173,7 @@ class Arithmetic:
     ``arithmetic`` picks one from (mode, p), and every energy routine takes it.
 
     The pair sums take from it only what differs: values as a (V, F) array
-    and, if integer, their max |v|, a tile's in-ball pairs and |d|^p sum, the
+    and, if integer, their max |v|, a tile's |d|^p sum under a mask, the
     block terms' dtype and total, and a brute-force tile's in-ball power total.
     """
 
@@ -213,22 +213,22 @@ class Arithmetic:
         level: VicsekLevel,
         values,
         p,
-        region: Optional[Iterable] = None,
-        region_level: Optional[int] = None,
+        cell: Optional[tuple[int, int]] = None,
         group: Optional[np.ndarray] = None,
         num_groups: int = 1,
     ):
         """E_{p,n} = L^{p-1} * sum over the level's edges of |du|^p.
 
         The one sum of edge powers: ``values`` are held as this arithmetic
-        holds them, and the result is its number.  With a region, the sum
-        runs over its cells' edges; with ``group``, one id below
-        ``num_groups`` per edge, the result is the list of per-group sums.
+        holds them, and the result is its number.  With ``cell=(k, w)``, the
+        sum runs over the edges inside the level-k cell K_w (the energy
+        restricted to K_w); with ``group``, one id below ``num_groups`` per
+        edge, the result is the list of per-group sums.
         """
         # int32 edge tables: ``take`` converts them faster than a fancy index
         tails, heads = level.edge_tail, level.edge_head
-        sel = _region_edge_indices(level, region, region_level)
-        if sel is not None:
+        if cell is not None:
+            sel = _cell_edges(level, *cell)
             tails, heads = tails[sel], heads[sel]
         return self._energies(level.L, values, tails, heads, p, group, num_groups)
 
@@ -297,12 +297,9 @@ class _Exact(Arithmetic):
         top = int(np.abs(ints).max(initial=0))
         return np.asarray(ints, np.int64 if (2 * top) ** p < 2**63 else object)[:, None], True, top
 
-    _in_ball_pairs = staticmethod(np.nonzero)  # index arrays, gathered with take
-
-    def _tile_sum(self, va: np.ndarray, vb: np.ndarray, p: int, ij, buf) -> int:
-        # ``take`` gathers rows of a 2-D array about twice as fast as indexing
-        d = _diff_tile(va, vb, buf) if ij is None else va.take(ij[0], 0) - vb.take(ij[1], 0)
-        return _power_sums(d.ravel(), p)[0]
+    def _tile_sum(self, va: np.ndarray, vb: np.ndarray, p: int, mask, buf) -> int:
+        d = _diff_tile(va, vb, buf)
+        return _power_sums(d.ravel() if mask is None else d[mask], p)[0]
 
     def _plan_total(self, terms: np.ndarray) -> np.ndarray:
         return terms.sum(axis=0)
@@ -363,9 +360,6 @@ class _Float(Arithmetic):
         vals = np.asarray(values, dtype=np.float64)
         return (vals[:, None], True, 0) if vals.ndim == 1 else (vals, False, 0)
 
-    def _in_ball_pairs(self, mask: np.ndarray) -> np.ndarray:
-        return mask
-
     def _tile_sum(self, va: np.ndarray, vb: np.ndarray, p: float, mask, buf) -> np.ndarray:
         d = _diff_tile(va, vb, buf)
         _abs_pow(d, p)
@@ -422,48 +416,19 @@ def _refine(hier: Hierarchy, vals: np.ndarray, k: int, scale, weights) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-def _region_level(words: list, region_level: Optional[int]) -> int:
-    """The level of the region words: ``region_level``, else the length of
-    the first word, which must then be a letter tuple."""
-    if region_level is not None:
-        if region_level < 0:
-            raise RegionError(f"region_level must be >= 0, got {region_level}")
-        return region_level
-    if not words or not isinstance(words[0], tuple):
-        raise RegionError("region words must be letter tuples or indices with region_level")
-    return len(words[0])
+def _cell_edges(level: VicsekLevel, k: int, w: int) -> slice:
+    """The edges inside the level-k cell w, as a slice of the level's edges.
 
-
-def _region_edge_indices(
-    level: VicsekLevel, region: Optional[Iterable], region_level: Optional[int]
-) -> Optional[np.ndarray]:
-    """Indices of edges whose cell descends from one of the region words."""
-    if region is None:
-        return None
-    words = list(region)
-    if not words:
-        return np.empty(0, dtype=np.int64)
-    region_level = _region_level(words, region_level)
-    if region_level > level.n:
-        raise RegionError(
-            f"region words at level {region_level} are deeper than level {level.n}"
-        )
-    idx = []
-    for w in words:
-        if isinstance(w, tuple):
-            if len(w) != region_level:
-                raise RegionError("region words must share one level")
-            idx.append(word_index(level.ratios, w))
-        else:
-            idx.append(int(w))
-    if not all(0 <= i < level.ratios.num_words(region_level) for i in idx):
-        raise RegionError(f"region word index out of range at level {region_level}")
-    stride = ancestor_index_stride(level.ratios, level.n, region_level)
-    # cell w holds edges 4w .. 4w + 3, so the edges of one region word are
-    # the contiguous run [4 start, 4 (start + stride))
-    return np.concatenate(
-        [np.arange(4 * s, 4 * (s + stride)) for s in sorted(set(i * stride for i in idx))]
-    )
+    Cell v of the level holds edges 4v .. 4v + 3, and the level cells below
+    w are w * stride .. (w + 1) * stride - 1, so its edges are one run.
+    """
+    if not 0 <= k <= level.n:
+        raise RegionError(f"cell level {k} is outside 0..{level.n}")
+    words = level.ratios.num_words(k)
+    if not 0 <= w < words:
+        raise RegionError(f"cell word {w} is outside 0..{words - 1} at level {k}")
+    stride = ancestor_index_stride(level.ratios, level.n, k)
+    return slice(4 * w * stride, 4 * (w + 1) * stride)
 
 
 def _power_sums(
@@ -527,7 +492,6 @@ class EnergyReport:
     energies: tuple
     plateau_level: Optional[int]
     limit: object
-    region: Optional[tuple] = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -542,39 +506,25 @@ class EnergyReport:
 
 
 def energy_limit(
-    hier: Hierarchy,
-    u: AffineFunction,
-    p,
-    max_level: int,
-    arith: Arithmetic = EXACT,
-    region: Optional[Iterable] = None,
-    region_level: Optional[int] = None,
+    hier: Hierarchy, u: AffineFunction, p, max_level: int, arith: Arithmetic = EXACT
 ) -> EnergyReport:
     """E_{p,n} for n = 0..max_level; constant from the base level on.
 
-    With a region, energies are restricted to edges inside the listed cell
-    words; the first level must then be at least the region level.  The
-    plateau is the first level whose energy ``arith`` finds close to the next.
+    The plateau is the first level whose energy ``arith`` finds close to the next.
     """
-    region_words = list(region) if region is not None else None
-    start = 0 if region_words is None else _region_level(region_words, region_level)
-    if start > max_level:
-        raise RegionError("region level exceeds max level")
     energies = [
-        arith.energy(hier.level(n), values, p, region_words, start)
-        for n, values in arith.level_values(hier, u, start, max_level)
+        arith.energy(hier.level(n), values, p)
+        for n, values in arith.level_values(hier, u, 0, max_level)
     ]
     plateau = next(
-        (start + i for i, (a, b) in enumerate(zip(energies, energies[1:])) if arith.close(a, b)),
-        None,
+        (i for i, (a, b) in enumerate(zip(energies, energies[1:])) if arith.close(a, b)), None
     )
     return EnergyReport(
         p=p,
-        levels=tuple(range(start, max_level + 1)),
+        levels=tuple(range(max_level + 1)),
         energies=tuple(energies),
         plateau_level=plateau,
         limit=energies[-1],
-        region=tuple(region_words) if region_words is not None else None,
     )
 
 
@@ -596,6 +546,8 @@ def resistance(level: VicsekLevel, a: int, b: int, p):
 # on the four CLI pairs of level 3 it fails at p = 1.25 (constant 3 and
 # alternating 3, 5) and converges from 1.3 up; the bound keeps 0.1 of margin.
 ORACLE_P_RANGE = (1.4, 8.0)
+# relative change of the energy between IRLS steps at which the oracle stops
+_ORACLE_TOL = 1e-10
 
 
 def resistance_oracle(
@@ -604,7 +556,6 @@ def resistance_oracle(
     b: int,
     p: float,
     max_iter: int = 120,
-    tol: float = 1e-10,
 ) -> float:
     """Independent variational value: 1 / min E_p(u) over u(a)=1, u(b)=0.
 
@@ -663,7 +614,7 @@ def resistance_oracle(
         w = (d * d + eps * eps) ** ((p - 2.0) / 2.0)
         u[free] = (1.0 - theta) * u[free] + theta * irls_step(w)
         prev, cur = cur, FLOAT.energy(level, u, p)
-        if eps <= 1e-13 and abs(cur - prev) <= tol * max(cur, 1e-300):
+        if eps <= 1e-13 and abs(cur - prev) <= _ORACLE_TOL * max(cur, 1e-300):
             return 1.0 / cur
         eps = max(eps * 0.2, 1e-14)
     residual = abs(cur - prev) / max(cur, 1e-300)  # between the last two energies
@@ -816,17 +767,12 @@ def restrict_to_arm(hier: Hierarchy, u: AffineFunction, direction: int) -> Affin
         vals = [Fraction(0)] * 5
         vals[direction] = u.values[direction]
         return AffineFunction(0, vals)
-    offsets, cells = lv.vertex_cells
-    stride = ancestor_index_stride(lv.ratios, base, 1)
     half = (lv.ratios.ratio(1) - 1) // 2
-    vals = []
-    for vid, v in enumerate(u.values):
-        own = cells[offsets[vid] : offsets[vid + 1]]
-        first_letters = own // stride
-        lo = 1 + (direction - 1) * half
-        hi = lo + half
-        vals.append(v if np.all((first_letters >= lo) & (first_letters < hi)) else Fraction(0))
-    return AffineFunction(base, vals)
+    lo = 1 + (direction - 1) * half
+    first = np.arange(lv.num_cells) // ancestor_index_stride(lv.ratios, base, 1)
+    zero = np.zeros(lv.num_vertices, dtype=bool)
+    zero[lv.cell_vertices[(first < lo) | (first >= lo + half)]] = True
+    return AffineFunction(base, [Fraction(0) if z else v for v, z in zip(u.values, zero.tolist())])
 
 
 def energy_property_checks(

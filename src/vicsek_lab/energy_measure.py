@@ -2,10 +2,10 @@
 
 The measure of a cell is the integral of |du|^p over the skeleton inside
 it.  Two constructions are provided: integrating the per-edge slopes of the
-gradient field (``gamma_cells``) and taking region-restricted discrete
-energies with plateau verification (``word_energy_measure``).  Each edge is
-assigned to the unique cell containing its interior, so cell masses form a
-true partition of the total energy.  All these measures are absolutely
+gradient field (``gamma_cells``) and taking discrete energies restricted
+to each cell, with plateau verification (``word_energy_measure``).  Each
+edge is assigned to the unique cell containing its interior, so cell masses
+form a true partition of the total energy.  All these measures are absolutely
 continuous with respect to the skeleton length measure by construction.
 """
 
@@ -84,10 +84,10 @@ def word_energy_measure(
     arith: Arithmetic = EXACT,
     verify_plateau: bool = True,
 ) -> CellMeasure:
-    """Masses via region-restricted discrete energies at their plateau.
+    """Masses via discrete energies restricted to cells, at their plateau.
 
-    For each level-n word w the mass is ``arith.energy(..., region=[w],
-    region_level=n)`` at level max(n, base): the edges inside the cell are
+    For each level-n word w the mass is ``arith.energy(..., cell=(n, w))``
+    at level max(n, base): the edges inside the cell, one index range, are
     selected first and then summed, independently of the per-cell grouping
     of ``gamma_cells``.  When ``verify_plateau``, the masses are recomputed
     one level deeper and required to agree (``arith.close``), which is the
@@ -105,7 +105,7 @@ def word_energy_measure(
         level = hier.level(k)
         values = arith.values_at(hier, u, k)
         return [
-            arith.energy(level, values, p, region=[w], region_level=n)
+            arith.energy(level, values, p, cell=(n, w))
             for w in range(hier.ratios.num_words(n))
         ]
 

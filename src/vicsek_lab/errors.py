@@ -36,7 +36,7 @@ class LevelError(VicsekError):
 
 
 class RegionError(VicsekError):
-    """A cell-word region is invalid for the requested level."""
+    """A cell (k, w) has k outside 0..n or w outside the level-k words."""
 
 
 class LookupError_(VicsekError):

@@ -273,16 +273,6 @@ class VicsekLevel:
         self.check_vertex_ids(vid)
         return LatticePoint(int(self.coords[vid, 0]), int(self.coords[vid, 1]), self.n)
 
-    @cached_property
-    def vertex_cells(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR map vertex id -> indices of the cells it belongs to."""
-        flat = self.cell_vertices.reshape(-1)
-        order = np.argsort(flat, kind="stable")
-        counts = np.bincount(flat, minlength=self.num_vertices)
-        offsets = np.zeros(self.num_vertices + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return offsets, (order // 5).astype(np.int64)
-
     # -- metrics -----------------------------------------------------------
 
     def path_edge_count(self, a: int, b: int) -> int:

@@ -363,12 +363,11 @@ def _evaluate(plan: PairPlan, idx: CellPairIndex, vs: np.ndarray, p, arith: Arit
                 terms[group] = _square_sums(vs, subs, plan.blocks[group], top)
                 terms[group] *= plan.blocks[group, 4:]  # in Python ints in exact
                 continue
-            subs = [(*box, arith._in_ball_pairs(mask)) for *box, mask in subs]
         for row in group.tolist():
             loa, _, lob, _, w = plan.blocks[row].tolist()
             terms[row] = w * sum(
-                arith._tile_sum(vs[loa + i0 : loa + i1], vs[lob + j0 : lob + j1], p, ij, buf)
-                for i0, i1, j0, j1, ij in subs
+                arith._tile_sum(vs[loa + i0 : loa + i1], vs[lob + j0 : lob + j1], p, mask, buf)
+                for i0, i1, j0, j1, mask in subs
             )
     return arith._plan_total(terms)
 

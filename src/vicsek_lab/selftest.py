@@ -184,10 +184,7 @@ def run_selftest(config: ExperimentConfig) -> tuple[list[Check], dict]:
 
     # -- BBM ---------------------------------------------------------------
     distinct = ratios.distinct_ratios()
-    curve = bbm_curve(
-        hier, u_star, p, list(config.epsilons), N, tail="plateau", arith=arith,
-        energies=base,
-    )
+    curve = bbm_curve(hier, u_star, p, list(config.epsilons), N, arith=arith, energies=base)
     artifacts["bbm"] = curve
     ok = all(pt.within_bracket for pt in curve.points)
     vals = [pt.value for pt in sorted(curve.points, key=lambda q: q.epsilon)]

@@ -14,6 +14,7 @@ from vicsek_lab.energy import (
     EXACT,
     FLOAT,
     ORACLE_P_RANGE,
+    _cell_edges,
     AffineFunction,
     add,
     clarkson_residual,
@@ -40,7 +41,7 @@ from vicsek_lab.errors import (
 )
 from vicsek_lab.geometry import build_level
 from vicsek_lab.ratios import constant_ratios
-from vicsek_lab.words import CENTER, Letter
+from vicsek_lab.words import CENTER, Letter, ancestor_index_stride, word_from_index, word_index
 
 
 def fractions(hier, u, n) -> list[Fraction]:
@@ -96,21 +97,39 @@ def test_discrete_energy_region(hier3):
     u = diagonal_ramp()
     lv1 = hier3.level(1)
     vals = EXACT.values_at(hier3, u, 1)
+    arm = word_index(hier3.ratios, (Letter(1, 1),))
     # arm cells along the diagonal carry 1/6 each at level 1
-    e_arm1 = EXACT.energy(lv1, vals, 2, region=[(Letter(1, 1),)])
+    e_arm1 = EXACT.energy(lv1, vals, 2, cell=(1, arm))
     assert e_arm1 == Fraction(1, 6)
+    assert FLOAT.energy(lv1, FLOAT.values_at(hier3, u, 1), 2, cell=(1, arm)) == pytest.approx(
+        1 / 6, rel=1e-15
+    )
     e_all = EXACT.energy(lv1, vals, 2)
     assert e_all == Fraction(1, 2)
-    with pytest.raises(RegionError):
-        EXACT.energy(lv1, vals, 2, region=[(Letter(1, 1), CENTER)])
-    # index words: the region's edges are sliced by index, so a word outside
-    # the level would select edges of no cell or wrap around
+    assert EXACT.energy(lv1, vals, 2, cell=(0, 0)) == e_all
+    # a level-1 cell one level down: its edges are one slice of the level's,
+    # so a cell outside 0..n or a word outside the level would select edges
+    # of no cell or of another one
     lv2 = hier3.level(2)
     vals2 = EXACT.values_at(hier3, u, 2)
-    assert EXACT.energy(lv2, vals2, 2, region=[1], region_level=1) == e_arm1
-    for bad in (-1, lv1.num_cells):
+    assert EXACT.energy(lv2, vals2, 2, cell=(1, arm)) == e_arm1
+    for bad in ((-1, 0), (3, 0), (1, -1), (1, lv1.num_cells), (2, lv2.num_cells)):
         with pytest.raises(RegionError):
-            EXACT.energy(lv2, vals2, 2, region=[bad], region_level=1)
+            EXACT.energy(lv2, vals2, 2, cell=bad)
+
+
+def test_cell_edges_are_the_edges_below_the_word(hier3, hier35):
+    """The slice of cell (k, w) holds exactly the edges whose level-k
+    ancestor word is w, for every cell at or above levels 0..4."""
+    for hier in (hier3, hier35):
+        for n in range(5):
+            level = hier.level(n)
+            edges = np.arange(level.num_edges)
+            for k in range(n + 1):
+                owner = level.edge_word // ancestor_index_stride(hier.ratios, n, k)
+                for w in range(hier.ratios.num_words(k)):
+                    got = edges[_cell_edges(level, k, w)]
+                    assert np.array_equal(got, np.flatnonzero(owner == w)), (n, k, w)
 
 
 def test_gradient_field_slopes(hier3):
@@ -179,28 +198,24 @@ def test_seeded_monotonicity_exact(hier3):
 
 
 def test_energy_limit_region_restriction(hier3):
+    """A cell's restricted energies, level by level, are ``energy(cell=)``
+    on the values of ``level_values``; ``energy_limit`` sweeps whole levels."""
     u = diagonal_ramp()
-    rep = energy_limit(hier3, u, 2, 4, region=[(Letter(1, 1),)])
-    assert rep.levels == (1, 2, 3, 4)
-    assert all(e == Fraction(1, 6) for e in rep.energies)
-    assert rep.plateau_level == 1
+    arm = word_index(hier3.ratios, (Letter(1, 1),))
     # the three diagonal cells exhaust the energy
-    diag = [(Letter(1, 1),), (CENTER,), (Letter(3, 1),)]
-    rep = energy_limit(hier3, u, 2, 3, region=diag)
-    assert rep.limit == Fraction(1, 2)
-    # malformed regions are region errors, as in Arithmetic.energy
-    for region in ([], [3]):
-        with pytest.raises(RegionError):
-            energy_limit(hier3, u, 2, 3, region=region)
-    with pytest.raises(RegionError):
-        EXACT.energy(hier3.level(2), EXACT.values_at(hier3, u, 2), 2, region=[3])
-    rep = energy_limit(hier3, u, 2, 3, region=[3], region_level=1)
-    assert rep.levels == (1, 2, 3) and rep.limit == Fraction(1, 6)
-    # a negative region level is a region error, not a missing level
-    with pytest.raises(RegionError, match="region_level"):
-        energy_limit(hier3, u, 2, 2, region=[0], region_level=-1)
-    with pytest.raises(RegionError, match="region_level"):
-        EXACT.energy(hier3.level(2), EXACT.values_at(hier3, u, 2), 2, region=[0], region_level=-1)
+    diag = [word_index(hier3.ratios, (s,)) for s in (Letter(1, 1), CENTER, Letter(3, 1))]
+    whole = energy_limit(hier3, u, 2, 4)
+    assert whole.levels == (0, 1, 2, 3, 4)
+    for n, vals in EXACT.level_values(hier3, u, 1, 4):
+        level = hier3.level(n)
+        assert EXACT.energy(level, vals, 2, cell=(1, arm)) == Fraction(1, 6)
+        restricted = [EXACT.energy(level, vals, 2, cell=(1, w)) for w in diag]
+        assert sum(restricted) == Fraction(1, 2) == whole.energies[n]
+        # a cell below the level, a negative level and a word past the
+        # level's words are region errors
+        for bad in ((n + 1, 0), (-1, 0), (1, hier3.ratios.num_words(1))):
+            with pytest.raises(RegionError):
+                EXACT.energy(level, vals, 2, cell=bad)
 
 
 def test_float_and_exact_extensions_agree(hier3):
@@ -408,6 +423,25 @@ def test_strong_locality_spec_example(hier3):
     vals = fractions(hier3, u, 1)
     assert vals[lv1.vertex_id(3, 3)] == 1  # the arm tip keeps its value
     assert vals[lv1.origin] == 0
+
+
+def test_restrict_to_arm_matches_a_per_vertex_scan(hier3, hier35):
+    """A base vertex keeps its value iff every cell holding it has a first
+    letter on the arm, read from the cell words one vertex at a time (on
+    base level 0, iff it is the arm's corner)."""
+    for hier in (hier3, hier35):
+        for base in range(4):
+            lv = hier.level(base)
+            u = AffineFunction(base, range(1, lv.num_vertices + 1))
+            first = [word_from_index(hier.ratios, base, w)[:1] for w in range(lv.num_cells)]
+            for direction in range(1, 5):
+                got = restrict_to_arm(hier, u, direction).values
+                for vid, v in enumerate(u.values):
+                    cells = np.flatnonzero((lv.cell_vertices == vid).any(axis=1))
+                    keep = all(first[w] and first[w][0].direction == direction for w in cells)
+                    if base == 0:
+                        keep = vid == direction
+                    assert got[vid] == (v if keep else 0), (base, direction, vid)
 
 
 def test_arm_directions_outside_1_to_4_are_rejected(hier3):
