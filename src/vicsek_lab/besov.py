@@ -7,11 +7,12 @@ functional is estimated by the proxy
 
     Phi^beta(rho_n) = phi(rho_n)^(-beta/beta*) * psi(rho_n)^(-1) * I_{m,n}
 
-with I_{m,n} the vertex-measure ball energy; an empirical-mean variant that
-normalizes each inner sum by the actual ball count is available for
-cross-checks on small levels.  Geometric tails are summed in log space
-because phi(rho_n) underflows doubles long before the tail becomes
-negligible.
+with I_{m,n} the vertex-measure ball energy.  Every report is a function of
+one energy sequence, E_{p,n} (``energy_limit``) or I_{m,n}
+(``ball_energies``) for n = 0..N, and takes it with the ``Arithmetic`` it
+was computed in; N is its length less one.  Geometric tails are summed in
+log space because phi(rho_n) underflows doubles long before the tail
+becomes negligible.
 """
 
 from __future__ import annotations
@@ -21,14 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import InvalidArgumentError, LevelError, ScaleMismatchError
+from .errors import InvalidArgumentError, LevelError
 from .geometry import Hierarchy, VicsekLevel
 from .measure import derived_constants, scale_values
 from .ratios import RatioSequence
-from .energy import EXACT, FLOAT, AffineFunction, Arithmetic, energy_limit
-from .pairsum import ball_pair_sum_indexed, ball_row_stats
+from .energy import EXACT, FLOAT, AffineFunction, Arithmetic
+from .pairsum import ball_pair_sum_indexed
 
-_EMPIRICAL_MAX_VERTICES = 4000
 # relative and absolute slack of bbm_curve's bracket test, for float rounding
 _BRACKET_TOL = 1e-9
 
@@ -42,11 +42,8 @@ def ball_energy(
     level: VicsekLevel, values, p, n: int, arith: Arithmetic = EXACT
 ) -> Fraction | float:
     """I_{m,n}: the double vertex-measure integral of |du|^p over open balls,
-    of values held in ``arith``."""
-    if n > level.n:
-        raise ScaleMismatchError(
-            f"ball scale {n} finer than vertex level {level.n}"
-        )
+    of values held in ``arith``; a scale n past the level is rejected by the
+    pair plan."""
     s = arith.unscale(ball_pair_sum_indexed(level, values, p, n, arith), values, p)
     return s / arith.num(level.num_vertices) ** 2
 
@@ -59,8 +56,7 @@ class BesovProfile:
     vertex_level: int
     max_scale: int
     ball_energies: tuple  # I_{m,n} for n = 0..N
-    phi_proxy: tuple  # estimator (a)
-    phi_empirical: Optional[tuple] = None  # estimator (b)
+    phi_proxy: tuple
 
 
 def beta_arithmetic(arith: Arithmetic, ratios: RatioSequence, beta) -> Arithmetic:
@@ -86,6 +82,8 @@ def ball_energies(
 
     They do not depend on beta, so one set serves every profile of (u, p, m).
     """
+    if m < max_scale:
+        raise LevelError(f"vertex level {m} must be >= max scale {max_scale}")
     arith = ball_arithmetic(arith, hier, m)
     level = hier.level(m)
     values = arith.values_at(hier, u, m)
@@ -93,59 +91,30 @@ def ball_energies(
 
 
 def phi_profile(
-    hier: Hierarchy,
-    u: AffineFunction,
-    p,
-    beta: float,
-    m: int,
-    max_scale: int,
-    include_empirical: bool = False,
-    arith: Arithmetic = EXACT,
-    energies: Optional[tuple] = None,
+    hier: Hierarchy, p, beta: float, m: int, energies: Sequence, arith: Arithmetic
 ) -> BesovProfile:
-    """Ball-functional estimators at scales rho_0 .. rho_N on V_m vertices.
+    """Ball-functional proxies at scales rho_0 .. rho_N on V_m vertices.
 
-    The I_{m,n} are in ``ball_arithmetic(arith, hier, m)`` and the proxies in
-    ``beta_arithmetic`` of it, so a proxy is exact only at beta = beta*.
-    ``energies``, when given, are ``ball_energies`` of (u, p, m) in ``arith``,
-    computed once for several betas.
+    ``energies`` are the I_{m,n} for n = 0..N, ``ball_energies`` of
+    (u, p, m, N) in ``arith``, so they are in ``ball_arithmetic(arith, hier,
+    m)``; the proxies are in ``beta_arithmetic`` of it, so a proxy is exact
+    only at beta = beta*.
     """
-    if m < max_scale:
-        raise LevelError(f"vertex level {m} must be >= max scale {max_scale}")
-    level = hier.level(m)
     ratios = hier.ratios.with_p(p)  # phi at this p
-    if energies is None:
-        energies = ball_energies(hier, u, p, m, max_scale, arith)
     at = beta_arithmetic(ball_arithmetic(arith, hier, m), ratios, beta)
     expo = -float(beta) / float(ratios.beta_star)
     proxy = []
     for n, I in enumerate(energies):
         rho, psi, phi = scale_values(ratios, n)
         proxy.append(at.power(phi, expo) / at.num(psi) * at.num(I))
-    empirical = None
-    if include_empirical:
-        if level.num_vertices > _EMPIRICAL_MAX_VERTICES:
-            raise InvalidArgumentError(
-                "empirical estimator is brute force; use a level with at most "
-                f"{_EMPIRICAL_MAX_VERTICES} vertices"
-            )
-        empirical = []
-        vals = FLOAT.values_at(hier, u, m)
-        V = level.num_vertices
-        for n in range(max_scale + 1):
-            counts, sums = ball_row_stats(level, vals, p, n)
-            mean = math.fsum((sums / counts).tolist()) / V
-            rho, psi, phi = scale_values(ratios, n)
-            empirical.append(FLOAT.power(phi, expo) * mean)
     return BesovProfile(
         p=p,
         beta=float(beta),
         beta_star=float(ratios.beta_star),
         vertex_level=m,
-        max_scale=max_scale,
+        max_scale=len(energies) - 1,
         ball_energies=tuple(energies),
         phi_proxy=tuple(proxy),
-        phi_empirical=tuple(empirical) if empirical is not None else None,
     )
 
 
@@ -167,7 +136,8 @@ def besov_seminorm(
     """
     if not (q == math.inf or q > 1):
         raise InvalidArgumentError(f"q must be in (1, inf], got {q}")
-    prof = phi_profile(hier, u, p, beta, m, max_scale, arith=arith)
+    balls = ball_energies(hier, u, p, m, max_scale, arith)
+    prof = phi_profile(hier, p, beta, m, balls, arith)
     phis = [float(x) for x in prof.phi_proxy]
     pf = float(p)
     if q == math.inf:
@@ -183,16 +153,6 @@ def besov_seminorm(
 # ---------------------------------------------------------------------------
 # discrete beta-energies
 # ---------------------------------------------------------------------------
-
-
-def base_energies(
-    hier: Hierarchy, u: AffineFunction, p, max_scale: int, arith: Arithmetic = EXACT
-) -> tuple:
-    """E_{p,n} = E_n^{beta*} for n = 0..N in ``arith``.
-
-    They do not depend on beta, so one set serves every profile of (u, p).
-    """
-    return energy_limit(hier, u, p, max_scale, arith).energies
 
 
 def _log_phi(ratios: RatioSequence, n: int) -> float:
@@ -223,20 +183,20 @@ def discrete_profiles(
     u: AffineFunction,
     p,
     beta: float,
-    max_scale: int,
+    energies: Sequence,
+    arith: Arithmetic,
     tail: Optional[str] = None,
-    arith: Arithmetic = EXACT,
-    energies: Optional[Sequence] = None,
 ) -> DiscreteBetaProfile:
     """E_n^beta for n <= N plus the sup and sum aggregates.
 
-    ``tail="plateau"`` appends the closed geometric tail sum_{n>N}
-    phi(rho_n)^{1-beta/beta*} * E_plateau, valid because the base energies
-    of an affine function are exactly constant beyond the base level; it
-    requires beta < beta* and a ratio sequence extendable beyond the prefix.
-    ``energies``, when given, are ``base_energies`` in ``arith``, computed
-    once for several betas.  The E_n^beta and their sum are in
-    ``beta_arithmetic(arith, ratios, beta)``.
+    ``energies`` are the E_{p,n} of u for n = 0..N in ``arith``
+    (``energy_limit(...).energies``); they do not depend on beta, so one
+    sequence serves every profile of (u, p).  ``tail="plateau"`` appends
+    the closed geometric tail sum_{n>N} phi(rho_n)^{1-beta/beta*} *
+    E_plateau, valid because the base energies of an affine function are
+    exactly constant beyond the base level; it requires beta < beta* and a
+    ratio sequence extendable beyond the prefix.  The E_n^beta and their sum
+    are in ``beta_arithmetic(arith, ratios, beta)``.
     """
     if beta < 0:
         raise InvalidArgumentError(f"beta must be >= 0, got {beta}")
@@ -244,9 +204,8 @@ def discrete_profiles(
         raise InvalidArgumentError(f"unknown tail mode {tail!r}")
     ratios = hier.ratios.with_p(p)  # phi at this p
     beta_star = float(ratios.beta_star)
-    if energies is None:
-        energies = base_energies(hier, u, p, max_scale, arith)
     base = list(energies)
+    max_scale = len(base) - 1
     at = beta_arithmetic(arith, ratios, beta)
     # at beta* the factor is exp(0) = 1 exactly, so E_n^beta = E_{p,n} in ``at``
     expo = 1.0 - float(beta) / beta_star
@@ -265,7 +224,6 @@ def discrete_profiles(
             raise InvalidArgumentError(
                 "plateau tail diverges unless beta < beta_star"
             )
-        expo = 1.0 - float(beta) / beta_star
         plateau = float(base[max_scale])
         acc = 0.0
         log_phi = _log_phi(ratios, max_scale)
@@ -296,13 +254,7 @@ def discrete_profiles(
 
 
 def jump_kernel_energy(
-    hier: Hierarchy,
-    u: AffineFunction,
-    p,
-    beta: float,
-    max_scale: int,
-    arith: Arithmetic = EXACT,
-    energies: Optional[Sequence] = None,
+    hier: Hierarchy, p, beta: float, energies: Sequence, arith: Arithmetic
 ) -> Fraction | float:
     """The non-local pair-sum form: levelwise weighted sums of |du|^p.
 
@@ -310,15 +262,13 @@ def jump_kernel_energy(
     phi(rho_n)^(-beta/beta*) * 2^{p-1} * psi(rho_n), with phi taken at this
     p; summing over levels 0..N reproduces sum_{n<=N} E_n^beta.  The sum of
     |du|^p over the level-n edges is E_{p,n} / L_n^{p-1}, so the form is one
-    pass over the base energies, computed in ``arith`` (``energies``, when
-    given, are ``base_energies`` in ``arith``).  The form is in
+    pass over ``energies``, the E_{p,n} of u for n = 0..N in ``arith``.  The
+    form is in
     ``beta_arithmetic(arith, ratios, beta)``: at beta = beta* in exact
     arithmetic the weight is the exact 2^{p-1} psi / phi, so the identity
     checks the scale constants rather than a sum against itself.
     """
     ratios = hier.ratios.with_p(p)  # phi at this p, in both arithmetics
-    if energies is None:
-        energies = base_energies(hier, u, p, max_scale, arith)
     at = beta_arithmetic(arith, ratios, beta)
     expo = -float(beta) / float(ratios.beta_star)
     q1 = at.exponent(p) - 1
@@ -359,9 +309,8 @@ def bbm_curve(
     u: AffineFunction,
     p,
     epsilons: Sequence[float],
-    max_scale: int,
-    arith: Arithmetic = EXACT,
-    energies: Optional[tuple] = None,
+    energies: Sequence,
+    arith: Arithmetic,
 ) -> BBMCurve:
     """(beta* - beta) E_{p,p}^beta for beta = beta* - epsilon, with brackets.
 
@@ -371,9 +320,8 @@ def bbm_curve(
     [eps E phi(rho_n0)^delta / (1 - sup_t^-delta),
      eps E phi(rho_0)^delta / (1 - inf_t^-delta)].
     As eps -> 0 both ends converge to E beta* / log t.  Each sum carries
-    the closed plateau tail of ``discrete_profiles``.  The energies
-    E_{p,n} are computed once, in ``arith``; ``energies``, when given, are
-    ``base_energies`` in ``arith``.
+    the closed plateau tail of ``discrete_profiles``.  ``energies`` are the
+    E_{p,n} of u for n = 0..N in ``arith``, shared by every epsilon.
     """
     ratios = hier.ratios.with_p(p)  # phi and t_l at this p
     beta_star = float(ratios.beta_star)
@@ -383,15 +331,12 @@ def bbm_curve(
                 f"epsilon must lie in (0, beta_star), got {eps}"
             )
     consts = derived_constants(ratios)
-    base = energies if energies is not None else base_energies(hier, u, p, max_scale, arith)
-    E = float(base[max_scale])
+    E = float(energies[-1])
     n0 = u.base_level
     points = []
     for eps in epsilons:
         beta = beta_star - eps
-        prof = discrete_profiles(
-            hier, u, p, beta, max_scale, tail="plateau", arith=arith, energies=base
-        )
+        prof = discrete_profiles(hier, u, p, beta, energies, arith, tail="plateau")
         value = eps * float(prof.sum_energy)
         delta = eps / beta_star
         lo = (
@@ -436,16 +381,17 @@ def critical_sweep(
     u: AffineFunction,
     p,
     beta_grid: Sequence[float],
-    max_scale: int,
-    arith: Arithmetic = EXACT,
+    energies: Sequence,
+    arith: Arithmetic,
 ) -> list[SweepRow]:
-    """Classify E_n^beta trends across a beta grid around beta*."""
+    """Classify E_n^beta trends across a beta grid around beta*, from the
+    E_{p,n} of u for n = 0..N in ``arith``."""
     ratios = hier.ratios.with_p(p)  # phi at this p
     beta_star = float(ratios.beta_star)
-    base = base_energies(hier, u, p, max_scale, arith)
+    max_scale = len(energies) - 1
     rows = []
     for beta in beta_grid:
-        prof = discrete_profiles(hier, u, p, beta, max_scale, arith=arith, energies=base)
+        prof = discrete_profiles(hier, u, p, beta, energies, arith)
         vals = [float(x) for x in prof.beta_energies]
         growth = tuple(
             math.exp((1.0 - beta / beta_star) * _log_phi(ratios, n))
@@ -487,25 +433,21 @@ class WeakMonotonicityReport:
 
 def weak_monotonicity_report(
     hier: Hierarchy,
-    u: AffineFunction,
     p,
     m: int,
-    max_scale: int,
     window: tuple[int, int],
-    arith: Arithmetic = EXACT,
-    energies: Optional[tuple] = None,
+    energies: Sequence,
+    arith: Arithmetic,
 ) -> WeakMonotonicityReport:
     """sup_n Phi(rho_n) / min over a window: finite surrogate of sup/liminf.
 
-    ``arith`` and ``energies`` are passed on to ``phi_profile`` at beta = beta*.
+    ``energies`` and ``arith`` are passed on to ``phi_profile`` at beta = beta*.
     """
     lo, hi = window
+    max_scale = len(energies) - 1
     if not (0 <= lo <= hi <= max_scale):
         raise InvalidArgumentError(f"window {window} not within [0, {max_scale}]")
-    prof = phi_profile(
-        hier, u, p, float(hier.ratios.beta_star), m, max_scale, arith=arith,
-        energies=energies,
-    )
+    prof = phi_profile(hier, p, float(hier.ratios.beta_star), m, energies, arith)
     phis = [float(x) for x in prof.phi_proxy]
     sup_v = max(phis)
     win_min = min(phis[lo : hi + 1])

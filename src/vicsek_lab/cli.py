@@ -229,9 +229,8 @@ def _cmd_energy_measure(config: ExperimentConfig, out: Path, meta: str) -> int:
 
 
 def _cmd_besov(config: ExperimentConfig, out: Path, meta: str) -> int:
-    from .besov import (ball_energies, base_energies, discrete_profiles, phi_profile,
-                        weak_monotonicity_report)
-    from .energy import arithmetic, diagonal_ramp
+    from .besov import ball_energies, discrete_profiles, phi_profile, weak_monotonicity_report
+    from .energy import arithmetic, diagonal_ramp, energy_limit
 
     if config.vertex_level < config.depth + 2:
         raise ConfigError(
@@ -243,11 +242,11 @@ def _cmd_besov(config: ExperimentConfig, out: Path, meta: str) -> int:
     m = config.vertex_level
     arith = arithmetic(config.mode, config.p)
     balls = ball_energies(hier, u, config.p, m, config.depth, arith)  # I_{m,n}, for every beta
-    base = base_energies(hier, u, config.p, config.depth, arith)
+    base = energy_limit(hier, u, config.p, config.depth, arith).energies  # E_{p,n}
     rows = []
     for beta in config.beta_grid:
-        prof = phi_profile(hier, u, config.p, beta, m, config.depth, arith=arith, energies=balls)
-        dprof = discrete_profiles(hier, u, config.p, beta, config.depth, arith=arith, energies=base)
+        prof = phi_profile(hier, config.p, beta, m, balls, arith)
+        dprof = discrete_profiles(hier, u, config.p, beta, base, arith)
         for n in range(config.depth + 1):
             rows.append(
                 (
@@ -265,14 +264,7 @@ def _cmd_besov(config: ExperimentConfig, out: Path, meta: str) -> int:
         meta,
     )
     wm = weak_monotonicity_report(
-        hier,
-        u,
-        config.p,
-        m,
-        config.depth,
-        (max(1, config.depth - 2), config.depth),
-        arith,
-        energies=balls,
+        hier, config.p, m, (max(1, config.depth - 2), config.depth), balls, arith
     )
     write_json(
         out / "weak_monotonicity.json",
@@ -290,14 +282,13 @@ def _cmd_besov(config: ExperimentConfig, out: Path, meta: str) -> int:
 
 def _cmd_bbm(config: ExperimentConfig, out: Path, meta: str) -> int:
     from .besov import bbm_curve
-    from .energy import arithmetic, diagonal_ramp
+    from .energy import arithmetic, diagonal_ramp, energy_limit
 
     hier = config.hierarchy()
     u = diagonal_ramp()
-    curve = bbm_curve(
-        hier, u, config.p, list(config.epsilons), config.depth,
-        arith=arithmetic(config.mode, config.p),
-    )
+    arith = arithmetic(config.mode, config.p)
+    base = energy_limit(hier, u, config.p, config.depth, arith).energies  # E_{p,n}
+    curve = bbm_curve(hier, u, config.p, list(config.epsilons), base, arith)
     _write_bbm_curve(out, curve, meta)
     write_json(
         out / "bbm_summary.json",

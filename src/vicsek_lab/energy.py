@@ -223,13 +223,15 @@ class Arithmetic:
         holds them, and the result is its number.  With ``cell=(k, w)``, the
         sum runs over the edges inside the level-k cell K_w (the energy
         restricted to K_w); with ``group``, one id below ``num_groups`` per
-        edge, the result is the list of per-group sums.
+        edge of the level, the result is the list of per-group sums (over
+        the cell's edges only, with both).
         """
         # int32 edge tables: ``take`` converts them faster than a fancy index
         tails, heads = level.edge_tail, level.edge_head
         if cell is not None:
             sel = _cell_edges(level, *cell)
             tails, heads = tails[sel], heads[sel]
+            group = None if group is None else group[sel]
         return self._energies(level.L, values, tails, heads, p, group, num_groups)
 
     def power(self, x, e):
@@ -666,16 +668,14 @@ class PropertyCheckReport:
         }
 
 
-def morrey_constant(hier: Hierarchy, u: AffineFunction, p, n: int, energy=None) -> float:
-    """max |u(x)-u(y)|^p / (d(x,y)^{p-1} E_p(u)) over a deterministic pair set.
+def morrey_constant(hier: Hierarchy, u: AffineFunction, p, n: int, energy) -> float:
+    """max |u(x)-u(y)|^p / (d(x,y)^{p-1} E) over a deterministic pair set,
+    with ``energy`` = E the energy of u at level n, in either arithmetic.
 
     The pair set is all pairs of V_K for K = min(3, n) (which captures the
     large-separation maximizers) plus all level-n adjacent pairs (the
     small-separation ones).  Euclidean distance in the denominator.
     """
-    if energy is None:
-        k = max(n, u.base_level)
-        energy = EXACT.energy(hier.level(k), EXACT.values_at(hier, u, k), p)
     p = float(p)
     E = float(energy)
     if E == 0.0:
@@ -703,12 +703,11 @@ def morrey_constant(hier: Hierarchy, u: AffineFunction, p, n: int, energy=None) 
     return best
 
 
-def spectral_gap_constant(hier: Hierarchy, u: AffineFunction, p, n: int, energy=None) -> float:
-    """Empirical constant in the mean-deviation bound, vertex-uniform mean."""
+def spectral_gap_constant(hier: Hierarchy, u: AffineFunction, p, n: int, energy) -> float:
+    """Empirical constant in the mean-deviation bound, vertex-uniform mean,
+    with ``energy`` the energy of u at level n, in either arithmetic."""
     p = float(p)
     vals = FLOAT.values_at(hier, u, n)
-    if energy is None:
-        energy = FLOAT.energy(hier.level(n), vals, p)
     E = float(energy)
     if E == 0.0:
         return 0.0
@@ -723,23 +722,23 @@ def clarkson_residual(
     g: AffineFunction,
     p,
     n: int,
-    energies=None,
-    arith: Arithmetic = EXACT,
+    energies: tuple,
+    arith: Arithmetic,
 ):
     """Signed residual of the p-Clarkson inequality at level n.
 
     Returns (residual, ok): residual = E(f+g) + E(f-g) - 2 (E(f)^{1/(p-1)}
     + E(g)^{1/(p-1)})^{p-1}; 'ok' checks the sign required by the case
-    split (>= 0 for p <= 2, <= 0 for p >= 2; both at p = 2).  ``energies``,
-    when given, are (E(f), E(g)) at level n; the others are computed in
-    ``arith``.
+    split (>= 0 for p <= 2, <= 0 for p >= 2; both at p = 2).  ``energies``
+    are (E(f), E(g)) at level n in ``arith``; E(f+g) and E(f-g) are
+    computed in it.
     """
     pf = float(p)
     level = hier.level(n)
     E = lambda w: float(arith.energy(level, arith.values_at(hier, w, n), p))
     lhs = E(add(hier, f, g)) + E(subtract(hier, f, g))
     q = 1.0 / (pf - 1.0)
-    Ef, Eg = (E(f), E(g)) if energies is None else map(float, energies)
+    Ef, Eg = map(float, energies)
     rhs = 2.0 * (Ef ** q + Eg ** q) ** (pf - 1.0)
     residual = lhs - rhs
     slack = 1e-9 * max(1.0, abs(lhs), abs(rhs))
@@ -806,14 +805,14 @@ def energy_property_checks(
     product_ok = arith.at_most(lhs, rhs)
     contraction = [arith.at_most(E_of(compose(u, fn)), Eu) for fn in lipschitz_maps]
 
-    sg = spectral_gap_constant(hier, u, p, n, energy=Eu)
-    mc = morrey_constant(hier, u, p, n, energy=Eu)
+    sg = spectral_gap_constant(hier, u, p, n, Eu)
+    mc = morrey_constant(hier, u, p, n, Eu)
 
     s = add(hier, u, v)
     loc_lhs = E_of(s)
     loc_rhs = Eu + Ev
     locality_exact = arith.close(loc_lhs, loc_rhs)
-    res, ok = clarkson_residual(hier, u, v, p, n, energies=(Eu, Ev), arith=arith)
+    res, ok = clarkson_residual(hier, u, v, p, n, (Eu, Ev), arith)
     return PropertyCheckReport(
         p=p,
         level=n,

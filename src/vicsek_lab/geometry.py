@@ -11,7 +11,6 @@ arithmetic: the true squared distance of two points at common scale n is
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -425,15 +424,13 @@ class Hierarchy:
         self.budget = budget
         self._levels: dict[int, VicsekLevel] = {}
         self._transitions: dict[int, Transition] = {}
-        self._build_lock = threading.RLock()  # one build per level across threads
 
     def level(self, k: int) -> VicsekLevel:
         if not 0 <= k <= self.max_level:
             raise LevelError(f"level {k} not built (max {self.max_level})")
-        with self._build_lock:
-            lv = self._levels.get(k)
-            if lv is None:
-                lv = self._levels[k] = build_level(self.ratios, k, self.budget)
+        lv = self._levels.get(k)
+        if lv is None:
+            lv = self._levels[k] = build_level(self.ratios, k, self.budget)
         return lv
 
     @property
@@ -445,13 +442,12 @@ class Hierarchy:
         """The refinement maps k -> k+1, built on first use."""
         if not 0 <= k < self.max_level:
             raise LevelError(f"transition {k} -> {k + 1} not in 0..{self.max_level}")
-        with self._build_lock:
-            t = self._transitions.get(k)
-            if t is None:
-                # build both levels first, so the maps' own time stands alone
-                self.level(k)
-                self.level(k + 1)
-                t = self._transitions[k] = Transition(*self._transition_maps(k))
+        t = self._transitions.get(k)
+        if t is None:
+            # build both levels first, so the maps' own time stands alone
+            self.level(k)
+            self.level(k + 1)
+            t = self._transitions[k] = Transition(*self._transition_maps(k))
         return t
 
     def lift_ids(self, k: int) -> np.ndarray:

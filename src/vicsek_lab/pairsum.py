@@ -144,19 +144,6 @@ def ball_pair_sum_bruteforce(level: VicsekLevel, values, p, n: int, arith: Arith
     return total.tolist()[0] if squeeze else total
 
 
-def ball_row_stats(level: VicsekLevel, values, p, n: int):
-    """Per-vertex ball counts and |du|^p row sums (brute force, float)."""
-    vals = np.asarray(values, dtype=np.float64)
-    counts = np.zeros(level.num_vertices, dtype=np.int64)
-    sums = np.zeros(level.num_vertices)
-    for i0, j0, mask in _ball_tiles(level, n, 1):
-        i1 = i0 + mask.shape[0]
-        dv = np.abs(vals[i0:i1, None] - vals[None, j0 : j0 + mask.shape[1]]) ** float(p)
-        counts[i0:i1] += mask.sum(axis=1)
-        sums[i0:i1] += (dv * mask).sum(axis=1)
-    return counts, sums
-
-
 def _ball_tiles(level: VicsekLevel, n: int, F: int):
     """(i0, j0, mask) over tiles of the V x V vertex pairs, whole rows when
     they fit, each of at most ``_CHUNK`` elements over F columns; ``mask``

@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .besov import (
+    ball_energies,
     bbm_curve,
     beta_arithmetic,
     discrete_profiles,
@@ -164,7 +165,7 @@ def run_selftest(config: ExperimentConfig) -> tuple[list[Check], dict]:
     ok = True
     base = rep.energies  # the ramp's E_{p,n}, swept once above
     for beta in config.beta_grid:
-        prof = discrete_profiles(hier, u_star, p, beta, N, arith=arith, energies=base)
+        prof = discrete_profiles(hier, u_star, p, beta, base, arith)
         profiles[beta] = prof
         expo = 1.0 - float(beta) / float(ratios.beta_star)
         for n, (eb, estar) in enumerate(zip(prof.beta_energies, prof.base_energies)):
@@ -177,14 +178,14 @@ def run_selftest(config: ExperimentConfig) -> tuple[list[Check], dict]:
 
     ok = True
     for beta in config.beta_grid:
-        jk = jump_kernel_energy(hier, u_star, p, beta, N, arith, energies=base)
+        jk = jump_kernel_energy(hier, p, beta, base, arith)
         at = beta_arithmetic(arith, ratios, beta)  # the arithmetic of both sides
         ok = ok and at.close(jk, profiles[beta].sum_energy)
     record("jump_kernel_identity", ok)
 
     # -- BBM ---------------------------------------------------------------
     distinct = ratios.distinct_ratios()
-    curve = bbm_curve(hier, u_star, p, list(config.epsilons), N, arith=arith, energies=base)
+    curve = bbm_curve(hier, u_star, p, list(config.epsilons), base, arith)
     artifacts["bbm"] = curve
     ok = all(pt.within_bracket for pt in curve.points)
     vals = [pt.value for pt in sorted(curve.points, key=lambda q: q.epsilon)]
@@ -205,7 +206,8 @@ def run_selftest(config: ExperimentConfig) -> tuple[list[Check], dict]:
     record("bbm_curve", ok)
 
     # -- weak monotonicity surrogate ----------------------------------------
-    wm = weak_monotonicity_report(hier, u_star, p, m, N, (max(1, N - 2), N), arith)
+    balls = ball_energies(hier, u_star, p, m, N, arith)  # I_{m,n}
+    wm = weak_monotonicity_report(hier, p, m, (max(1, N - 2), N), balls, arith)
     record("weak_monotonicity_finite", wm.ratio is not None and math.isfinite(wm.ratio),
            f"ratio={wm.ratio}")
     artifacts["weak_monotonicity"] = wm

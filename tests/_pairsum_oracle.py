@@ -5,7 +5,9 @@ leaf block builds its in-ball mask from the vertex coordinates, and every
 block is summed with the same sub-block split and the same numpy operations
 the library's class-mask evaluator uses, so the two results are equal bit
 for bit.  ``ball_rows_double_loop`` is a pure-Python double loop over every
-vertex pair, the reference of the library's tiled brute-force route.
+vertex pair, the reference of the library's tiled brute-force route, and of
+``ball_row_stats``, the same rows by the route's tiles (the per-vertex ball
+means of the empirical estimator of Phi).
 ``cell_layouts`` partitions the cells of every depth by the coordinates of
 the vertices they own, the reference of the pair index's layout types.
 """
@@ -16,7 +18,7 @@ import numpy as np
 
 from vicsek_lab.energy import _abs_pow
 from vicsek_lab.geometry import _cell_centers
-from vicsek_lab.pairsum import _CHUNK, _LEAF_MAX, pair_plan
+from vicsek_lab.pairsum import _CHUNK, _LEAF_MAX, _ball_tiles, pair_plan
 
 
 def ball_pair_sum_per_block(level, values, p, n: int, leaf_max: int = _LEAF_MAX):
@@ -116,6 +118,20 @@ def ball_rows_double_loop(level, values, p, n: int):
                 total += abs(vi - vj) ** p
         counts.append(count)
         sums.append(total)
+    return counts, sums
+
+
+def ball_row_stats(level, values, p, n: int):
+    """Per-vertex ball counts and |du|^p row sums over the brute-force
+    route's tiles, in float."""
+    vals = np.asarray(values, dtype=np.float64)
+    counts = np.zeros(level.num_vertices, dtype=np.int64)
+    sums = np.zeros(level.num_vertices)
+    for i0, j0, mask in _ball_tiles(level, n, 1):
+        i1 = i0 + mask.shape[0]
+        dv = np.abs(vals[i0:i1, None] - vals[None, j0 : j0 + mask.shape[1]]) ** float(p)
+        counts[i0:i1] += mask.sum(axis=1)
+        sums[i0:i1] += (dv * mask).sum(axis=1)
     return counts, sums
 
 

@@ -252,8 +252,9 @@ def test_criterion_10_scaling_identity_and_sweep(hier3):
     u = diagonal_ramp()
     for seed in (None, 5, 6):
         w = u if seed is None else random_affine(hier3, seed)
+        base = energy_limit(hier3, w, 2, 5).energies
         for beta in (0.65, 0.8, 0.9, 1.0, 1.1, 1.2):
-            prof = discrete_profiles(hier3, w, 2, beta, 5)
+            prof = discrete_profiles(hier3, w, 2, beta, base, EXACT)
             for n in range(6):
                 expo = 1.0 - beta
                 want = (
@@ -263,7 +264,8 @@ def test_criterion_10_scaling_identity_and_sweep(hier3):
                     * float(prof.base_energies[n])
                 )
                 assert float(prof.beta_energies[n]) == want  # to the last bit
-    rows = {r.beta: r for r in critical_sweep(hier3, u, 2, [0.8, 1.0, 1.2], 5)}
+    base = energy_limit(hier3, u, 2, 5).energies
+    rows = {r.beta: r for r in critical_sweep(hier3, u, 2, [0.8, 1.0, 1.2], base, EXACT)}
     assert rows[1.2].classification == "divergent" and rows[1.2].trend == "increasing"
     assert rows[1.0].classification == "plateau" and rows[1.0].trend == "constant"
     assert rows[0.8].classification == "vanishing" and rows[0.8].trend == "decreasing"
@@ -273,7 +275,8 @@ def test_criterion_10_scaling_identity_and_sweep(hier3):
 def test_criterion_11_bbm(hier3):
     start = time.monotonic()
     eps_list = [0.2, 0.1, 0.05, 0.02, 0.01]
-    curve = bbm_curve(hier3, diagonal_ramp(), 2, eps_list, 6)
+    u = diagonal_ramp()
+    curve = bbm_curve(hier3, u, 2, eps_list, energy_limit(hier3, u, 2, 6).energies, EXACT)
     by_eps = {pt.epsilon: pt for pt in curve.points}
     for e in eps_list:
         closed = e * 2 ** (e - 1) / (1 - 15.0 ** (-e))
@@ -334,7 +337,8 @@ def test_criterion_13_form_properties(hier3):
             assert all(rep.contraction_ok), (k, p)
             assert rep.clarkson_ok, (k, p)
         morrey_by_level[4].append(energy_property_checks(hier3, u, v, 2, 4).morrey_constant)
-        morrey_by_level[6].append(morrey_constant(hier3, u, 2, 6))
+        E6 = EXACT.energy(hier3.level(6), EXACT.values_at(hier3, u, 6), 2)
+        morrey_by_level[6].append(morrey_constant(hier3, u, 2, 6, E6))
         # strong locality with separated supports, exact equality
         ua = restrict_to_arm(hier3, u.shift(1), 1)
         vb = restrict_to_arm(hier3, v.shift(-1), 3)

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from _pairsum_oracle import ball_row_stats
 
 from vicsek_lab.besov import (
     ball_arithmetic,
+    ball_energies,
     ball_energy,
-    base_energies,
     bbm_curve,
     besov_seminorm,
     beta_arithmetic,
@@ -26,10 +27,11 @@ from vicsek_lab.energy import (
     AffineFunction,
     arithmetic,
     diagonal_ramp,
+    energy_limit,
     random_affine,
 )
 from vicsek_lab.errors import InvalidArgumentError, LevelError, ScaleMismatchError
-from vicsek_lab.measure import derived_constants
+from vicsek_lab.measure import derived_constants, scale_values
 from vicsek_lab.pairsum import ball_pair_sum_bruteforce, ball_pair_sum_indexed
 from vicsek_lab.ratios import RatioSequence
 
@@ -45,6 +47,16 @@ PHI_PROXY_M6 = (
     0.35409932260425364,
 )
 EQUIV_BAND = (0.2617039, 1.6957520)
+
+
+def _E(hier, u, p, N, arith=EXACT):
+    """E_{p,n} of u for n = 0..N in ``arith``."""
+    return energy_limit(hier, u, p, N, arith).energies
+
+
+def _phi(hier, u, p, beta, m, N, arith=EXACT):
+    """The ball-functional profile of u from its I_{m,n}, n = 0..N."""
+    return phi_profile(hier, p, beta, m, ball_energies(hier, u, p, m, N, arith), arith)
 
 
 def test_vertex_measure_weights(hier3):
@@ -121,30 +133,38 @@ def test_batched_kernel_matches_single_columns(hier3):
 
 def test_phi_profile_values_and_guards(hier3):
     u = diagonal_ramp()
-    prof = phi_profile(hier3, u, 2, 1.0, 6, 5)
+    prof = _phi(hier3, u, 2, 1.0, 6, 5)
     for got, want in zip(prof.phi_proxy, PHI_PROXY_M6):
         assert float(got) == pytest.approx(want, rel=1e-9)
     with pytest.raises(LevelError):
-        phi_profile(hier3, u, 2, 1.0, 3, 4)
+        ball_energies(hier3, u, 2, 3, 4, EXACT)
     const = AffineFunction(0, [1] * 5)
-    prof0 = phi_profile(hier3, const, 2, 1.0, 4, 3)
+    prof0 = _phi(hier3, const, 2, 1.0, 4, 3)
     assert all(x == 0 for x in prof0.phi_proxy)
 
 
 def test_phi_estimators_ratio_within_doubling_band(hier3):
+    """Estimator (a), the proxy, against estimator (b), which normalizes
+    each inner sum by the actual ball count: phi(rho_n)^(-beta/beta*) times
+    the vertex mean of the per-vertex ball means of |du|^p."""
     u = diagonal_ramp()
-    prof = phi_profile(hier3, u, 2, 1.0, 3, 3, include_empirical=True)
+    prof = _phi(hier3, u, 2, 1.0, 3, 3)
     lo = 1.0 / 5.0
     hi = float((2 * 3 - 1) ** 2)
-    for a, b in zip(prof.phi_proxy, prof.phi_empirical):
+    level = hier3.level(3)
+    vals = FLOAT.values_at(hier3, u, 3)
+    for n, a in enumerate(prof.phi_proxy):
+        counts, sums = ball_row_stats(level, vals, 2, n)
+        mean = math.fsum((sums / counts).tolist()) / level.num_vertices
+        b = FLOAT.power(scale_values(hier3.ratios, n)[2], -1.0) * mean
         assert lo <= b / a <= hi
 
 
 def test_phi_homogeneity(hier3):
     u = random_affine(hier3, 15)
     c = 2
-    base = phi_profile(hier3, u, 2, 1.0, 4, 3)
-    scaled = phi_profile(hier3, u.scale(c), 2, 1.0, 4, 3)
+    base = _phi(hier3, u, 2, 1.0, 4, 3)
+    scaled = _phi(hier3, u.scale(c), 2, 1.0, 4, 3)
     for a, b in zip(base.phi_proxy, scaled.phi_proxy):
         assert float(b) == pytest.approx(c**2 * float(a), rel=1e-12, abs=1e-300)
 
@@ -155,7 +175,7 @@ def test_besov_seminorm_cases(hier3):
         assert besov_seminorm(hier3, const, 2, q, 1.0, 4, 3) == 0
     u = diagonal_ramp()
     # q = p agrees with the levelwise discretization of the dr/r integral
-    prof = phi_profile(hier3, u, 2, 1.0, 5, 4)
+    prof = _phi(hier3, u, 2, 1.0, 5, 4)
     manual = math.fsum(float(x) * math.log(3) for x in prof.phi_proxy) ** 0.5
     assert besov_seminorm(hier3, u, 2, 2, 1.0, 5, 4) == pytest.approx(manual, rel=1e-12)
     # q = inf at beta* stays within a fixed band of the energy (golden)
@@ -171,7 +191,7 @@ def test_besov_seminorm_cases(hier3):
 
 def test_discrete_profiles_beta_star_identity(hier3):
     u = diagonal_ramp()
-    prof = discrete_profiles(hier3, u, 2, 1.0, 5)
+    prof = discrete_profiles(hier3, u, 2, 1.0, _E(hier3, u, 2, 5), EXACT)
     assert prof.beta_energies == prof.base_energies
     assert all(e == Fraction(1, 2) for e in prof.base_energies)
     assert prof.sup_energy == Fraction(1, 2)
@@ -184,7 +204,7 @@ def test_discrete_profiles_scaling_identity_bitwise(hier3):
     for seed in (16, 17):
         u = random_affine(hier3, seed)
         for beta in (0.65, 0.9, 1.1, 1.3):
-            prof = discrete_profiles(hier3, u, 2, beta, 4)
+            prof = discrete_profiles(hier3, u, 2, beta, _E(hier3, u, 2, 4), EXACT)
             for n in range(5):
                 expo = 1.0 - beta / 1.0
                 want = math.exp(expo * _log_phi(hier3.ratios, n)) * float(
@@ -198,31 +218,32 @@ def test_discrete_profiles_closed_form_tail(hier3):
     # eps * 2^{eps-1} / (1 - 15^{-eps})
     u = diagonal_ramp()
     for eps in (0.01, 0.02):
-        prof = discrete_profiles(hier3, u, 2, 1.0 - eps, 6, tail="plateau")
+        prof = discrete_profiles(hier3, u, 2, 1.0 - eps, _E(hier3, u, 2, 6), EXACT, "plateau")
         closed = eps * 2 ** (eps - 1) / (1 - 15.0 ** (-eps))
         assert eps * prof.sum_energy == pytest.approx(closed, rel=1e-12)
     with pytest.raises(InvalidArgumentError):
-        discrete_profiles(hier3, u, 2, 1.0, 4, tail="plateau")
+        discrete_profiles(hier3, u, 2, 1.0, _E(hier3, u, 2, 4), EXACT, tail="plateau")
 
 
 def test_jump_kernel_identity(hier3):
     u = diagonal_ramp()
     # exact at beta = beta*: the plateau makes the sum 5 * (1/2)
-    assert jump_kernel_energy(hier3, u, 2, 1.0, 4) == Fraction(5, 2)
+    assert jump_kernel_energy(hier3, 2, 1.0, _E(hier3, u, 2, 4), EXACT) == Fraction(5, 2)
     for seed in (18, 19):
         w = random_affine(hier3, seed)
-        prof = discrete_profiles(hier3, w, 2, 1.0, 4)
-        assert jump_kernel_energy(hier3, w, 2, 1.0, 4) == sum(
+        base = _E(hier3, w, 2, 4)
+        prof = discrete_profiles(hier3, w, 2, 1.0, base, EXACT)
+        assert jump_kernel_energy(hier3, 2, 1.0, base, EXACT) == sum(
             prof.beta_energies, Fraction(0)
         )
         for beta in (0.8, 1.2):
-            prof = discrete_profiles(hier3, w, 2, beta, 4)
-            got = jump_kernel_energy(hier3, w, 2, beta, 4)
+            prof = discrete_profiles(hier3, w, 2, beta, base, EXACT)
+            got = jump_kernel_energy(hier3, 2, beta, base, EXACT)
             assert got == pytest.approx(
                 math.fsum(float(x) for x in prof.beta_energies), rel=1e-12
             )
     const = AffineFunction(0, [7] * 5)
-    assert jump_kernel_energy(hier3, const, 2, 1.0, 3) == 0
+    assert jump_kernel_energy(hier3, 2, 1.0, _E(hier3, const, 2, 3), EXACT) == 0
 
 
 def test_jump_kernel_takes_phi_at_the_call_p(hier3):
@@ -233,45 +254,37 @@ def test_jump_kernel_takes_phi_at_the_call_p(hier3):
 
     hier_p3 = Hierarchy(constant_ratios(3, 12, p=3), 4)
     u = random_affine(hier3, 1)  # the same function on either hierarchy
-    exact = jump_kernel_energy(hier3, u, 3, 1.0, 4)
+    base, base_p3 = _E(hier3, u, 3, 4), _E(hier_p3, u, 3, 4)
+    exact = jump_kernel_energy(hier3, 3, 1.0, base, EXACT)
     assert isinstance(exact, Fraction)
-    assert exact == jump_kernel_energy(hier_p3, u, 3, 1.0, 4)
-    assert jump_kernel_energy(hier3, u, 3, 1.0, 4, arith=FLOAT) == pytest.approx(
-        float(exact), rel=1e-12
-    )
-    got = jump_kernel_energy(hier3, u, 3, 0.8, 4)
+    assert exact == jump_kernel_energy(hier_p3, 3, 1.0, base_p3, EXACT)
+    got = jump_kernel_energy(hier3, 3, 1.0, _E(hier3, u, 3, 4, FLOAT), FLOAT)
+    assert got == pytest.approx(float(exact), rel=1e-12)
+    got = jump_kernel_energy(hier3, 3, 0.8, base, EXACT)
     assert got == pytest.approx(72.5953043909, rel=1e-10)
-    assert got == pytest.approx(jump_kernel_energy(hier_p3, u, 3, 0.8, 4), rel=1e-12)
-    prof = discrete_profiles(hier3, u, 3, 0.8, 4)
+    assert got == pytest.approx(jump_kernel_energy(hier_p3, 3, 0.8, base_p3, EXACT), rel=1e-12)
+    prof = discrete_profiles(hier3, u, 3, 0.8, base, EXACT)
     assert got == pytest.approx(math.fsum(prof.beta_energies), rel=1e-12)
 
 
-def test_jump_kernel_uses_given_energies(hier3, monkeypatch):
-    from vicsek_lab import besov
-
+def test_jump_kernel_uses_given_energies(hier3):
+    """The form is in the arithmetic of the given energies, exact only at
+    beta*; its value is the beta-energy sum of ``discrete_profiles`` (a
+    second route to the weights) and it is linear in the given energies."""
     u = random_affine(hier3, 7)
-    exact_base = besov.base_energies(hier3, u, 2, 4, arith=EXACT)
-    float_base = besov.base_energies(hier3, u, 2, 4, arith=FLOAT)
-    want = {
-        (beta, kind): jump_kernel_energy(
-            hier3, u, 2, beta, 4, arith=EXACT if kind is Fraction else FLOAT
-        )
-        for beta in (0.8, 1.0)
-        for kind in (Fraction, float)
-    }
-
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("energies were given")
-
-    monkeypatch.setattr(besov, "base_energies", no_sweep)
+    exact_base = _E(hier3, u, 2, 4, EXACT)
+    float_base = _E(hier3, u, 2, 4, FLOAT)
     for beta in (0.8, 1.0):
-        # the arithmetic of the given energies; exact only at beta*
-        got = jump_kernel_energy(hier3, u, 2, beta, 4, arith=FLOAT, energies=float_base)
-        assert type(got) is float and got == want[beta, float]
-        got = jump_kernel_energy(hier3, u, 2, beta, 4, energies=exact_base)
+        want = discrete_profiles(hier3, u, 2, beta, exact_base, EXACT).sum_energy
+        got = jump_kernel_energy(hier3, 2, beta, float_base, FLOAT)
+        assert type(got) is float and got == pytest.approx(float(want), rel=1e-12)
+        got = jump_kernel_energy(hier3, 2, beta, exact_base, EXACT)
         assert type(got) is (Fraction if beta == 1.0 else float)
-        assert got == pytest.approx(want[beta, Fraction], rel=1e-12)
-    assert jump_kernel_energy(hier3, u, 2, 1.0, 4, energies=exact_base) == want[1.0, Fraction]
+        assert got == pytest.approx(float(want), rel=1e-12)
+        if beta == 1.0:
+            assert got == want
+        tripled = jump_kernel_energy(hier3, 2, beta, [3 * e for e in exact_base], EXACT)
+        assert float(tripled) == pytest.approx(3 * float(got), rel=1e-12)
 
 
 def test_partial_sum_bracket(hier3):
@@ -301,7 +314,7 @@ def test_partial_sum_bracket(hier3):
 def test_bbm_curve_golden(hier3):
     u = diagonal_ramp()
     eps_list = [0.2, 0.1, 0.05, 0.02, 0.01]
-    curve = bbm_curve(hier3, u, 2, eps_list, 6)
+    curve = bbm_curve(hier3, u, 2, eps_list, _E(hier3, u, 2, 6), EXACT)
     by_eps = {pt.epsilon: pt for pt in curve.points}
     closed = lambda e: e * 2 ** (e - 1) / (1 - 15.0 ** (-e))
     for e in eps_list:
@@ -316,12 +329,13 @@ def test_bbm_curve_golden(hier3):
     assert all(a < b for a, b in zip(ordered, ordered[1:]))
     assert abs(by_eps[0.01].value - limit) / limit < 0.025
     with pytest.raises(InvalidArgumentError):
-        bbm_curve(hier3, u, 2, [1.5], 4)
+        bbm_curve(hier3, u, 2, [1.5], _E(hier3, u, 2, 4), EXACT)
 
 
 def test_critical_sweep_trends(hier3):
     u = diagonal_ramp()
-    rows = {r.beta: r for r in critical_sweep(hier3, u, 2, [0.8, 1.0, 1.2], 5)}
+    sweep = critical_sweep(hier3, u, 2, [0.8, 1.0, 1.2], _E(hier3, u, 2, 5), EXACT)
+    rows = {r.beta: r for r in sweep}
     assert rows[1.2].classification == "divergent"
     assert rows[1.2].trend == "increasing"
     # E_n^beta = (2 * 15^{-n})^{-0.2} / 2 for beta = 1.2
@@ -337,15 +351,40 @@ def test_critical_sweep_trends(hier3):
 
 def test_weak_monotonicity_golden_band(hier3):
     u = diagonal_ramp()
-    rep = weak_monotonicity_report(hier3, u, 2, 6, 5, (3, 5))
+    balls = lambda w, m, N: ball_energies(hier3, w, 2, m, N, EXACT)
+    rep = weak_monotonicity_report(hier3, 2, 6, (3, 5), balls(u, 6, 5), EXACT)
     assert rep.ratio == pytest.approx(WM_RATIO_M6, rel=1e-9)
     assert not rep.degenerate
     const = AffineFunction(0, [2] * 5)
-    rep0 = weak_monotonicity_report(hier3, const, 2, 4, 3, (1, 3))
+    rep0 = weak_monotonicity_report(hier3, 2, 4, (1, 3), balls(const, 4, 3), EXACT)
     assert rep0.degenerate and rep0.ratio is None
     # scaling leaves the ratio unchanged
-    rep2 = weak_monotonicity_report(hier3, u.scale(2), 2, 6, 5, (3, 5))
+    rep2 = weak_monotonicity_report(hier3, 2, 6, (3, 5), balls(u.scale(2), 6, 5), EXACT)
     assert rep2.ratio == pytest.approx(rep.ratio, rel=1e-12)
+
+
+def test_weak_monotonicity_window_within_the_energies(hier3):
+    """The window is checked against N = len(energies) - 1, the scales the
+    supremum runs over."""
+    balls = ball_energies(hier3, diagonal_ramp(), 2, 4, 2, EXACT)
+    assert weak_monotonicity_report(hier3, 2, 4, (1, 2), balls, EXACT).max_scale == 2
+    for window in ((1, 3), (3, 3), (2, 1), (-1, 2)):
+        with pytest.raises(InvalidArgumentError):
+            weak_monotonicity_report(hier3, 2, 4, window, balls, EXACT)
+
+
+def test_reports_read_max_scale_off_the_energies(hier3):
+    """Every report's N is the length of the sequence it is given, less one."""
+    u = random_affine(hier3, 5)
+    for N in (0, 2, 4):
+        base = _E(hier3, u, 2, N)
+        balls = ball_energies(hier3, u, 2, 5, N, EXACT)
+        assert len(base) == len(balls) == N + 1
+        assert phi_profile(hier3, 2, 0.8, 5, balls, EXACT).max_scale == N
+        assert discrete_profiles(hier3, u, 2, 0.8, base, EXACT).max_scale == N
+        assert weak_monotonicity_report(hier3, 2, 5, (0, N), balls, EXACT).max_scale == N
+        rows = critical_sweep(hier3, u, 2, [0.8, 1.2], base, EXACT)
+        assert all(len(r.beta_energies) == len(r.growth_factors) == N + 1 for r in rows)
 
 
 def test_equivalence_bands_recorded(hier3):
@@ -353,8 +392,8 @@ def test_equivalence_bands_recorded(hier3):
     N, m = 4, 6
     lo, hi = EQUIV_BAND
     for beta in (1.0, 0.9, 1.1, 0.65):
-        prof = phi_profile(hier3, u, 2, beta, m, N)
-        d = discrete_profiles(hier3, u, 2, beta, N)
+        prof = _phi(hier3, u, 2, beta, m, N)
+        d = discrete_profiles(hier3, u, 2, beta, _E(hier3, u, 2, N), EXACT)
         phis = [float(x) for x in prof.phi_proxy]
         es = [float(x) for x in d.beta_energies]
         for n in range(1, N - 1):
@@ -386,18 +425,18 @@ def test_arithmetic_rule_table(hier3, mode, p, beta, m):
     assert ball_arithmetic(arith, hier3, m) is (EXACT if ball_exact else FLOAT)
 
     u = random_affine(hier3, 5)
-    base = base_energies(hier3, u, p, 1, arith)
+    base = _E(hier3, u, p, 1, arith)
     assert type(base[1]) is (Fraction if energy_exact else float)
-    prof = phi_profile(hier3, u, p, beta, m, 0, arith=arith)
+    prof = _phi(hier3, u, p, beta, m, 0, arith)
     cases = (
         (prof.ball_energies[0], ball_exact,
-         lambda a: phi_profile(hier3, u, p, beta, m, 0, arith=a).ball_energies[0]),
+         lambda a: ball_energies(hier3, u, p, m, 0, a)[0]),
         (prof.phi_proxy[0], proxy_exact,
-         lambda a: phi_profile(hier3, u, p, beta, m, 0, arith=a).phi_proxy[0]),
-        (discrete_profiles(hier3, u, p, beta, 1, arith=arith, energies=base).sum_energy,
-         beta_exact, lambda a: discrete_profiles(hier3, u, p, beta, 1, arith=a).sum_energy),
-        (jump_kernel_energy(hier3, u, p, beta, 1, arith, energies=base),
-         beta_exact, lambda a: jump_kernel_energy(hier3, u, p, beta, 1, a)),
+         lambda a: _phi(hier3, u, p, beta, m, 0, a).phi_proxy[0]),
+        (discrete_profiles(hier3, u, p, beta, base, arith).sum_energy, beta_exact,
+         lambda a: discrete_profiles(hier3, u, p, beta, _E(hier3, u, p, 1, a), a).sum_energy),
+        (jump_kernel_energy(hier3, p, beta, base, arith), beta_exact,
+         lambda a: jump_kernel_energy(hier3, p, beta, _E(hier3, u, p, 1, a), a)),
     )
     for value, exact, of in cases:
         assert type(value) is (Fraction if exact else float)

@@ -434,13 +434,15 @@ def test_besov_computes_each_ball_energy_once(tmp_path, monkeypatch, overrides):
     hier = Hierarchy(config.ratio_sequence(), m)
     u = diagonal_ramp()
     rows = []
+    balls = lambda: besov.ball_energies(hier, u, config.p, m, N, EXACT)
     for beta in config.beta_grid:
-        prof = besov.phi_profile(hier, u, config.p, beta, m, N)
-        dprof = besov.discrete_profiles(hier, u, config.p, beta, N)
+        prof = besov.phi_profile(hier, config.p, beta, m, balls(), EXACT)
+        base = energy.energy_limit(hier, u, config.p, N, EXACT).energies
+        dprof = besov.discrete_profiles(hier, u, config.p, beta, base, EXACT)
         for n in range(N + 1):
             rows.append((beta, n, float(prof.ball_energies[n]),
                          float(prof.phi_proxy[n]), float(dprof.beta_energies[n])))
-    wm = besov.weak_monotonicity_report(hier, u, config.p, m, N, (max(1, N - 2), N))
+    wm = besov.weak_monotonicity_report(hier, config.p, m, (max(1, N - 2), N), balls(), EXACT)
     ref = tmp_path / "ref"
     meta = config_hash(config.to_canonical_dict())
     write_csv(ref / "besov_profiles.csv",
@@ -512,7 +514,7 @@ def test_besov_and_bbm_honour_float_mode(tmp_path, monkeypatch):
     # 501 vertices at the vertex level: rational mode sums every ball exactly
     path = write_config(tmp_path, {"depth": 1, "vertex_level": 3})
     calls, seen = [], {}
-    pair_sum, sweep = besov.ball_pair_sum_indexed, besov.energy_limit
+    pair_sum, sweep = besov.ball_pair_sum_indexed, energy.energy_limit
 
     def spy_pairs(level, values, *args, **kwargs):
         calls.append(("ball", isinstance(values, tuple)))
@@ -523,7 +525,7 @@ def test_besov_and_bbm_honour_float_mode(tmp_path, monkeypatch):
         return sweep(hier, u, p, max_level, arith)
 
     monkeypatch.setattr(besov, "ball_pair_sum_indexed", spy_pairs)
-    monkeypatch.setattr(besov, "energy_limit", spy_levels)
+    monkeypatch.setattr(energy, "energy_limit", spy_levels)
     for mode in ("rational", "float"):
         for cmd in ("besov", "bbm"):
             calls.clear()
@@ -596,9 +598,9 @@ def test_selftest_honours_float_mode(tmp_path, monkeypatch):
         seen.append(("sweep", arith is EXACT))
         return sweep(hier, u, p, max_level, arith)
 
-    def spy_curve(*args, arith, **kwargs):
+    def spy_curve(hier, u, p, epsilons, energies, arith):
         seen.append(("bbm", arith is EXACT))
-        return curve(*args, arith=arith, **kwargs)
+        return curve(hier, u, p, epsilons, energies, arith)
 
     monkeypatch.setattr(selftest, "energy_limit", spy_sweep)
     monkeypatch.setattr(selftest, "bbm_curve", spy_curve)

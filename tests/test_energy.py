@@ -132,6 +132,32 @@ def test_cell_edges_are_the_edges_below_the_word(hier3, hier35):
                     assert np.array_equal(got, np.flatnonzero(owner == w)), (n, k, w)
 
 
+@pytest.mark.parametrize("p", (2, 3))
+def test_cell_energy_per_group_is_the_per_edge_loop(hier3, hier35, p):
+    """With both ``cell=`` and ``group=``, each group's sum runs over the
+    cell's edges only: a loop over the edges whose level-k ancestor is w,
+    adding L^{p-1} |du|^p into the edge's group, in both arithmetics."""
+    for hier in (hier3, hier35):
+        level = hier.level(2)
+        u = random_affine(hier, 11)
+        den, ints = EXACT.values_at(hier, u, 2)
+        fl = FLOAT.values_at(hier, u, 2)
+        group, num = level.edge_word, level.num_cells
+        for k in range(3):
+            owner = level.edge_word // ancestor_index_stride(hier.ratios, 2, k)
+            for w in range(hier.ratios.num_words(k)):
+                want_exact, want_float = [Fraction(0)] * num, [0.0] * num
+                for e in np.flatnonzero(owner == w).tolist():
+                    a, b = level.edge_tail[e], level.edge_head[e]
+                    d = int(ints[b]) - int(ints[a])
+                    want_exact[group[e]] += Fraction(level.L ** (p - 1) * abs(d) ** p, den**p)
+                    want_float[group[e]] += float(level.L) ** (p - 1) * abs(fl[b] - fl[a]) ** p
+                kw = dict(cell=(k, w), group=group, num_groups=num)
+                assert EXACT.energy(level, (den, ints), p, **kw) == want_exact, (k, w)
+                got = FLOAT.energy(level, fl, p, **kw)
+                assert got == pytest.approx(want_float, rel=1e-12, abs=1e-300), (k, w)
+
+
 def test_gradient_field_slopes(hier3):
     u = diagonal_ramp()
     g0 = gradient_field(hier3, u, 0)
@@ -457,14 +483,20 @@ def test_arm_directions_outside_1_to_4_are_rejected(hier3):
 
 
 def test_clarkson_directions(hier3):
+    level = hier3.level(3)
+
+    def residual(f, g, p, arith):
+        E = lambda w: arith.energy(level, arith.values_at(hier3, w, 3), p)
+        return clarkson_residual(hier3, f, g, p, 3, (E(f), E(g)), arith)
+
     for seed in range(100):
         f = random_affine(hier3, 100 + seed)
         g = random_affine(hier3, 300 + seed)
-        res2, ok2 = clarkson_residual(hier3, f, g, 2, 3)
+        res2, ok2 = residual(f, g, 2, EXACT)
         assert ok2 and abs(res2) <= 1e-9
-        res3, ok3 = clarkson_residual(hier3, f, g, 3, 3)
+        res3, ok3 = residual(f, g, 3, EXACT)
         assert ok3 and res3 <= 1e-9
-        res15, ok15 = clarkson_residual(hier3, f, g, 1.5, 3, arith=FLOAT)
+        res15, ok15 = residual(f, g, 1.5, FLOAT)
         assert ok15 and res15 >= -1e-9
 
 
@@ -502,10 +534,10 @@ def test_morrey_constant_tiles_keep_the_dense_maximum(hier3, hier35):
         u = random_affine(hier, 9)
         for p in (2, 3, 1.5):
             E = float(FLOAT.energy(hier.level(4), FLOAT.values_at(hier, u, 4), p))
-            assert morrey_constant(hier, u, p, 4, energy=E) == _dense_morrey(hier, u, p, 4, E)
+            assert morrey_constant(hier, u, p, 4, E) == _dense_morrey(hier, u, p, 4, E)
         tracemalloc.start()
         try:
-            morrey_constant(hier, u, 3, 4, energy=E)
+            morrey_constant(hier, u, 3, 4, E)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -530,8 +562,6 @@ def test_exact_routes_reject_non_integer_p(hier3):
         energy_limit(hier3, u, 2.5, n, arith=EXACT)
     with pytest.raises(InvalidArgumentError):
         EXACT.energy(hier3.level(n), EXACT.values_at(hier3, u, n), 2.5)
-    with pytest.raises(InvalidArgumentError):
-        morrey_constant(hier3, u, 2.5, n)
     # the float routes take it, and differ from the p = 2 energy
     e = energy_limit(hier3, u, 2.5, n, arith=FLOAT).limit
     assert isinstance(e, float)

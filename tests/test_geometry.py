@@ -352,38 +352,3 @@ def test_hierarchy_budget_checked_at_construction():
         hier.level(5)
     with pytest.raises(LevelError):
         hier.transition(4)
-
-
-def test_hierarchy_builds_each_level_once_across_threads(monkeypatch):
-    import sys
-    import threading
-
-    from vicsek_lab import geometry
-
-    built = []
-    real = geometry.build_level
-
-    def counting(ratios, n, budget=geometry.DEFAULT_CELL_BUDGET):
-        built.append(n)
-        return real(ratios, n, budget)
-
-    monkeypatch.setattr(geometry, "build_level", counting)
-    hier = geometry.Hierarchy(constant_ratios(3, 12), 4)
-    got = []
-
-    def work():
-        got.append([hier.level(k) for k in range(5)] + [hier.transition(k) for k in range(4)])
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work) for _ in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert sorted(built) == list(range(5))
-    assert len(got) == 6 and all(all(a is b for a, b in zip(g, got[0])) for g in got)

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 from _pairsum_oracle import (
     ball_pair_sum_per_block,
+    ball_row_stats,
     ball_rows_double_loop,
     cell_layouts,
     same_partition,
 )
 
 from vicsek_lab import pairsum
-from vicsek_lab.besov import weak_monotonicity_report
+from vicsek_lab.besov import ball_energies, weak_monotonicity_report
 from vicsek_lab.energy import (
     EXACT,
     FLOAT,
@@ -24,7 +25,6 @@ from vicsek_lab.geometry import Hierarchy, build_level, within_open_ball
 from vicsek_lab.pairsum import (
     ball_pair_sum_bruteforce,
     ball_pair_sum_indexed,
-    ball_row_stats,
     pair_plan,
 )
 from vicsek_lab.ratios import alternating_ratios, constant_ratios, periodic_ratios
@@ -106,7 +106,8 @@ def test_float_pair_sum_bits_are_pinned(hier3, hier35):
     vals35 = FLOAT.values_at(hier35, u, 4)
     assert repr(ball_pair_sum_indexed(hier35.level(4), vals35, 3, 1, FLOAT)) == "122679.57027371347"
     # the README config: l = 3, p = 2, depth 4, vertex_level 6
-    wm = weak_monotonicity_report(hier3, u, 2, 6, 4, (2, 4))
+    balls = ball_energies(hier3, u, 2, 6, 4, EXACT)
+    wm = weak_monotonicity_report(hier3, 2, 6, (2, 4), balls, EXACT)
     assert repr(wm.ratio) == "1.0496848096751399"
 
 
