@@ -10,9 +10,10 @@ functional is estimated by the proxy
 with I_{m,n} the vertex-measure ball energy.  Every report is a function of
 one energy sequence, E_{p,n} (``energy_limit``) or I_{m,n}
 (``ball_energies``) for n = 0..N, and takes it with the ``Arithmetic`` it
-was computed in; N is its length less one.  Geometric tails are summed in
-log space because phi(rho_n) underflows doubles long before the tail
-becomes negligible.
+was computed in; N is its length less one.  The float weights come from
+one walk of log phi(rho_n), ``_log_phis``, in log space because
+phi(rho_n) underflows doubles long before a geometric tail becomes
+negligible; only ``bbm_curve`` sums a tail past N (``_plateau_tail``).
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from itertools import islice
+from typing import Iterator, Optional, Sequence
 
 from .errors import InvalidArgumentError, LevelError
 from .geometry import Hierarchy, VicsekLevel
@@ -31,11 +33,6 @@ from .pairsum import ball_pair_sum_indexed
 
 # relative and absolute slack of bbm_curve's bracket test, for float rounding
 _BRACKET_TOL = 1e-9
-
-
-def vertex_measure_weight(level: VicsekLevel) -> Fraction:
-    """Uniform weight of the vertex measure: 1/#V_m per vertex."""
-    return Fraction(1, level.num_vertices)
 
 
 def ball_energy(
@@ -155,14 +152,47 @@ def besov_seminorm(
 # ---------------------------------------------------------------------------
 
 
-def _log_phi(ratios: RatioSequence, n: int) -> float:
-    """log phi(rho_n) accumulated in floats (safe far past double underflow)."""
+def _log_phis(ratios: RatioSequence) -> Iterator[float]:
+    """log phi(rho_0), log phi(rho_1), ... as one running float sum (safe
+    far past double underflow); the ratio l_n is read only when its term is."""
     p1 = float(ratios.p) - 1.0
     out = p1 * math.log(2.0)
-    for k in range(1, n + 1):
+    k = 0
+    while True:
+        yield out
+        k += 1
         l = ratios.ratio(k)
         out -= p1 * math.log(l) + math.log(2 * l - 1)
-    return out
+
+
+def _log_phi(ratios: RatioSequence, n: int) -> float:
+    """log phi(rho_n), the n-th term of ``_log_phis``."""
+    return next(islice(_log_phis(ratios), n, None))
+
+
+def _beta_factors(ratios: RatioSequence, beta, count: int) -> list[float]:
+    """phi(rho_n)^(1 - beta/beta*) for n < count, in floats: exactly 1.0 at beta*."""
+    expo = 1.0 - float(beta) / float(ratios.beta_star)
+    return [math.exp(expo * x) for x in islice(_log_phis(ratios), count)]
+
+
+def _plateau_tail(ratios: RatioSequence, beta, N: int, plateau: float) -> float:
+    """sum_{n>N} phi(rho_n)^(1 - beta/beta*) * plateau, summed until a term
+    falls below 1e-18 of the total: the part past N of E_{p,p}^beta for
+    energies equal to ``plateau`` beyond N.  It needs beta < beta* (in
+    floats) and a ratio sequence extendable beyond the prefix."""
+    beta_star = float(ratios.beta_star)
+    if float(beta) >= beta_star:
+        raise InvalidArgumentError("plateau tail diverges unless beta < beta_star")
+    expo = 1.0 - float(beta) / beta_star
+    acc = 0.0
+    for n, log_phi in enumerate(islice(_log_phis(ratios), N + 1, None), start=N + 1):
+        term = math.exp(expo * log_phi) * plateau
+        acc += term
+        if term <= 1e-18 * max(acc, 1e-300) and n > N + 4:
+            return acc
+        if n > N + 2_000_000:
+            raise InvalidArgumentError("plateau tail did not converge")
 
 
 @dataclass(frozen=True)
@@ -174,8 +204,7 @@ class DiscreteBetaProfile:
     base_energies: tuple  # E_{p,n} = E_n^{beta*}
     beta_energies: tuple  # E_n^beta
     sup_energy: object  # E_{p,inf}^beta over n <= N
-    sum_energy: object  # E_{p,p}^beta, tail included when requested
-    tail: Optional[float] = None
+    sum_energy: object  # E_{p,p}^beta over n <= N
 
 
 def discrete_profiles(
@@ -185,71 +214,32 @@ def discrete_profiles(
     beta: float,
     energies: Sequence,
     arith: Arithmetic,
-    tail: Optional[str] = None,
 ) -> DiscreteBetaProfile:
-    """E_n^beta for n <= N plus the sup and sum aggregates.
+    """E_n^beta for n <= N plus their sup and sum over n <= N.
 
     ``energies`` are the E_{p,n} of u for n = 0..N in ``arith``
     (``energy_limit(...).energies``); they do not depend on beta, so one
-    sequence serves every profile of (u, p).  ``tail="plateau"`` appends
-    the closed geometric tail sum_{n>N} phi(rho_n)^{1-beta/beta*} *
-    E_plateau, valid because the base energies of an affine function are
-    exactly constant beyond the base level; it requires beta < beta* and a
-    ratio sequence extendable beyond the prefix.  The E_n^beta and their sum
-    are in ``beta_arithmetic(arith, ratios, beta)``.
+    sequence serves every profile of (u, p).  The E_n^beta and their sum
+    are in ``beta_arithmetic(arith, ratios, beta)``.  The part of the sum
+    past N is ``bbm_curve``'s.
     """
     if beta < 0:
         raise InvalidArgumentError(f"beta must be >= 0, got {beta}")
-    if tail not in (None, "plateau"):
-        raise InvalidArgumentError(f"unknown tail mode {tail!r}")
     ratios = hier.ratios.with_p(p)  # phi at this p
-    beta_star = float(ratios.beta_star)
     base = list(energies)
-    max_scale = len(base) - 1
     at = beta_arithmetic(arith, ratios, beta)
-    # at beta* the factor is exp(0) = 1 exactly, so E_n^beta = E_{p,n} in ``at``
-    expo = 1.0 - float(beta) / beta_star
-    beta_energies = [
-        at.num(math.exp(expo * _log_phi(ratios, n))) * at.num(e) for n, e in enumerate(base)
-    ]
-    sup_e = max(beta_energies)
-    sum_e = at.total(beta_energies)
-    tail_value = None
-    if tail == "plateau":
-        if u.base_level > max_scale:
-            raise InvalidArgumentError(
-                "plateau tail needs the base level within the computed range"
-            )
-        if float(beta) >= beta_star:
-            raise InvalidArgumentError(
-                "plateau tail diverges unless beta < beta_star"
-            )
-        plateau = float(base[max_scale])
-        acc = 0.0
-        log_phi = _log_phi(ratios, max_scale)
-        n = max_scale
-        while True:
-            n += 1
-            l = ratios.ratio(n)
-            log_phi -= (float(ratios.p) - 1.0) * math.log(l) + math.log(2 * l - 1)
-            term = math.exp(expo * log_phi) * plateau
-            acc += term
-            if term <= 1e-18 * max(acc, 1e-300) and n > max_scale + 4:
-                break
-            if n > max_scale + 2_000_000:
-                raise InvalidArgumentError("plateau tail did not converge")
-        tail_value = acc
-        sum_e = float(sum_e) + acc
+    # at beta* every factor is exp(0) = 1 exactly, so E_n^beta = E_{p,n} in ``at``
+    factors = _beta_factors(ratios, beta, len(base))
+    beta_energies = [at.num(f) * at.num(e) for f, e in zip(factors, base)]
     return DiscreteBetaProfile(
         p=p,
         beta=float(beta),
-        beta_star=beta_star,
-        max_scale=max_scale,
+        beta_star=float(ratios.beta_star),
+        max_scale=len(base) - 1,
         base_energies=tuple(base),
         beta_energies=tuple(beta_energies),
-        sup_energy=sup_e,
-        sum_energy=sum_e,
-        tail=tail_value,
+        sup_energy=max(beta_energies),
+        sum_energy=at.total(beta_energies),
     )
 
 
@@ -319,9 +309,12 @@ def bbm_curve(
     the plateau level, the value lies in
     [eps E phi(rho_n0)^delta / (1 - sup_t^-delta),
      eps E phi(rho_0)^delta / (1 - inf_t^-delta)].
-    As eps -> 0 both ends converge to E beta* / log t.  Each sum carries
-    the closed plateau tail of ``discrete_profiles``.  ``energies`` are the
-    E_{p,n} of u for n = 0..N in ``arith``, shared by every epsilon.
+    As eps -> 0 both ends converge to E beta* / log t.  Each sum is
+    sum_{n<=N} E_n^beta of ``discrete_profiles`` plus the closed tail past N
+    (``_plateau_tail``), exact because the E_{p,n} of an affine function are
+    constant from its base level on, which must lie within 0..N.
+    ``energies`` are the E_{p,n} of u for n = 0..N in ``arith``, shared by
+    every epsilon.
     """
     ratios = hier.ratios.with_p(p)  # phi and t_l at this p
     beta_star = float(ratios.beta_star)
@@ -330,27 +323,23 @@ def bbm_curve(
             raise InvalidArgumentError(
                 f"epsilon must lie in (0, beta_star), got {eps}"
             )
+    N = len(energies) - 1
+    n0 = u.base_level
+    if n0 > N:
+        raise InvalidArgumentError(
+            f"plateau tail needs the base level {n0} within the computed range 0..{N}"
+        )
     consts = derived_constants(ratios)
     E = float(energies[-1])
-    n0 = u.base_level
+    log_phi_0, log_phi_n0 = _log_phi(ratios, 0), _log_phi(ratios, n0)
     points = []
     for eps in epsilons:
         beta = beta_star - eps
-        prof = discrete_profiles(hier, u, p, beta, energies, arith, tail="plateau")
-        value = eps * float(prof.sum_energy)
+        prof = discrete_profiles(hier, u, p, beta, energies, arith)
+        value = eps * (float(prof.sum_energy) + _plateau_tail(ratios, beta, N, E))
         delta = eps / beta_star
-        lo = (
-            eps
-            * E
-            * math.exp(delta * _log_phi(ratios, n0))
-            / (1.0 - consts.sup_t ** (-delta))
-        )
-        hi = (
-            eps
-            * E
-            * math.exp(delta * _log_phi(ratios, 0))
-            / (1.0 - consts.inf_t ** (-delta))
-        )
+        lo = eps * E * math.exp(delta * log_phi_n0) / (1.0 - consts.sup_t ** (-delta))
+        hi = eps * E * math.exp(delta * log_phi_0) / (1.0 - consts.inf_t ** (-delta))
         tol = _BRACKET_TOL
         ok = lo * (1.0 - tol) - tol <= value <= hi * (1.0 + tol) + tol
         points.append(BBMPoint(eps, beta, value, lo, hi, bool(ok)))
@@ -393,10 +382,7 @@ def critical_sweep(
     for beta in beta_grid:
         prof = discrete_profiles(hier, u, p, beta, energies, arith)
         vals = [float(x) for x in prof.beta_energies]
-        growth = tuple(
-            math.exp((1.0 - beta / beta_star) * _log_phi(ratios, n))
-            for n in range(max_scale + 1)
-        )
+        growth = tuple(_beta_factors(ratios, beta, max_scale + 1))
         if beta > beta_star:
             cls = "divergent"
         elif beta == beta_star:

@@ -91,6 +91,7 @@ def _write_bbm_curve(out: Path, curve, meta: str) -> None:
 
 
 def _cmd_measure(config: ExperimentConfig, out: Path, meta: str) -> int:
+    from .geometry import LatticePoint
     from .measure import (derived_constants, mu_ball_bounds, psi_ratio_bounds,
                           regularized_scales)
 
@@ -111,8 +112,7 @@ def _cmd_measure(config: ExperimentConfig, out: Path, meta: str) -> int:
         meta,
     )
 
-    level = build_level(ratios, min(config.depth, 2), budget=config.cell_budget)
-    origin = level.vertex_point(level.origin)
+    origin = LatticePoint(0, 0, 0)  # the origin vertex at every level
     rows = []
     for k in range(1, 3 * config.depth + 1):
         r = Fraction(2) * Fraction(9, 10) ** k

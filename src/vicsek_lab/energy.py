@@ -174,7 +174,8 @@ class Arithmetic:
 
     The pair sums take from it only what differs: values as a (V, F) array
     and, if integer, their max |v|, a tile's |d|^p sum under a mask, the
-    block terms' dtype and total, and a brute-force tile's in-ball power total.
+    block terms' dtype, and a brute-force tile's in-ball power total; the
+    block terms are added up in plan order alike in both.
     """
 
     name: str
@@ -303,9 +304,6 @@ class _Exact(Arithmetic):
         d = _diff_tile(va, vb, buf)
         return _power_sums(d.ravel() if mask is None else d[mask], p)[0]
 
-    def _plan_total(self, terms: np.ndarray) -> np.ndarray:
-        return terms.sum(axis=0)
-
     def _ball_total(self, mask: np.ndarray, t: np.ndarray) -> int:
         # a tile has at most _CHUNK entries: their 32-bit halves sum in int64
         t = t[mask].ravel()
@@ -366,16 +364,6 @@ class _Float(Arithmetic):
         d = _diff_tile(va, vb, buf)
         _abs_pow(d, p)
         return d.sum(axis=(0, 1)) if mask is None else np.einsum("ij,ijf->f", mask, d)
-
-    def _plan_total(self, terms: np.ndarray) -> np.ndarray:
-        """The rows added one by one in plan order, a chunk of rows at a time."""
-        step = max(1, _CHUNK // (4 * terms.shape[1]))
-        total = np.zeros(terms.shape[1])
-        for s in range(0, len(terms), step):
-            chunk = terms[s : s + step]
-            chunk[0] += total
-            total = chunk.cumsum(axis=0)[-1]
-        return total
 
     def _ball_total(self, mask: np.ndarray, t: np.ndarray) -> np.ndarray:
         return np.einsum("ij,ijf->f", mask, t)

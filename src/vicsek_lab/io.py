@@ -76,11 +76,6 @@ def _write_chunks(path: Path, chunks: Iterable[bytes]) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def json_text(obj: Any) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True, default=_jsonify)``, byte for byte."""
-    return b"".join(_json_chunks(obj, 0)).decode()
-
-
 def _json_chunks(obj: Any, depth: int) -> Iterator[bytes]:
     """The indented JSON of ``obj`` as ASCII chunks.
 

@@ -169,10 +169,10 @@ def hausdorff_report(
 ) -> HausdorffDiagnostics:
     """Dimension value plus theta_n / eta_n / xi_n over a finite prefix.
 
-    ``prefix`` is a 0/1 pattern (0 selects a, 1 selects b) or a sequence of
-    the ratios themselves.  The asymptotic regime of eta is an input: limits
-    are not computable from finite data, so the classification of the
-    Hausdorff measure, Ahlfors regularity, and the non-self-similarity
+    ``prefix`` is the sequence of the ratios l_1, l_2, ..., each a or b.
+    The asymptotic regime of eta is an input: limits are not computable
+    from finite data, so the classification of the Hausdorff measure,
+    Ahlfors regularity, and the non-self-similarity
     conditions are evaluated from the supplied flags (each one of
     "-inf", "real", "+inf", or None for unknown).
     """
@@ -185,33 +185,26 @@ def hausdorff_report(
             raise InvalidArgumentError(f"regime flag {flag!r} not in {REGIME_VALUES}")
     if not prefix:
         raise InvalidArgumentError("prefix must be nonempty")
+    for item in prefix:  # before any cast: 3.5 is rejected, not truncated
+        if item not in (a, b):
+            raise InvalidArgumentError(f"prefix entry {item!r} is neither ratio")
 
     degenerate = a == b
     alpha = (
         dimension_of_ratio(a) if degenerate else hausdorff_dimension(a, b, theta)
     )
 
-    theta_seq: list[float] = []
-    eta_seq: list[float] = []
-    xi_seq: list[float] = []
-    count_a = 0
-    count_b = 0
-    log_diam = 0.0  # log rho_n (sum of -log l plus log 2)
-    log_inv_psi = 0.0
-    for n, item in enumerate(prefix, start=1):
-        l = {0: a, 1: b}.get(item, item)
-        if l not in (a, b):
-            raise InvalidArgumentError(f"prefix entry {item!r} is neither ratio")
-        if l == a:
-            count_a += 1
-        if l == b:
-            count_b += 1
-        log_diam -= math.log(l)
-        log_inv_psi += math.log(2 * l - 1)
-        th = count_a / count_b if count_b else math.inf
-        theta_seq.append(th)
-        eta_seq.append(n * (th - theta) if math.isfinite(th) else math.inf)
-        xi_seq.append(math.exp(alpha * (math.log(2.0) + log_diam) + log_inv_psi))
+    ls = np.array(prefix)
+    n = np.arange(1, ls.size + 1)
+    count_a, count_b = np.cumsum(ls == a), np.cumsum(ls == b)
+    # theta_n = #a / #b; log(rho_n / 2) and log 1/psi(rho_n) are running sums
+    theta_seq = np.where(count_b > 0, count_a / np.maximum(count_b, 1), math.inf)
+    eta_seq = n * (theta_seq - theta)  # inf where theta_n is
+    log_diam = np.cumsum(np.where(ls == a, -math.log(a), -math.log(b)))
+    log_inv_psi = np.cumsum(np.where(ls == a, math.log(2 * a - 1), math.log(2 * b - 1)))
+    xi = alpha * (math.log(2.0) + log_diam) + log_inv_psi
+    theta_seq, eta_seq = theta_seq.tolist(), eta_seq.tolist()
+    xi_seq = [math.exp(x) for x in xi.tolist()]
 
     if degenerate:
         return HausdorffDiagnostics(

@@ -315,7 +315,8 @@ def _evaluate(plan: PairPlan, idx: CellPairIndex, vs: np.ndarray, p, arith: Arit
     prefix moments in chunks of rows, leaf classes by ``_square_sums`` (``top``
     is max |v|).  Other blocks are summed tile by tile over the sub-blocks of
     their group: a p != 2 full block alone, a leaf class from one mask built
-    once per call.  ``arith`` sums a tile and adds the rows up in plan order.
+    once per call.  ``arith`` sums a tile; the rows are added up one by one
+    in plan order, in place, in either arithmetic.
     """
     F = vs.shape[1]
     terms = np.zeros((len(plan.blocks), F), dtype=arith._term_dtype)
@@ -356,7 +357,7 @@ def _evaluate(plan: PairPlan, idx: CellPairIndex, vs: np.ndarray, p, arith: Arit
                 arith._tile_sum(vs[loa + i0 : loa + i1], vs[lob + j0 : lob + j1], p, mask, buf)
                 for i0, i1, j0, j1, mask in subs
             )
-    return arith._plan_total(terms)
+    return np.cumsum(terms, axis=0, out=terms)[-1]
 
 
 def _class_rows(leaf_class: np.ndarray) -> list[np.ndarray]:

@@ -150,16 +150,12 @@ class RatioSequence:
 
 def constant_ratios(l: int, depth: int, p=2, beta_star: float = 1.0) -> RatioSequence:
     """l, l, l, ... extended indefinitely."""
-    _check_ratio(l)
-    return RatioSequence((l,) * depth, p, beta_star, extend=lambda k: l)
+    return periodic_ratios((l,), depth, p, beta_star)
 
 
 def alternating_ratios(a: int, b: int, depth: int, p=2, beta_star: float = 1.0) -> RatioSequence:
     """a, b, a, b, ... extended indefinitely."""
-    _check_ratio(a)
-    _check_ratio(b)
-    seq = tuple(a if k % 2 == 1 else b for k in range(1, depth + 1))
-    return RatioSequence(seq, p, beta_star, extend=lambda k: a if k % 2 == 1 else b)
+    return periodic_ratios((a, b), depth, p, beta_star)
 
 
 def periodic_ratios(block: Sequence[int], depth: int, p=2, beta_star: float = 1.0) -> RatioSequence:

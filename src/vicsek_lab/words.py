@@ -115,10 +115,7 @@ def ancestor_index_stride(ratios: RatioSequence, level: int, ancestor_level: int
     """Dividing a level word index by this gives its ancestor's index."""
     if not 0 <= ancestor_level <= level:
         raise LevelError(f"ancestor level {ancestor_level} not in [0, {level}]")
-    out = 1
-    for k in range(ancestor_level + 1, level + 1):
-        out *= 2 * ratios.ratio(k) - 1
-    return out
+    return ratios.num_words(level) // ratios.num_words(ancestor_level)
 
 
 def word_string(word: Word) -> str:

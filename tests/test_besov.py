@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from vicsek_lab.besov import (
     discrete_profiles,
     jump_kernel_energy,
     phi_profile,
-    vertex_measure_weight,
     weak_monotonicity_report,
 )
 from vicsek_lab.energy import (
@@ -57,14 +57,6 @@ def _E(hier, u, p, N, arith=EXACT):
 def _phi(hier, u, p, beta, m, N, arith=EXACT):
     """The ball-functional profile of u from its I_{m,n}, n = 0..N."""
     return phi_profile(hier, p, beta, m, ball_energies(hier, u, p, m, N, arith), arith)
-
-
-def test_vertex_measure_weights(hier3):
-    assert vertex_measure_weight(hier3.level(0)) == Fraction(1, 5)
-    assert vertex_measure_weight(hier3.level(1)) == Fraction(1, 21)
-    for n in (0, 1, 2):
-        lv = hier3.level(n)
-        assert vertex_measure_weight(lv) * lv.num_vertices == 1
 
 
 def test_ball_energy_constant_zero(hier3):
@@ -213,16 +205,30 @@ def test_discrete_profiles_scaling_identity_bitwise(hier3):
                 assert float(prof.beta_energies[n]) == want  # bit-exact
 
 
-def test_discrete_profiles_closed_form_tail(hier3):
+def test_bbm_plateau_tail_closed_form(hier3):
     # (beta* - beta) E_{p,p}^beta for the ramp on constant-3 ratios:
-    # eps * 2^{eps-1} / (1 - 15^{-eps})
+    # eps * 2^{eps-1} / (1 - 15^{-eps}), the sum up to N plus the tail past N
+    from vicsek_lab.besov import _plateau_tail
+
     u = diagonal_ramp()
-    for eps in (0.01, 0.02):
-        prof = discrete_profiles(hier3, u, 2, 1.0 - eps, _E(hier3, u, 2, 6), EXACT, "plateau")
-        closed = eps * 2 ** (eps - 1) / (1 - 15.0 ** (-eps))
-        assert eps * prof.sum_energy == pytest.approx(closed, rel=1e-12)
+    curve = bbm_curve(hier3, u, 2, [0.01, 0.02], _E(hier3, u, 2, 6), EXACT)
+    for pt in curve.points:
+        closed = pt.epsilon * 2 ** (pt.epsilon - 1) / (1 - 15.0 ** (-pt.epsilon))
+        assert pt.value == pytest.approx(closed, rel=1e-12)
+    # the tail diverges at beta*, also where beta* - eps rounds to beta*
     with pytest.raises(InvalidArgumentError):
-        discrete_profiles(hier3, u, 2, 1.0, _E(hier3, u, 2, 4), EXACT, tail="plateau")
+        _plateau_tail(hier3.ratios, 1.0, 4, 0.5)
+    with pytest.raises(InvalidArgumentError):
+        bbm_curve(hier3, u, 2, [1e-17], _E(hier3, u, 2, 4), EXACT)
+
+
+def test_bbm_curve_needs_the_base_level_within_range(hier3):
+    u = random_affine(hier3, 7)
+    assert u.base_level > 1
+    with pytest.raises(InvalidArgumentError):
+        bbm_curve(hier3, u, 2, [0.1], _E(hier3, u, 2, 1), EXACT)
+    curve = bbm_curve(hier3, u, 2, [0.1], _E(hier3, u, 2, u.base_level), EXACT)
+    assert curve.points[0].within_bracket
 
 
 def test_jump_kernel_identity(hier3):
@@ -289,23 +295,18 @@ def test_jump_kernel_uses_given_energies(hier3):
 
 def test_partial_sum_bracket(hier3):
     # sum_{k>=n} phi(rho_k)^delta within the two-sided geometric estimate
-    from vicsek_lab.besov import _log_phi
+    from vicsek_lab.besov import _log_phis
 
-    rs = RatioSequence((3, 5, 3, 5, 3, 5, 3, 5, 3, 5), p=2)
+    rs = RatioSequence((3, 5, 3, 5, 3, 5, 3, 5, 3, 5), p=2, extend=lambda k: (3, 5)[(k - 1) % 2])
     consts = derived_constants(rs)
     for delta in (0.5, 1.0, 2.0):
         for n in (0, 1, 2):
-            total = 0.0
-            log_phi = _log_phi(rs, n)
-            k = n
-            term = math.exp(delta * log_phi)
-            while term > 1e-22 * max(total, 1.0):
+            terms = (math.exp(delta * x) for x in islice(_log_phis(rs), n, None))
+            phi_n = total = next(terms)
+            for term in terms:
+                if term <= 1e-22 * max(total, 1.0):
+                    break
                 total += term
-                k += 1
-                l = rs.ratio(k) if k <= 10 else rs.ratio((k - 1) % 2 + 1)
-                log_phi -= (float(rs.p) - 1.0) * math.log(l) + math.log(2 * l - 1)
-                term = math.exp(delta * log_phi)
-            phi_n = math.exp(delta * _log_phi(rs, n))
             lo = phi_n / (1.0 - consts.sup_t ** (-delta))
             hi = phi_n / (1.0 - consts.inf_t ** (-delta))
             assert lo * (1 - 1e-9) <= total <= hi * (1 + 1e-9)

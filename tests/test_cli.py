@@ -483,8 +483,8 @@ def test_selftest_prints_details_on_pass(tmp_path, capsys):
 @pytest.mark.parametrize("mode", ["rational", "float"])
 def test_beta_scaling_identity_catches_a_wrong_log_phi(tmp_path, monkeypatch, mode):
     """The selftest checks the beta-energy profiles against phi(rho_n) from
-    the measure's scale values, not against the profiles' own ``_log_phi``,
-    so a wrong ``_log_phi`` fails the check."""
+    the measure's scale values, not against the profiles' own walk
+    ``_log_phis``, so a wrong walk fails the check."""
     config = load_config(write_config(tmp_path, {"depth": 2, "vertex_level": 2, "mode": mode}))
 
     def beta_scaling_ok():
@@ -492,13 +492,13 @@ def test_beta_scaling_identity_catches_a_wrong_log_phi(tmp_path, monkeypatch, mo
         return {name: ok for name, ok, _ in checks}["beta_scaling_identity"]
 
     assert beta_scaling_ok()
-    log_phi = besov._log_phi
+    log_phis = besov._log_phis
 
-    def wrong(ratios, n):
-        return log_phi(ratios, n) * (1.0 + 1e-9)
+    def wrong(ratios):
+        return (x * (1.0 + 1e-9) for x in log_phis(ratios))
 
-    monkeypatch.setattr(besov, "_log_phi", wrong)
-    monkeypatch.setattr(selftest, "_log_phi", wrong, raising=False)
+    monkeypatch.setattr(besov, "_log_phis", wrong)
+    monkeypatch.setattr(selftest, "_log_phis", wrong, raising=False)
     assert not beta_scaling_ok()
 
 

@@ -178,11 +178,19 @@ def test_hausdorff_report_classification():
 def test_hausdorff_report_degenerate_and_errors():
     rep = hausdorff_report(3, 3, [3, 3], 1.0)
     assert rep.degenerate and rep.non_self_similar is False
+    assert rep.theta_seq == (1.0, 1.0)  # every entry counts as both a and b
     for a in (4, 3.5):
         with pytest.raises(InvalidRatioError):
             hausdorff_report(a, 5, [a], 1.0)
     with pytest.raises(InvalidArgumentError):
         hausdorff_report(3, 5, [], 1.0)
+
+
+def test_hausdorff_prefix_entries_are_the_ratios():
+    # a 0/1 pattern is no prefix, and 3.5 is rejected, not truncated to 3
+    for prefix in ([0, 1], [3, 5, 1], [3, 3.5]):
+        with pytest.raises(InvalidArgumentError):
+            hausdorff_report(3, 5, prefix, 1.0)
 
 
 def test_hausdorff_sequences_match_block_formulas():
