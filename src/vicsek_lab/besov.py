@@ -29,7 +29,6 @@ from .geometry import Hierarchy, VicsekLevel
 from .measure import derived_constants, scale_values
 from .ratios import RatioSequence
 from .energy import EXACT, FLOAT, AffineFunction, Arithmetic
-from .pairsum import ball_pair_sum_indexed
 
 # relative and absolute slack of bbm_curve's bracket test, for float rounding
 _BRACKET_TOL = 1e-9
@@ -41,6 +40,8 @@ def ball_energy(
     """I_{m,n}: the double vertex-measure integral of |du|^p over open balls,
     of values held in ``arith``; a scale n past the level is rejected by the
     pair plan."""
+    from .pairsum import ball_pair_sum_indexed
+
     s = arith.unscale(ball_pair_sum_indexed(level, values, p, n, arith), values, p)
     return s / arith.num(level.num_vertices) ** 2
 

@@ -128,7 +128,7 @@ class ExperimentConfig:
                     f"explicit ratio list of length {len(seq)} shorter than the "
                     f"required depth {depth}; use a generator or a longer list"
                 )
-            return RatioSequence(seq[:depth], p, bs)
+            return RatioSequence(seq, p, bs)
         except ConfigError:
             raise
         except Exception as e:  # invalid ratio values etc.

@@ -822,11 +822,12 @@ def random_affine(hier: Hierarchy, seed: int, max_base_level: int = 3) -> Affine
     """Seeded test function: dyadic values i.i.d. in [-1, 1) on a random base.
 
     Values come from SplitMix64 (see prng module); the base level is the
-    seed's first draw modulo (max_base_level + 1).
+    seed's first draw modulo (max_base_level + 1), capped at the
+    hierarchy's deepest level.
     """
     from .prng import SplitMix64
 
     rng = SplitMix64(seed)
-    base = rng.next_below(max_base_level + 1)
+    base = min(rng.next_below(max_base_level + 1), hier.max_level)
     count = hier.level(base).num_vertices
     return AffineFunction(base, [rng.next_unit_fraction() for _ in range(count)])

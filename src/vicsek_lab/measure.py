@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, LevelError
 from .geometry import LatticePoint, _cell_centers, radius2, square_vs_disk
-from .ratios import REGIME_VALUES, RatioSequence, _check_ratio, p_is_integer
+from .ratios import REGIME_VALUES, RatioSequence, _check_ratio, _in_a_run, p_is_integer
 from .words import Word
 
 
@@ -247,35 +247,19 @@ def _measure_class(a, b, liminf_eta, limsup_eta) -> Optional[str]:
 
 
 def example_sequence_eta_bound_holds(a: int, b: int, n_max: int) -> bool:
-    """Exact check of eta_n >= (2/3) sqrt(n) over the block example sequence.
+    """Exact check of eta_n >= (2/3) sqrt(n) for n <= n_max over the block
+    example sequence (the bound does not depend on the values of a and b).
 
     Works in integer arithmetic: eta_n = n (c_a - c_b) / c_b with theta = 1,
     and eta_n >= (2/3) sqrt(n)  <=>  9 n (c_a - c_b)^2 >= 4 c_b^2 (both
     sides nonnegative here).  Positions with c_b = 0 have eta_n = +inf.
-    The blocks (a repeated j+1 times, then b repeated j times) are walked
-    incrementally, so the whole prefix costs O(n_max).
     """
-    count_a = 0
     count_b = 0
-    n = 0
-    j = 1
-    while n < n_max:
-        for is_a in (True, False):
-            run = j + 1 if is_a else j
-            for _ in range(run):
-                n += 1
-                if n > n_max:
-                    return True
-                if is_a:
-                    count_a += 1
-                else:
-                    count_b += 1
-                if count_b == 0:
-                    continue
-                diff = count_a - count_b
-                if diff < 0 or 9 * n * diff * diff < 4 * count_b * count_b:
-                    return False
-        j += 1
+    for n in range(1, n_max + 1):
+        count_b += not _in_a_run(n)
+        diff = n - 2 * count_b  # c_a - c_b
+        if count_b and (diff < 0 or 9 * n * diff * diff < 4 * count_b * count_b):
+            return False
     return True
 
 

@@ -11,6 +11,7 @@ geometric tail summations need.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -31,34 +32,28 @@ def _check_ratio(l: int) -> int:
     return l
 
 
-def example_ratio(a: int, b: int, k: int) -> int:
-    """k-th ratio (1-based) of the block sequence a^2 b^1 a^3 b^2 a^4 b^3 ...
+def _in_a_run(k: int) -> bool:
+    """Whether position k (1-based) of the block sequence a^2 b^1 a^3 b^2 ...
+    holds a: block pair j fills positions j^2 .. j^2 + 2j, and a its first
+    j + 1, so with j = isqrt(k) the answer is k - j^2 <= j."""
+    j = math.isqrt(k)
+    return k - j * j <= j
 
-    Block pair j consists of a repeated j+1 times followed by b repeated j
-    times; pair j ends at position j^2 + 2j.
-    """
+
+def example_ratio(a: int, b: int, k: int) -> int:
+    """k-th ratio (1-based) of the block sequence a^2 b^1 a^3 b^2 a^4 b^3 ..."""
     _check_ratio(a)
     _check_ratio(b)
     if k < 1:
         raise InvalidArgumentError("ratio index must be >= 1")
-    j = 0
-    while (j + 1) * (j + 1) + 2 * (j + 1) < k:
-        j += 1
-    # position inside pair j+1, which spans ((j^2+2j), (j+1)^2+2(j+1)]
-    offset = k - (j * j + 2 * j)
-    return a if offset <= j + 2 else b
+    return a if _in_a_run(k) else b
 
 
 def example_prefix(a: int, b: int, n: int) -> tuple[int, ...]:
-    """The first n ratios of the block sequence of ``example_ratio``, in O(n)."""
+    """The first n ratios of the block sequence of ``example_ratio``."""
     _check_ratio(a)
     _check_ratio(b)
-    out: list[int] = []
-    j = 1
-    while len(out) < n:
-        out += [a] * (j + 1) + [b] * j
-        j += 1
-    return tuple(out[:n])
+    return tuple(a if _in_a_run(k) else b for k in range(1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -101,7 +96,7 @@ class RatioSequence:
         if self.extend is not None:
             return _check_ratio(self.extend(k))
         raise LevelError(
-            f"ratio index {k} beyond configured depth {len(self.ratios)}"
+            f"ratio l_{k} asked for, but only {len(self.ratios)} ratios were given"
         )
 
     def prefix(self, n: int) -> tuple[int, ...]:
@@ -136,11 +131,11 @@ class RatioSequence:
     # -- distinct ratios present -----------------------------------------
 
     def distinct_ratios(self) -> tuple[int, ...]:
-        """Sorted distinct ratios in the stored prefix.
+        """Sorted distinct ratios of the whole sequence.
 
-        Generator-backed sequences built by the factories below only ever
-        emit ratios already present in the prefix, so this is the alphabet
-        of the whole sequence.
+        An explicit list is stored whole, and the factories below store at
+        least one full period of their generator, so the stored prefix
+        already holds every ratio the sequence ever takes.
         """
         return tuple(sorted(set(self.ratios)))
 
@@ -159,17 +154,19 @@ def alternating_ratios(a: int, b: int, depth: int, p=2, beta_star: float = 1.0) 
 
 
 def periodic_ratios(block: Sequence[int], depth: int, p=2, beta_star: float = 1.0) -> RatioSequence:
-    """Periodic repetition of ``block`` extended indefinitely."""
+    """Periodic repetition of ``block`` extended indefinitely; at least one
+    whole block is stored."""
     block = tuple(_check_ratio(l) for l in block)
     if not block:
         raise InvalidArgumentError("block must be nonempty")
-    seq = tuple(block[(k - 1) % len(block)] for k in range(1, depth + 1))
+    seq = tuple(block[k % len(block)] for k in range(max(depth, len(block))))
     return RatioSequence(seq, p, beta_star, extend=lambda k: block[(k - 1) % len(block)])
 
 
 def example_sequence_ratios(a: int, b: int, depth: int, p=2, beta_star: float = 1.0) -> RatioSequence:
-    """The block sequence a^2 b a^3 b^2 a^4 b^3 ... as a RatioSequence."""
-    seq = example_prefix(a, b, depth)
+    """The block sequence a^2 b a^3 b^2 a^4 b^3 ... as a RatioSequence; the
+    first block pair a a b is always stored."""
+    seq = example_prefix(a, b, max(depth, 3))
     return RatioSequence(seq, p, beta_star, extend=lambda k: example_ratio(a, b, k))
 
 

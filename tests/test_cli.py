@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from vicsek_lab import besov, cli, energy, selftest
+from vicsek_lab import besov, cli, energy, pairsum, selftest
 from vicsek_lab.cli import COMMANDS, main
 from vicsek_lab.config import config_from_dict, load_config
 from vicsek_lab.energy import (
@@ -61,7 +61,7 @@ FOOTPRINT = {
     "energy-measure": {"energy", "energy_measure"},
     "resistance": {"energy"},
     "besov": {"besov", "energy", "measure", "pairsum"},
-    "bbm": {"besov", "energy", "measure", "pairsum"},
+    "bbm": {"besov", "energy", "measure"},
     "selftest": {"besov", "energy", "energy_measure", "measure", "pairsum", "prng", "selftest"},
 }
 
@@ -243,6 +243,72 @@ def test_explicit_ratio_list_too_short():
         config_from_dict({"ratios": [3, 5], "depth": 4, "vertex_level": 6}).ratio_sequence()
 
 
+def test_unknown_ratio_generator_exit_code(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"ratios": {"generator": "fibonacci", "a": 3}})
+    assert main(["build", "--config", str(cfg), "--out", str(tmp_path / "art")]) == 2
+    assert "unknown ratio generator 'fibonacci'" in capsys.readouterr().err
+
+
+def _bbm_rows(out: Path) -> list[str]:
+    return (out / "bbm_curve.csv").read_text().splitlines()[1:]
+
+
+@pytest.mark.parametrize("ratios, depth, vertex_level, commands", [
+    ({"generator": "periodic", "block": [3, 3, 3, 9]}, 1, 2, ("bbm", "selftest", "measure")),
+    # selftest needs depth >= 1
+    ({"generator": "example_sequence", "a": 3, "b": 9}, 0, 1, ("bbm", "measure")),
+])
+def test_bbm_bracket_takes_the_whole_alphabet(tmp_path, ratios, depth, vertex_level, commands):
+    """The max(vertex_level + 1, depth + 2) ratios the config asks for end
+    before the first 9: the bracket, the selftest and the derived constants
+    still see it."""
+    cfg = write_config(tmp_path, {"ratios": ratios, "depth": depth,
+                                  "vertex_level": vertex_level})
+    out = tmp_path / "art"
+    for cmd in commands:
+        assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 0, cmd
+    assert all(line.endswith(",true") for line in _bbm_rows(out)[1:])
+    consts = json.loads((out / "derived_constants.json").read_text())["data"]
+    assert set(consts["t_l"]) == set(consts["alpha"]) == {"3", "9"}
+
+
+def test_explicit_ratio_list_is_used_whole(tmp_path):
+    """bbm's plateau tail reads about 1,400 ratios past N at epsilon = 0.01:
+    a long enough list of threes gives the rows of constant(3)."""
+    rows = []
+    for i, ratios in enumerate(([3] * 1500, {"generator": "constant", "l": 3})):
+        cfg = write_config(tmp_path, {"ratios": ratios, "depth": 2, "vertex_level": 3,
+                                      "epsilons": [0.2, 0.01]})
+        out = tmp_path / f"art{i}"
+        for cmd in ("bbm", "selftest"):
+            assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 0, cmd
+        rows.append(_bbm_rows(out))
+    assert rows[0] == rows[1]
+
+
+def test_besov_needs_the_vertex_level_margin(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"depth": 2, "vertex_level": 3})
+    assert main(["besov", "--config", str(cfg), "--out", str(tmp_path / "art")]) == 2
+    err = capsys.readouterr().err
+    assert "vertex_level=3" in err and "depth=2" in err
+
+
+def test_bbm_exits_1_naming_the_flagged_epsilons(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(besov, "_BRACKET_TOL", -1.0)  # no value lies in its bracket
+    cfg = write_config(tmp_path)
+    out = tmp_path / "art"
+    assert main(["bbm", "--config", str(cfg), "--out", str(out)]) == 1
+    assert "bracket violations at epsilon = [0.1, 0.05]" in capsys.readouterr().err
+    assert all(line.endswith(",false") for line in _bbm_rows(out)[1:])
+
+
+def test_seeded_function_on_a_shallow_hierarchy(tmp_path):
+    """Seed 7 draws base level 3; the hierarchy stops at level 2."""
+    cfg = write_config(tmp_path, {"depth": 1, "vertex_level": 2, "seeds": [7]})
+    for cmd in ("energy", "selftest"):
+        assert main([cmd, "--config", str(cfg), "--out", str(tmp_path / "art")]) == 0, cmd
+
+
 def test_build_command(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "art"
@@ -410,13 +476,13 @@ def test_besov_computes_each_ball_energy_once(tmp_path, monkeypatch, overrides):
     serves every beta: each row of ``besov_profiles.csv`` carries the beta*
     row's ball energy."""
     calls = []
-    pair_sum = besov.ball_pair_sum_indexed
+    pair_sum = pairsum.ball_pair_sum_indexed
 
     def counting(*args, **kwargs):
         calls.append(args[3])
         return pair_sum(*args, **kwargs)
 
-    monkeypatch.setattr(besov, "ball_pair_sum_indexed", counting)
+    monkeypatch.setattr(pairsum, "ball_pair_sum_indexed", counting)
     path = write_config(tmp_path, overrides)
     out = tmp_path / "art"
     assert main(["besov", "--config", str(path), "--out", str(out)]) == 0
@@ -514,7 +580,7 @@ def test_besov_and_bbm_honour_float_mode(tmp_path, monkeypatch):
     # 501 vertices at the vertex level: rational mode sums every ball exactly
     path = write_config(tmp_path, {"depth": 1, "vertex_level": 3})
     calls, seen = [], {}
-    pair_sum, sweep = besov.ball_pair_sum_indexed, energy.energy_limit
+    pair_sum, sweep = pairsum.ball_pair_sum_indexed, energy.energy_limit
 
     def spy_pairs(level, values, *args, **kwargs):
         calls.append(("ball", isinstance(values, tuple)))
@@ -524,7 +590,7 @@ def test_besov_and_bbm_honour_float_mode(tmp_path, monkeypatch):
         calls.append(("levels", arith is EXACT))
         return sweep(hier, u, p, max_level, arith)
 
-    monkeypatch.setattr(besov, "ball_pair_sum_indexed", spy_pairs)
+    monkeypatch.setattr(pairsum, "ball_pair_sum_indexed", spy_pairs)
     monkeypatch.setattr(energy, "energy_limit", spy_levels)
     for mode in ("rational", "float"):
         for cmd in ("besov", "bbm"):
@@ -679,13 +745,13 @@ def test_selftest_weak_monotonicity_honours_float_mode(tmp_path, monkeypatch):
     there."""
     path = write_config(tmp_path, {"depth": 1, "vertex_level": 3})
     exact_calls = []
-    pair_sum = besov.ball_pair_sum_indexed
+    pair_sum = pairsum.ball_pair_sum_indexed
 
     def spy(level, values, p, n, arith):
         exact_calls.append(isinstance(values, tuple))
         return pair_sum(level, values, p, n, arith)
 
-    monkeypatch.setattr(besov, "ball_pair_sum_indexed", spy)
+    monkeypatch.setattr(pairsum, "ball_pair_sum_indexed", spy)
     for mode, exact in (("rational", True), ("float", False)):
         exact_calls.clear()
         args = ["selftest", "--config", str(path), "--out", str(tmp_path / mode)]

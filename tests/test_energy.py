@@ -39,7 +39,7 @@ from vicsek_lab.errors import (
     LookupError_,
     RegionError,
 )
-from vicsek_lab.geometry import build_level
+from vicsek_lab.geometry import Hierarchy, build_level
 from vicsek_lab.ratios import constant_ratios
 from vicsek_lab.words import CENTER, Letter, ancestor_index_stride, word_from_index, word_index
 
@@ -567,3 +567,18 @@ def test_exact_routes_reject_non_integer_p(hier3):
     assert isinstance(e, float)
     assert e != pytest.approx(float(energy_limit(hier3, u, 2, n).limit), rel=1e-6)
     assert FLOAT.energy(hier3.level(n), FLOAT.values_at(hier3, u, n), 2.5) == e
+
+
+def test_function_with_the_wrong_number_of_values_is_rejected(hier3):
+    u = AffineFunction(1, [0] * 20)  # level 1 has 21 vertices
+    with pytest.raises(InvalidArgumentError, match="20 values, level 1 has 21 vertices"):
+        energy_limit(hier3, u, 2, 2)
+
+
+def test_random_affine_base_is_capped_at_the_hierarchy():
+    """Seed 7 draws base 3; on a hierarchy that stops at level 2 the base is
+    2, and the values are the same later draws."""
+    deep = random_affine(Hierarchy(constant_ratios(3, 5), 4), 7)
+    shallow = random_affine(Hierarchy(constant_ratios(3, 5), 2), 7)
+    assert deep.base_level == 3 and shallow.base_level == 2
+    assert shallow.values == deep.values[: len(shallow.values)]

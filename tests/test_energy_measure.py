@@ -24,7 +24,7 @@ from vicsek_lab.energy_measure import (
     triangle_check,
     word_energy_measure,
 )
-from vicsek_lab.errors import InvalidArgumentError
+from vicsek_lab.errors import InvalidArgumentError, LevelError
 from vicsek_lab.prng import SplitMix64
 
 
@@ -227,3 +227,8 @@ def test_pushforward_total_is_energy(hier3):
 def test_pushforward_constant_rejected(hier3):
     with pytest.raises(InvalidArgumentError):
         pushforward_profile(hier3, AffineFunction(0, [1] * 5), 2, 8)
+
+
+def test_word_energy_measure_plateau_needs_the_next_level(hier3):
+    with pytest.raises(LevelError, match="needs level 7; hierarchy stops at 6"):
+        word_energy_measure(hier3, diagonal_ramp(), 2, 6)

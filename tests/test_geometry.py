@@ -187,6 +187,9 @@ def test_within_open_ball_boundary():
     assert within_open_ball(a, b, 0, rs)
     with pytest.raises(ScaleMismatchError):
         within_open_ball(a, LatticePoint(0, 0, 2), 1, rs)
+    # points coarser than the radius index
+    with pytest.raises(ScaleMismatchError, match="too coarse for radius index 2"):
+        within_open_ball(a, b, 2, rs)
 
 
 def test_lattice_point_rescale_exact():

@@ -212,6 +212,34 @@ def test_eta_lower_bound_small_range_exact():
     assert example_sequence_eta_bound_holds(3, 5, 5_000)
 
 
+def eta_bound_by_block_walk(n_max: int) -> bool:
+    """Reference: the eta_n >= (2/3) sqrt(n) check walked block by block
+    (a repeated j + 1 times, then b repeated j times) with both counts."""
+    count_a = count_b = n = 0
+    j = 1
+    while n < n_max:
+        for is_a, run in ((True, j + 1), (False, j)):
+            for _ in range(run):
+                n += 1
+                if n > n_max:
+                    return True
+                count_a += is_a
+                count_b += not is_a
+                if count_b == 0:
+                    continue
+                diff = count_a - count_b
+                if diff < 0 or 9 * n * diff * diff < 4 * count_b * count_b:
+                    return False
+        j += 1
+    return True
+
+
+def test_eta_bound_matches_the_block_walk():
+    for n_max in range(3_000):
+        assert example_sequence_eta_bound_holds(3, 5, n_max) == eta_bound_by_block_walk(n_max)
+    assert example_sequence_eta_bound_holds(5, 3, 10**6) == eta_bound_by_block_walk(10**6)
+
+
 def test_xi_eta_log_correlation():
     # log xi_n tracks f'(theta) eta_n with a positive stable ratio (a < b)
     rs = example_sequence_ratios(3, 5, 400)

@@ -9,6 +9,7 @@ from vicsek_lab.ratios import (
     example_prefix,
     example_ratio,
     example_sequence_ratios,
+    periodic_ratios,
 )
 from vicsek_lab.words import (
     CENTER,
@@ -81,11 +82,42 @@ def test_example_sequence_blocks():
     assert rs.ratio(8) == 5
 
 
-@pytest.mark.parametrize("a, b", [(3, 5), (5, 3), (7, 3)])
+def block_walk(a: int, b: int, n: int) -> tuple[int, ...]:
+    """Reference: the first n ratios of a^2 b a^3 b^2 ..., written out block
+    pair by block pair (pair j is a repeated j + 1 times, then b j times)."""
+    out: list[int] = []
+    j = 1
+    while len(out) < n:
+        out += [a] * (j + 1) + [b] * j
+        j += 1
+    return tuple(out[:n])
+
+
+@pytest.mark.parametrize("a, b", [(3, 5), (5, 3), (7, 3), (3, 7), (9, 3)])
 def test_example_prefix_is_example_ratio(a, b):
     for n in (0, 1, 2, 3, 10_000):
-        assert example_prefix(a, b, n) == tuple(example_ratio(a, b, k) for k in range(1, n + 1))
-    assert example_sequence_ratios(a, b, 40).ratios == example_prefix(a, b, 40)
+        assert example_prefix(a, b, n) == block_walk(a, b, n)
+    walk = block_walk(a, b, 3_000)
+    assert tuple(example_ratio(a, b, k) for k in range(1, 3_000 + 1)) == walk
+    assert example_sequence_ratios(a, b, 40).ratios == walk[:40]
+
+
+def test_distinct_ratios_is_the_whole_alphabet():
+    """A generator stores at least one full period, so a prefix shorter
+    than the block still yields every ratio the sequence takes."""
+    assert periodic_ratios((3, 3, 3, 9), 3).distinct_ratios() == (3, 9)
+    assert periodic_ratios((3, 3, 3, 9), 3).prefix(3) == (3, 3, 3)
+    assert example_sequence_ratios(3, 9, 2).distinct_ratios() == (3, 9)
+    assert example_sequence_ratios(3, 9, 0).distinct_ratios() == (3, 9)
+    assert constant_ratios(5, 0).distinct_ratios() == (5,)
+    assert RatioSequence((3, 5, 3, 7)).distinct_ratios() == (3, 5, 7)
+
+
+def test_ratio_past_a_finite_sequence_names_index_and_count():
+    rs = RatioSequence((3, 5, 3))
+    assert rs.ratio(3) == 3
+    with pytest.raises(LevelError, match=r"l_4 .*only 3 ratios were given"):
+        rs.ratio(4)
 
 
 def test_constant_ratio_products():
