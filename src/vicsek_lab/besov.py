@@ -66,10 +66,11 @@ def beta_arithmetic(arith: Arithmetic, ratios: RatioSequence, beta) -> Arithmeti
 
 def ball_arithmetic(arith: Arithmetic, hier: Hierarchy, m: int) -> Arithmetic:
     """The arithmetic of the ball energies I_{m,n} on vertex level m: ``arith``
-    on at most 600 vertices, FLOAT otherwise.  Exact p = 2 sums cost about
-    twice float ones, but exact p != 2 full blocks still cost one term per
-    pair, and a higher limit would change the rational ``besov`` artifacts
-    of larger levels.  Like the I_{m,n}, it does not depend on beta."""
+    on at most 600 vertices, FLOAT otherwise.  Exact sums cost two to three
+    times float ones at p = 2 and 3 (ramp and ``random_affine`` values at
+    l = 3, m = 6), so the limit stays only because a higher one would change
+    the rational ``besov`` artifacts of larger levels.  Like the I_{m,n}, it
+    does not depend on beta."""
     return arith if hier.level(m).num_vertices <= 600 else FLOAT
 
 

@@ -201,6 +201,12 @@ def _cmd_energy_measure(config: ExperimentConfig, out: Path, meta: str) -> int:
                                  word_energy_measure)
     from .words import word_from_index, word_string
 
+    if config.vertex_level < 2 and config.depth < 1:
+        raise ConfigError(
+            "energy-measure verifies its level-1 word measure on level 2, so it needs "
+            f"depth >= 1 or vertex_level >= 2; got depth={config.depth}, "
+            f"vertex_level={config.vertex_level}"
+        )
     hier = config.hierarchy()
     arith = arithmetic(config.mode, config.p)
     u = diagonal_ramp()
@@ -232,6 +238,7 @@ def _cmd_besov(config: ExperimentConfig, out: Path, meta: str) -> int:
     from .besov import ball_energies, discrete_profiles, phi_profile, weak_monotonicity_report
     from .energy import arithmetic, diagonal_ramp, energy_limit
 
+    _check_window_depth("besov", config)
     if config.vertex_level < config.depth + 2:
         raise ConfigError(
             "besov profiles need vertex_level >= depth + 2 as a discretization "
@@ -278,6 +285,15 @@ def _cmd_besov(config: ExperimentConfig, out: Path, meta: str) -> int:
         meta,
     )
     return 0
+
+
+def _check_window_depth(command: str, config: ExperimentConfig) -> None:
+    """The weak-monotonicity window (max(1, N - 2), N) needs N >= 1."""
+    if config.depth < 1:
+        raise ConfigError(
+            f"{command} needs depth >= 1 for its weak-monotonicity window "
+            f"(max(1, depth - 2), depth); got depth={config.depth}"
+        )
 
 
 def _cmd_bbm(config: ExperimentConfig, out: Path, meta: str) -> int:
@@ -346,6 +362,7 @@ def _cmd_resistance(config: ExperimentConfig, out: Path, meta: str) -> int:
 def _cmd_selftest(config: ExperimentConfig, out: Path, meta: str) -> int:
     from .selftest import run_selftest
 
+    _check_window_depth("selftest", config)
     checks, artifacts = run_selftest(config)
     # determinism-bearing artifacts
     _write_scale_table(out, config, meta)

@@ -16,12 +16,17 @@ routes are provided:
   depends only on the vertex layouts of its two cells and their offset:
   the plan groups leaf blocks into classes with one mask each.  The plan is
   cached on the level and shared by every value vector and both
-  arithmetics.  One evaluator sums the blocks in either arithmetic: p = 2
-  full blocks as one gather over prefix moments, other full blocks in
-  sub-blocks, leaf blocks class by class; no float temporary holds more
-  than ``_CHUNK`` elements, so memory is bounded for every p.  Block sums
-  are added in the plan's depth-first order, which keeps float results
-  fixed.  The ``Arithmetic`` supplies the tile power sum and the total.
+  arithmetics.  One evaluator sums the blocks in either arithmetic.  Full
+  blocks take one of three forms: p = 2 as one gather over prefix moments,
+  an integer p >= 3 from sorted prefix power sums of each B side
+  (``_sorted_sums``), a non-integer p in tiles over sub-blocks.  Leaf
+  blocks go class by class.  No float temporary holds more than
+  ``_CHUNK`` elements, so memory is bounded for every p.  Block sums are
+  added in the plan's depth-first order, which keeps float results fixed;
+  they equal the per-block oracle's bit for bit at p = 2, at a non-integer
+  p and on every leaf class, and agree within rounding on the full blocks
+  of an integer p >= 3.  The ``Arithmetic`` supplies the tile power sum
+  and the total.
 
 ``ball_pair_sum_indexed`` takes the cell tree; the oracle is
 ``ball_pair_sum_bruteforce``.  Every route takes the ``Arithmetic`` its
@@ -37,6 +42,7 @@ and can be compared bit-for-bit against the brute-force oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -311,16 +317,18 @@ def ball_pair_sum_indexed(
 def _evaluate(plan: PairPlan, idx: CellPairIndex, vs: np.ndarray, p, arith: Arithmetic, top):
     """Sum over the plan's blocks of values ``vs``, one column per vector.
 
-    Each block's sum goes to its row of ``terms``: at p = 2, full blocks by
-    prefix moments in chunks of rows, leaf classes by ``_square_sums`` (``top``
-    is max |v|).  Other blocks are summed tile by tile over the sub-blocks of
-    their group: a p != 2 full block alone, a leaf class from one mask built
-    once per call.  ``arith`` sums a tile; the rows are added up one by one
-    in plan order, in place, in either arithmetic.
+    Each block's sum goes to its row of ``terms``.  Full blocks take one of
+    three forms: at p = 2 prefix moments in chunks of rows, at an integer
+    p >= 3 ``_sorted_sums`` over sorted B sides, at a non-integer p tiles
+    over the block's sub-blocks.  Leaf classes are summed from one mask
+    built once per call: at p = 2 by ``_square_sums`` (``top`` is max |v|),
+    else tile by tile.  ``arith`` sums a tile; the rows are added up one by
+    one in plan order, in place, in either arithmetic.
     """
     F = vs.shape[1]
     terms = np.zeros((len(plan.blocks), F), dtype=arith._term_dtype)
     full = np.flatnonzero(plan.leaf_class < 0)
+    tiled = []  # full blocks summed tile by tile
     if p == 2:
         v = vs.astype(terms.dtype, copy=False)
         P1 = np.zeros((v.shape[0] + 1, F), dtype=terms.dtype)
@@ -339,8 +347,13 @@ def _evaluate(plan: PairPlan, idx: CellPairIndex, vs: np.ndarray, p, arith: Arit
             cntb = (hib - lob)[:, None]
             terms[rows] = w[:, None] * (cntb * Qa - 2 * Sa * Sb + cnta * Qb)
         del v, P1, P2
+    elif float(p).is_integer():  # p >= 3, as p > 1
+        terms[full] = _sorted_sums(vs, plan.blocks[full], int(p), top)
+        terms[full] *= plan.blocks[full, 4:]  # in Python ints in exact
+    else:
+        tiled = list(full[:, None])
     buf = np.empty(_CHUNK, dtype=vs.dtype)  # every tile's differences
-    groups = (list(full[:, None]) if p != 2 else []) + _class_rows(plan.leaf_class)
+    groups = tiled + _class_rows(plan.leaf_class)
     for group in groups:
         loa, hia, lob, hib = plan.blocks[group[0], :4].tolist()
         if plan.leaf_class[group[0]] < 0:
@@ -431,4 +444,84 @@ def _square_sums(vs, subs, blocks, top):
             o = out[k : k + K]
             o += rows @ (va * va) + cols @ np.square(vb, dtype=acc)
             o -= 2 * (va * (M @ vb.astype(prod, copy=False))).sum(axis=1)
+    return out
+
+
+def _sorted_sums(vs, blocks, p: int, top):
+    """The sum of |v_a - v_b|^p over the pairs of each full block (A, B) at
+    an integer p >= 3, unweighted, one row per block, in either arithmetic.
+
+    B sides are cut into pieces of at most ``_CHUNK // ((p + 1) F) - 1``
+    vertices.  Each distinct piece is sorted once per column, the pieces of
+    one length a batch at a time, whose sorted values and prefix sums hold
+    at most ``_CHUNK`` elements.  A piece's n values b are centred on their
+    midrange c (its floor for ints), and P_i[k] is the sum of (b - c)^i over
+    its k smallest.  Each a of A finds k = #{b < a} by binary search, and
+    with x = a - c, lo_i = P_i[k] and hi_i = P_i[n] - P_i[k],
+
+        sum_b |a - b|^p = sum_i C(p, i) (-1)^i x^(p-i) (lo_i + (-1)^p hi_i),
+
+    by Horner's rule in x, for ``_CHUNK // (8 F)`` values a at a time.  Ints
+    stay in int64 while na nb (3 max|v| + 1)^p < 2^63 (``top`` is max |v|;
+    that bounds every partial sum) and are Python ints past it.
+    """
+    F = vs.shape[1]
+    loa, hia, lob, hib = blocks[:, :4].T.astype(np.int64)
+    bound = int((hia - loa).max(initial=0)) * int((hib - lob).max(initial=0)) * (3 * top + 1) ** p
+    acc = vs.dtype if bound < 2**63 else object
+    out = np.zeros((len(blocks), F), dtype=acc)
+    # jobs (block, piece of its B side); pieces ordered by (length, start)
+    size = max(1, _CHUNK // ((p + 1) * F) - 1)
+    cuts = -(-(hib - lob) // size)
+    job = np.repeat(np.arange(len(blocks)), cuts)
+    plo = lob[job] + (np.arange(job.size) - np.repeat(np.cumsum(cuts) - cuts, cuts)) * size
+    ends = np.stack((np.minimum(plo + size, hib[job]) - plo, plo), axis=1)
+    pieces, piece = np.unique(ends, axis=0, return_inverse=True)
+    piece = piece.reshape(-1)
+    jobs = np.argsort(piece, kind="stable")
+    sign, cols, Q = (-1) ** p, np.arange(F), max(1, _CHUNK // (8 * F))
+    r0 = 0
+    while r0 < len(pieces):
+        n = int(pieces[r0, 0])
+        r1 = int(np.searchsorted(pieces[:, 0], n, "right"))
+        r1 = min(r1, r0 + max(1, _CHUNK // ((p + 1) * (n + 1) * F)))
+        b = vs[pieces[r0:r1, 1:] + np.arange(n)].astype(acc, copy=False)
+        b.sort(axis=1)
+        c = b[:, 0] + b[:, -1]
+        c = c / 2 if vs.dtype == np.float64 else c // 2
+        y = b - c[:, None]
+        P, yi = [], y
+        for _ in range(p):
+            Pi = np.zeros((r1 - r0, n + 1, F), dtype=acc)
+            np.cumsum(yi, axis=1, out=Pi[:, 1:])
+            P.append(Pi.reshape(-1))
+            yi = yi * y
+        del y, yi
+        b = b.reshape(-1)
+        js = jobs[np.searchsorted(piece[jobs], r0) : np.searchsorted(piece[jobs], r1)]
+        blk, row = job[js], piece[js] - r0
+        na = hia[blk] - loa[blk]
+        last = np.cumsum(na)
+        for q0 in range(0, int(last[-1]), Q):
+            q = np.arange(q0, min(q0 + Q, int(last[-1])))
+            t = np.searchsorted(last, q, "right")
+            a = vs[loa[blk[t]] + q - last[t] + na[t]].astype(acc, copy=False)
+            s = row[t, None]
+            base = s * (n * F) + cols - F  # b[j] of a's piece is at base + (j + 1) F
+            k = np.zeros(a.shape, dtype=np.int64)
+            step = 1 << (n.bit_length() - 1)
+            while step:
+                up = k + step
+                k += step * ((up <= n) & (b[base + np.minimum(up, n) * F] < a))
+                step >>= 1
+            x = a - c[s[:, 0]]
+            at_n = (s * (n + 1) + n) * F + cols  # P_i[n] of a's piece
+            at_k = at_n - (n - k) * F
+            h = (k + sign * (n - k)).astype(acc)
+            for i, Pi in enumerate(P, 1):
+                lo = Pi[at_k]
+                h = h * x + (-1) ** i * math.comb(p, i) * (lo + sign * (Pi[at_n] - lo))
+            first = np.flatnonzero(np.diff(t, prepend=-1))
+            np.add.at(out, blk[t[first]], np.add.reduceat(h, first, axis=0))
+        r0 = r1
     return out

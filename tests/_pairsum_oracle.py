@@ -3,8 +3,12 @@
 ``ball_pair_sum_per_block`` evaluates a pair plan block by block: every
 leaf block builds its in-ball mask from the vertex coordinates, and every
 block is summed with the same sub-block split and the same numpy operations
-the library's class-mask evaluator uses, so the two results are equal bit
-for bit.  ``ball_rows_double_loop`` is a pure-Python double loop over every
+the library's class-mask evaluator uses.  The library sums full blocks in
+one of three forms: prefix moments at p = 2, sorted prefix power sums at an
+integer p >= 3, tiles at a non-integer p.  So the two results are equal bit
+for bit at p = 2, at a non-integer p and on every leaf class, and at an
+integer p >= 3 agree within rounding; ``matches_per_block`` states that
+rule.  ``ball_rows_double_loop`` is a pure-Python double loop over every
 vertex pair, the reference of the library's tiled brute-force route, and of
 ``ball_row_stats``, the same rows by the route's tiles (the per-vertex ball
 means of the empirical estimator of Phi).
@@ -59,6 +63,15 @@ def ball_pair_sum_per_block(level, values, p, n: int, leaf_max: int = _LEAF_MAX)
         terms[0] += total
         total = terms.cumsum(axis=0)[-1]
     return float(total[0]) if squeeze else total
+
+
+def matches_per_block(got, want, p) -> bool:
+    """Whether a float sum equals ``ball_pair_sum_per_block``'s: bit for
+    bit, or within rel 1e-13 at an integer p >= 3, whose full blocks the
+    library sums from sorted prefix power sums instead of pair by pair."""
+    if float(p).is_integer() and p >= 3:
+        return np.allclose(got, want, rtol=1e-13, atol=1e-300)
+    return np.array_equal(got, want)
 
 
 def _pair_block(vs, xy, R, pf, loa, hia, lob, hib, w):

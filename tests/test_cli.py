@@ -293,6 +293,32 @@ def test_besov_needs_the_vertex_level_margin(tmp_path, capsys):
     assert "vertex_level=3" in err and "depth=2" in err
 
 
+@pytest.mark.parametrize("command, vertex_level", [("besov", 2), ("besov", 3), ("selftest", 1)])
+def test_depth_0_is_rejected_up_front(tmp_path, capsys, command, vertex_level):
+    """besov and selftest read the weak-monotonicity window
+    (max(1, N - 2), N), so depth 0 exits 2 naming the key and its minimum,
+    before any artifact is written."""
+    cfg = write_config(tmp_path, {"depth": 0, "vertex_level": vertex_level})
+    out = tmp_path / "art"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{command} needs depth >= 1" in err and "got depth=0" in err
+    assert not any(out.iterdir())
+
+
+def test_energy_measure_needs_level_2(tmp_path, capsys):
+    """The level-1 word measure is verified on level 2: at depth 0,
+    energy-measure needs vertex_level >= 2."""
+    out = tmp_path / "art"
+    cfg = write_config(tmp_path, {"depth": 0, "vertex_level": 1})
+    assert main(["energy-measure", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "vertex_level >= 2" in err and "vertex_level=1" in err
+    assert not any(out.iterdir())
+    cfg = write_config(tmp_path, {"depth": 0, "vertex_level": 2})
+    assert main(["energy-measure", "--config", str(cfg), "--out", str(out)]) == 0
+
+
 def test_bbm_exits_1_naming_the_flagged_epsilons(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(besov, "_BRACKET_TOL", -1.0)  # no value lies in its bracket
     cfg = write_config(tmp_path)

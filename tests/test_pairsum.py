@@ -10,6 +10,7 @@ from _pairsum_oracle import (
     ball_row_stats,
     ball_rows_double_loop,
     cell_layouts,
+    matches_per_block,
     same_partition,
 )
 
@@ -134,7 +135,8 @@ def test_leaf_classes_share_relative_coordinates(hier3):
 
 def test_split_leaf_blocks_match_per_block_oracle():
     """At F = 20, 500 x 500 leaf blocks (leaf_max 1024) split into
-    sub-blocks; the class masks keep every bit of the per-block route."""
+    sub-blocks; the class masks keep every bit of the per-block route (the
+    p = 3 full blocks agree within rounding)."""
     hier = Hierarchy(constant_ratios(3, 6), 4)
     lv = hier.level(4)
     plan = pair_plan(lv, 1, 1024)
@@ -143,13 +145,14 @@ def test_split_leaf_blocks_match_per_block_oracle():
     vals = np.random.default_rng(7).standard_normal((lv.num_vertices, 20))
     for p in (2, 3):
         got = ball_pair_sum_indexed(lv, vals, p, 1, FLOAT, 1024)
-        assert np.array_equal(got, ball_pair_sum_per_block(lv, vals, p, 1, 1024)), p
+        assert matches_per_block(got, ball_pair_sum_per_block(lv, vals, p, 1, 1024), p), p
 
 
 def test_batched_classes_and_tiled_full_blocks_match_oracles():
     """At F = 256 and n = 2 a p = 2 leaf class holds more blocks than one
     batch; at n = 0 full blocks span several tiles.  Both keep every bit of
-    the per-block route, and a column agrees with brute force."""
+    the per-block route (p = 3 full blocks within rounding), and a column
+    agrees with brute force."""
     hier = Hierarchy(constant_ratios(3, 6), 4)
     lv = hier.level(4)
     chunk, F = pairsum._CHUNK, 256
@@ -171,7 +174,7 @@ def test_batched_classes_and_tiled_full_blocks_match_oracles():
     for p, n, leaf_max, f in ((2, 2, 128, F), (3, 0, 256, 2), (1.5, 0, 256, 2)):
         v = vals[:, :f]
         got = ball_pair_sum_indexed(lv, v, p, n, FLOAT, leaf_max)
-        assert np.array_equal(got, ball_pair_sum_per_block(lv, v, p, n, leaf_max)), (p, n)
+        assert matches_per_block(got, ball_pair_sum_per_block(lv, v, p, n, leaf_max), p), (p, n)
         want = ball_pair_sum_bruteforce(lv, v[:, 0], p, n, FLOAT)
         assert got[0] == pytest.approx(want, rel=1e-12, abs=1e-300), (p, n)
 
@@ -196,7 +199,7 @@ def test_class_batches_take_each_blocks_weight(monkeypatch):
     vals = np.random.default_rng(12).standard_normal((lv.num_vertices, 3))
     for p in (2, 3):
         got = ball_pair_sum_indexed(lv, vals, p, 2, FLOAT, 64)
-        assert np.array_equal(got, ball_pair_sum_per_block(lv, vals, p, 2, 64)), p
+        assert matches_per_block(got, ball_pair_sum_per_block(lv, vals, p, 2, 64), p), p
 
 
 def test_irregular_sums_keep_memory_small(hier35):
@@ -306,6 +309,47 @@ def test_exact_p2_leaf_classes_take_the_square_form(hier3, monkeypatch):
     assert not calls
     ball_pair_sum_indexed(hier3.level(2), EXACT.values_at(hier3, diagonal_ramp(), 2), 3, 1, EXACT)
     assert calls
+
+
+def test_integer_p_full_blocks_sum_no_tile(hier3, monkeypatch):
+    """At an integer p >= 3 full blocks take sorted prefix power sums in
+    both arithmetics, so no tile sum runs without a mask (on a full block),
+    while leaf classes still tile; at p = 2.5 full blocks are tiled."""
+    full_tiles = []
+    for arith in (EXACT, FLOAT):
+
+        def spy(va, vb, p, mask, buf, tile_sum=arith._tile_sum):
+            full_tiles.append(mask is None)
+            return tile_sum(va, vb, p, mask, buf)
+
+        monkeypatch.setattr(arith, "_tile_sum", spy)
+    lv = hier3.level(4)
+    plan = pair_plan(lv, 1)
+    assert (plan.leaf_class < 0).any() and (plan.leaf_class >= 0).any()
+    for arith, p in ((EXACT, 3), (EXACT, 4), (FLOAT, 3), (FLOAT, 5), (FLOAT, 2.5)):
+        full_tiles.clear()
+        ball_pair_sum_indexed(lv, arith.values_at(hier3, diagonal_ramp(), 4), p, 1, arith)
+        assert full_tiles, (arith, p)
+        assert any(full_tiles) == (p == 2.5), (arith, p)
+
+
+def test_integer_p_full_blocks_keep_memory_small(hier3):
+    """Sorted prefix sums hold one batch of sorted pieces and one chunk of
+    A values at a time.  With the plan cached, float p = 3 at l = 3, m = 6,
+    n = 0 peaked at 1.41 MiB and exact p = 3 at m = 5, n = 0 at 1.26 MiB
+    (numpy 2.4, x86-64); the pair-by-pair tiles they replace took 1.58 and
+    1.64 MiB."""
+    for arith, m in ((FLOAT, 6), (EXACT, 5)):
+        lv = hier3.level(m)
+        vals = arith.values_at(hier3, diagonal_ramp(), m)
+        pair_plan(lv, 0)
+        tracemalloc.start()
+        try:
+            ball_pair_sum_indexed(lv, vals, 3, 0, arith)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20, f"{arith}: peak {peak / 2**20:.2f} MB"
 
 
 def test_each_class_mask_is_built_once(hier3, monkeypatch):
