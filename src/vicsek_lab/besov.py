@@ -105,7 +105,7 @@ def phi_profile(
     proxy = []
     for n, I in enumerate(energies):
         rho, psi, phi = scale_values(ratios, n)
-        proxy.append(at.power(phi, expo) / at.num(psi) * at.num(I))
+        proxy.append(_weight(beta, n, at.power, phi, expo) / at.num(psi) * at.num(I))
     return BesovProfile(
         p=p,
         beta=float(beta),
@@ -175,7 +175,16 @@ def _log_phi(ratios: RatioSequence, n: int) -> float:
 def _beta_factors(ratios: RatioSequence, beta, count: int) -> list[float]:
     """phi(rho_n)^(1 - beta/beta*) for n < count, in floats: exactly 1.0 at beta*."""
     expo = 1.0 - float(beta) / float(ratios.beta_star)
-    return [math.exp(expo * x) for x in islice(_log_phis(ratios), count)]
+    logs = islice(_log_phis(ratios), count)
+    return [_weight(beta, n, math.exp, expo * x) for n, x in enumerate(logs)]
+
+
+def _weight(beta, n: int, power, *args):
+    """``power(*args)``, a power of phi(rho_n) that weighs scale n at beta."""
+    try:
+        return power(*args)
+    except OverflowError:
+        raise InvalidArgumentError(f"beta = {beta}, n = {n}: phi(rho_n)^x exceeds the float range")
 
 
 def _plateau_tail(ratios: RatioSequence, beta, N: int, plateau: float) -> float:
@@ -268,7 +277,7 @@ def jump_kernel_energy(
     for n, e in enumerate(energies):
         rho, psi, phi = scale_values(ratios, n)
         L = ratios.length_product(n)
-        w = at.power(phi, expo) * at.num(2) ** q1 * at.num(psi) / at.num(L) ** q1
+        w = _weight(beta, n, at.power, phi, expo) * at.num(2) ** q1 * at.num(psi) / at.num(L) ** q1
         total += w * at.num(e)
     return total
 
@@ -417,6 +426,12 @@ class WeakMonotonicityReport:
     window_min: float
     ratio: Optional[float]
     degenerate: bool
+
+
+def weak_monotonicity_window(N: int) -> tuple[int, int]:
+    """The scales (lo, N) over which the commands' weak-monotonicity reports
+    take their minimum at depth N; empty below N = 1."""
+    return max(1, N - 2), N
 
 
 def weak_monotonicity_report(

@@ -238,7 +238,7 @@ def _cmd_besov(config: ExperimentConfig, out: Path, meta: str) -> int:
     from .besov import ball_energies, discrete_profiles, phi_profile, weak_monotonicity_report
     from .energy import arithmetic, diagonal_ramp, energy_limit
 
-    _check_window_depth("besov", config)
+    window = _window("besov", config)
     if config.vertex_level < config.depth + 2:
         raise ConfigError(
             "besov profiles need vertex_level >= depth + 2 as a discretization "
@@ -270,9 +270,7 @@ def _cmd_besov(config: ExperimentConfig, out: Path, meta: str) -> int:
         rows,
         meta,
     )
-    wm = weak_monotonicity_report(
-        hier, config.p, m, (max(1, config.depth - 2), config.depth), balls, arith
-    )
+    wm = weak_monotonicity_report(hier, config.p, m, window, balls, arith)
     write_json(
         out / "weak_monotonicity.json",
         {
@@ -287,13 +285,15 @@ def _cmd_besov(config: ExperimentConfig, out: Path, meta: str) -> int:
     return 0
 
 
-def _check_window_depth(command: str, config: ExperimentConfig) -> None:
-    """The weak-monotonicity window (max(1, N - 2), N) needs N >= 1."""
-    if config.depth < 1:
-        raise ConfigError(
-            f"{command} needs depth >= 1 for its weak-monotonicity window "
-            f"(max(1, depth - 2), depth); got depth={config.depth}"
-        )
+def _window(command: str, config: ExperimentConfig) -> tuple[int, int]:
+    """The weak-monotonicity window of the depth; one without a scale exits 2."""
+    from .besov import weak_monotonicity_window
+
+    lo, hi = window = weak_monotonicity_window(config.depth)
+    if lo > hi:
+        raise ConfigError(f"{command} needs depth >= {lo} for a non-empty weak-monotonicity "
+                          f"window; got depth={config.depth}")
+    return window
 
 
 def _cmd_bbm(config: ExperimentConfig, out: Path, meta: str) -> int:
@@ -362,7 +362,7 @@ def _cmd_resistance(config: ExperimentConfig, out: Path, meta: str) -> int:
 def _cmd_selftest(config: ExperimentConfig, out: Path, meta: str) -> int:
     from .selftest import run_selftest
 
-    _check_window_depth("selftest", config)
+    _window("selftest", config)
     checks, artifacts = run_selftest(config)
     # determinism-bearing artifacts
     _write_scale_table(out, config, meta)

@@ -154,9 +154,11 @@ def load_config(
     """The config in the JSON file; ``mode`` and ``threads``, when given,
     replace the file's values before the config is validated."""
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"config file {path} cannot be read: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
     if isinstance(raw, dict):

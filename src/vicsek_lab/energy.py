@@ -151,9 +151,7 @@ def _diff_tile(va: np.ndarray, vb: np.ndarray, buf: np.ndarray) -> np.ndarray:
 def _abs_pow(d: np.ndarray, pf: float) -> None:
     """d <- |d|^pf in place; small integer pf by repeated products."""
     np.abs(d, out=d)
-    if pf == 2.0:
-        d *= d
-    elif pf.is_integer() and pf <= 8.0:
+    if pf.is_integer() and pf <= 8.0:
         base = d.copy()
         for _ in range(int(pf) - 1):
             d *= base
@@ -302,7 +300,7 @@ class _Exact(Arithmetic):
 
     def _tile_sum(self, va: np.ndarray, vb: np.ndarray, p: int, mask, buf) -> int:
         d = _diff_tile(va, vb, buf)
-        return _power_sums(d.ravel() if mask is None else d[mask], p)[0]
+        return _power_sums(d[mask], p)[0]
 
     def _ball_total(self, mask: np.ndarray, t: np.ndarray) -> int:
         # a tile has at most _CHUNK entries: their 32-bit halves sum in int64

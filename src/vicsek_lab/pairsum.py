@@ -18,8 +18,8 @@ routes are provided:
   cached on the level and shared by every value vector and both
   arithmetics.  One evaluator sums the blocks in either arithmetic.  Full
   blocks take one of three forms: p = 2 as one gather over prefix moments,
-  an integer p >= 3 from sorted prefix power sums of each B side
-  (``_sorted_sums``), a non-integer p in tiles over sub-blocks.  Leaf
+  an integer p >= 3 from sorted prefix power sums, one distinct B piece at
+  a time (``_sorted_sums``), a non-integer p in tiles over sub-blocks.  Leaf
   blocks go class by class.  No float temporary holds more than
   ``_CHUNK`` elements, so memory is bounded for every p.  Block sums are
   added in the plan's depth-first order, which keeps float results fixed;
@@ -451,77 +451,59 @@ def _sorted_sums(vs, blocks, p: int, top):
     """The sum of |v_a - v_b|^p over the pairs of each full block (A, B) at
     an integer p >= 3, unweighted, one row per block, in either arithmetic.
 
-    B sides are cut into pieces of at most ``_CHUNK // ((p + 1) F) - 1``
-    vertices.  Each distinct piece is sorted once per column, the pieces of
-    one length a batch at a time, whose sorted values and prefix sums hold
-    at most ``_CHUNK`` elements.  A piece's n values b are centred on their
-    midrange c (its floor for ints), and P_i[k] is the sum of (b - c)^i over
-    its k smallest.  Each a of A finds k = #{b < a} by binary search, and
-    with x = a - c, lo_i = P_i[k] and hi_i = P_i[n] - P_i[k],
+    B sides are cut into pieces of at most ``_CHUNK // (p + 1) - 1``
+    vertices, and each distinct piece is taken once per column: its n values
+    b are sorted and centred on their midrange c (its floor for ints), and
+    row i of P, at most ``_CHUNK`` elements in all, holds P_i[k], the sum of
+    (b - c)^i over its k smallest.  The a's of the A sides that meet it,
+    ``_CHUNK // 8`` at a time, find k = #{b < a} by ``searchsorted``; with
+    x = a - c, lo_i = P_i[k] and hi_i = P_i[n] - P_i[k], Horner's rule in x
+    gives
 
-        sum_b |a - b|^p = sum_i C(p, i) (-1)^i x^(p-i) (lo_i + (-1)^p hi_i),
+        sum_b |a - b|^p = sum_i C(p, i) (-1)^i x^(p-i) (lo_i + (-1)^p hi_i).
 
-    by Horner's rule in x, for ``_CHUNK // (8 F)`` values a at a time.  Ints
-    stay in int64 while na nb (3 max|v| + 1)^p < 2^63 (``top`` is max |v|;
-    that bounds every partial sum) and are Python ints past it.
+    Ints stay in int64 while na nb (3 max|v| + 1)^p < 2^63 (``top`` is
+    max |v|; that bounds every partial sum) and are Python ints past it.
     """
-    F = vs.shape[1]
     loa, hia, lob, hib = blocks[:, :4].T.astype(np.int64)
     bound = int((hia - loa).max(initial=0)) * int((hib - lob).max(initial=0)) * (3 * top + 1) ** p
     acc = vs.dtype if bound < 2**63 else object
-    out = np.zeros((len(blocks), F), dtype=acc)
-    # jobs (block, piece of its B side); pieces ordered by (length, start)
-    size = max(1, _CHUNK // ((p + 1) * F) - 1)
+    out = np.zeros((len(blocks), vs.shape[1]), dtype=acc)
+    # jobs (block, piece of its B side); distinct pieces ordered by (length, start)
+    size = max(1, _CHUNK // (p + 1) - 1)
     cuts = -(-(hib - lob) // size)
     job = np.repeat(np.arange(len(blocks)), cuts)
     plo = lob[job] + (np.arange(job.size) - np.repeat(np.cumsum(cuts) - cuts, cuts)) * size
     ends = np.stack((np.minimum(plo + size, hib[job]) - plo, plo), axis=1)
-    pieces, piece = np.unique(ends, axis=0, return_inverse=True)
-    piece = piece.reshape(-1)
-    jobs = np.argsort(piece, kind="stable")
-    sign, cols, Q = (-1) ** p, np.arange(F), max(1, _CHUNK // (8 * F))
-    r0 = 0
-    while r0 < len(pieces):
-        n = int(pieces[r0, 0])
-        r1 = int(np.searchsorted(pieces[:, 0], n, "right"))
-        r1 = min(r1, r0 + max(1, _CHUNK // ((p + 1) * (n + 1) * F)))
-        b = vs[pieces[r0:r1, 1:] + np.arange(n)].astype(acc, copy=False)
-        b.sort(axis=1)
-        c = b[:, 0] + b[:, -1]
-        c = c / 2 if vs.dtype == np.float64 else c // 2
-        y = b - c[:, None]
-        P, yi = [], y
-        for _ in range(p):
-            Pi = np.zeros((r1 - r0, n + 1, F), dtype=acc)
-            np.cumsum(yi, axis=1, out=Pi[:, 1:])
-            P.append(Pi.reshape(-1))
-            yi = yi * y
-        del y, yi
-        b = b.reshape(-1)
-        js = jobs[np.searchsorted(piece[jobs], r0) : np.searchsorted(piece[jobs], r1)]
-        blk, row = job[js], piece[js] - r0
-        na = hia[blk] - loa[blk]
-        last = np.cumsum(na)
-        for q0 in range(0, int(last[-1]), Q):
-            q = np.arange(q0, min(q0 + Q, int(last[-1])))
-            t = np.searchsorted(last, q, "right")
-            a = vs[loa[blk[t]] + q - last[t] + na[t]].astype(acc, copy=False)
-            s = row[t, None]
-            base = s * (n * F) + cols - F  # b[j] of a's piece is at base + (j + 1) F
-            k = np.zeros(a.shape, dtype=np.int64)
-            step = 1 << (n.bit_length() - 1)
-            while step:
-                up = k + step
-                k += step * ((up <= n) & (b[base + np.minimum(up, n) * F] < a))
-                step >>= 1
-            x = a - c[s[:, 0]]
-            at_n = (s * (n + 1) + n) * F + cols  # P_i[n] of a's piece
-            at_k = at_n - (n - k) * F
-            h = (k + sign * (n - k)).astype(acc)
-            for i, Pi in enumerate(P, 1):
-                lo = Pi[at_k]
-                h = h * x + (-1) ** i * math.comb(p, i) * (lo + sign * (Pi[at_n] - lo))
-            first = np.flatnonzero(np.diff(t, prepend=-1))
-            np.add.at(out, blk[t[first]], np.add.reduceat(h, first, axis=0))
-        r0 = r1
+    pieces, piece, count = np.unique(ends, axis=0, return_inverse=True, return_counts=True)
+    users = np.split(job[np.argsort(piece.reshape(-1), kind="stable")], np.cumsum(count)[:-1])
+    # C(p, i) (-1)^i for i = 0..p; lo_i + (-1)^p hi_i is lo_i -+ (P_i[n] - lo_i)
+    coef = np.array([(-1) ** i * math.comb(p, i) for i in range(p + 1)], dtype=acc)
+    combine, Q = np.subtract if p % 2 else np.add, _CHUNK // 8
+    for (n, start), blk in zip(pieces.tolist(), users):
+        last = np.cumsum(hia[blk] - loa[blk])  # a's are ranked block by block
+        rank0 = np.concatenate(([0], last[:-1]))  # the rank of each block's first a
+        for v, o in zip(vs.T, out.T):
+            b = np.sort(v[start : start + n])
+            y = b.astype(acc, copy=False)
+            c = y[0] + y[-1]
+            c = c / 2 if vs.dtype == np.float64 else c // 2
+            P = np.zeros((p + 1, n + 1), dtype=acc)
+            P[0, 1:] = 1
+            np.subtract(y, c, out=P[1, 1:])
+            for i in range(2, p + 1):
+                np.multiply(P[i - 1, 1:], P[1, 1:], out=P[i, 1:])
+            np.cumsum(P[:, 1:], axis=1, out=P[:, 1:])
+            for q0 in range(0, last[-1], Q):
+                q = np.arange(q0, min(q0 + Q, last[-1]))
+                t = np.searchsorted(last, q, "right")
+                a = v[q + (loa[blk] - rank0)[t]]  # rank q in block t is vertex q + loa - rank0
+                k = np.searchsorted(b, a)
+                x = a.astype(acc, copy=False) - c
+                h = 0
+                for P_i, c_i in zip(P, coef):  # Horner's rule
+                    lo = P_i[k]
+                    h = h * x + c_i * combine(lo, P_i[n] - lo)
+                met = slice(t[0], t[-1] + 1)  # the blocks whose a's the chunk holds
+                o[blk[met]] += np.add.reduceat(h, np.maximum(rank0[met] - q0, 0))
     return out

@@ -21,6 +21,7 @@ from .besov import (
     discrete_profiles,
     jump_kernel_energy,
     weak_monotonicity_report,
+    weak_monotonicity_window,
 )
 from .config import ExperimentConfig
 from .energy import (
@@ -207,7 +208,7 @@ def run_selftest(config: ExperimentConfig) -> tuple[list[Check], dict]:
 
     # -- weak monotonicity surrogate ----------------------------------------
     balls = ball_energies(hier, u_star, p, m, N, arith)  # I_{m,n}
-    wm = weak_monotonicity_report(hier, p, m, (max(1, N - 2), N), balls, arith)
+    wm = weak_monotonicity_report(hier, p, m, weak_monotonicity_window(N), balls, arith)
     record("weak_monotonicity_finite", wm.ratio is not None and math.isfinite(wm.ratio),
            f"ratio={wm.ratio}")
     artifacts["weak_monotonicity"] = wm

@@ -442,3 +442,27 @@ def test_arithmetic_rule_table(hier3, mode, p, beta, m):
     for value, exact, of in cases:
         assert type(value) is (Fraction if exact else float)
         assert float(value) == pytest.approx(of(FLOAT), rel=1e-12, abs=0)
+
+
+def test_beta_weights_past_the_float_range_name_beta_and_n(hier3):
+    """A weight phi(rho_n)^x past the float range is an error naming beta and
+    n in every report that forms one.  At l = 3, p = 2, log phi(rho_n) =
+    log 2 - n log 15, so beta = 100 takes phi(rho_3)^(-100) and
+    phi(rho_3)^(-99) past exp(709.78), while beta = 60 stays in range."""
+    u = diagonal_ramp()
+    base = _E(hier3, u, 2, 4)
+    balls = ball_energies(hier3, u, 2, 4, 4, EXACT)
+    reports = (
+        lambda beta: phi_profile(hier3, 2, beta, 4, balls, EXACT),
+        lambda beta: discrete_profiles(hier3, u, 2, beta, base, EXACT),
+        lambda beta: jump_kernel_energy(hier3, 2, beta, base, EXACT),
+        lambda beta: critical_sweep(hier3, u, 2, [beta], base, EXACT),
+    )
+    for report in reports:
+        with pytest.raises(InvalidArgumentError, match=r"beta = 100\.0, n = 3: "):
+            report(100.0)
+        report(60.0)
+    prof = phi_profile(hier3, 2, 60.0, 4, balls, EXACT)
+    assert prof.phi_proxy[4] == pytest.approx(
+        math.exp(60 * (4 * math.log(15) - math.log(2))) / float(scale_values(hier3.ratios, 4)[1])
+        * float(balls[4]), rel=1e-12)

@@ -783,3 +783,35 @@ def test_selftest_weak_monotonicity_honours_float_mode(tmp_path, monkeypatch):
         args = ["selftest", "--config", str(path), "--out", str(tmp_path / mode)]
         assert main(args + ["--mode", mode]) == 0
         assert exact_calls and set(exact_calls) == {exact}, mode
+
+
+@pytest.mark.parametrize("command", ["besov", "selftest"])
+@pytest.mark.parametrize(
+    "overrides",
+    [{"beta_star": 0.005, "epsilons": [0.002, 0.001]}, {"beta_grid": [200.0]}],
+)
+def test_beta_weight_past_the_float_range_exits_2(tmp_path, capsys, command, overrides):
+    """At depth 2, beta / beta* = 160 (the default beta 0.8 over
+    beta* = 0.005) or 200 takes the weight phi(rho_2)^(-beta/beta*) past the
+    float range: the command exits 2 naming beta and n, and writes nothing."""
+    cfg = write_config(tmp_path, overrides)
+    out = tmp_path / "art"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "exceeds the float range" in err and "n = 2" in err
+    assert not any(out.iterdir())
+
+
+def test_unreadable_config_exits_2_naming_the_path(tmp_path, capsys):
+    """A directory or a file that is not UTF-8 is a config error that names
+    the path; a missing file keeps its own message."""
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"ratios": "é"}'.encode("latin-1"))
+    out = tmp_path / "art"
+    for path in (tmp_path, latin1):
+        assert main(["build", "--config", str(path), "--out", str(out)]) == 2
+        assert f"error: config file {path} cannot be read: " in capsys.readouterr().err
+    missing = tmp_path / "nope.json"
+    assert main(["build", "--config", str(missing), "--out", str(out)]) == 2
+    assert f"error: config file not found: {missing}" in capsys.readouterr().err
+    assert not out.exists()

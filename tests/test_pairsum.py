@@ -334,9 +334,9 @@ def test_integer_p_full_blocks_sum_no_tile(hier3, monkeypatch):
 
 
 def test_integer_p_full_blocks_keep_memory_small(hier3):
-    """Sorted prefix sums hold one batch of sorted pieces and one chunk of
-    A values at a time.  With the plan cached, float p = 3 at l = 3, m = 6,
-    n = 0 peaked at 1.41 MiB and exact p = 3 at m = 5, n = 0 at 1.26 MiB
+    """Sorted prefix sums hold one sorted piece and one chunk of A values at
+    a time.  With the plan cached, float p = 3 at l = 3, m = 6, n = 0
+    peaked at 1.38 MiB and exact p = 3 at m = 5, n = 0 at 0.79 MiB
     (numpy 2.4, x86-64); the pair-by-pair tiles they replace took 1.58 and
     1.64 MiB."""
     for arith, m in ((FLOAT, 6), (EXACT, 5)):
