@@ -323,7 +323,7 @@ def _cmd_bbm(config: ExperimentConfig, out: Path, meta: str) -> int:
 
 
 def _cmd_resistance(config: ExperimentConfig, out: Path, meta: str) -> int:
-    from .energy import ORACLE_P_RANGE, resistance, resistance_oracle
+    from .energy import ORACLE_P_RANGE, oracle_agrees, oracle_covers, resistance, resistance_oracle
 
     ratios = config.ratio_sequence()
     level = build_level(ratios, min(config.depth, 2), budget=config.cell_budget)
@@ -334,10 +334,9 @@ def _cmd_resistance(config: ExperimentConfig, out: Path, meta: str) -> int:
         (level.vertex_id(-L, L), level.vertex_id(L, -L)),
         (level.origin, level.vertex_id(-L, L)),
     ]
-    lo, hi = ORACLE_P_RANGE
-    run_oracle = lo <= float(config.p) <= hi
+    run_oracle = oracle_covers(config.p)
     if not run_oracle:
-        print(f"note: resistance oracle skipped: p = {config.p} is outside [{lo}, {hi}]",
+        print(f"note: resistance oracle skipped: p = {config.p} is outside {list(ORACLE_P_RANGE)}",
               file=sys.stderr)
     rows = []
     oracle_ok = True
@@ -346,8 +345,7 @@ def _cmd_resistance(config: ExperimentConfig, out: Path, meta: str) -> int:
         r = resistance(level, a, b, config.p)
         agree = ""
         if run_oracle:
-            ro = resistance_oracle(level, a, b, float(config.p))
-            agree = abs(float(r) - ro) <= 1e-6 * max(1.0, float(r))
+            agree = oracle_agrees(r, resistance_oracle(level, a, b, float(config.p)))
             oracle_ok = oracle_ok and agree
         rows.append((a, b, d, r, agree))
     write_csv(

@@ -140,14 +140,6 @@ def _int_array(ints: Sequence[int], growth: int = 1) -> np.ndarray:
     return np.array(ints, dtype=np.int64 if bound < _INT64_BOUND else object)
 
 
-def _diff_tile(va: np.ndarray, vb: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """va[i] - vb[j] for every pair, written into the front of ``buf``: a
-    fresh tile per sub-block makes malloc hand its pages back and fault them
-    in again, which made float p = 3 sums 2-3x slower."""
-    out = buf[: len(va) * vb.size].reshape(len(va), *vb.shape)
-    return np.subtract(va[:, None], vb[None], out=out)
-
-
 def _abs_pow(d: np.ndarray, pf: float) -> None:
     """d <- |d|^pf in place; small integer pf by repeated products."""
     np.abs(d, out=d)
@@ -164,23 +156,30 @@ class Arithmetic:
 
     ``EXACT`` holds the values of a function on V_n as ``(den, integer
     array)``, takes integer exponents only and returns Fractions; ``FLOAT``
-    holds float64 arrays and returns floats.  Results compare exactly, or
-    in float with a slack of 1e-12: ``close(a, b)`` is |b - a| <= 1e-12 *
-    max(1, |b|) and ``at_most(a, b)`` is a <= b (1 + 1e-12); ``num``,
+    holds float64 arrays and returns floats.  Results compare within
+    ``slack``, 0 in EXACT and 1e-12 in FLOAT: ``close(a, b)`` is |b - a| <=
+    slack max(1, |b|) and ``at_most(a, b)`` is a <= b (1 + slack); ``num``,
     ``power``, ``total`` and ``unscale`` (of a pair sum) make its numbers.
     ``arithmetic`` picks one from (mode, p), and every energy routine takes it.
 
     The pair sums take from it only what differs: values as a (V, F) array
-    and, if integer, their max |v|, a tile's |d|^p sum under a mask, the
+    and, if integer, their max |v|, the masked |d|^p sums of K blocks, the
     block terms' dtype, and a brute-force tile's in-ball power total; the
     block terms are added up in plan order alike in both.
     """
 
     name: str
     num: type  # the result number type
+    slack: float  # 0 in EXACT, where close is == and at_most is <=
 
     def __repr__(self) -> str:
         return self.name
+
+    def close(self, a, b) -> bool:
+        return abs(b - a) <= self.slack * max(1, abs(b))
+
+    def at_most(self, a, b) -> bool:
+        return a <= b * (1 + self.slack)
 
     def level_values(self, hier: Hierarchy, u: AffineFunction, start: int, stop: int):
         """(n, values of u on V_n) for n = start..stop, extending one level at a time.
@@ -239,19 +238,13 @@ class Arithmetic:
 
 
 class _Exact(Arithmetic):
-    name, num = "EXACT", Fraction
+    name, num, slack = "EXACT", Fraction, 0
 
     def exponent(self, p) -> int:
         """p as an int; a non-integer p is rejected, never rounded."""
         if not p_is_integer(p):
             raise InvalidArgumentError(f"exact energies need integer p, got {p}")
         return int(p)
-
-    def close(self, a, b) -> bool:
-        return a == b
-
-    def at_most(self, a, b) -> bool:
-        return a <= b
 
     def total(self, xs) -> Fraction:
         return sum(xs, Fraction(0))
@@ -298,9 +291,8 @@ class _Exact(Arithmetic):
         top = int(np.abs(ints).max(initial=0))
         return np.asarray(ints, np.int64 if (2 * top) ** p < 2**63 else object)[:, None], True, top
 
-    def _tile_sum(self, va: np.ndarray, vb: np.ndarray, p: int, mask, buf) -> int:
-        d = _diff_tile(va, vb, buf)
-        return _power_sums(d[mask], p)[0]
+    def _tile_sums(self, d: np.ndarray, p: int, mask: np.ndarray) -> np.ndarray:
+        return np.array([_power_sums(t, p) for t in d[:, mask]], dtype=object)
 
     def _ball_total(self, mask: np.ndarray, t: np.ndarray) -> int:
         # a tile has at most _CHUNK entries: their 32-bit halves sum in int64
@@ -311,16 +303,10 @@ class _Exact(Arithmetic):
 
 
 class _Float(Arithmetic):
-    name, num = "FLOAT", float
+    name, num, slack = "FLOAT", float, 1e-12
 
     def exponent(self, p) -> float:
         return float(p)
-
-    def close(self, a, b) -> bool:
-        return abs(b - a) <= 1e-12 * max(1.0, abs(b))
-
-    def at_most(self, a, b) -> bool:
-        return a <= b * (1 + 1e-12)
 
     def total(self, xs) -> float:
         return math.fsum(float(x) for x in xs)
@@ -358,10 +344,9 @@ class _Float(Arithmetic):
         vals = np.asarray(values, dtype=np.float64)
         return (vals[:, None], True, 0) if vals.ndim == 1 else (vals, False, 0)
 
-    def _tile_sum(self, va: np.ndarray, vb: np.ndarray, p: float, mask, buf) -> np.ndarray:
-        d = _diff_tile(va, vb, buf)
+    def _tile_sums(self, d: np.ndarray, p: float, mask) -> np.ndarray:
         _abs_pow(d, p)
-        return d.sum(axis=(0, 1)) if mask is None else np.einsum("ij,ijf->f", mask, d)
+        return d.sum(axis=(1, 2)) if mask is None else np.einsum("ij,kijf->kf", mask, d)
 
     def _ball_total(self, mask: np.ndarray, t: np.ndarray) -> np.ndarray:
         return np.einsum("ij,ijf->f", mask, t)
@@ -538,6 +523,17 @@ ORACLE_P_RANGE = (1.4, 8.0)
 _ORACLE_TOL = 1e-10
 
 
+def oracle_covers(p) -> bool:
+    """Whether p lies in ``ORACLE_P_RANGE``, where ``resistance_oracle`` runs."""
+    lo, hi = ORACLE_P_RANGE
+    return lo <= float(p) <= hi
+
+
+def oracle_agrees(r, r_oracle: float) -> bool:
+    """Whether R_p = r and its oracle value agree: |r - r_oracle| <= 1e-6 max(1, r)."""
+    return abs(float(r) - r_oracle) <= 1e-6 * max(1.0, float(r))
+
+
 def resistance_oracle(
     level: VicsekLevel,
     a: int,
@@ -552,9 +548,8 @@ def resistance_oracle(
     energy of the final iterate, hence is a certified lower bound of R_p up
     to solver accuracy.
     """
-    lo, hi = ORACLE_P_RANGE
-    if not lo <= float(p) <= hi:
-        raise InvalidArgumentError(f"oracle supports p in [{lo}, {hi}], got {p}")
+    if not oracle_covers(p):
+        raise InvalidArgumentError(f"oracle supports p in {list(ORACLE_P_RANGE)}, got {p}")
     level.check_vertex_ids(a, b)
     if a == b:
         return 0.0

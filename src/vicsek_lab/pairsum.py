@@ -20,13 +20,13 @@ routes are provided:
   blocks take one of three forms: p = 2 as one gather over prefix moments,
   an integer p >= 3 from sorted prefix power sums, one distinct B piece at
   a time (``_sorted_sums``), a non-integer p in tiles over sub-blocks.  Leaf
-  blocks go class by class.  No float temporary holds more than
-  ``_CHUNK`` elements, so memory is bounded for every p.  Block sums are
-  added in the plan's depth-first order, which keeps float results fixed;
-  they equal the per-block oracle's bit for bit at p = 2, at a non-integer
-  p and on every leaf class, and agree within rounding on the full blocks
-  of an integer p >= 3.  The ``Arithmetic`` supplies the tile power sum
-  and the total.
+  blocks go class by class, K blocks at a time, as tiled full blocks do.
+  No float temporary holds more than ``_CHUNK`` elements, so memory is
+  bounded for every p.  Block sums are added in the plan's depth-first
+  order, which keeps float results fixed; they equal the per-block
+  oracle's bit for bit at p = 2, at a non-integer p and on every leaf
+  class, and agree within rounding on the full blocks of an integer
+  p >= 3.  The ``Arithmetic`` supplies the |d|^p sums of K blocks.
 
 ``ball_pair_sum_indexed`` takes the cell tree; the oracle is
 ``ball_pair_sum_bruteforce``.  Every route takes the ``Arithmetic`` its
@@ -320,15 +320,15 @@ def _evaluate(plan: PairPlan, idx: CellPairIndex, vs: np.ndarray, p, arith: Arit
     Each block's sum goes to its row of ``terms``.  Full blocks take one of
     three forms: at p = 2 prefix moments in chunks of rows, at an integer
     p >= 3 ``_sorted_sums`` over sorted B sides, at a non-integer p tiles
-    over the block's sub-blocks.  Leaf classes are summed from one mask
-    built once per call: at p = 2 by ``_square_sums`` (``top`` is max |v|),
-    else tile by tile.  ``arith`` sums a tile; the rows are added up one by
-    one in plan order, in place, in either arithmetic.
+    over the block's sub-blocks.  Leaf classes, from one mask built once per
+    call, and tiled full blocks go through ``_class_sums`` (``top`` is max
+    |v|), where ``arith`` sums the |d|^p of K blocks; the rows are added up
+    one by one in plan order, in place, in either arithmetic.
     """
     F = vs.shape[1]
     terms = np.zeros((len(plan.blocks), F), dtype=arith._term_dtype)
     full = np.flatnonzero(plan.leaf_class < 0)
-    tiled = []  # full blocks summed tile by tile
+    groups = _class_rows(plan.leaf_class)  # then each full block summed in tiles
     if p == 2:
         v = vs.astype(terms.dtype, copy=False)
         P1 = np.zeros((v.shape[0] + 1, F), dtype=terms.dtype)
@@ -351,25 +351,17 @@ def _evaluate(plan: PairPlan, idx: CellPairIndex, vs: np.ndarray, p, arith: Arit
         terms[full] = _sorted_sums(vs, plan.blocks[full], int(p), top)
         terms[full] *= plan.blocks[full, 4:]  # in Python ints in exact
     else:
-        tiled = list(full[:, None])
-    buf = np.empty(_CHUNK, dtype=vs.dtype)  # every tile's differences
-    groups = tiled + _class_rows(plan.leaf_class)
+        groups += list(full[:, None])
+    buf = np.empty(_CHUNK, dtype=vs.dtype)  # reused: fresh tiles re-fault pages, 2-3x slower
     for group in groups:
-        loa, hia, lob, hib = plan.blocks[group[0], :4].tolist()
+        blocks = plan.blocks[group]
+        loa, hia, lob, hib = blocks[0, :4].tolist()
         if plan.leaf_class[group[0]] < 0:
             subs = _sub_blocks(hia - loa, hib - lob, F)
         else:
             subs = _class_mask(idx, plan.radius2, F, loa, hia, lob, hib)
-            if p == 2:
-                terms[group] = _square_sums(vs, subs, plan.blocks[group], top)
-                terms[group] *= plan.blocks[group, 4:]  # in Python ints in exact
-                continue
-        for row in group.tolist():
-            loa, _, lob, _, w = plan.blocks[row].tolist()
-            terms[row] = w * sum(
-                arith._tile_sum(vs[loa + i0 : loa + i1], vs[lob + j0 : lob + j1], p, mask, buf)
-                for i0, i1, j0, j1, mask in subs
-            )
+        terms[group] = _class_sums(vs, subs, blocks, p, arith, top, buf)
+        terms[group] *= blocks[:, 4:]  # in Python ints in exact
     return np.cumsum(terms, axis=0, out=terms)[-1]
 
 
@@ -417,31 +409,41 @@ def _class_mask(idx: CellPairIndex, R: int, F: int, loa, hia, lob, hib):
     return subs
 
 
-def _square_sums(vs, subs, blocks, top):
-    """The sum of (v_i - v_j)^2 over the in-ball pairs of each block of one
-    leaf class, unweighted, one row per block, in either arithmetic.
+def _class_sums(vs, subs, blocks, p, arith: Arithmetic, top, buf):
+    """The sum of |v_i - v_j|^p over the in-ball pairs of each block of one
+    leaf class (all pairs of a full block), unweighted, one row per block.
 
     Per sub-block, K blocks at a time are gathered into (K, na, F) and
-    (K, nb, F) arrays of at most ``_CHUNK`` elements, summed as
+    (K, nb, F) arrays of at most ``_CHUNK`` elements, summed at p = 2 as
     rows.va^2 + cols.vb^2 - 2 va.(M vb).  Ints (max |v| = ``top``) keep M vb
     in int64 while nb top < 2^63 and the sums while 4 top^2 na nb < 2^63,
     Python ints past that.  Floats are never cast, and the stacked products
-    make one BLAS call per block, so each row keeps a lone block's bits.
+    make one BLAS call per block, so each row keeps a lone block's bits.  At
+    any other p ``arith`` sums the |d|^p of the K blocks' differences, which
+    go into ``buf``, at most ``_CHUNK`` of them.
     """
     loa, lob = blocks[:, 0, None], blocks[:, 2, None]
     na, nb = int(blocks[0, 1] - blocks[0, 0]), int(blocks[0, 3] - blocks[0, 2])
+    F = vs.shape[1]
     prod, acc = (vs.dtype if b < 2**63 else object for b in (nb * top, 4 * top * top * na * nb))
-    out = np.zeros((len(blocks), vs.shape[1]), dtype=acc)
+    out = np.zeros((len(blocks), F), dtype=acc if p == 2 else arith._term_dtype)
     for i0, i1, j0, j1, mask in subs:
-        M = mask.astype(prod)
-        rows = np.count_nonzero(mask, axis=1).astype(acc)
-        cols = np.count_nonzero(mask, axis=0).astype(acc)
         ia, jb = np.arange(i0, i1), np.arange(j0, j1)
-        K = max(1, _CHUNK // (max(i1 - i0, j1 - j0) * vs.shape[1]))
+        if p == 2:
+            M = mask.astype(prod)
+            rows = np.count_nonzero(mask, axis=1).astype(acc)
+            cols = np.count_nonzero(mask, axis=0).astype(acc)
+        # a batch's gathers (p = 2) or differences fit one tile
+        K = max(1, _CHUNK // ((max(i1 - i0, j1 - j0) if p == 2 else (i1 - i0) * (j1 - j0)) * F))
         for k in range(0, len(blocks), K):
-            va = vs[loa[k : k + K] + ia].astype(acc, copy=False)
+            va = vs[loa[k : k + K] + ia]
             vb = vs[lob[k : k + K] + jb]
             o = out[k : k + K]
+            if p != 2:
+                d = buf[: va.size * (j1 - j0)].reshape(len(va), i1 - i0, j1 - j0, F)
+                o += arith._tile_sums(np.subtract(va[:, :, None], vb[:, None], out=d), p, mask)
+                continue
+            va = va.astype(acc, copy=False)
             o += rows @ (va * va) + cols @ np.square(vb, dtype=acc)
             o -= 2 * (va * (M @ vb.astype(prod, copy=False))).sum(axis=1)
     return out

@@ -26,12 +26,14 @@ from .besov import (
 from .config import ExperimentConfig
 from .energy import (
     EXACT,
-    ORACLE_P_RANGE,
+    FLOAT,
     arithmetic,
     diagonal_ramp,
     energy_limit,
     energy_of_gradient,
     gradient_field,
+    oracle_agrees,
+    oracle_covers,
     random_affine,
     resistance,
     resistance_oracle,
@@ -129,13 +131,13 @@ def run_selftest(config: ExperimentConfig) -> tuple[list[Check], dict]:
         return all(arith.at_most(a, b) for a, b in zip(es, es[1:]))
     record("seeded_monotonicity", all(seed_mono(s) for s in config.seeds))
 
-    if ORACLE_P_RANGE[0] <= float(p) <= ORACLE_P_RANGE[1]:
+    if oracle_covers(p):
         lvr = hier.level(min(2, N))
         a = lvr.origin
         b = lvr.vertex_id(lvr.L, lvr.L)
         rf = float(resistance(lvr, a, b, p))
         ro = resistance_oracle(lvr, a, b, float(p))
-        record("resistance_oracle", abs(rf - ro) <= 1e-6 * max(1.0, rf), f"{rf} vs {ro}")
+        record("resistance_oracle", oracle_agrees(rf, ro), f"{rf} vs {ro}")
 
     # -- energy measure ---------------------------------------------------
     cm = gamma_cells(hier, u_star, p, 1, arith)
@@ -190,7 +192,7 @@ def run_selftest(config: ExperimentConfig) -> tuple[list[Check], dict]:
     artifacts["bbm"] = curve
     ok = all(pt.within_bracket for pt in curve.points)
     vals = [pt.value for pt in sorted(curve.points, key=lambda q: q.epsilon)]
-    ok = ok and all(a <= b * (1 + 1e-12) for a, b in zip(vals, vals[1:]))
+    ok = ok and all(FLOAT.at_most(a, b) for a, b in zip(vals, vals[1:]))
     if len(distinct) == 1:
         l = distinct[0]
         t = (2 * l - 1) * float(l) ** (float(p) - 1.0)

@@ -179,6 +179,27 @@ def test_batched_classes_and_tiled_full_blocks_match_oracles():
         assert got[0] == pytest.approx(want, rel=1e-12, abs=1e-300), (p, n)
 
 
+def test_batched_classes_past_p2_match_oracles(hier35):
+    """At F = 1 on the alternating(3, 5) plan of m = 4, n = 2, a leaf class
+    holds more blocks than one batch of p != 2 differences (at most
+    ``_CHUNK`` elements).  Float p = 3 and p = 2.5 keep the per-block
+    route's sums, and exact p = 3 equals brute force."""
+    lv = hier35.level(4)
+    plan = pair_plan(lv, 2)
+    lc = plan.leaf_class[plan.leaf_class >= 0]
+    b = plan.blocks[plan.leaf_class >= 0]
+    pairs = (b[:, 1] - b[:, 0]) * (b[:, 3] - b[:, 2])  # the blocks of a class share it
+    assert (pairs <= pairsum._CHUNK).all()
+    assert (np.bincount(lc)[lc] > pairsum._CHUNK // pairs).any()
+    vals = np.random.default_rng(13).standard_normal(lv.num_vertices)
+    for p in (3, 2.5):
+        got = ball_pair_sum_indexed(lv, vals, p, 2, FLOAT)
+        assert matches_per_block(got, ball_pair_sum_per_block(lv, vals, p, 2), p), p
+    ints = EXACT.values_at(hier35, diagonal_ramp(), 4)  # int64 tiles: brute force < 1 s
+    want = ball_pair_sum_bruteforce(lv, ints, 3, 2, EXACT)
+    assert ball_pair_sum_indexed(lv, ints, 3, 2, EXACT) == want
+
+
 def test_class_batches_take_each_blocks_weight(monkeypatch):
     """Weights that differ inside a leaf class are each applied to their own
     block."""
@@ -297,12 +318,12 @@ def test_indexed_exact_past_int64_is_bruteforce():
 
 
 def test_exact_p2_leaf_classes_take_the_square_form(hier3, monkeypatch):
-    """Exact p = 2 leaf classes go through ``_square_sums``, as float ones
-    do: ramp sums at l = 3, m = 5, n = 0..4 sum no tile, while a p = 3 sum
-    does."""
+    """Exact p = 2 leaf classes take ``_class_sums``'s stacked square form,
+    as float ones do: ramp sums at l = 3, m = 5, n = 0..4 sum no |d|^p
+    tile, while a p = 3 sum does."""
     calls = []
-    tile_sum = EXACT._tile_sum
-    monkeypatch.setattr(EXACT, "_tile_sum", lambda *args: calls.append(1) or tile_sum(*args))
+    tile_sums = EXACT._tile_sums
+    monkeypatch.setattr(EXACT, "_tile_sums", lambda *args: calls.append(1) or tile_sums(*args))
     vals = EXACT.values_at(hier3, diagonal_ramp(), 5)
     for n in range(5):
         ball_pair_sum_indexed(hier3.level(5), vals, 2, n, EXACT)
@@ -318,11 +339,11 @@ def test_integer_p_full_blocks_sum_no_tile(hier3, monkeypatch):
     full_tiles = []
     for arith in (EXACT, FLOAT):
 
-        def spy(va, vb, p, mask, buf, tile_sum=arith._tile_sum):
+        def spy(d, p, mask, tile_sums=arith._tile_sums):
             full_tiles.append(mask is None)
-            return tile_sum(va, vb, p, mask, buf)
+            return tile_sums(d, p, mask)
 
-        monkeypatch.setattr(arith, "_tile_sum", spy)
+        monkeypatch.setattr(arith, "_tile_sums", spy)
     lv = hier3.level(4)
     plan = pair_plan(lv, 1)
     assert (plan.leaf_class < 0).any() and (plan.leaf_class >= 0).any()
