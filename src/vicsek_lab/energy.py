@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConvergenceError, InvalidArgumentError, LevelError, RegionError
 from .geometry import Hierarchy, VicsekLevel
 from .ratios import p_is_integer
-from .words import ancestor_index_stride
+from .words import ancestor_index_stride, arm_letter
 
 
 class AffineFunction:
@@ -342,6 +342,8 @@ class _Float(Arithmetic):
     def _pair_values(self, values, p: float = 1.0):
         """(values as a (V, F) float64 array, whether they were one vector, 0)."""
         vals = np.asarray(values, dtype=np.float64)
+        if vals.ndim == 2 and not vals.shape[1]:
+            raise InvalidArgumentError("pair sums need F >= 1 value columns, got F = 0")
         return (vals[:, None], True, 0) if vals.ndim == 1 else (vals, False, 0)
 
     def _tile_sums(self, d: np.ndarray, p: float, mask) -> np.ndarray:
@@ -747,11 +749,11 @@ def restrict_to_arm(hier: Hierarchy, u: AffineFunction, direction: int) -> Affin
         vals = [Fraction(0)] * 5
         vals[direction] = u.values[direction]
         return AffineFunction(0, vals)
-    half = (lv.ratios.ratio(1) - 1) // 2
-    lo = 1 + (direction - 1) * half
+    l = lv.ratios.ratio(1)
+    arm = arm_letter(l, direction, np.arange(1, (l + 1) // 2))
     first = np.arange(lv.num_cells) // ancestor_index_stride(lv.ratios, base, 1)
     zero = np.zeros(lv.num_vertices, dtype=bool)
-    zero[lv.cell_vertices[(first < lo) | (first >= lo + half)]] = True
+    zero[lv.cell_vertices[~np.isin(first, arm)]] = True
     return AffineFunction(base, [Fraction(0) if z else v for v, z in zip(u.values, zero.tolist())])
 
 

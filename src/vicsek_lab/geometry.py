@@ -26,18 +26,16 @@ from .errors import (
     ScaleMismatchError,
 )
 from .ratios import RatioSequence
-from .words import Word, enumerate_letters, letter_offset, validate_word
+from .words import (
+    DIRECTION_VECTORS, Word, arm_letter, enumerate_letters, letter_offset, validate_word
+)
 
 DEFAULT_CELL_BUDGET = 5_000_000
 # A level has at most 5 points per cell, so with this many cells every
 # vertex id, cell id, coordinate and depth fits the int32 tables.
 MAX_CELL_BUDGET = 400_000_000
 
-# Corner slots of a cell: slot 0 is the center, slot j is the corner in
-# diagonal direction j.
-_SLOT_DX = (0, 1, -1, -1, 1)
-_SLOT_DY = (0, 1, 1, -1, -1)
-_SLOTS = np.column_stack((_SLOT_DX, _SLOT_DY)).astype(np.int64)
+_SLOTS = np.array(DIRECTION_VECTORS, dtype=np.int64)  # slot offsets from a cell's center
 
 
 @dataclass(frozen=True)
@@ -86,9 +84,8 @@ def point_of_word(ratios: RatioSequence, word: Word, corner: int | str = 0) -> L
         ox, oy = letter_offset(letter)
         x = x * l + ox
         y = y * l + oy
-    x += _SLOT_DX[corner]
-    y += _SLOT_DY[corner]
-    return LatticePoint(x, y, n)
+    dx, dy = DIRECTION_VECTORS[corner]
+    return LatticePoint(x + dx, y + dy, n)
 
 
 def radius2(L: int, r) -> int:
@@ -225,7 +222,16 @@ class VicsekLevel:
     # -- lookups -----------------------------------------------------------
 
     def vertex_id(self, x: int, y: int) -> int:
-        return int(self._ids_of(np.array([x]), np.array([y]))[0])
+        """The id of the vertex at scaled coordinates (x, y), found only inside
+        the packing box and by an equal key, so a miss never yields a neighbour."""
+        sorted_keys, ids = self._lookup
+        pad = self.L + 1
+        if abs(x) <= pad and abs(y) <= pad:
+            key = self._pack(np.int64(x), np.int64(y))
+            pos = int(np.searchsorted(sorted_keys, key))
+            if pos < len(sorted_keys) and sorted_keys[pos] == key:
+                return int(ids[pos])
+        raise LookupError_(f"no vertex at scaled coordinates ({x}, {y})")
 
     def _pack(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """One int64 key per point: distinct for points with |x|, |y| <= L + 1,
@@ -242,25 +248,6 @@ class VicsekLevel:
         keys = self._pack(self.coords[:, 0], self.coords[:, 1])
         order = np.argsort(keys)
         return keys[order], order
-
-    def _ids_of(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Vertex ids of the scaled points (xs, ys), elementwise.
-
-        A point is found only if it lies in the packing box and its key is
-        equal to a vertex key, so a miss never yields a neighbouring id.
-        """
-        sorted_keys, ids = self._lookup
-        pad = self.L + 1
-        keys = self._pack(xs, ys)
-        pos = np.searchsorted(sorted_keys, keys)
-        found = (abs(xs) <= pad) & (abs(ys) <= pad) & (pos < len(sorted_keys))
-        found[found] = sorted_keys[pos[found]] == keys[found]
-        if not found.all():
-            i = np.flatnonzero(~found)[0]
-            raise LookupError_(
-                f"no vertex at scaled coordinates ({xs.flat[i]}, {ys.flat[i]})"
-            )
-        return ids[pos]
 
     def check_vertex_ids(self, *vids: int) -> None:
         """Raise ``LookupError_`` unless every id lies in 0..V-1."""
@@ -458,17 +445,14 @@ class Hierarchy:
         coarse = self.level(k)
         fine = self.level(k + 1)
         l = self.ratios.ratio(k + 1)
-        h = (l - 1) // 2
 
         # Point i of the segment from a coarse center to its corner j is, at
         # the fine level, slot 0 of arm child i/2 for even i (the center
         # child for i = 0) and slot j of arm child (i-1)/2 for odd i (the
-        # center child for i = 1), where arm child m >= 1 on arm j is letter
-        # 1 + (j-1) h + (m-1) of the cell's children.
+        # center child for i = 1).
         i = np.arange(l + 1)
         j = np.arange(1, 5)[:, None]
-        m = i // 2
-        child = np.where(m > 0, 1 + (j - 1) * h + m - 1, 0)
+        child = np.where(i > 1, arm_letter(l, j, i // 2), 0)
         slot = np.where(i % 2 == 1, j, 0)
         fine_cells = fine.cell_vertices.reshape(coarse.num_cells, 2 * l - 1, 5)
         # (cells, arm j, point i); the maps stay intp, since numpy converts

@@ -48,8 +48,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import _CHUNK, Arithmetic
-from .errors import ScaleMismatchError
+from .errors import InvalidArgumentError, ScaleMismatchError
 from .geometry import VicsekLevel, _cell_centers, radius2, square_vs_disk
+from .words import arm_letter
 
 _LEAF_MAX = 256
 
@@ -81,8 +82,8 @@ class CellPairIndex:
         self.half = np.array([level.L // ratios.length_product(k) for k in range(m + 1)])
         self.children = np.array([2 * ratios.ratio(k) - 1 for k in range(1, m + 1)] + [0])
         # corner j of cell (k, i) is slot j of its level-m descendant
-        # i * stride + corner[j - 1], which takes letter j h_t, the outermost
-        # arm-j child, at every depth t > k
+        # i * stride + corner[j - 1], which takes the outermost arm-j child
+        # at every depth t > k
         stride, corner = 1, np.zeros(4, dtype=owner.dtype)
         for k in range(m, -1, -1):
             rows = slice(self.start[k], self.start[k] + counts[k])
@@ -104,7 +105,7 @@ class CellPairIndex:
             self.cy[rows] = centers[:, 1] * self.half[k]
             if k:
                 l = ratios.ratio(k)
-                corner += np.arange(1, 5) * ((l - 1) // 2 * stride)
+                corner += arm_letter(l, np.arange(1, 5), (l - 1) // 2) * stride
                 stride *= 2 * l - 1
 
 
@@ -305,12 +306,17 @@ def ball_pair_sum_indexed(
 
     Identical summands, different organization: the plan takes closed forms
     or plain sums on fully-inside blocks, and only tests pairs near the
-    critical sphere.
+    critical sphere.  At p != 2 every tile holds at least one pair's F
+    columns in a buffer of ``_CHUNK`` elements, so F may be at most
+    ``_CHUNK`` there; p = 2 and the brute-force route take any F >= 1.
     """
     plan = pair_plan(level, n, leaf_max)
     idx = _pair_index(level)
     vals, squeeze, top = arith._pair_values(values)
-    total = _evaluate(plan, idx, vals, arith.exponent(p), arith, top)
+    p, F = arith.exponent(p), vals.shape[1]
+    if p != 2 and F > _CHUNK:
+        raise InvalidArgumentError(f"pair sums at p != 2 take F <= {_CHUNK} columns, got F = {F}")
+    total = _evaluate(plan, idx, vals, p, arith, top)
     return total.tolist()[0] if squeeze else total
 
 

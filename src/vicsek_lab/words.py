@@ -1,9 +1,11 @@
-"""Letters, words and their lexicographic indexing.
+"""Letters, words and their lexicographic indexing: the one home of the
+subcell numbering that every geometric table reads.
 
-A letter addresses one subcell of the cross-shaped refinement: the center
-subcell or the m-th subcell along one of the four diagonal arms.  The four
-arm directions are numbered 1..4 counterclockwise starting from the
-upper-right diagonal; direction 0 is the center.  A word is a tuple of
+A cell of ratio l has 2l - 1 subcells, one per letter.  Letter 0 is the
+center subcell; step m = 1..(l - 1)/2 outward along diagonal arm j = 1..4,
+numbered counterclockwise from the upper-right diagonal, is letter
+1 + (j - 1)(l - 1)/2 + (m - 1) (``arm_letter``).  Slot 0 of a cell is its
+center and slot j its corner in direction j.  A word is a tuple of
 letters, one per refinement level.
 """
 
@@ -14,8 +16,8 @@ from typing import NamedTuple
 from .errors import InvalidArgumentError, InvalidRatioError, LevelError
 from .ratios import RatioSequence
 
-# Unit diagonal vectors in scaled integer coordinates, indexed by direction.
-# Direction j >= 1 corresponds to the corner of the unit cell in quadrant j.
+# Unit diagonal vectors in scaled integer coordinates, indexed by direction:
+# the offset of slot j from its cell's center (half-side 1).
 DIRECTION_VECTORS = ((0, 0), (1, 1), (-1, 1), (-1, -1), (1, -1))
 
 
@@ -37,11 +39,7 @@ def enumerate_letters(l: int) -> list[Letter]:
     """The 2l-1 letters of the alphabet for an odd ratio l >= 3."""
     if not isinstance(l, int) or l < 3 or l % 2 == 0:
         raise InvalidRatioError(f"alphabet requires an odd ratio >= 3, got {l}")
-    letters = [CENTER]
-    for j in range(1, 5):
-        for m in range(1, (l - 1) // 2 + 1):
-            letters.append(Letter(j, m))
-    return letters
+    return [letter_from_index(i, l) for i in range(2 * l - 1)]
 
 
 def letter_offset(letter: Letter) -> tuple[int, int]:
@@ -50,16 +48,20 @@ def letter_offset(letter: Letter) -> tuple[int, int]:
     return (2 * letter.step * ux, 2 * letter.step * uy)
 
 
+def arm_letter(l: int, direction, step):
+    """Index of step ``step`` >= 1 of arm ``direction``; elementwise."""
+    return 1 + (direction - 1) * ((l - 1) // 2) + (step - 1)
+
+
 def letter_index(letter: Letter, l: int) -> int:
     """Position of the letter in enumerate_letters(l)."""
     if letter.direction == 0:
         if letter.step != 0:
             raise InvalidArgumentError(f"center letter with step {letter.step}")
         return 0
-    half = (l - 1) // 2
-    if not (1 <= letter.direction <= 4 and 1 <= letter.step <= half):
+    if not (1 <= letter.direction <= 4 and 1 <= letter.step <= (l - 1) // 2):
         raise InvalidArgumentError(f"letter {letter} invalid for ratio {l}")
-    return 1 + (letter.direction - 1) * half + (letter.step - 1)
+    return arm_letter(l, letter.direction, letter.step)
 
 
 def letter_from_index(idx: int, l: int) -> Letter:

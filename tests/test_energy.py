@@ -40,7 +40,7 @@ from vicsek_lab.errors import (
     RegionError,
 )
 from vicsek_lab.geometry import Hierarchy, build_level
-from vicsek_lab.ratios import constant_ratios
+from vicsek_lab.ratios import alternating_ratios, constant_ratios
 from vicsek_lab.words import CENTER, Letter, ancestor_index_stride, word_from_index, word_index
 
 
@@ -454,9 +454,13 @@ def test_strong_locality_spec_example(hier3):
 def test_restrict_to_arm_matches_a_per_vertex_scan(hier3, hier35):
     """A base vertex keeps its value iff every cell holding it has a first
     letter on the arm, read from the cell words one vertex at a time (on
-    base level 0, iff it is the arm's corner)."""
-    for hier in (hier3, hier35):
-        for base in range(4):
+    base level 0, iff it is the arm's corner).  First ratios 5 and 7 give
+    arms of two and three letters, so a wrong end of an arm's letter range
+    shows."""
+    hier5 = Hierarchy(constant_ratios(5, 6), 3)
+    hier73 = Hierarchy(alternating_ratios(7, 3, 6), 2)
+    for hier in (hier3, hier35, hier5, hier73):
+        for base in range(min(4, hier.max_level + 1)):
             lv = hier.level(base)
             u = AffineFunction(base, range(1, lv.num_vertices + 1))
             first = [word_from_index(hier.ratios, base, w)[:1] for w in range(lv.num_cells)]

@@ -105,19 +105,18 @@ def test_vertex_id_roundtrip_and_misses(hier, seed):
 
 
 def test_vectorised_lookup_rejects_any_miss(hier3):
+    """Every vertex of the vectorised level is found at its coordinates, and
+    a miss raises, whether its key is absent or equal to a vertex key."""
     lv = hier3.level(3)
-    xs, ys = lv.coords[:, 0].copy(), lv.coords[:, 1].copy()
-    assert np.array_equal(lv._ids_of(xs, ys), np.arange(lv.num_vertices))
-    ys[7] += 2  # a lattice point next to vertex 7 with no vertex of its own
-    assert tuple(lv.coords[7] + (0, 2)) not in set(map(tuple, lv.coords.tolist()))
+    assert [lv.vertex_id(x, y) for x, y in lv.coords.tolist()] == list(range(lv.num_vertices))
+    x, y = lv.coords[7].tolist()
+    # a lattice point next to vertex 7 with no vertex of its own
+    assert (x, y + 2) not in set(map(tuple, lv.coords.tolist()))
     with pytest.raises(LookupError_):
-        lv._ids_of(xs, ys)
+        lv.vertex_id(x, y + 2)
     # outside the box, with the packed key of vertex 7
-    ys[7] -= 2
-    xs[7] -= 1
-    ys[7] += 2 * lv.L + 3
     with pytest.raises(LookupError_):
-        lv._ids_of(xs, ys)
+        lv.vertex_id(x - 1, y + 2 * lv.L + 3)
 
 
 @pytest.mark.parametrize(

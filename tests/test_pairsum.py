@@ -22,6 +22,7 @@ from vicsek_lab.energy import (
     diagonal_ramp,
     random_affine,
 )
+from vicsek_lab.errors import InvalidArgumentError
 from vicsek_lab.geometry import Hierarchy, build_level, within_open_ball
 from vicsek_lab.pairsum import (
     ball_pair_sum_bruteforce,
@@ -110,6 +111,29 @@ def test_float_pair_sum_bits_are_pinned(hier3, hier35):
     balls = ball_energies(hier3, u, 2, 6, 4, EXACT)
     wm = weak_monotonicity_report(hier3, 2, 6, (2, 4), balls, EXACT)
     assert repr(wm.ratio) == "1.0496848096751399"
+
+
+def test_value_columns_past_the_tile_are_rejected(hier3):
+    """The cell tree at p != 2 holds a pair's F columns in one tile of
+    ``_CHUNK`` elements, so it names F and the limit past that (it used to
+    raise a bare reshape error); no route takes zero columns (it used to
+    divide by zero).  p = 2 and brute force at every p sum every column."""
+    lv = hier3.level(1)
+    vals = np.random.default_rng(5).random((lv.num_vertices, 70_000))
+    for p in (2.5, 3):
+        with pytest.raises(InvalidArgumentError, match="F <= 65536 .* F = 70000"):
+            ball_pair_sum_indexed(lv, vals, p, 1, FLOAT)
+    for route in (ball_pair_sum_indexed, ball_pair_sum_bruteforce):
+        with pytest.raises(InvalidArgumentError, match="F >= 1 .* F = 0"):
+            route(lv, vals[:, :0], 2, 1, FLOAT)
+    want = ball_pair_sum_bruteforce(lv, vals, 2, 1, FLOAT)
+    assert ball_pair_sum_indexed(lv, vals, 2, 1, FLOAT) == pytest.approx(want, rel=1e-12)
+    cols = [0, 34_567, 69_999]
+    for p in (2.5, 3):
+        got = ball_pair_sum_bruteforce(lv, vals, p, 1, FLOAT)
+        assert got.shape == (70_000,)
+        one = [ball_pair_sum_indexed(lv, vals[:, j], p, 1, FLOAT) for j in cols]
+        assert got[cols] == pytest.approx(one, rel=1e-12)
 
 
 def test_leaf_classes_share_relative_coordinates(hier3):
