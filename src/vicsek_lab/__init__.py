@@ -20,14 +20,7 @@ from .errors import (
     ScaleMismatchError,
     VicsekError,
 )
-from .geometry import (
-    Hierarchy,
-    LatticePoint,
-    VicsekLevel,
-    build_level,
-    point_of_word,
-    within_open_ball,
-)
+from .geometry import Hierarchy, LatticePoint, VicsekLevel, build_level
 from .ratios import (
     RatioSequence,
     alternating_ratios,
@@ -35,7 +28,7 @@ from .ratios import (
     example_sequence_ratios,
     periodic_ratios,
 )
-from .words import CENTER, Letter, Word, children, enumerate_letters
+from .words import CENTER, Letter, Word, enumerate_letters
 
 __all__ = [
     "CENTER",
@@ -57,11 +50,8 @@ __all__ = [
     "Word",
     "alternating_ratios",
     "build_level",
-    "children",
     "constant_ratios",
     "enumerate_letters",
     "example_sequence_ratios",
     "periodic_ratios",
-    "point_of_word",
-    "within_open_ball",
 ]

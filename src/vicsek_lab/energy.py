@@ -48,10 +48,6 @@ class AffineFunction:
         c = Fraction(c)
         return AffineFunction(self.base_level, [c * v for v in self.values])
 
-    def shift(self, c) -> "AffineFunction":
-        c = Fraction(c)
-        return AffineFunction(self.base_level, [v + c for v in self.values])
-
 
 def combine(hier: Hierarchy, a: AffineFunction, b: AffineFunction, fn) -> AffineFunction:
     """Pointwise combination at the common refinement of the base levels."""
@@ -99,14 +95,6 @@ def diagonal_ramp() -> AffineFunction:
 def _check_direction(direction: int) -> None:
     if direction not in range(1, 5):
         raise InvalidArgumentError(f"direction must be one of 1..4, got {direction}")
-
-
-def corner_indicator(direction: int = 1) -> AffineFunction:
-    """1 at one level-0 corner, 0 elsewhere (base level 0)."""
-    _check_direction(direction)
-    vals = [Fraction(0)] * 5
-    vals[direction] = Fraction(1)
-    return AffineFunction(0, vals)
 
 
 # ---------------------------------------------------------------------------

@@ -45,16 +45,6 @@ class CellMeasure:
             s = s + m
         return s
 
-    def refinement_defect(self, finer: "CellMeasure", children_per_cell: int):
-        """max |mass(w) - sum of children| over words (exact or float)."""
-        worst = None
-        for w, mass in enumerate(self.masses):
-            lo = w * children_per_cell
-            child_sum = sum(finer.masses[lo : lo + children_per_cell])
-            d = abs(mass - child_sum)
-            worst = d if worst is None else max(worst, d)
-        return worst
-
 
 def gamma_cells(
     hier: Hierarchy, u: AffineFunction, p, m: int, arith: Arithmetic = EXACT

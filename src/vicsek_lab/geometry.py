@@ -18,17 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DepthBudgetError,
-    InvalidArgumentError,
-    LevelError,
-    LookupError_,
-    ScaleMismatchError,
-)
+from .errors import DepthBudgetError, LevelError, LookupError_
 from .ratios import RatioSequence
-from .words import (
-    DIRECTION_VECTORS, Word, arm_letter, enumerate_letters, letter_offset, validate_word
-)
+from .words import DIRECTION_VECTORS, arm_letter, enumerate_letters, letter_offset
 
 DEFAULT_CELL_BUDGET = 5_000_000
 # A level has at most 5 points per cell, so with this many cells every
@@ -45,47 +37,6 @@ class LatticePoint:
     x: int
     y: int
     level: int
-
-    def rescale(self, to_level: int, ratios: RatioSequence) -> "LatticePoint":
-        """Exact change of scale level; refining multiplies coordinates."""
-        if to_level >= self.level:
-            f = ratios.length_product(to_level) // ratios.length_product(self.level)
-            return LatticePoint(self.x * f, self.y * f, to_level)
-        f = ratios.length_product(self.level) // ratios.length_product(to_level)
-        if self.x % f or self.y % f:
-            raise ScaleMismatchError(
-                f"point {self} is not on the level-{to_level} lattice"
-            )
-        return LatticePoint(self.x // f, self.y // f, to_level)
-
-
-def point_of_word(ratios: RatioSequence, word: Word, corner: int | str = 0) -> LatticePoint:
-    """Image of a reference point of the unit cell under the word's map.
-
-    ``corner`` 0 (or "center") gives the cell center, 1..4 the diagonal
-    corners.  The result is exact, at scale level len(word).  This also
-    evaluates the coding map on eventually-constant infinite words: a word
-    ending in repeated centers is the finite prefix with corner 0, one
-    ending in repeated maximal arm letters of direction j is the prefix
-    with corner j; general infinite words are approximated by truncating
-    to a prefix (error at most the cell diameter of the truncation level).
-    """
-    if corner == "center":
-        corner = 0
-    if corner not in (0, 1, 2, 3, 4):
-        raise InvalidArgumentError(f"corner must be center or 1..4, got {corner!r}")
-    validate_word(ratios, word)
-    n = len(word)
-    # accumulate center coordinates level by level: C_k = l_k * C_{k-1} + off_k
-    x = 0
-    y = 0
-    for k, letter in enumerate(word, start=1):
-        l = ratios.ratio(k)
-        ox, oy = letter_offset(letter)
-        x = x * l + ox
-        y = y * l + oy
-    dx, dy = DIRECTION_VECTORS[corner]
-    return LatticePoint(x + dx, y + dy, n)
 
 
 def radius2(L: int, r) -> int:
@@ -105,23 +56,6 @@ def square_vs_disk(dx, dy, h, R):
     near = np.maximum(dx - h, 0) ** 2 + np.maximum(dy - h, 0) ** 2 <= R
     inside = (dx + h) ** 2 + (dy + h) ** 2 <= R
     return near, inside
-
-
-def within_open_ball(
-    a: LatticePoint, b: LatticePoint, n_scale: int, ratios: RatioSequence
-) -> bool:
-    """Exact predicate d(a, b) < rho_{n_scale} for points at a common scale."""
-    if a.level != b.level:
-        raise ScaleMismatchError(
-            f"points at levels {a.level} and {b.level}; rescale first"
-        )
-    if a.level < n_scale:
-        raise ScaleMismatchError(
-            f"points at level {a.level} are too coarse for radius index {n_scale}"
-        )
-    dx = a.x - b.x
-    dy = a.y - b.y
-    return dx * dx + dy * dy <= radius2(ratios.length_product(a.level), ratios.rho(n_scale))
 
 
 class VicsekLevel:

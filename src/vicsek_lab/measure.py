@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError, LevelError
 from .geometry import LatticePoint, _cell_centers, radius2, square_vs_disk
-from .ratios import REGIME_VALUES, RatioSequence, _check_ratio, _in_a_run, p_is_integer
-from .words import Word
+from .ratios import REGIME_VALUES, RatioSequence, _check_ratio, p_is_integer
 
 
 def _pow_p_minus_1(base: Fraction, p):
@@ -59,16 +58,6 @@ def _scale_index(ratios: RatioSequence, r) -> int:
 def psi_of(ratios: RatioSequence, r) -> Fraction:
     """psi(r): right-continuous step value, 1 for r >= 2."""
     return scale_values(ratios, _scale_index(ratios, r))[1]
-
-
-def phi_of(ratios: RatioSequence, r):
-    """phi(r) = rho_n^{p-1} psi(rho_n) on (rho_{n+1}, rho_n], 2^{p-1} for r >= 2."""
-    return scale_values(ratios, _scale_index(ratios, r))[2]
-
-
-def mu_cell(ratios: RatioSequence, word: Word) -> Fraction:
-    """Mass of the cell addressed by the word: (#W_m)^{-1} at its level."""
-    return Fraction(1, ratios.num_words(len(word)))
 
 
 # ---------------------------------------------------------------------------
@@ -118,12 +107,6 @@ def psi_ratio_bounds(ratios: RatioSequence) -> tuple[float, float, float, float]
     sup_l = max(ratios.distinct_ratios())
     inf_a, sup_a = min(alphas), max(alphas)
     return sup_l ** (-inf_a), inf_a, sup_l**sup_a, sup_a
-
-
-def doubling_bound(ratios: RatioSequence) -> int:
-    """Explicit constant with mu(B(x, 2r)) <= bound * mu(B(x, r))."""
-    sup_l = max(ratios.distinct_ratios())
-    return 5 * (2 * sup_l - 1) ** 3
 
 
 # ---------------------------------------------------------------------------
@@ -244,23 +227,6 @@ def _measure_class(a, b, liminf_eta, limsup_eta) -> Optional[str]:
         flag = limsup_eta
         table = {"real": "positive_finite", "+inf": "zero", "-inf": "infinite"}
     return table.get(flag) if flag is not None else None
-
-
-def example_sequence_eta_bound_holds(a: int, b: int, n_max: int) -> bool:
-    """Exact check of eta_n >= (2/3) sqrt(n) for n <= n_max over the block
-    example sequence (the bound does not depend on the values of a and b).
-
-    Works in integer arithmetic: eta_n = n (c_a - c_b) / c_b with theta = 1,
-    and eta_n >= (2/3) sqrt(n)  <=>  9 n (c_a - c_b)^2 >= 4 c_b^2 (both
-    sides nonnegative here).  Positions with c_b = 0 have eta_n = +inf.
-    """
-    count_b = 0
-    for n in range(1, n_max + 1):
-        count_b += not _in_a_run(n)
-        diff = n - 2 * count_b  # c_a - c_b
-        if count_b and (diff < 0 or 9 * n * diff * diff < 4 * count_b * count_b):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -53,17 +53,6 @@ def arm_letter(l: int, direction, step):
     return 1 + (direction - 1) * ((l - 1) // 2) + (step - 1)
 
 
-def letter_index(letter: Letter, l: int) -> int:
-    """Position of the letter in enumerate_letters(l)."""
-    if letter.direction == 0:
-        if letter.step != 0:
-            raise InvalidArgumentError(f"center letter with step {letter.step}")
-        return 0
-    if not (1 <= letter.direction <= 4 and 1 <= letter.step <= (l - 1) // 2):
-        raise InvalidArgumentError(f"letter {letter} invalid for ratio {l}")
-    return arm_letter(l, letter.direction, letter.step)
-
-
 def letter_from_index(idx: int, l: int) -> Letter:
     if idx == 0:
         return CENTER
@@ -74,34 +63,8 @@ def letter_from_index(idx: int, l: int) -> Letter:
     return Letter(j + 1, m + 1)
 
 
-def validate_word(ratios: RatioSequence, word: Word) -> None:
-    for k, letter in enumerate(word, start=1):
-        letter_index(letter, ratios.ratio(k))
-
-
-def children(ratios: RatioSequence, word: Word) -> list[Word]:
-    """The 2 l_{n+1} - 1 one-letter extensions of a level-n word."""
-    n = len(word)
-    try:
-        l = ratios.ratio(n + 1)
-    except LevelError:
-        raise LevelError(
-            f"word at level {n} has no children within depth {ratios.depth}"
-        ) from None
-    return [word + (s,) for s in enumerate_letters(l)]
-
-
-def word_index(ratios: RatioSequence, word: Word) -> int:
-    """Index of the word in the lexicographic enumeration of its level."""
-    idx = 0
-    for k, letter in enumerate(word, start=1):
-        l = ratios.ratio(k)
-        idx = idx * (2 * l - 1) + letter_index(letter, l)
-    return idx
-
-
 def word_from_index(ratios: RatioSequence, level: int, idx: int) -> Word:
-    """Inverse of word_index for a given level."""
+    """The word at lexicographic position ``idx`` among the level's words."""
     sizes = ratios.alphabet_sizes(level)
     letters: list[Letter] = []
     for k in range(level - 1, -1, -1):

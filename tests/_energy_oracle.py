@@ -9,6 +9,11 @@ the energy measures used before they shared one edge primitive.
 ``dense_resistance_oracle`` is the resistance oracle with each IRLS step
 solved on the dense V x V weighted Laplacian, as it was before the steps
 were eliminated on the tree.
+
+``corner_indicator`` (from ``vicsek_lab.energy``) and ``refinement_defect``
+(once the ``CellMeasure`` method) moved here from the library: no command
+runs them, so the library keeps only what its commands reach and the tests
+keep these.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from vicsek_lab.energy import FLOAT, AffineFunction
+from vicsek_lab.energy import FLOAT, AffineFunction, _check_direction
 from vicsek_lab.errors import ConvergenceError
 from vicsek_lab.geometry import Hierarchy, VicsekLevel
 
@@ -169,3 +174,23 @@ def dense_resistance_oracle(
             return 1.0 / cur
         eps = max(eps * 0.2, 1e-14)
     raise ConvergenceError("dense resistance oracle did not converge", abs(cur - prev) / cur)
+
+
+def corner_indicator(direction: int = 1) -> AffineFunction:
+    """1 at one level-0 corner, 0 elsewhere (base level 0)."""
+    _check_direction(direction)
+    vals = [Fraction(0)] * 5
+    vals[direction] = Fraction(1)
+    return AffineFunction(0, vals)
+
+
+def refinement_defect(coarse, finer, children_per_cell: int):
+    """max |mass(w) - sum of children| over the words of the coarser of two
+    ``CellMeasure``s (exact or float)."""
+    worst = None
+    for w, mass in enumerate(coarse.masses):
+        lo = w * children_per_cell
+        child_sum = sum(finer.masses[lo : lo + children_per_cell])
+        d = abs(mass - child_sum)
+        worst = d if worst is None else max(worst, d)
+    return worst

@@ -12,6 +12,14 @@ small levels only.
 or hierarchy, for the tests that check a path or a restriction vertex by
 vertex; ``neighbors`` and ``true_distance_sq`` read a level's parent array
 and a point's exact coordinates.
+
+The per-word and per-point helpers at the end moved here from the library:
+``letter_index``, ``validate_word``, ``children`` and ``word_index`` from
+``vicsek_lab.words``, ``point_of_word`` and ``within_open_ball`` from
+``vicsek_lab.geometry``, and ``rescale`` (once the ``LatticePoint`` method).
+No command runs them: the library addresses cells by array index and tests
+balls through ``geometry.radius2`` on whole arrays.  So the library keeps
+only what its commands reach and the tests keep these.
 """
 
 from __future__ import annotations
@@ -22,9 +30,10 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from vicsek_lab.errors import ScaleMismatchError
+from vicsek_lab.errors import InvalidArgumentError, LevelError, ScaleMismatchError
+from vicsek_lab.geometry import LatticePoint, radius2
 from vicsek_lab.ratios import RatioSequence
-from vicsek_lab.words import enumerate_letters, letter_offset
+from vicsek_lab.words import DIRECTION_VECTORS, arm_letter, enumerate_letters, letter_offset
 
 SLOT_DX = (0, 1, -1, -1, 1)
 SLOT_DY = (0, 1, 1, -1, -1)
@@ -202,3 +211,92 @@ def true_distance_sq(a, b, ratios: RatioSequence) -> Fraction:
     dx, dy = a.x - b.x, a.y - b.y
     L = ratios.length_product(a.level)
     return Fraction(dx * dx + dy * dy, 2 * L * L)
+
+
+def letter_index(letter, l: int) -> int:
+    """Position of the letter in enumerate_letters(l)."""
+    if letter.direction == 0:
+        if letter.step != 0:
+            raise InvalidArgumentError(f"center letter with step {letter.step}")
+        return 0
+    if not (1 <= letter.direction <= 4 and 1 <= letter.step <= (l - 1) // 2):
+        raise InvalidArgumentError(f"letter {letter} invalid for ratio {l}")
+    return arm_letter(l, letter.direction, letter.step)
+
+
+def validate_word(ratios: RatioSequence, word) -> None:
+    for k, letter in enumerate(word, start=1):
+        letter_index(letter, ratios.ratio(k))
+
+
+def children(ratios: RatioSequence, word) -> list:
+    """The 2 l_{n+1} - 1 one-letter extensions of a level-n word."""
+    n = len(word)
+    try:
+        l = ratios.ratio(n + 1)
+    except LevelError:
+        raise LevelError(
+            f"word at level {n} has no children within depth {ratios.depth}"
+        ) from None
+    return [word + (s,) for s in enumerate_letters(l)]
+
+
+def word_index(ratios: RatioSequence, word) -> int:
+    """Index of the word in the lexicographic enumeration of its level."""
+    idx = 0
+    for k, letter in enumerate(word, start=1):
+        l = ratios.ratio(k)
+        idx = idx * (2 * l - 1) + letter_index(letter, l)
+    return idx
+
+
+def rescale(point: LatticePoint, to_level: int, ratios: RatioSequence) -> LatticePoint:
+    """Exact change of scale level; refining multiplies coordinates."""
+    if to_level >= point.level:
+        f = ratios.length_product(to_level) // ratios.length_product(point.level)
+        return LatticePoint(point.x * f, point.y * f, to_level)
+    f = ratios.length_product(point.level) // ratios.length_product(to_level)
+    if point.x % f or point.y % f:
+        raise ScaleMismatchError(f"point {point} is not on the level-{to_level} lattice")
+    return LatticePoint(point.x // f, point.y // f, to_level)
+
+
+def point_of_word(ratios: RatioSequence, word, corner: int | str = 0) -> LatticePoint:
+    """Image of a reference point of the unit cell under the word's map.
+
+    ``corner`` 0 (or "center") gives the cell center, 1..4 the diagonal
+    corners.  The result is exact, at scale level len(word).  This also
+    evaluates the coding map on eventually-constant infinite words: a word
+    ending in repeated centers is the finite prefix with corner 0, one
+    ending in repeated maximal arm letters of direction j is the prefix
+    with corner j; general infinite words are approximated by truncating
+    to a prefix (error at most the cell diameter of the truncation level).
+    """
+    if corner == "center":
+        corner = 0
+    if corner not in (0, 1, 2, 3, 4):
+        raise InvalidArgumentError(f"corner must be center or 1..4, got {corner!r}")
+    validate_word(ratios, word)
+    # accumulate center coordinates level by level: C_k = l_k * C_{k-1} + off_k
+    x = 0
+    y = 0
+    for k, letter in enumerate(word, start=1):
+        l = ratios.ratio(k)
+        ox, oy = letter_offset(letter)
+        x = x * l + ox
+        y = y * l + oy
+    dx, dy = DIRECTION_VECTORS[corner]
+    return LatticePoint(x + dx, y + dy, len(word))
+
+
+def within_open_ball(a: LatticePoint, b: LatticePoint, n_scale: int, ratios: RatioSequence) -> bool:
+    """Exact predicate d(a, b) < rho_{n_scale} for points at a common scale."""
+    if a.level != b.level:
+        raise ScaleMismatchError(f"points at levels {a.level} and {b.level}; rescale first")
+    if a.level < n_scale:
+        raise ScaleMismatchError(
+            f"points at level {a.level} are too coarse for radius index {n_scale}"
+        )
+    dx = a.x - b.x
+    dy = a.y - b.y
+    return dx * dx + dy * dy <= radius2(ratios.length_product(a.level), ratios.rho(n_scale))

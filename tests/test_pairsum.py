@@ -13,6 +13,7 @@ from _pairsum_oracle import (
     matches_per_block,
     same_partition,
 )
+from _geometry_oracle import within_open_ball
 
 from vicsek_lab import pairsum
 from vicsek_lab.besov import ball_energies, weak_monotonicity_report
@@ -23,7 +24,7 @@ from vicsek_lab.energy import (
     random_affine,
 )
 from vicsek_lab.errors import InvalidArgumentError
-from vicsek_lab.geometry import Hierarchy, build_level, within_open_ball
+from vicsek_lab.geometry import Hierarchy, build_level
 from vicsek_lab.pairsum import (
     ball_pair_sum_bruteforce,
     ball_pair_sum_indexed,

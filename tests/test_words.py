@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from _geometry_oracle import children, letter_index, word_index
 from vicsek_lab.errors import InvalidRatioError, LevelError
 from vicsek_lab.ratios import (
     RatioSequence,
@@ -14,12 +15,9 @@ from vicsek_lab.ratios import (
 from vicsek_lab.words import (
     CENTER,
     Letter,
-    children,
     enumerate_letters,
     letter_from_index,
-    letter_index,
     word_from_index,
-    word_index,
     word_string,
 )
 
