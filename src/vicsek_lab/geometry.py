@@ -27,7 +27,7 @@ DEFAULT_CELL_BUDGET = 5_000_000
 # vertex id, cell id, coordinate and depth fits the int32 tables.
 MAX_CELL_BUDGET = 400_000_000
 
-_SLOTS = np.array(DIRECTION_VECTORS, dtype=np.int64)  # slot offsets from a cell's center
+_SLOTS = np.array(DIRECTION_VECTORS, dtype=np.int32)  # slot offsets from a cell's center
 
 
 @dataclass(frozen=True)
@@ -67,77 +67,38 @@ class VicsekLevel:
     unique cell whose interior contains edge e (= e // 4 by construction).
     """
 
-    def __init__(self, ratios: RatioSequence, n: int, budget: int = DEFAULT_CELL_BUDGET):
-        num_cells = ratios.num_words(n)
-        budget = min(budget, MAX_CELL_BUDGET)
-        if num_cells > budget:
-            raise DepthBudgetError(n, num_cells, budget)
+    def __init__(self, ratios: RatioSequence, n: int, cell_vertices: np.ndarray,
+                 coords: np.ndarray, owner_word: np.ndarray, depth: np.ndarray):
         self.ratios = ratios
         self.n = n
         self.L = ratios.length_product(n)
-        self.num_cells = num_cells
-
-        # The 5 slot points of every cell, cell-major (point 5w + s is slot s
-        # of cell w), deduplicated by packed key.  Vertex ids number the
-        # distinct points in order of first appearance, which a stable sort
-        # puts at the head of each run of equal keys.
-        centers = _cell_centers(ratios, n)
-        slot_keys = _SLOTS @ (2 * self.L + 3, 1)  # key of each slot relative to its center
-        keys = (self._pack(centers[:, 0], centers[:, 1])[:, None] + slot_keys).reshape(-1)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        head = np.empty(keys.size, dtype=bool)
-        head[0] = True
-        np.not_equal(keys[1:], keys[:-1], out=head[1:])
-        del keys
-        first = order[head]  # first appearance of each distinct key
-        is_first = np.zeros(head.size, dtype=bool)
-        is_first[first] = True
-        ids = (np.cumsum(is_first, dtype=np.int32) - 1)[first]  # id of each distinct key
-        cells = np.empty(head.size, dtype=np.int32)
-        cells[order] = ids[np.cumsum(head, dtype=np.int32) - 1]
-        del order, head, first, ids
-        self.cell_vertices = cells.reshape(num_cells, 5)
-
-        first = np.flatnonzero(is_first)  # slot point of each id
-        del is_first
-        V = self.num_vertices = first.size
-        self.owner_word = (first // 5).astype(np.int32)
-        slot = first - 5 * self.owner_word
-        del first
-        self.coords = np.empty((V, 2), dtype=np.int32)
-        for axis in (0, 1):
-            np.add(centers[self.owner_word, axis], _SLOTS[slot, axis], out=self.coords[:, axis])
-        del slot
-
+        self.num_cells = cell_vertices.shape[0]
+        self.cell_vertices = cell_vertices
+        self.coords = coords
+        self.owner_word = owner_word
+        self.depth = depth
+        V = self.num_vertices = coords.shape[0]
         # cell 0 is the all-center word, whose center is (0, 0)
-        self.origin = int(self.cell_vertices[0, 0])
-
-        # Tree depths come from the cell structure; shared corners must agree.
-        slot_depth = _slot_depths(ratios, n)
-        self.depth = np.empty(V, dtype=np.int32)
-        self.depth[self.cell_vertices] = slot_depth
-        if not np.array_equal(self.depth[self.cell_vertices], slot_depth):
-            raise AssertionError("cells disagree on the depth of a shared corner")
+        self.origin = int(cell_vertices[0, 0])
 
         # each cell's 4 edges join its center to its corners, tail nearer the origin
-        center, corner = slot_depth[:, :1], slot_depth[:, 1:]
+        center, corner = depth[cell_vertices[:, :1]], depth[cell_vertices[:, 1:]]
         if not np.all(np.abs(corner - center) == 1):
             raise AssertionError("orientation tie: endpoint depths do not differ by 1")
         swap = center > corner
-        del slot_depth, center, corner
-        cv = self.cell_vertices
+        del center, corner
+        cv = cell_vertices
         self.edge_tail = np.where(swap, cv[:, 1:], cv[:, :1]).reshape(-1)
         self.edge_head = np.where(swap, cv[:, :1], cv[:, 1:]).reshape(-1)
         del swap
-        self.num_edges = 4 * num_cells
+        self.num_edges = 4 * self.num_cells
 
         # If every vertex but the origin is the head of exactly one edge, then
         # stepping to the tail lowers the depth by 1 and can only stop at the
         # origin: the graph is a tree and ``depth`` is the distance from it.
         heads = np.bincount(self.edge_head, minlength=V)
         heads[self.origin] += 1
-        if self.depth[self.origin] != 0 or not np.all(heads == 1):
+        if depth[self.origin] != 0 or not np.all(heads == 1):
             raise AssertionError("graph is not connected")
         del heads
         self.parent = np.full(V, -1, dtype=np.int32)
@@ -255,57 +216,6 @@ def _prefix_centers(prefix: tuple[int, ...]) -> np.ndarray:
     return centers
 
 
-def _slot_depths(ratios: RatioSequence, n: int) -> np.ndarray:
-    """Tree distance from the origin of the 5 slot points of every level-n cell.
-
-    Within a cell the graph is the cross of its two diagonals, one edge per
-    unit step, and a refined cell is a chain of subcells along each arm
-    joined by the center subcell.  So the shortest path from the origin
-    enters each cell at one slot, its entry: the center for the cells that
-    contain the origin, a corner for all others.  Refining a cell with entry
-    ``e`` at depth ``D`` (parent scale) gives, at the child scale, where the
-    parent center has depth ``b = D l + l [e != 0]``:
-
-    - the center subcell: entry ``e``, depth ``b - [e != 0]``
-    - arm ``e``, step ``m``: entry ``e`` (its outer corner), depth ``b - 2m - 1``
-    - arm ``j != e``, step ``m``: entry ``opposite(j)``, depth ``b + 2m - 1``
-
-    From the entry, the center lies one edge further (unless it is the
-    entry) and every other corner one edge beyond the center.
-    """
-    entry = np.zeros(1, dtype=np.int32)
-    depth = np.zeros(1, dtype=np.int32)
-    for k in range(1, n + 1):
-        l = ratios.ratio(k)
-        letters = enumerate_letters(l)
-        j = np.array([s.direction for s in letters], dtype=np.int32)[None]
-        m = np.array([s.step for s in letters], dtype=np.int32)[None]
-        e = entry[:, None]
-        cornered = (e != 0).astype(np.int32)
-        base = depth[:, None] * l + l * cornered
-        inward = (j == 0) | (j == e)
-        entry = np.where(inward, e, (j + 1) % 4 + 1).reshape(-1)  # opposite(j)
-        depth = np.where(
-            j == 0, base - cornered, np.where(j == e, base - 2 * m - 1, base + 2 * m - 1)
-        ).reshape(-1)
-    center = depth + (entry != 0)
-    slots = np.empty((center.size, 5), dtype=np.int32)
-    slots[:, 0] = center
-    slots[:, 1:] = (center + 1)[:, None]
-    cornered = np.flatnonzero(entry)
-    slots[cornered, entry[cornered]] -= 2  # the entry corner lies before the center
-    return slots
-
-
-def build_level(
-    ratios: RatioSequence, n: int, budget: int = DEFAULT_CELL_BUDGET
-) -> VicsekLevel:
-    """Construct the exact level-n graph (tree) of the Vicsek approximation."""
-    if n < 0:
-        raise LevelError(f"level must be >= 0, got {n}")
-    return VicsekLevel(ratios, n, budget)
-
-
 class Transition(NamedTuple):
     """How values on V_k extend to V_{k+1}.
 
@@ -321,6 +231,136 @@ class Transition(NamedTuple):
     hang: np.ndarray
 
 
+@lru_cache(maxsize=64)
+def _template(l: int) -> tuple[np.ndarray, ...]:
+    """The refinement of one cell of ratio l, shared by every cell it refines.
+
+    Its P points are the distinct points of the 5(2l - 1) child slots,
+    numbered by first appearance in (child, slot) order.  Five O(l) tables:
+    the point at each child slot, (2l - 1, 5); the child whose slot shows
+    each point first, (P,); each point's offset from the cell's center at
+    child scale, (P, 2); the segments, (4, l + 1), row j - 1 the points from
+    the center to corner j; and (H, 2) rows (hanging point, its parent).
+    """
+    # Subcells meet only at corners: the inner corner of arm child m is the
+    # outer corner of the child before it on the arm (the center child for
+    # m = 1), and every other child slot is a point of its own.
+    j = np.arange(1, 5)[:, None]
+    m = np.arange(1, (l - 1) // 2 + 1)
+    arm = arm_letter(l, j, m)
+    slot = np.arange(5 * (2 * l - 1)).reshape(2 * l - 1, 5)
+    twin = slot.copy()
+    twin[arm, (j + 1) % 4 + 1] = slot[np.where(m > 1, arm - 1, 0), j]  # slot opposite(j)
+    new = (twin == slot).reshape(-1)
+    slot_point = (np.cumsum(new) - 1)[twin]
+    first = np.flatnonzero(new)
+    child_centers = _prefix_centers((l,))  # the level-1 centers of ratio l
+    offset = (child_centers[first // 5] + _SLOTS[first % 5]).astype(np.int32)
+
+    # Point i of the segment from the center to corner j is slot 0 of arm
+    # child i/2 for even i (the center child for i = 0) and slot j of arm
+    # child (i-1)/2 for odd i (the center child for i = 1).
+    i = np.arange(l + 1)
+    segment = slot_point[np.where(i > 1, arm_letter(l, j, i // 2), 0), np.where(i % 2, j, 0)]
+
+    # every other point is an off-diagonal corner of an arm child, adjacent
+    # only to that child's center, which lies on a diagonal
+    on_diagonal = np.zeros(first.size, dtype=bool)
+    on_diagonal[segment] = True
+    child, corner = np.nonzero(~on_diagonal[slot_point[:, 1:]])
+    hang = np.column_stack((slot_point[child, corner + 1], slot_point[child, 0]))
+    if not on_diagonal[hang[:, 1]].all():
+        raise AssertionError("a hanging point's parent is not on a diagonal")
+    return slot_point, (first // 5).astype(np.int32), offset, segment, hang
+
+
+def _refine(coarse: VicsekLevel) -> tuple[VicsekLevel, Transition]:
+    """Level n + 1 and the maps n -> n + 1, in one pass over level n.
+
+    Vertex ids follow first appearance in (coarse cell, template) order.
+    Cells meet only at corners, so the points of coarse cell w are new but
+    for its corners that an earlier cell owns (``owner_word < w``): a new
+    point's id counts the new points before it, and an owned corner takes
+    its owner's id through ``lift``.  Depths extend along the maps, and the
+    level's own checks prove them the tree distance.
+    """
+    n = coarse.n + 1
+    l = coarse.ratios.ratio(n)
+    slot_point, first_child, offset, segment, hang_points = _template(l)
+    C, P = coarse.num_cells, offset.shape[0]
+    cv = coarse.cell_vertices
+    corner = segment[:, l]
+
+    owned = coarse.owner_word[cv[:, 1:]] < np.arange(C)[:, None]
+    new = np.ones((C, P), dtype=bool)
+    new[:, corner] = ~owned
+    V = int(np.count_nonzero(new))
+    ids = np.cumsum(new, dtype=np.int32).reshape(C, P)
+    ids -= 1
+    # the maps stay intp, since numpy converts an index of any other dtype
+    # on every use, and extension gathers and scatters with them at every level
+    lift = np.empty(coarse.num_vertices, dtype=np.intp)
+    lift[cv[:, 0]] = ids[:, 0]
+    lift[cv[:, 1:][~owned]] = ids[:, corner][~owned]
+    ids[:, corner] = lift[cv[:, 1:]]
+
+    # the l - 1 points strictly inside each coarse edge, tail to head
+    interior = ids[:, segment[:, 1:l]].reshape(coarse.num_edges, l - 1).astype(np.intp)
+    outward = coarse.edge_tail == np.repeat(cv[:, 0], 4)
+    interior[~outward] = interior[~outward, ::-1]
+    # rows in fine cell order, which is ascending parent order (a center, at
+    # even coordinates, is no other cell's corner), and slot order within a cell
+    hang = ids[:, hang_points].reshape(-1, 2).astype(np.intp)
+    seen = np.bincount(np.concatenate((lift, interior.reshape(-1), hang[:, 0])), minlength=V)
+    if not np.all(seen == 1):
+        raise AssertionError("refinement maps do not cover the fine level once")
+    del seen
+
+    # each new point's owner and coordinates, written at its first slot
+    owner_word = (np.arange(C, dtype=np.int32)[:, None] * (2 * l - 1) + first_child)[new]
+    centers = coarse.coords[cv[:, 0]] * l
+    coords = np.empty((V, 2), dtype=np.int32)
+    for axis in (0, 1):
+        coords[:, axis] = (centers[:, axis, None] + offset[:, axis])[new]
+
+    # hanging points last: each parent lies on a diagonal, so it has a depth
+    depth = np.empty(V, dtype=np.int32)
+    depth[lift] = l * coarse.depth
+    steps = np.arange(1, l, dtype=np.int32)
+    depth[interior] = (l * coarse.depth[coarse.edge_tail])[:, None] + steps
+    depth[hang[:, 0]] = depth[hang[:, 1]] + 1
+
+    fine = VicsekLevel(
+        coarse.ratios, n, ids[:, slot_point].reshape(-1, 5), coords, owner_word, depth
+    )
+    return fine, Transition(lift, interior, hang)
+
+
+def _check_budget(ratios: RatioSequence, n: int, budget: int) -> None:
+    num_cells = ratios.num_words(n)
+    if num_cells > budget:
+        raise DepthBudgetError(n, num_cells, budget)
+
+
+def _root(ratios: RatioSequence) -> VicsekLevel:
+    """Level 0: one cell, its center the origin and its corners one edge away."""
+    return VicsekLevel(ratios, 0, np.arange(5, dtype=np.int32).reshape(1, 5), _SLOTS.copy(),
+                       np.zeros(5, dtype=np.int32), np.array([0, 1, 1, 1, 1], dtype=np.int32))
+
+
+def build_level(
+    ratios: RatioSequence, n: int, budget: int = DEFAULT_CELL_BUDGET
+) -> VicsekLevel:
+    """Construct the exact level-n graph (tree) of the Vicsek approximation."""
+    if n < 0:
+        raise LevelError(f"level must be >= 0, got {n}")
+    _check_budget(ratios, n, min(budget, MAX_CELL_BUDGET))
+    level = _root(ratios)
+    for _ in range(n):
+        level = _refine(level)[0]
+    return level
+
+
 class Hierarchy:
     """Levels 0..N of one ratio sequence plus the refinement maps between them.
 
@@ -331,15 +371,14 @@ class Hierarchy:
     Value extension then reduces to table-driven passes, shared by exact and
     floating-point arithmetic.
 
-    The constructor only checks the cell budget of every level; a level and
-    a transition are built on first use and then kept.
+    The constructor only checks the cell budget of every level; level k + 1
+    and the maps k -> k+1 are built together on first use of either, by
+    refining level k, and then kept.
     """
 
     def __init__(self, ratios: RatioSequence, max_level: int, budget: int = DEFAULT_CELL_BUDGET):
         for k in range(max_level + 1):
-            num_cells = ratios.num_words(k)
-            if num_cells > budget:
-                raise DepthBudgetError(k, num_cells, budget)
+            _check_budget(ratios, k, budget)
         self.ratios = ratios
         self.max_level = max_level
         self.budget = budget
@@ -349,10 +388,12 @@ class Hierarchy:
     def level(self, k: int) -> VicsekLevel:
         if not 0 <= k <= self.max_level:
             raise LevelError(f"level {k} not built (max {self.max_level})")
-        lv = self._levels.get(k)
-        if lv is None:
-            lv = self._levels[k] = build_level(self.ratios, k, self.budget)
-        return lv
+        if k not in self._levels:
+            if k == 0:
+                self._levels[0] = _root(self.ratios)
+            else:
+                self._transition_maps(k - 1)
+        return self._levels[k]
 
     @property
     def levels(self) -> list[VicsekLevel]:
@@ -363,64 +404,15 @@ class Hierarchy:
         """The refinement maps k -> k+1, built on first use."""
         if not 0 <= k < self.max_level:
             raise LevelError(f"transition {k} -> {k + 1} not in 0..{self.max_level}")
-        t = self._transitions.get(k)
-        if t is None:
-            # build both levels first, so the maps' own time stands alone
-            self.level(k)
-            self.level(k + 1)
-            t = self._transitions[k] = Transition(*self._transition_maps(k))
-        return t
+        if k not in self._transitions:
+            self._transition_maps(k)
+        return self._transitions[k]
 
     def lift_ids(self, k: int) -> np.ndarray:
         """Id at level k+1 of each level-k vertex (same geometric point)."""
         return self.transition(k).lift
 
-    def _transition_maps(self, k: int):
-        coarse = self.level(k)
-        fine = self.level(k + 1)
-        l = self.ratios.ratio(k + 1)
-
-        # Point i of the segment from a coarse center to its corner j is, at
-        # the fine level, slot 0 of arm child i/2 for even i (the center
-        # child for i = 0) and slot j of arm child (i-1)/2 for odd i (the
-        # center child for i = 1).
-        i = np.arange(l + 1)
-        j = np.arange(1, 5)[:, None]
-        child = np.where(i > 1, arm_letter(l, j, i // 2), 0)
-        slot = np.where(i % 2 == 1, j, 0)
-        fine_cells = fine.cell_vertices.reshape(coarse.num_cells, 2 * l - 1, 5)
-        # (cells, arm j, point i); the maps stay intp, since numpy converts
-        # an index of any other dtype on every use, and extension gathers
-        # and scatters with them at every level
-        seg = fine_cells[:, child, slot].astype(np.intp)
-
-        lift = np.empty(coarse.num_vertices, dtype=np.intp)
-        lift[coarse.cell_vertices[:, 0]] = seg[:, 0, 0]
-        lift[coarse.cell_vertices[:, 1:]] = seg[:, :, l]
-
-        # the l - 1 points strictly inside each coarse edge, tail to head
-        interior = seg[:, :, 1:l].reshape(coarse.num_edges, l - 1)
-        outward = coarse.edge_tail == np.repeat(coarse.cell_vertices[:, 0], 4)
-        interior[~outward] = interior[~outward, ::-1]
-
-        # every other fine vertex is an off-diagonal corner of an arm child,
-        # adjacent only to that child's center, which lies on a diagonal;
-        # rows are in cell order, which is ascending parent order (a center,
-        # at even coordinates, is no other cell's corner, so it is numbered
-        # in its own cell), and in slot order within a cell
-        valued = np.zeros(fine.num_vertices, dtype=bool)
-        valued[lift] = True
-        valued[interior] = True
-        corners = fine.cell_vertices[:, 1:]
-        hanging = ~valued[corners]
-        hang = np.column_stack(
-            (corners[hanging], np.repeat(fine.cell_vertices[:, 0], hanging.sum(axis=1)))
-        ).astype(np.intp)
-
-        seen = np.bincount(
-            np.concatenate((lift, interior.reshape(-1), hang[:, 0])),
-            minlength=fine.num_vertices,
-        )
-        if not np.all(seen == 1) or not valued[hang[:, 1]].all():
-            raise AssertionError("refinement maps do not cover the fine level once")
-        return lift, interior, hang
+    def _transition_maps(self, k: int) -> None:
+        """The refine step: level k + 1 and the maps k -> k+1 from level k."""
+        _check_budget(self.ratios, k + 1, min(self.budget, MAX_CELL_BUDGET))
+        self._levels[k + 1], self._transitions[k] = _refine(self.level(k))

@@ -381,9 +381,10 @@ def _class_rows(leaf_class: np.ndarray) -> list[np.ndarray]:
 def _in_ball(idx: CellPairIndex, R: int, i0: int, i1: int, j0: int, j1: int) -> np.ndarray:
     """Mask of the pairs of [i0, i1) x [j0, j1) with dx^2 + dy^2 <= R."""
     xy = idx.level.coords
-    # int64, so squared distances cannot overflow
-    dx = np.subtract(xy[i0:i1, None, 0], xy[None, j0:j1, 0], dtype=np.int64)
-    dy = np.subtract(xy[i0:i1, None, 1], xy[None, j0:j1, 1], dtype=np.int64)
+    # |dx|, |dy| <= 2 (L + 1): int32 while 8 (L + 1)^2 < 2^31, int64 past it
+    dtype = np.int32 if 8 * (idx.level.L + 1) ** 2 < 2**31 else np.int64
+    dx = np.subtract(xy[i0:i1, None, 0], xy[None, j0:j1, 0], dtype=dtype)
+    dy = np.subtract(xy[i0:i1, None, 1], xy[None, j0:j1, 1], dtype=dtype)
     dx *= dx
     dy *= dy
     dx += dy
@@ -437,8 +438,8 @@ def _class_sums(vs, subs, blocks, p, arith: Arithmetic, top, buf):
         ia, jb = np.arange(i0, i1), np.arange(j0, j1)
         if p == 2:
             M = mask.astype(prod)
-            rows = np.count_nonzero(mask, axis=1).astype(acc)
-            cols = np.count_nonzero(mask, axis=0).astype(acc)
+            rows = M.sum(axis=1).astype(acc)
+            cols = M.sum(axis=0).astype(acc)
         # a batch's gathers (p = 2) or differences fit one tile
         K = max(1, _CHUNK // ((max(i1 - i0, j1 - j0) if p == 2 else (i1 - i0) * (j1 - j0)) * F))
         for k in range(0, len(blocks), K):

@@ -261,7 +261,7 @@ def test_level_keeps_no_lookup_or_adjacency_tables():
 
 def test_hierarchy_memory_is_bounded():
     """Traced memory of every level and transition of Hierarchy(l=3, 7):
-    peak 64 MB measured, capped at 120 MB; 33 MB still held once all are
+    peak 22 MB measured, capped at 120 MB; 16.5 MB still held once all are
     built, capped at 40 MB."""
     import tracemalloc
 
@@ -282,8 +282,10 @@ def test_hierarchy_memory_is_bounded():
 
 def test_level_build_memory_per_vertex():
     """Traced memory of build_level(constant 3, 6), 62,501 vertices, center
-    tables included: peak 50 B and held 38 B per vertex measured (193 and
-    79 B with int64 tables), capped at 110 and 52 B."""
+    tables included: peak 69 B and held 33 B per vertex measured, capped at
+    110 and 52 B.  The build refines level 5, whose maps it drops, into level
+    6 (50 and 38 B with the earlier sort-based build, 193 and 79 B with
+    int64 tables)."""
     import tracemalloc
 
     from vicsek_lab import geometry
@@ -302,8 +304,9 @@ def test_level_build_memory_per_vertex():
 
 def test_hierarchy_to_level_8_memory_is_bounded():
     """Every level and transition of Hierarchy(l=3, 8), 1,562,501 vertices
-    at level 8: peak 126 MB and held 90 MB measured (320 and 166 MB with
-    int64 tables), capped at 170 MB and 128 MB."""
+    at level 8: peak 109 MB and held 82 MB measured (126 and 90 MB with the
+    earlier sort-based build, 320 and 166 MB with int64 tables), capped at
+    170 MB and 128 MB."""
     import tracemalloc
 
     from vicsek_lab import geometry
@@ -326,22 +329,22 @@ def test_hierarchy_builds_levels_on_first_use(monkeypatch):
     from vicsek_lab import geometry
     from vicsek_lab.energy import diagonal_ramp, energy_limit
 
-    built = []
-    real = geometry.build_level
+    refined = []
+    real = geometry.Hierarchy._transition_maps
 
-    def counting(ratios, n, budget=geometry.DEFAULT_CELL_BUDGET):
-        built.append(n)
-        return real(ratios, n, budget)
+    def counting(self, k):
+        refined.append(k + 1)
+        return real(self, k)
 
-    monkeypatch.setattr(geometry, "build_level", counting)
+    monkeypatch.setattr(geometry.Hierarchy, "_transition_maps", counting)
     hier = geometry.Hierarchy(constant_ratios(3, 12), 8)
-    assert built == []
+    assert refined == []
     rep = energy_limit(hier, diagonal_ramp(), 2, 7)
     assert rep.limit == Fraction(1, 2)
-    assert sorted(built) == list(range(8))  # each level once, none above 7
+    assert sorted(refined) == list(range(1, 8))  # each level once, none above 7
     assert hier.level(7) is hier.level(7)
     assert hier.transition(6) is hier.transition(6)
-    assert sorted(built) == list(range(8))
+    assert sorted(refined) == list(range(1, 8))
 
     small = geometry.Hierarchy(constant_ratios(3, 12), 2)
     assert [lv.n for lv in small.levels] == [0, 1, 2]

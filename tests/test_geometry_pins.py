@@ -3,6 +3,9 @@
 Seeded random functions, golden energies and the float pair-sum bits all
 depend on the order in which vertices are numbered, so any rewrite of the
 level build or of the transition maps must reproduce these arrays exactly.
+They were taken from a build that numbered vertices by one stable sort of
+packed slot keys; the refinement that replaced it, which makes each level
+and its maps from the level before, reproduces them.
 Each digest is the first 16 hex digits of the sha256 of the array's shape
 (as its repr) followed by its int64 bytes.
 """

@@ -2,9 +2,10 @@
 
 ``_geometry_oracle`` builds each level with a dict of coordinates and a FIFO
 breadth-first search, and each transition with one dict lookup per point.
-The library builds the same arrays from sorted packed keys, the depth
-recursion over cells and gathers from known child slots; every array,
-vertex ids included, must be equal.
+The library refines each level from the one before through a per-ratio
+template of one cell's children: vertex ids count the new points cell by
+cell, the maps are gathers by the template, and depths extend along the
+maps; every array, vertex ids included, must be equal.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ LEVEL_FIELDS = (
     "edge_head",
 )
 
-odd = st.sampled_from((3, 5, 7))
+odd = st.sampled_from((3, 5, 7, 9, 11))
 sequences = st.one_of(
     odd.map(lambda l: constant_ratios(l, 6)),
     st.tuples(odd, odd).map(lambda ab: alternating_ratios(*ab, 6)),
